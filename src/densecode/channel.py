@@ -78,6 +78,11 @@ class SchmidtState:
     @classmethod
     def from_dict(cls, obj: dict) -> "SchmidtState":
         """Build from {"d1": ..., "d2": ..., "coeffs": [...], "squared": bool}."""
+        if not isinstance(obj, dict):
+            raise ValueError("'state' must be an object with keys d1, d2 and coeffs")
+        missing = [key for key in ("d1", "d2", "coeffs") if key not in obj]
+        if missing:
+            raise ValueError(f"'state' lacks key {missing[0]!r}")
         d1 = int(obj["d1"])
         d2 = int(obj["d2"])
         coeffs = obj["coeffs"]

@@ -15,8 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from .protocol_sim import (
 from .qkd import EveStrategy, analytic_qkd_error, analytic_sift_rate, simulate_qkd
 
 _DEFAULT_MARGIN = 1e-3
+_DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
 
 
 def _fmt(value) -> str:
@@ -92,13 +91,6 @@ def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
     return np.array(points)
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -109,6 +101,9 @@ def _load_config(path: str | None) -> dict:
         raise RuntimeError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise RuntimeError("config file must hold a JSON object")
+    unknown = sorted(set(obj) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
     return obj
 
 
@@ -121,113 +116,63 @@ def _setting(args, config: dict, key: str, default):
     return default
 
 
-def _resolve_threads(args, config: dict) -> int:
-    value = _setting(args, config, "threads", None)
-    if value is None:
-        value = os.environ.get("DENSECODE_THREADS", 1)
-    return max(1, int(value))
-
-
-def _resolve_state(args, config: dict, default: dict) -> SchmidtState:
-    return SchmidtState.from_dict(config.get("state", default))
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Resolved sweep settings after merging defaults, config file, and flags."""
-
-    d1: int
-    d2: int
-    grid_resolution: int
-    boundary_margin: float
-    xi_steps: int
-    strategy: str
-    out: str
-    seed: int
-    threads: int
-
-    def __post_init__(self) -> None:
-        if self.grid_resolution < 2:
-            raise ValueError("grid resolution must be >= 2")
-        if self.boundary_margin <= 0:
-            raise ValueError("boundary margin must be positive")
-
-
-def _resolve_sweep_config(args, config: dict, *, strategy: str, out: str, d1=3, d2=4, grid=60) -> SweepConfig:
-    return SweepConfig(
-        d1=int(_setting(args, config, "d1", d1)),
-        d2=int(_setting(args, config, "d2", d2)),
-        grid_resolution=int(_setting(args, config, "grid", grid)),
-        boundary_margin=float(_setting(args, config, "margin", _DEFAULT_MARGIN)),
-        xi_steps=int(_setting(args, config, "xi_steps", 50)),
-        strategy=strategy,
-        out=_setting(args, config, "out", out),
-        seed=int(_setting(args, config, "seed", 0)),
-        threads=_resolve_threads(args, config),
+def _simplex_states(args, config: dict, grid: int, min_rank: int = 1):
+    """Schmidt states of a simplex sweep, with their rank."""
+    d1 = int(_setting(args, config, "d1", 3))
+    d2 = int(_setting(args, config, "d2", 4))
+    rank = min(d1, d2)
+    if rank < min_rank:
+        raise RuntimeError(f"this sweep needs Schmidt rank >= {min_rank}")
+    points = simplex_grid(
+        rank,
+        int(_setting(args, config, "grid", grid)),
+        float(_setting(args, config, "margin", _DEFAULT_MARGIN)),
     )
+    return rank, [SchmidtState.from_squared(d1, d2, squared) for squared in points]
 
 
 def _cmd_sweep_me(args) -> int:
-    cfg = _resolve_sweep_config(
-        args, _load_config(args.config), strategy="me", out="sweep_me.csv"
-    )
-    rank = min(cfg.d1, cfg.d2)
-
-    def point(squared) -> list:
-        state = SchmidtState.from_squared(cfg.d1, cfg.d2, squared)
-        coeffs = [float(c) for c in state.coeffs[: rank - 1]]
-        return coeffs + [mutual_info_me(state).total_bits]
-
-    grid = simplex_grid(rank, cfg.grid_resolution, cfg.boundary_margin)
-    rows = _parallel_map(point, grid, cfg.threads)
+    config = _load_config(args.config)
+    out = _setting(args, config, "out", "sweep_me.csv")
+    rank, states = _simplex_states(args, config, 60)
+    rows = [
+        [float(c) for c in state.coeffs[: rank - 1]] + [mutual_info_me(state).total_bits]
+        for state in states
+    ]
     header = [f"a{i}" for i in range(rank - 1)] + ["I_bits"]
-    _write_csv(cfg.out, header, rows)
-    print(f"wrote {len(rows)} rows to {cfg.out}")
+    _write_csv(out, header, rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def _cmd_sweep_sep(args) -> int:
     config = _load_config(args.config)
-    state = _resolve_state(
-        args, config, {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
-    )
-    cfg = _resolve_sweep_config(
-        args, config, strategy="sep_me", out="sweep_sep.csv", d1=state.d1, d2=state.d2
-    )
-    steps = cfg.xi_steps
+    state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
+    steps = int(_setting(args, config, "xi_steps", 50))
+    out = _setting(args, config, "out", "sweep_sep.csv")
     if steps < 1:
         raise RuntimeError("xi_steps must be >= 1")
     i_me = mutual_info_me(state).total_bits
-
-    def point(k: int) -> list:
+    rows = []
+    for k in range(steps + 1):
         xi = k / steps
         report = mutual_info_sep(state, xi)
         p_s = report.branch_probabilities[0]
-        return [xi, p_s, report.total_bits, report.success_branch_bits, i_me]
-
-    rows = _parallel_map(point, range(steps + 1), cfg.threads)
-    _write_csv(cfg.out, ["xi", "P_s", "I_total", "I_success", "I_ME"], rows)
-    print(f"wrote {len(rows)} rows to {cfg.out}")
+        rows.append([xi, p_s, report.total_bits, report.success_branch_bits, i_me])
+    _write_csv(out, ["xi", "P_s", "I_total", "I_success", "I_ME"], rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def _cmd_sweep_multistage(args) -> int:
-    cfg = _resolve_sweep_config(
-        args,
-        _load_config(args.config),
-        strategy="multistage",
-        out="sweep_multistage.csv",
-        grid=30,
-    )
-    rank = min(cfg.d1, cfg.d2)
-    if rank < 3:
-        raise RuntimeError("multistage sweep needs Schmidt rank >= 3")
+    config = _load_config(args.config)
+    out = _setting(args, config, "out", "sweep_multistage.csv")
+    rank, states = _simplex_states(args, config, 30, min_rank=3)
     plan_abstain = StagePlan((1.0,), FINAL_ABSTAIN)
     plan_me = StagePlan((1.0,), FINAL_ME)
     plan_two = StagePlan((1.0, 1.0), FINAL_ABSTAIN)
 
-    def point(squared) -> list:
-        state = SchmidtState.from_squared(cfg.d1, cfg.d2, squared)
+    def point(state) -> list:
         i_me = mutual_info_me(state).total_bits
         single = mutual_info_multistage(state, plan_abstain)
         follow_me = mutual_info_multistage(state, plan_me)
@@ -249,8 +194,7 @@ def _cmd_sweep_multistage(args) -> int:
             p_overall,
         ]
 
-    grid = simplex_grid(rank, cfg.grid_resolution, cfg.boundary_margin)
-    rows = _parallel_map(point, grid, cfg.threads)
+    rows = [point(state) for state in states]
     header = [f"a{i}" for i in range(rank - 1)] + [
         "I_MC",
         "I_MC_ME",
@@ -261,17 +205,9 @@ def _cmd_sweep_multistage(args) -> int:
         "P_s1",
         "P_overall",
     ]
-    _write_csv(cfg.out, header, rows)
-    print(f"wrote {len(rows)} rows to {cfg.out}")
+    _write_csv(out, header, rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
-
-
-def _analytic_total(state: SchmidtState, strat: DecodingStrategy) -> float:
-    if strat.kind == "me":
-        return mutual_info_me(state).total_bits
-    if strat.kind == "sep_me":
-        return mutual_info_sep(state, strat.xi).total_bits
-    return mutual_info_multistage(state, strat.plan).total_bits
 
 
 def _sigma3(p: float, n: int) -> float:
@@ -284,14 +220,15 @@ def montecarlo_summary(report, state: SchmidtState, strat: DecodingStrategy):
     """Empirical-versus-analytic rows: (quantity, empirical, analytic, bound)."""
     labels, dist = analytic_record_distribution(state, strat)
     per_record = dist.mean(axis=0)
+    if strat.kind == "me":
+        info = mutual_info_me(state)
+    elif strat.kind == "sep_me":
+        info = mutual_info_sep(state, strat.xi)
+    else:
+        info = mutual_info_multistage(state, strat.plan)
+    stage_probs = info.branch_probabilities
     rows = []
     rows.append(["k_channel_exact_rate", 1.0, 1.0, 0.0])
-    if strat.kind == "me":
-        stage_probs: tuple = ()
-    elif strat.kind == "sep_me":
-        stage_probs = mutual_info_sep(state, strat.xi).branch_probabilities
-    else:
-        stage_probs = mutual_info_multistage(state, strat.plan).branch_probabilities
     for i, (att, suc) in enumerate(zip(report.stage_attempts, report.stage_successes)):
         if att == 0:
             continue
@@ -324,24 +261,18 @@ def montecarlo_summary(report, state: SchmidtState, strat: DecodingStrategy):
                 _sigma3(cond_p, conclusive_emp),
             ]
         )
-    analytic_bits = _analytic_total(state, strat)
-    rows.append(
-        ["mutual_info_bits", report.empirical_mutual_info_bits, analytic_bits, 0.02]
-    )
+    rows.append(["mutual_info_bits", report.empirical_mutual_info_bits, info.total_bits, 0.02])
     return rows
 
 
 def _cmd_montecarlo(args) -> int:
     config = _load_config(args.config)
-    state = _resolve_state(
-        args, config, {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
-    )
+    state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
     strat = DecodingStrategy.from_dict(config.get("strategy", {"kind": "me"}))
     trials = int(_setting(args, config, "trials", 100000))
     seed = int(_setting(args, config, "seed", 0))
     out = _setting(args, config, "out", "montecarlo.csv")
-    threads = _resolve_threads(args, config)
-    report = run_simulation(state, strat, trials, seed, threads=threads)
+    report = run_simulation(state, strat, trials, seed)
     rows = montecarlo_summary(report, state, strat)
     rendered = [
         [q, _fmt(float(e)), _fmt(float(a)), _fmt(abs(float(e) - float(a))), _fmt(float(b))]
@@ -355,15 +286,12 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_qkd(args) -> int:
     config = _load_config(args.config)
-    state = _resolve_state(
-        args, config, {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
-    )
+    state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
     eve = EveStrategy.from_dict(config.get("eve", {"kind": "absent"}))
     rounds = int(_setting(args, config, "trials", 100000))
     seed = int(_setting(args, config, "seed", 0))
     out = _setting(args, config, "out", "qkd.csv")
-    threads = _resolve_threads(args, config)
-    report = simulate_qkd(state, eve, rounds, seed, threads=threads)
+    report = simulate_qkd(state, eve, rounds, seed)
     sift_analytic = analytic_sift_rate(state.coeffs)
     error_analytic = analytic_qkd_error(state.coeffs, eve)
     row = [
@@ -399,48 +327,51 @@ def _cmd_qkd(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "sweep-me": (_cmd_sweep_me, "mutual information of ME decoding over the simplex"),
+    "sweep-sep": (_cmd_sweep_sep, "separation-assisted decoding versus xi"),
+    "sweep-multistage": (_cmd_sweep_multistage, "multistage decoding over the simplex"),
+    "montecarlo": (_cmd_montecarlo, "Monte Carlo run with analytic cross-check"),
+    "qkd": (_cmd_qkd, "intercept-resend key-distribution run"),
+}
+_SIMPLEX = ("sweep-me", "sweep-multistage")
+_RUNS = ("montecarlo", "qkd")
+
+#: Every flag, with its argparse settings and the commands that read it.
+_FLAGS = {
+    "--config": ({"help": "JSON config file; flags override it"}, tuple(_COMMANDS)),
+    "--out": ({"help": "output CSV path"}, tuple(_COMMANDS)),
+    "--threads": (
+        {"type": int, "help": "accepted for compatibility and ignored; runs are serial"},
+        tuple(_COMMANDS),
+    ),
+    "--seed": ({"type": int, "help": "RNG seed"}, _RUNS),
+    "--trials": ({"type": int, "help": "Monte Carlo trials / rounds"}, _RUNS),
+    "--grid": ({"type": int, "help": "simplex lattice resolution"}, _SIMPLEX),
+    "--margin": ({"type": float, "help": "simplex boundary margin"}, _SIMPLEX),
+    "--d1": ({"type": int, "help": "control-system dimension"}, _SIMPLEX),
+    "--d2": ({"type": int, "help": "transmitted-system dimension"}, _SIMPLEX),
+    "--xi-steps": ({"type": int, "help": "distinguishability steps"}, ("sweep-sep",)),
+}
+
+#: Config-file keys any command reads, so one file can serve several commands.
+_CONFIG_KEYS = {"state", "strategy", "eve"} | {
+    flag[2:].replace("-", "_") for flag in _FLAGS if flag != "--config"
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densecode",
         description="Probabilistic dense coding: analytic sweeps and Monte Carlo runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--grid", type=int, help="simplex lattice resolution")
-        p.add_argument("--xi-steps", dest="xi_steps", type=int, help="distinguishability steps")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials / rounds")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="worker threads (env DENSECODE_THREADS as fallback)",
-        )
-        p.add_argument("--margin", type=float, help="simplex boundary margin")
-        p.add_argument("--d1", type=int, help="control-system dimension")
-        p.add_argument("--d2", type=int, help="transmitted-system dimension")
-
-    sweep_me = sub.add_parser("sweep-me", help="mutual information of ME decoding over the simplex")
-    common(sweep_me)
-    sweep_me.set_defaults(func=_cmd_sweep_me)
-
-    sweep_sep = sub.add_parser("sweep-sep", help="separation-assisted decoding versus xi")
-    common(sweep_sep)
-    sweep_sep.set_defaults(func=_cmd_sweep_sep)
-
-    sweep_multi = sub.add_parser("sweep-multistage", help="multistage decoding over the simplex")
-    common(sweep_multi)
-    sweep_multi.set_defaults(func=_cmd_sweep_multistage)
-
-    montecarlo = sub.add_parser("montecarlo", help="Monte Carlo run with analytic cross-check")
-    common(montecarlo)
-    montecarlo.set_defaults(func=_cmd_montecarlo)
-
-    qkd = sub.add_parser("qkd", help="intercept-resend key-distribution run")
-    common(qkd)
-    qkd.set_defaults(func=_cmd_qkd)
+    for name, (func, help_text) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, (settings, readers) in _FLAGS.items():
+            if name in readers:
+                command.add_argument(flag, **settings)
+        command.set_defaults(func=func)
     return parser
 
 

@@ -149,6 +149,30 @@ def separation_map(coeffs, xi: float, dim: int | None = None) -> SeparationMap:
     )
 
 
+def stage_walk(coeffs, stages, dim: int | None = None):
+    """Walk a stage plan down the failure-state hierarchy of a symmetric family.
+
+    Returns (maps, rest): the separation maps the plan executes, in order, and
+    the coefficients of the family left for the final action, or None when a
+    uniform family ends the walk with certain success. The walk stops early
+    once the family's support drops below two levels (nothing left to
+    separate); the stages after that are never attempted.
+    """
+    current = np.asarray(coeffs, dtype=float)
+    if len(stages) > max(current.size - 1, 0):
+        raise ValueError("plan exceeds channel stages")
+    maps = []
+    for xi in stages:
+        if _support(current).size < 2:
+            break
+        smap = separation_map(current, xi, dim)
+        maps.append(smap)
+        if smap.failure_coeffs is None:
+            return maps, None
+        current = smap.failure_coeffs
+    return maps, current
+
+
 def _phased_ket(coeffs: np.ndarray, period: int, j: int, dim: int) -> Ket:
     amps = np.zeros(dim, dtype=complex)
     levels = np.arange(coeffs.size)

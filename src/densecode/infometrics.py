@@ -9,12 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import COEFF_TOL, SchmidtState
+from .channel import SchmidtState
 from .discrimination import (
     FINAL_ME,
     StagePlan,
     me_outcome_probs,
     separation_map,
+    stage_walk,
 )
 from .tensor_core import Measurement, born_probabilities
 
@@ -114,37 +115,20 @@ def mutual_info_multistage(s: SchmidtState, plan: StagePlan) -> InfoReport:
     collapsed to one dimension retrieves nothing and its branch is worth only
     the error-free target-system bits.
     """
-    if len(plan.stages) > max(s.D - 1, 0):
-        raise ValueError("plan exceeds channel stages")
     d2, rank = s.d2, s.D
     floor_bits = math.log2(d2)
-    stage_probs: list[float] = []
-    stage_bits: list[float] = []
-
-    def branch(coeffs: np.ndarray, stages: tuple) -> float:
-        support = int(np.sum(coeffs > COEFF_TOL))
-        if stages and support >= 2:
-            smap = separation_map(coeffs, stages[0])
-            suc_bits = _me_branch_bits(smap.b_coeffs, d2, rank)
-            stage_probs.append(smap.p_success)
-            stage_bits.append(suc_bits)
-            if smap.failure_coeffs is None:
-                # Uniform family: certain success, deeper stages unreachable.
-                for _ in stages[1:]:
-                    stage_probs.append(0.0)
-                    stage_bits.append(floor_bits)
-                return suc_bits
-            fail_bits = branch(smap.failure_coeffs, stages[1:])
-            return smap.p_success * suc_bits + (1.0 - smap.p_success) * fail_bits
-        # Stages exhausted, or the family cannot support another stage.
-        for _ in stages:
-            stage_probs.append(0.0)
-            stage_bits.append(floor_bits)
-        if plan.final_action == FINAL_ME:
-            return _me_branch_bits(coeffs, d2, rank)
-        return floor_bits
-
-    total = branch(np.asarray(s.coeffs, dtype=float), plan.stages)
+    maps, rest = stage_walk(s.coeffs, plan.stages)
+    stage_bits = [_me_branch_bits(smap.b_coeffs, d2, rank) for smap in maps]
+    # With rest None the last map succeeds surely, so the seed is weighted by 0.
+    if rest is not None and plan.final_action == FINAL_ME:
+        total = _me_branch_bits(rest, d2, rank)
+    else:
+        total = floor_bits
+    for smap, suc_bits in zip(reversed(maps), reversed(stage_bits)):
+        total = smap.p_success * suc_bits + (1.0 - smap.p_success) * total
+    skipped = len(plan.stages) - len(maps)
+    stage_probs = [smap.p_success for smap in maps] + [0.0] * skipped
+    stage_bits += [floor_bits] * skipped
     return InfoReport(
         strategy=f"multistage({len(plan.stages)} stages, final={plan.final_action})",
         d2=d2,

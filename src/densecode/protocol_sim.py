@@ -6,29 +6,29 @@ every branch's exact outcome distribution is extracted from the evolved
 states. Trials then sample from those distributions, so the empirical
 statistics are circuit-derived while staying fast and bit-reproducible.
 
-Randomness contract (per trial): one bounded-integer draw for the message,
-one uniform draw per executed separation stage, one uniform draw for each
-concluding measurement; the deterministic system-2 outcome consumes nothing.
-Trials are grouped in fixed-size blocks; block b uses the generator derived
-from (seed, b), so reports are identical for any worker count.
+Randomness contract: trials are grouped in fixed-size blocks, run serially;
+block b uses the generator derived from (seed, b). Within a block the draws
+are stage-major: one bounded integer per trial for the message, then per
+separation stage one uniform per active trial followed by one per trial the
+stage concluded, then one draw per trial left for the final action. The
+deterministic system-2 outcome consumes nothing.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import COEFF_TOL, Message, SchmidtState, encode, symmetric_state
+from .channel import Message, SchmidtState, encode, symmetric_state
 from .discrimination import (
     FINAL_ABSTAIN,
     FINAL_ME,
     StagePlan,
     dilation_unitary,
     me_measurement,
-    separation_map,
+    stage_walk,
 )
 from .gates import gxor
 from .tensor_core import (
@@ -42,6 +42,10 @@ from .tensor_core import (
 )
 
 _BLOCK = 4096
+
+#: An eavesdropper's guess on an abstained record.
+GUESS_UNIFORM = "uniform"
+GUESS_ME = "me"
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,18 @@ class DecodingStrategy:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DecodingStrategy":
-        kind = obj["kind"]
+        if not isinstance(obj, dict):
+            raise ValueError("'strategy' must be an object with a 'kind'")
+        kind = obj.get("kind")
         if kind == "me":
             return cls.me()
         if kind == "sep_me":
             return cls.sep_me(float(obj.get("xi", 1.0)))
         if kind == "multistage":
-            stages = tuple(float(st.get("xi", 1.0)) for st in obj.get("stages", []))
+            stages = obj.get("stages", [])
+            if not isinstance(stages, list) or not all(isinstance(st, dict) for st in stages):
+                raise ValueError("'stages' must be a list of objects such as {\"xi\": 1.0}")
+            stages = tuple(float(st.get("xi", 1.0)) for st in stages)
             final = obj.get("final", FINAL_ABSTAIN)
             return cls.multistage(StagePlan(stages, final))
         raise ValueError(f"unknown strategy kind {kind!r}")
@@ -113,18 +122,20 @@ class TrialRecord:
 
 
 class _CompiledFamily:
-    """Branch tree of a strategy over one symmetric family.
+    """Branch tree of a strategy over one symmetric family, circuit-derived.
 
     stage_entries[n] = (success probability, outcome table, outcome cdf,
-    record offset) for the n-th constructible stage. Stages stop early when
-    the failure family collapses to one dimension (nothing left to separate)
-    or a stage succeeds with certainty.
+    record offset) for the n-th executed stage. The stages are those of
+    stage_walk, cut after a stage that the evolved states show succeeds with
+    certainty. Records are "s{n}:l" for success at stage n, then those of the
+    final action: "f:l" for ME, "inc" for abstention. An eavesdropper
+    (`guess` set) never abstains: she follows the empty "inc" column with an
+    ME guess "g:l" or a uniform guess "u:l". final_offset is the first record
+    the final action writes.
     """
 
-    def __init__(self, family, coeffs: np.ndarray, rank: int, dim: int, stages, final: str):
+    def __init__(self, family, coeffs, rank: int, dim: int, stages, final: str, guess=None):
         self.rank = rank
-        self.dim = dim
-        self.final = final
         povm = me_measurement(rank, dim)
         self.stage_entries: list = []
         records: list = []
@@ -139,11 +150,7 @@ class _CompiledFamily:
             return rows
 
         current = list(family)
-        current_coeffs = np.asarray(coeffs, dtype=float)
-        for xi in stages:
-            if int(np.sum(current_coeffs > COEFF_TOL)) < 2:
-                break
-            smap = separation_map(current_coeffs, xi, dim=dim)
+        for smap in stage_walk(coeffs, stages, dim)[0]:
             coupling = dilation_unitary(smap)
             probs = []
             succeeded = []
@@ -165,35 +172,22 @@ class _CompiledFamily:
             if p_stage >= 1.0 - 1e-12:
                 break
             current = failed
-            current_coeffs = smap.failure_coeffs
-        self.final_family = current
-        self.final_coeffs = current_coeffs
+        self.final_offset = len(records)
         if final == FINAL_ME:
-            self.final_table = outcome_table(current)
-            self.final_cdf = np.cumsum(self.final_table, axis=1)
-            self.final_offset = len(records)
             records += [f"f:{l}" for l in range(rank)]
-            self.inc_index = None
         else:
-            self.final_table = None
-            self.final_cdf = None
-            self.final_offset = None
-            self.inc_index = len(records)
             records.append("inc")
+            if guess is not None:
+                self.final_offset += 1
+                records += [f"{'g' if guess == GUESS_ME else 'u'}:{l}" for l in range(rank)]
         self.records = tuple(records)
-
-    def branch_weights(self) -> list:
-        """(record offset or None-for-inc, reach weight, table or None)."""
-        out = []
-        weight = 1.0
-        for p_stage, table, _, offset in self.stage_entries:
-            out.append((offset, weight * p_stage, table))
-            weight *= 1.0 - p_stage
-        if self.final == FINAL_ME:
-            out.append((self.final_offset, weight, self.final_table))
-        else:
-            out.append((self.inc_index, weight, None))
-        return out
+        #: Hypothesis each record infers; INCONCLUSIVE for "inc".
+        self.inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in records])
+        self.uniform_guess = final != FINAL_ME and guess == GUESS_UNIFORM
+        self.final_table = None
+        if final == FINAL_ME or guess == GUESS_ME:
+            self.final_table = outcome_table(current)
+        self.final_cdf = None if self.final_table is None else np.cumsum(self.final_table, axis=1)
 
 
 class _Compiled:
@@ -201,8 +195,6 @@ class _Compiled:
 
     def __init__(self, s: SchmidtState, strat: DecodingStrategy):
         stages, final = strat.normalized()
-        if len(stages) > max(s.D - 1, 0):
-            raise ValueError("plan exceeds channel stages")
         self.d2 = s.d2
         self.n_messages = s.n_messages
         gate = gxor(s.d1, s.d2)
@@ -227,62 +219,53 @@ def _draw_rows(cdf: np.ndarray, hypotheses: np.ndarray, rng: np.random.Generator
     return np.minimum(idx, cdf.shape[1] - 1)
 
 
-def _sample_one(comp: _Compiled, rng: np.random.Generator) -> TrialRecord:
-    fam = comp.family
-    msg = int(rng.integers(0, comp.n_messages, size=1)[0])
-    j, k = msg // comp.d2, msg % comp.d2
-    ancilla = []
-    for p_stage, _, cdf, _ in fam.stage_entries:
-        u = rng.random(size=1)[0]
-        if u < p_stage:
-            ancilla.append(0)
-            l = int(_draw_rows(cdf, np.array([j]), rng)[0])
-            return TrialRecord((j, k), (l, k), len(ancilla), tuple(ancilla))
-        ancilla.append(1)
-    if fam.final_cdf is not None:
-        l = int(_draw_rows(fam.final_cdf, np.array([j]), rng)[0])
-        return TrialRecord((j, k), (l, k), len(ancilla), tuple(ancilla))
-    return TrialRecord((j, k), (INCONCLUSIVE, k), len(ancilla), tuple(ancilla))
+def _sample_records(fam: _CompiledFamily, hypotheses: np.ndarray, rng: np.random.Generator):
+    """Record index per trial, stage-major: each stage draws one uniform per
+    active trial, then one per trial it concluded; the final action draws one
+    uniform per remaining trial, or one bounded integer for a uniform guess."""
+    record = np.empty(hypotheses.size, dtype=np.int64)
+    active = np.arange(hypotheses.size)
+    for p_stage, _, cdf, offset in fam.stage_entries:
+        if active.size == 0:
+            break
+        ok = rng.random(size=active.size) < p_stage
+        concluded = active[ok]
+        if concluded.size:
+            record[concluded] = offset + _draw_rows(cdf, hypotheses[concluded], rng)
+        active = active[~ok]
+    if active.size:
+        if fam.final_cdf is not None:
+            rows = _draw_rows(fam.final_cdf, hypotheses[active], rng)
+        elif fam.uniform_guess:
+            rows = rng.integers(0, fam.rank, size=active.size)
+        else:
+            rows = 0
+        record[active] = fam.final_offset + rows
+    return record
+
+
+def run_blocks(seed: int, n: int, block: int = _BLOCK):
+    """Yield (generator, size) for each block of `n` trials, in index order;
+    block b draws from derived_rng(seed, b), so runs replay bit for bit."""
+    for b, start in enumerate(range(0, n, block)):
+        yield derived_rng(seed, b), min(block, n - start)
 
 
 def run_trial(s: SchmidtState, strat: DecodingStrategy, rng: np.random.Generator) -> TrialRecord:
     """Simulate a single round: encode, split, run the decoding branch tree."""
-    return _sample_one(_Compiled(s, strat), rng)
-
-
-def _tally_block(comp: _Compiled, rng: np.random.Generator, n: int):
+    comp = _Compiled(s, strat)
     fam = comp.family
-    counts = np.zeros((fam.rank, comp.d2, len(fam.records)), dtype=np.int64)
-    attempts = np.zeros(len(fam.stage_entries), dtype=np.int64)
-    successes = np.zeros(len(fam.stage_entries), dtype=np.int64)
-    msg = rng.integers(0, comp.n_messages, size=n)
-    j_all = msg // comp.d2
-    k_all = msg % comp.d2
-    active = np.arange(n)
-    for s_idx, (p_stage, _, cdf, offset) in enumerate(fam.stage_entries):
-        if active.size == 0:
-            break
-        u = rng.random(size=active.size)
-        ok = u < p_stage
-        attempts[s_idx] += active.size
-        successes[s_idx] += int(ok.sum())
-        concluded = active[ok]
-        if concluded.size:
-            ls = _draw_rows(cdf, j_all[concluded], rng)
-            np.add.at(counts, (j_all[concluded], k_all[concluded], offset + ls), 1)
-        active = active[~ok]
-    if active.size:
-        if fam.final_cdf is not None:
-            ls = _draw_rows(fam.final_cdf, j_all[active], rng)
-            np.add.at(counts, (j_all[active], k_all[active], fam.final_offset + ls), 1)
-        else:
-            np.add.at(counts, (j_all[active], k_all[active], fam.inc_index), 1)
-    return counts, attempts, successes
+    j, k = divmod(int(rng.integers(0, comp.n_messages, size=1)[0]), comp.d2)
+    record = int(_sample_records(fam, np.array([j]), rng)[0])
+    n_stages = len(fam.stage_entries)
+    stage = record // fam.rank
+    ancilla = (1,) * stage + (0,) if stage < n_stages else (1,) * n_stages
+    return TrialRecord((j, k), (int(fam.inferred[record]), k), len(ancilla), ancilla)
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """Tallies of one seeded run; identical for any worker count."""
+    """Tallies of one seeded run; a fixed seed reproduces them bit for bit."""
 
     n_trials: int
     seed: int
@@ -350,28 +333,22 @@ def run_simulation(
     seed: int,
     threads: int | None = None,
 ) -> SimulationReport:
-    """Seed-deterministic Monte Carlo run; serial and threaded results agree."""
+    """Seed-deterministic Monte Carlo run. `threads` is accepted and ignored:
+    blocks run serially."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     comp = _Compiled(s, strat)
-    sizes = [_BLOCK] * (n_trials // _BLOCK)
-    if n_trials % _BLOCK:
-        sizes.append(n_trials % _BLOCK)
-    rngs = [derived_rng(seed, b) for b in range(len(sizes))]
-    workers = max(1, int(threads)) if threads else 1
-    if workers == 1:
-        parts = [_tally_block(comp, rng, n) for rng, n in zip(rngs, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda args: _tally_block(comp, *args), zip(rngs, sizes)))
     fam = comp.family
-    counts = np.zeros((fam.rank, comp.d2, len(fam.records)), dtype=np.int64)
-    attempts = np.zeros(len(fam.stage_entries), dtype=np.int64)
-    successes = np.zeros(len(fam.stage_entries), dtype=np.int64)
-    for c, a, u in parts:
-        counts += c
-        attempts += a
-        successes += u
+    n_records = len(fam.records)
+    counts = np.zeros(comp.n_messages * n_records, dtype=np.int64)
+    for rng, size in run_blocks(seed, n_trials):
+        msg = rng.integers(0, comp.n_messages, size=size)
+        record = _sample_records(fam, msg // comp.d2, rng)
+        counts += np.bincount(msg * n_records + record, minlength=counts.size)
+    counts = counts.reshape(fam.rank, comp.d2, n_records)
+    per_record = counts.sum(axis=(0, 1))
+    successes = [int(per_record[offset : offset + fam.rank].sum()) for *_, offset in fam.stage_entries]
+    attempts = [n_trials - sum(successes[:i]) for i in range(len(successes))]
     counts.setflags(write=False)
     info_bits = _counts_mutual_info(counts, n_trials, comp.d2)
     return SimulationReport(
@@ -381,8 +358,8 @@ def run_simulation(
         state=s.to_dict(),
         outcome_labels=fam.records,
         joint_counts=counts,
-        stage_attempts=tuple(int(x) for x in attempts),
-        stage_successes=tuple(int(x) for x in successes),
+        stage_attempts=tuple(attempts),
+        stage_successes=tuple(successes),
         empirical_mutual_info_bits=info_bits,
     )
 
@@ -416,17 +393,16 @@ def analytic_record_distribution(s: SchmidtState, strat: DecodingStrategy):
     Returns (record labels, array of shape (D, n_records)) with rows summing
     to 1: the branch reach weights composed with each branch's POVM table.
     """
-    comp = _Compiled(s, strat)
-    fam = comp.family
+    fam = _Compiled(s, strat).family
     dist = np.zeros((fam.rank, len(fam.records)))
-    for index, weight, table in fam.branch_weights():
-        if weight <= 0.0:
-            continue
-        if table is None:
-            dist[:, index] += weight
-        else:
-            width = table.shape[1]
-            dist[:, index : index + width] += weight * table
+    weight = 1.0
+    for p_stage, table, _, offset in fam.stage_entries:
+        dist[:, offset : offset + fam.rank] = weight * p_stage * table
+        weight *= 1.0 - p_stage
+    if fam.final_table is None:
+        dist[:, fam.final_offset] = weight
+    else:
+        dist[:, fam.final_offset :] = weight * fam.final_table
     return fam.records, dist
 
 
@@ -436,16 +412,6 @@ def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
     Row index is j*d2 + k, column index record*d2 + m, with uniform message
     priors folded in. Independent of the closed-form strategy totals.
     """
-    comp = _Compiled(s, strat)
-    fam = comp.family
-    d2 = comp.d2
-    prior = 1.0 / comp.n_messages
-    probs = np.zeros((fam.rank, d2, len(fam.records)))
-    for index, weight, table in fam.branch_weights():
-        if weight <= 0.0:
-            continue
-        for j in range(fam.rank):
-            row = weight * (table[j] if table is not None else np.array([1.0]))
-            width = row.size
-            probs[j, :, index : index + width] += prior * row[None, :]
-    return _expand_joint(probs, 1.0, d2)
+    _, dist = analytic_record_distribution(s, strat)
+    per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))
+    return _expand_joint(per_message, s.n_messages, s.d2)

@@ -8,26 +8,20 @@ inference. All errors in the sifted key are eavesdropper-induced.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import COEFF_TOL, SchmidtState, symmetric_state
-from .discrimination import (
-    FINAL_ABSTAIN,
-    FINAL_ME,
-    me_measurement,
-    me_outcome_probs,
-    separation_map,
+from .channel import SchmidtState, symmetric_state
+from .discrimination import FINAL_ABSTAIN, FINAL_ME, me_outcome_probs, separation_map, stage_walk
+from .protocol_sim import (
+    GUESS_ME,
+    GUESS_UNIFORM,
+    DecodingStrategy,
+    _CompiledFamily,
+    _sample_records,
+    run_blocks,
 )
-from .protocol_sim import DecodingStrategy, _CompiledFamily, _draw_rows
-from .tensor_core import born_probabilities, derived_rng
-
-_BLOCK = 4096
-
-GUESS_UNIFORM = "uniform"
-GUESS_ME = "me"
 
 
 @dataclass(frozen=True)
@@ -56,8 +50,12 @@ class EveStrategy:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EveStrategy":
-        if obj["kind"] == "absent":
-            return cls.absent()
+        if not isinstance(obj, dict):
+            raise ValueError("'eve' must be an object with a 'kind'")
+        if obj.get("kind") != "intercept":
+            return cls(kind=obj.get("kind"))
+        if "strategy" not in obj:
+            raise ValueError("an intercepting 'eve' needs key 'strategy'")
         return cls.intercept(
             DecodingStrategy.from_dict(obj["strategy"]),
             obj.get("fallback", GUESS_UNIFORM),
@@ -121,95 +119,6 @@ class QkdReport:
         }
 
 
-class _QkdEngine:
-    """Compiled per-round machinery shared by the Monte Carlo blocks."""
-
-    def __init__(self, s: SchmidtState, eve: EveStrategy):
-        if s.D < 2:
-            raise ValueError("sifting requires channel rank >= 2")
-        family = [symmetric_state(s, j) for j in range(s.D)]
-        self.rank = s.D
-        # Receiver sift: full separation then ME, conclusive outcomes exact.
-        bob = _CompiledFamily(family, s.coeffs, s.D, s.d1, (1.0,), FINAL_ABSTAIN)
-        p_keep, table, _, _ = bob.stage_entries[0]
-        if np.max(np.abs(table - np.eye(s.D))) > 1e-9:
-            raise ValueError("sifting measurement is not unambiguous")
-        self.p_keep = p_keep
-        self.eve_fam = None
-        self.fallback = eve.fallback
-        self.fallback_cdf = None
-        self.records: tuple = ()
-        if eve.kind == "intercept":
-            stages, final = eve.strategy.normalized()
-            if len(stages) > max(s.D - 1, 0):
-                raise ValueError("plan exceeds channel stages")
-            fam = _CompiledFamily(family, s.coeffs, s.D, s.d1, stages, final)
-            records = list(fam.records)
-            if fam.inc_index is not None:
-                if eve.fallback == GUESS_ME:
-                    povm = me_measurement(s.D, s.d1)
-                    rows = np.empty((s.D, s.D))
-                    for j, state in enumerate(fam.final_family):
-                        rows[j] = born_probabilities(state, povm)[: s.D]
-                    self.fallback_cdf = np.cumsum(rows, axis=1)
-                    self.fallback_offset = len(records)
-                    records += [f"g:{l}" for l in range(s.D)]
-                else:
-                    self.fallback_offset = len(records)
-                    records += [f"u:{g}" for g in range(s.D)]
-            self.eve_fam = fam
-            self.records = tuple(records)
-
-    def eve_round(self, j_all: np.ndarray, rng: np.random.Generator):
-        """Per-round (record index, inferred dit); draw order is stage-major."""
-        n = j_all.size
-        record = np.zeros(n, dtype=np.int64)
-        dit = np.zeros(n, dtype=np.int64)
-        fam = self.eve_fam
-        active = np.arange(n)
-        for p_stage, _, cdf, offset in fam.stage_entries:
-            if active.size == 0:
-                break
-            u = rng.random(size=active.size)
-            ok = u < p_stage
-            concluded = active[ok]
-            if concluded.size:
-                ls = _draw_rows(cdf, j_all[concluded], rng)
-                record[concluded] = offset + ls
-                dit[concluded] = ls
-            active = active[~ok]
-        if active.size:
-            if fam.final_cdf is not None:
-                ls = _draw_rows(fam.final_cdf, j_all[active], rng)
-                record[active] = fam.final_offset + ls
-                dit[active] = ls
-            elif self.fallback == GUESS_ME:
-                ls = _draw_rows(self.fallback_cdf, j_all[active], rng)
-                record[active] = self.fallback_offset + ls
-                dit[active] = ls
-            else:
-                guess = rng.integers(0, self.rank, size=active.size)
-                record[active] = self.fallback_offset + guess
-                dit[active] = guess
-        return record, dit
-
-
-def _qkd_block(engine: _QkdEngine, rng: np.random.Generator, n: int):
-    j_all = rng.integers(0, engine.rank, size=n)
-    if engine.eve_fam is not None:
-        record, dit = engine.eve_round(j_all, rng)
-    else:
-        record, dit = None, j_all
-    keep = rng.random(size=n) < engine.p_keep
-    kept = int(keep.sum())
-    errors = int(np.sum(keep & (dit != j_all)))
-    counts = None
-    if record is not None:
-        counts = np.zeros((engine.rank, len(engine.records)), dtype=np.int64)
-        np.add.at(counts, (j_all[keep], record[keep]), 1)
-    return kept, errors, counts
-
-
 def simulate_qkd(
     s: SchmidtState,
     eve: EveStrategy,
@@ -217,33 +126,48 @@ def simulate_qkd(
     seed: int,
     threads: int | None = None,
 ) -> QkdReport:
-    """Seed-deterministic intercept-resend run."""
+    """Seed-deterministic intercept-resend run. `threads` is accepted and
+    ignored: blocks run serially. Per block the draws are the transmitted
+    dits, the eavesdropper's records (stage-major), then the receiver's sift."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    engine = _QkdEngine(s, eve)
-    sizes = [_BLOCK] * (n_rounds // _BLOCK)
-    if n_rounds % _BLOCK:
-        sizes.append(n_rounds % _BLOCK)
-    rngs = [derived_rng(seed, b) for b in range(len(sizes))]
-    workers = max(1, int(threads)) if threads else 1
-    if workers == 1:
-        parts = [_qkd_block(engine, rng, n) for rng, n in zip(rngs, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda args: _qkd_block(engine, *args), zip(rngs, sizes)))
-    kept = sum(p[0] for p in parts)
-    errors = sum(p[1] for p in parts)
-    counts = None
-    if engine.eve_fam is not None:
-        counts = np.zeros((engine.rank, len(engine.records)), dtype=np.int64)
-        for _, _, c in parts:
-            counts += c
-        counts.setflags(write=False)
+    if s.D < 2:
+        raise ValueError("sifting requires channel rank >= 2")
+    family = [symmetric_state(s, j) for j in range(s.D)]
+    # Receiver sift: full separation then ME, conclusive outcomes exact.
+    bob = _CompiledFamily(family, s.coeffs, s.D, s.d1, (1.0,), FINAL_ABSTAIN)
+    p_keep, table, _, _ = bob.stage_entries[0]
+    if np.max(np.abs(table - np.eye(s.D))) > 1e-9:
+        raise ValueError("sifting measurement is not unambiguous")
+    fam = None
+    if eve.kind == "intercept":
+        stages, final = eve.strategy.normalized()
+        fam = _CompiledFamily(family, s.coeffs, s.D, s.d1, stages, final, eve.fallback)
+    n_records = len(fam.records) if fam else 0
+    counts = np.zeros(s.D * n_records, dtype=np.int64)
+    kept = errors = 0
+    for rng, n in run_blocks(seed, n_rounds):
+        j_all = rng.integers(0, s.D, size=n)
+        if fam is not None:
+            record = _sample_records(fam, j_all, rng)
+            dit = fam.inferred[record]
+        else:
+            dit = j_all
+        keep = rng.random(size=n) < p_keep
+        kept += int(keep.sum())
+        errors += int(np.sum(keep & (dit != j_all)))
+        if fam is not None:
+            counts += np.bincount(j_all[keep] * n_records + record[keep], minlength=counts.size)
     eve_info = 0.0
-    if counts is not None and kept:
-        from .infometrics import mutual_info_from_joint
+    if fam is None:
+        counts = None
+    else:
+        counts = counts.reshape(s.D, n_records)
+        counts.setflags(write=False)
+        if kept:
+            from .infometrics import mutual_info_from_joint
 
-        eve_info = mutual_info_from_joint(counts.astype(float) / kept)
+            eve_info = mutual_info_from_joint(counts.astype(float) / kept)
     return QkdReport(
         n_rounds=n_rounds,
         seed=int(seed),
@@ -254,7 +178,7 @@ def simulate_qkd(
         sift_rate=kept / n_rounds,
         sifted_error_rate=errors / kept if kept else 0.0,
         eve_info_bits=eve_info,
-        eve_record_labels=engine.records,
+        eve_record_labels=fam.records if fam else (),
         eve_counts=counts,
     )
 
@@ -269,22 +193,17 @@ def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:
     confusion with the receiver's error-free sift."""
     if eve.kind == "absent":
         return 0.0
-    current = np.asarray(coeffs, dtype=float)
-    rank = current.size
     stages, final = eve.strategy.normalized()
+    maps, rest = stage_walk(coeffs, stages)
     err = 0.0
     weight = 1.0
-    for xi in stages:
-        if int(np.sum(current > COEFF_TOL)) < 2:
-            break
-        smap = separation_map(current, xi)
+    for smap in maps:
         err += weight * smap.p_success * (1.0 - me_outcome_probs(smap.b_coeffs)[0])
-        if smap.failure_coeffs is None:
-            return err
         weight *= 1.0 - smap.p_success
-        current = smap.failure_coeffs
+    if rest is None:
+        return err
     if final == FINAL_ME or eve.fallback == GUESS_ME:
-        err += weight * (1.0 - me_outcome_probs(current)[0])
+        err += weight * (1.0 - me_outcome_probs(rest)[0])
     else:
-        err += weight * (1.0 - 1.0 / rank)
+        err += weight * (1.0 - 1.0 / np.asarray(coeffs).size)
     return err

@@ -1,9 +1,8 @@
 """Exact complex linear algebra on finite-dimensional Hilbert spaces.
 
 States are dense complex vectors, operators dense matrices, and measurements
-ordered POVM element lists. All values are immutable after construction and
-safe to share across parallel workers; outcome sampling takes an explicit
-per-worker generator, never a shared mutable one.
+ordered POVM element lists. All values are immutable after construction;
+outcome sampling takes an explicit generator, never a module-level one.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ _NULL_EVENT = 1e-14
 
 
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream); bit-reproducible across workers."""
+    """Independent generator for (seed, stream); bit-reproducible."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 

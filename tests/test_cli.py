@@ -27,10 +27,22 @@ def test_help_lists_subcommands(capsys):
 
 def test_invalid_flag_exits_nonzero_without_output(tmp_path, capsys):
     out = tmp_path / "never.csv"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep-me", "--out", str(out), "--bogus-flag"])
-    assert exc.value.code != 0
-    assert not out.exists()
+    # Each command takes only the flags it reads.
+    for argv in (
+        ["sweep-me", "--bogus-flag"],
+        ["sweep-me", "--xi-steps", "4"],
+        ["sweep-sep", "--d1", "5"],
+        ["sweep-sep", "--grid", "7"],
+        ["sweep-multistage", "--trials", "10"],
+        ["montecarlo", "--d1", "3", "--d2", "3", "--grid", "7"],
+        ["montecarlo", "--margin", "0.01"],
+        ["qkd", "--xi-steps", "4"],
+        ["qkd", "--d2", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(out)])
+        assert exc.value.code != 0, argv
+        assert not out.exists()
 
 
 def test_unwritable_path_fails_cleanly(tmp_path, capsys):
@@ -39,6 +51,30 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
     assert rc != 0
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("montecarlo", {"strategy": {"kind": "multistage", "stages": [1.0]}}, "stages"),
+        ("montecarlo", {"state": [1, 2]}, "state"),
+        ("montecarlo", {"strategy": ["me"]}, "strategy"),
+        ("montecarlo", {"trails": 5}, "trails"),
+        ("qkd", {"eve": {"kind": "bogus"}}, "bogus"),
+        ("qkd", {"eve": {"kind": "intercept"}}, "strategy"),
+        ("qkd", {"eve": "absent"}, "eve"),
+        ("qkd", {"state": {"d1": 2, "coeffs": [0.5, 0.5]}}, "d2"),
+        ("sweep-sep", {"xi_step": 4}, "xi_step"),
+    ],
+)
+def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "never.csv"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
 
 
 class TestSweepMe:
