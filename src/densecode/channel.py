@@ -5,6 +5,7 @@ subproblem."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,17 @@ from .tensor_core import Ket, Operator, apply
 COEFF_TOL = 1e-12
 #: Squared-coefficient spread below which values share a multiplicity class.
 GROUP_TOL_SQ = 1e-9
+
+
+def config_number(obj: dict, key: str, default, integral: bool = False):
+    """obj[key], or `default` when absent, as an int (`integral`) or a float;
+    any other value raises ValueError naming the key."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key!r} must be a number, not {value!r}")
+    if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return int(value) if integral else float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +48,8 @@ class SchmidtState:
         coeffs = np.array(self.coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a nonempty 1D vector")
-        if np.min(coeffs) < COEFF_TOL:
-            raise ValueError("all Schmidt coefficients must be strictly positive")
+        if not np.all(coeffs >= COEFF_TOL):
+            raise ValueError("all Schmidt coefficients must be finite and strictly positive")
         if abs(np.sum(coeffs**2) - 1.0) > 1e-10:
             raise ValueError("squared Schmidt coefficients must sum to 1")
         if coeffs.size > min(self.d1, self.d2):
@@ -83,8 +95,8 @@ class SchmidtState:
         missing = [key for key in ("d1", "d2", "coeffs") if key not in obj]
         if missing:
             raise ValueError(f"'state' lacks key {missing[0]!r}")
-        d1 = int(obj["d1"])
-        d2 = int(obj["d2"])
+        d1 = config_number(obj, "d1", None, integral=True)
+        d2 = config_number(obj, "d2", None, integral=True)
         coeffs = obj["coeffs"]
         if obj.get("squared", False):
             return cls.from_squared(d1, d2, coeffs)

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .channel import SchmidtState
+from .channel import SchmidtState, config_number
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan
 from .infometrics import (
     mutual_info_me,
@@ -107,26 +107,26 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _setting(args, config: dict, key: str, default):
+def _setting(args, config: dict, key: str, default, integral=None):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return default
+    if integral is None:
+        return config.get(key, default)
+    return config_number(config, key, default, integral)
 
 
 def _simplex_states(args, config: dict, grid: int, min_rank: int = 1):
     """Schmidt states of a simplex sweep, with their rank."""
-    d1 = int(_setting(args, config, "d1", 3))
-    d2 = int(_setting(args, config, "d2", 4))
+    d1 = _setting(args, config, "d1", 3, integral=True)
+    d2 = _setting(args, config, "d2", 4, integral=True)
     rank = min(d1, d2)
     if rank < min_rank:
         raise RuntimeError(f"this sweep needs Schmidt rank >= {min_rank}")
     points = simplex_grid(
         rank,
-        int(_setting(args, config, "grid", grid)),
-        float(_setting(args, config, "margin", _DEFAULT_MARGIN)),
+        _setting(args, config, "grid", grid, integral=True),
+        _setting(args, config, "margin", _DEFAULT_MARGIN, integral=False),
     )
     return rank, [SchmidtState.from_squared(d1, d2, squared) for squared in points]
 
@@ -148,7 +148,7 @@ def _cmd_sweep_me(args) -> int:
 def _cmd_sweep_sep(args) -> int:
     config = _load_config(args.config)
     state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
-    steps = int(_setting(args, config, "xi_steps", 50))
+    steps = _setting(args, config, "xi_steps", 50, integral=True)
     out = _setting(args, config, "out", "sweep_sep.csv")
     if steps < 1:
         raise RuntimeError("xi_steps must be >= 1")
@@ -220,12 +220,7 @@ def montecarlo_summary(report, state: SchmidtState, strat: DecodingStrategy):
     """Empirical-versus-analytic rows: (quantity, empirical, analytic, bound)."""
     labels, dist = analytic_record_distribution(state, strat)
     per_record = dist.mean(axis=0)
-    if strat.kind == "me":
-        info = mutual_info_me(state)
-    elif strat.kind == "sep_me":
-        info = mutual_info_sep(state, strat.xi)
-    else:
-        info = mutual_info_multistage(state, strat.plan)
+    info = mutual_info_multistage(state, StagePlan(*strat.normalized()))
     stage_probs = info.branch_probabilities
     rows = []
     rows.append(["k_channel_exact_rate", 1.0, 1.0, 0.0])
@@ -269,8 +264,8 @@ def _cmd_montecarlo(args) -> int:
     config = _load_config(args.config)
     state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
     strat = DecodingStrategy.from_dict(config.get("strategy", {"kind": "me"}))
-    trials = int(_setting(args, config, "trials", 100000))
-    seed = int(_setting(args, config, "seed", 0))
+    trials = _setting(args, config, "trials", 100000, integral=True)
+    seed = _setting(args, config, "seed", 0, integral=True)
     out = _setting(args, config, "out", "montecarlo.csv")
     report = run_simulation(state, strat, trials, seed)
     rows = montecarlo_summary(report, state, strat)
@@ -288,8 +283,8 @@ def _cmd_qkd(args) -> int:
     config = _load_config(args.config)
     state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
     eve = EveStrategy.from_dict(config.get("eve", {"kind": "absent"}))
-    rounds = int(_setting(args, config, "trials", 100000))
-    seed = int(_setting(args, config, "seed", 0))
+    rounds = _setting(args, config, "trials", 100000, integral=True)
+    seed = _setting(args, config, "seed", 0, integral=True)
     out = _setting(args, config, "out", "qkd.csv")
     report = simulate_qkd(state, eve, rounds, seed)
     sift_analytic = analytic_sift_rate(state.coeffs)

@@ -80,11 +80,13 @@ def failure_coefficients(coeffs: np.ndarray) -> np.ndarray | None:
     minimal = _min_group(coeffs, support)
     if minimal.size == support.size:
         return None
-    d_sup = support.size
     m2 = float(np.min(coeffs[support] ** 2))
-    chi = np.zeros_like(coeffs)
     rest = np.setdiff1d(support, minimal)
-    chi[rest] = np.sqrt((coeffs[rest] ** 2 - m2) / (1.0 - d_sup * m2))
+    # Normalised over what is left: a near-tied level in the minimal class
+    # drops its excess over m2 as well, so 1 - d*m2 would overcount.
+    excess = coeffs[rest] ** 2 - m2
+    chi = np.zeros_like(coeffs)
+    chi[rest] = np.sqrt(excess / excess.sum())
     return chi
 
 

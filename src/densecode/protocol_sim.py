@@ -1,10 +1,12 @@
-"""End-to-end Monte Carlo simulation of the dense-coding circuits.
+"""End-to-end Monte Carlo simulation of the dense-coding protocol.
 
-A strategy is compiled once per run: the encoding unitaries, GXOR split,
-dilation couplings, and POVMs are built and applied as actual operators, and
-every branch's exact outcome distribution is extracted from the evolved
-states. Trials then sample from those distributions, so the empirical
-statistics are circuit-derived while staying fast and bit-reproducible.
+A strategy becomes one closed-form branch tree per run: separation stages and
+their success probabilities from the failure-state hierarchy (stage_walk),
+confusion rows from the square-root measurement (me_outcome_probs). The
+GXOR split returns the sender's k with certainty, so only the carrier index j
+is decoded. Trials sample records from that tree, fast and bit-reproducible;
+the test suite checks the tree against the actual circuit (encoding, GXOR
+split, dilation couplings, POVMs).
 
 Randomness contract: trials are grouped in fixed-size blocks, run serially;
 block b uses the generator derived from (seed, b). Within a block the draws
@@ -21,31 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Message, SchmidtState, encode, symmetric_state
-from .discrimination import (
-    FINAL_ABSTAIN,
-    FINAL_ME,
-    StagePlan,
-    dilation_unitary,
-    me_measurement,
-    stage_walk,
-)
-from .gates import gxor
-from .tensor_core import (
-    INCONCLUSIVE,
-    Ket,
-    apply,
-    born_probabilities,
-    derived_rng,
-    project_subsystem,
-    tensor,
-)
+from .channel import SchmidtState, config_number
+from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, stage_walk
+from .tensor_core import INCONCLUSIVE, derived_rng
 
 _BLOCK = 4096
 
 #: An eavesdropper's guess on an abstained record.
 GUESS_UNIFORM = "uniform"
 GUESS_ME = "me"
+
+#: P_s at which a stage is sure and ends the walk; the weight past it is below output resolution.
+_SURE_SUCCESS = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,12 +73,12 @@ class DecodingStrategy:
         if kind == "me":
             return cls.me()
         if kind == "sep_me":
-            return cls.sep_me(float(obj.get("xi", 1.0)))
+            return cls.sep_me(config_number(obj, "xi", 1.0))
         if kind == "multistage":
             stages = obj.get("stages", [])
             if not isinstance(stages, list) or not all(isinstance(st, dict) for st in stages):
                 raise ValueError("'stages' must be a list of objects such as {\"xi\": 1.0}")
-            stages = tuple(float(st.get("xi", 1.0)) for st in stages)
+            stages = tuple(config_number(st, "xi", 1.0) for st in stages)
             final = obj.get("final", FINAL_ABSTAIN)
             return cls.multistage(StagePlan(stages, final))
         raise ValueError(f"unknown strategy kind {kind!r}")
@@ -121,57 +110,34 @@ class TrialRecord:
     ancilla_outcomes: tuple
 
 
-class _CompiledFamily:
-    """Branch tree of a strategy over one symmetric family, circuit-derived.
+class _BranchTree:
+    """Closed-form branch tree of a decoding strategy over one symmetric family.
 
-    stage_entries[n] = (success probability, outcome table, outcome cdf,
-    record offset) for the n-th executed stage. The stages are those of
-    stage_walk, cut after a stage that the evolved states show succeeds with
-    certainty. Records are "s{n}:l" for success at stage n, then those of the
-    final action: "f:l" for ME, "inc" for abstention. An eavesdropper
-    (`guess` set) never abstains: she follows the empty "inc" column with an
-    ME guess "g:l" or a uniform guess "u:l". final_offset is the first record
-    the final action writes.
+    stage_entries[n] = (P_s, confusion table, its cdf, record offset) of the
+    n-th stage of stage_walk; a table is the circulant q[(j - l) mod D] of
+    q = me_outcome_probs. The walk ends after a sure stage (xi = 0, uniform
+    family). Records are "s{n}:l" for success at stage n, then those of the
+    final action: "f:l" for ME, "inc" for abstention. An eavesdropper (`guess`
+    set) never abstains: she follows the empty "inc" column with an ME guess
+    "g:l" or a uniform guess "u:l". final_offset is the first record the
+    final action writes.
     """
 
-    def __init__(self, family, coeffs, rank: int, dim: int, stages, final: str, guess=None):
-        self.rank = rank
-        povm = me_measurement(rank, dim)
+    def __init__(self, coeffs, stages, final: str, guess=None):
+        coeffs = np.asarray(coeffs, dtype=float)
+        self.rank = rank = coeffs.size
+        circulant = (np.arange(rank)[:, None] - np.arange(rank)) % rank
+        maps, rest = stage_walk(coeffs, stages)
         self.stage_entries: list = []
         records: list = []
-
-        def outcome_table(states) -> np.ndarray:
-            rows = np.empty((rank, rank))
-            for j, state in enumerate(states):
-                probs = born_probabilities(state, povm)
-                if probs[rank:].sum() > 1e-10:
-                    raise ValueError("complement POVM element fired on a subspace state")
-                rows[j] = probs[:rank]
-            return rows
-
-        current = list(family)
-        for smap in stage_walk(coeffs, stages, dim)[0]:
-            coupling = dilation_unitary(smap)
-            probs = []
-            succeeded = []
-            failed = []
-            for state in current:
-                evolved = apply(coupling, tensor(state, Ket.basis(2, 0)))
-                p_ok, ket_ok = project_subsystem(evolved, (dim, 2), "B", 0)
-                probs.append(p_ok)
-                succeeded.append(ket_ok)
-                if p_ok < 1.0 - 1e-12:
-                    failed.append(project_subsystem(evolved, (dim, 2), "B", 1)[1])
-            if max(probs) - min(probs) > 1e-10:
-                raise ValueError("stage success probability depends on the hypothesis")
-            p_stage = float(np.mean(probs))
-            table = outcome_table(succeeded)
-            offset = len(records)
-            records += [f"s{len(self.stage_entries) + 1}:{l}" for l in range(rank)]
-            self.stage_entries.append((p_stage, table, np.cumsum(table, axis=1), offset))
-            if p_stage >= 1.0 - 1e-12:
+        for n, smap in enumerate(maps):
+            table = me_outcome_probs(smap.b_coeffs)[circulant]
+            self.stage_entries.append((smap.p_success, table, np.cumsum(table, axis=1), len(records)))
+            records += [f"s{n + 1}:{l}" for l in range(rank)]
+            if smap.p_success >= _SURE_SUCCESS:
+                # The final action, reached with weight 0, reads this stage's input.
+                rest = smap.coeffs
                 break
-            current = failed
         self.final_offset = len(records)
         if final == FINAL_ME:
             records += [f"f:{l}" for l in range(rank)]
@@ -186,30 +152,25 @@ class _CompiledFamily:
         self.uniform_guess = final != FINAL_ME and guess == GUESS_UNIFORM
         self.final_table = None
         if final == FINAL_ME or guess == GUESS_ME:
-            self.final_table = outcome_table(current)
+            self.final_table = me_outcome_probs(rest)[circulant]
         self.final_cdf = None if self.final_table is None else np.cumsum(self.final_table, axis=1)
 
-
-class _Compiled:
-    """Full dense-coding run context: verified channel plus a compiled family."""
-
-    def __init__(self, s: SchmidtState, strat: DecodingStrategy):
-        stages, final = strat.normalized()
-        self.d2 = s.d2
-        self.n_messages = s.n_messages
-        gate = gxor(s.d1, s.d2)
-        family = []
-        for j in range(s.D):
-            reference = symmetric_state(s, j)
-            for k in range(s.d2):
-                split = apply(gate, encode(s, Message(j, k)))
-                p_k, residual = project_subsystem(split, (s.d1, s.d2), "B", k)
-                if p_k < 1.0 - 1e-10:
-                    raise ValueError("system-2 outcome is not deterministic")
-                if np.max(np.abs(residual.amplitudes - reference.amplitudes)) > 1e-10:
-                    raise ValueError("decoded carrier state mismatch")
-            family.append(reference)
-        self.family = _CompiledFamily(family, s.coeffs, s.D, s.d1, stages, final)
+    def distribution(self) -> np.ndarray:
+        """Exact P(record | hypothesis), shape (D, n_records), rows summing to
+        1: each stage's reach weight times its confusion table, then the final
+        action's rows; a uniform guess spreads the remaining weight evenly."""
+        dist = np.zeros((self.rank, len(self.records)))
+        weight = 1.0
+        for p_stage, table, _, offset in self.stage_entries:
+            dist[:, offset : offset + self.rank] = weight * p_stage * table
+            weight *= 1.0 - p_stage
+        if self.final_table is not None:
+            dist[:, self.final_offset :] = weight * self.final_table
+        elif self.uniform_guess:
+            dist[:, self.final_offset :] = weight / self.rank
+        else:
+            dist[:, self.final_offset] = weight
+        return dist
 
 
 def _draw_rows(cdf: np.ndarray, hypotheses: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -219,7 +180,7 @@ def _draw_rows(cdf: np.ndarray, hypotheses: np.ndarray, rng: np.random.Generator
     return np.minimum(idx, cdf.shape[1] - 1)
 
 
-def _sample_records(fam: _CompiledFamily, hypotheses: np.ndarray, rng: np.random.Generator):
+def _sample_records(fam: _BranchTree, hypotheses: np.ndarray, rng: np.random.Generator):
     """Record index per trial, stage-major: each stage draws one uniform per
     active trial, then one per trial it concluded; the final action draws one
     uniform per remaining trial, or one bounded integer for a uniform guess."""
@@ -252,10 +213,10 @@ def run_blocks(seed: int, n: int, block: int = _BLOCK):
 
 
 def run_trial(s: SchmidtState, strat: DecodingStrategy, rng: np.random.Generator) -> TrialRecord:
-    """Simulate a single round: encode, split, run the decoding branch tree."""
-    comp = _Compiled(s, strat)
-    fam = comp.family
-    j, k = divmod(int(rng.integers(0, comp.n_messages, size=1)[0]), comp.d2)
+    """Simulate a single round: draw a message (j, k), then one record of the
+    strategy's branch tree for carrier j; the system-2 readout returns k."""
+    fam = _BranchTree(s.coeffs, *strat.normalized())
+    j, k = divmod(int(rng.integers(0, s.n_messages, size=1)[0]), s.d2)
     record = int(_sample_records(fam, np.array([j]), rng)[0])
     n_stages = len(fam.stage_entries)
     stage = record // fam.rank
@@ -337,20 +298,19 @@ def run_simulation(
     blocks run serially."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    comp = _Compiled(s, strat)
-    fam = comp.family
+    fam = _BranchTree(s.coeffs, *strat.normalized())
     n_records = len(fam.records)
-    counts = np.zeros(comp.n_messages * n_records, dtype=np.int64)
+    counts = np.zeros(s.n_messages * n_records, dtype=np.int64)
     for rng, size in run_blocks(seed, n_trials):
-        msg = rng.integers(0, comp.n_messages, size=size)
-        record = _sample_records(fam, msg // comp.d2, rng)
+        msg = rng.integers(0, s.n_messages, size=size)
+        record = _sample_records(fam, msg // s.d2, rng)
         counts += np.bincount(msg * n_records + record, minlength=counts.size)
-    counts = counts.reshape(fam.rank, comp.d2, n_records)
+    counts = counts.reshape(fam.rank, s.d2, n_records)
     per_record = counts.sum(axis=(0, 1))
     successes = [int(per_record[offset : offset + fam.rank].sum()) for *_, offset in fam.stage_entries]
     attempts = [n_trials - sum(successes[:i]) for i in range(len(successes))]
     counts.setflags(write=False)
-    info_bits = _counts_mutual_info(counts, n_trials, comp.d2)
+    info_bits = _counts_mutual_info(counts, n_trials, s.d2)
     return SimulationReport(
         n_trials=n_trials,
         seed=int(seed),
@@ -388,29 +348,21 @@ def empirical_mutual_info(report: SimulationReport) -> float:
 
 
 def analytic_record_distribution(s: SchmidtState, strat: DecodingStrategy):
-    """Exact per-hypothesis distribution over outcome records, circuit-derived.
+    """Exact per-hypothesis distribution over outcome records, in closed form.
 
     Returns (record labels, array of shape (D, n_records)) with rows summing
-    to 1: the branch reach weights composed with each branch's POVM table.
+    to 1: the distribution of the branch tree that Monte Carlo samples.
     """
-    fam = _Compiled(s, strat).family
-    dist = np.zeros((fam.rank, len(fam.records)))
-    weight = 1.0
-    for p_stage, table, _, offset in fam.stage_entries:
-        dist[:, offset : offset + fam.rank] = weight * p_stage * table
-        weight *= 1.0 - p_stage
-    if fam.final_table is None:
-        dist[:, fam.final_offset] = weight
-    else:
-        dist[:, fam.final_offset :] = weight * fam.final_table
-    return fam.records, dist
+    fam = _BranchTree(s.coeffs, *strat.normalized())
+    return fam.records, fam.distribution()
 
 
 def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
-    """Exact joint distribution over (message) x (record, m), circuit-derived.
+    """Exact joint distribution over (message) x (record, m) of the branch tree.
 
     Row index is j*d2 + k, column index record*d2 + m, with uniform message
-    priors folded in. Independent of the closed-form strategy totals.
+    priors folded in. The readout m always equals k. The textbook mutual
+    information of this table must equal the strategy's closed-form total.
     """
     _, dist = analytic_record_distribution(s, strat)
     per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtState, symmetric_state
-from .discrimination import FINAL_ABSTAIN, FINAL_ME, me_outcome_probs, separation_map, stage_walk
+from .channel import SchmidtState
+from .discrimination import separation_map
 from .protocol_sim import (
     GUESS_ME,
     GUESS_UNIFORM,
     DecodingStrategy,
-    _CompiledFamily,
+    _BranchTree,
     _sample_records,
     run_blocks,
 )
@@ -133,16 +133,10 @@ def simulate_qkd(
         raise ValueError("n_rounds must be >= 1")
     if s.D < 2:
         raise ValueError("sifting requires channel rank >= 2")
-    family = [symmetric_state(s, j) for j in range(s.D)]
-    # Receiver sift: full separation then ME, conclusive outcomes exact.
-    bob = _CompiledFamily(family, s.coeffs, s.D, s.d1, (1.0,), FINAL_ABSTAIN)
-    p_keep, table, _, _ = bob.stage_entries[0]
-    if np.max(np.abs(table - np.eye(s.D))) > 1e-9:
-        raise ValueError("sifting measurement is not unambiguous")
+    p_keep = analytic_sift_rate(s.coeffs)
     fam = None
     if eve.kind == "intercept":
-        stages, final = eve.strategy.normalized()
-        fam = _CompiledFamily(family, s.coeffs, s.D, s.d1, stages, final, eve.fallback)
+        fam = _BranchTree(s.coeffs, *eve.strategy.normalized(), eve.fallback)
     n_records = len(fam.records) if fam else 0
     counts = np.zeros(s.D * n_records, dtype=np.int64)
     kept = errors = 0
@@ -189,21 +183,10 @@ def analytic_sift_rate(coeffs) -> float:
 
 
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:
-    """Exact sifted-key error rate by composing the eavesdropper's branch
-    confusion with the receiver's error-free sift."""
+    """Exact sifted-key error rate: the weight the eavesdropper's branch tree
+    puts on records inferring a wrong dit; the receiver's sift is error-free."""
     if eve.kind == "absent":
         return 0.0
-    stages, final = eve.strategy.normalized()
-    maps, rest = stage_walk(coeffs, stages)
-    err = 0.0
-    weight = 1.0
-    for smap in maps:
-        err += weight * smap.p_success * (1.0 - me_outcome_probs(smap.b_coeffs)[0])
-        weight *= 1.0 - smap.p_success
-    if rest is None:
-        return err
-    if final == FINAL_ME or eve.fallback == GUESS_ME:
-        err += weight * (1.0 - me_outcome_probs(rest)[0])
-    else:
-        err += weight * (1.0 - 1.0 / np.asarray(coeffs).size)
-    return err
+    fam = _BranchTree(coeffs, *eve.strategy.normalized(), eve.fallback)
+    wrong = fam.inferred != np.arange(fam.rank)[:, None]
+    return float(fam.distribution()[wrong].sum() / fam.rank)

@@ -40,6 +40,7 @@ from densecode import (
 from densecode.cli import montecarlo_summary
 from densecode.protocol_sim import run_simulation
 
+from circuit_oracle import circuit_joint
 from conftest import random_schmidt, random_support_coeffs
 
 QUBIT = SchmidtState.from_squared(2, 2, [0.2, 0.8])
@@ -179,7 +180,7 @@ def test_criterion_4_multistage_improvement():
 
 def test_criterion_5_appendix_identity():
     rng = np.random.default_rng(20240817)
-    worst = 0.0
+    worst = joint_gap = 0.0
     for case in range(200):
         rank = int(rng.integers(2, 5))
         d2 = int(rng.integers(max(rank, 2), 5))
@@ -205,14 +206,17 @@ def test_criterion_5_appendix_identity():
             )
             strat = DecodingStrategy.multistage(plan)
             total = mutual_info_multistage(s, plan).total_bits
-        oracle = mutual_info_from_joint(analytic_joint(s, strat))
+        reference = circuit_joint(s, strat)
+        joint_gap = max(joint_gap, float(np.max(np.abs(analytic_joint(s, strat) - reference))))
+        oracle = mutual_info_from_joint(reference)
         worst = max(worst, abs(oracle - total))
-    ok = worst <= 1e-9
+    ok = worst <= 1e-9 and joint_gap <= 1e-12
     report_line(
         5,
         ok,
-        f"200 random (state, strategy) pairs: textbook joint MI vs simplified "
-        f"reduction, worst delta {worst:.2e} (<= 1e-9)",
+        f"200 random (state, strategy) pairs: textbook MI of the circuit joint vs "
+        f"simplified reduction, worst delta {worst:.2e} (<= 1e-9); closed-form "
+        f"joint vs circuit joint, worst entry {joint_gap:.2e} (<= 1e-12)",
     )
 
 

@@ -1,0 +1,197 @@
+"""The closed-form branch tree against the circuit oracle, and a guard that
+the runtime path builds no dense circuit."""
+
+import itertools
+import json
+import sys
+
+import numpy as np
+import pytest
+
+import densecode
+from densecode import (
+    FINAL_ABSTAIN,
+    FINAL_ME,
+    GUESS_ME,
+    GUESS_UNIFORM,
+    DecodingStrategy,
+    EveStrategy,
+    SchmidtState,
+    StagePlan,
+    analytic_joint,
+    analytic_qkd_error,
+    analytic_record_distribution,
+    analytic_sift_rate,
+    cli,
+    run_simulation,
+    run_trial,
+    simulate_qkd,
+)
+from densecode.channel import GROUP_TOL_SQ
+from densecode.protocol_sim import _BranchTree
+
+from circuit_oracle import (
+    AGREE_ATOL,
+    NEAR_TIE_ATOL,
+    NEAR_TIE_MIN_EXCESS,
+    CircuitTree,
+    circuit_sift_rate,
+    inferred,
+    verify_channel,
+)
+
+FINALS = (FINAL_ME, FINAL_ABSTAIN)
+GUESSES = (None, GUESS_ME, GUESS_UNIFORM)
+#: State families of the oracle cases; "gap_above" puts the two smallest
+#: squared coefficients just outside one multiplicity class.
+KINDS = ("random", "tie", "uniform", "gap_above")
+
+
+def _state(rng, rank, d1, d2, kind, gap=0.0, m2_max=None):
+    """Schmidt state of `kind`, coefficient order shuffled. For "tie" and
+    "gap_above" (or a nonzero `gap`) the two smallest squares differ by `gap`."""
+    if kind == "uniform":
+        return SchmidtState.from_squared(d1, d2, np.full(rank, 1.0 / rank))
+    floor = 0.03
+    sq = np.sort(floor + (1.0 - rank * floor) * rng.dirichlet(np.ones(rank)))
+    if m2_max is not None:
+        sq[0] = min(sq[0], m2_max)
+    if kind == "gap_above":
+        gap = GROUP_TOL_SQ * float(rng.uniform(1.01, 3.0))
+    if kind != "random":
+        if rank == 2:
+            sq[0] = (1.0 - gap) / 2.0
+        else:
+            sq[2:] *= (1.0 - 2.0 * sq[0] - gap) / sq[2:].sum()
+        sq[1] = sq[0] + gap
+    rng.shuffle(sq)
+    return SchmidtState.from_squared(d1, d2, sq)
+
+
+def _plan(rng, rank):
+    """Stage distinguishabilities drawn from {0, 1, uniform}."""
+    depth = int(rng.integers(0, rank))
+    return tuple(float(rng.choice([0.0, 1.0, rng.uniform()])) for _ in range(depth))
+
+
+def _oracle_error(tree):
+    """Sifted error from the circuit tree: weight on wrong inferences."""
+    wrong = inferred(tree.records) != np.arange(tree.rank)[:, None]
+    return float(tree.distribution()[wrong].sum() / tree.rank)
+
+
+def _compare(s, stages, final, guess):
+    """Worst distribution gap between the closed-form tree and the circuit;
+    records and stage counts must agree exactly."""
+    tree = _BranchTree(s.coeffs, stages, final, guess)
+    oracle = CircuitTree(s, stages, final, guess)
+    assert tree.records == oracle.records
+    assert len(tree.stage_entries) == len(oracle.stages)
+    return float(np.max(np.abs(tree.distribution() - oracle.distribution())))
+
+
+def test_tree_matches_circuit_oracle():
+    rng = np.random.default_rng(20261018)
+    ranks, combos, xis, embedded = set(), set(), set(), False
+    for case in range(240):
+        rank = 2 + case % 5
+        d1 = rank + case % 3
+        d2 = rank + (case // 5) % 2
+        kind = KINDS[(case // 2) % 4]
+        s = _state(rng, rank, d1, d2, kind)
+        readout = verify_channel(s)
+        assert np.allclose(readout, np.eye(s.d2)[None, :, :], atol=AGREE_ATOL)
+        stages = _plan(rng, rank)
+        final = FINALS[case % 2]
+        guess = GUESSES[(case // 8) % 3]
+        assert _compare(s, stages, final, guess) <= AGREE_ATOL, (case, kind, stages, final, guess)
+        assert abs(analytic_sift_rate(s.coeffs) - circuit_sift_rate(s)) <= AGREE_ATOL
+        if guess is not None:
+            eve = EveStrategy.intercept(DecodingStrategy.multistage(StagePlan(stages, final)), guess)
+            oracle = CircuitTree(s, stages, final, guess)
+            assert abs(analytic_qkd_error(s.coeffs, eve) - _oracle_error(oracle)) <= AGREE_ATOL
+        ranks.add(rank)
+        combos.add((kind, final, guess))
+        xis.update("0" if x == 0.0 else "1" if x == 1.0 else "u" for x in stages)
+        embedded |= d1 > rank
+    assert ranks == {2, 3, 4, 5, 6}
+    assert combos == set(itertools.product(KINDS, FINALS, GUESSES))
+    assert xis == {"0", "1", "u"} and embedded
+
+
+@pytest.mark.parametrize("gap", [1e-11, 1e-10, 9.9e-10])
+def test_near_tie_tree_within_named_bound(gap):
+    """A gap <= GROUP_TOL_SQ between the two smallest squares: the closed form
+    drops a level that the circuit keeps with a tiny amplitude."""
+    rng = np.random.default_rng(int(gap * 1e13))
+    worst = 0.0
+    m2_max = (1.0 - NEAR_TIE_MIN_EXCESS) / 4
+    for case in range(24):
+        rank = 3 + case % 2
+        s = _state(rng, rank, rank + case % 3, rank, "tie", gap=gap, m2_max=m2_max)
+        assert 1.0 - rank * float(np.min(s.coeffs**2)) >= NEAR_TIE_MIN_EXCESS
+        stages = tuple(float(rng.choice([0.5, 1.0])) for _ in range(rank - 1))
+        final = FINALS[case % 2]
+        worst = max(worst, _compare(s, stages, final, GUESSES[case % 3]))
+    # The cases really are near ties: the two trees differ beyond rounding.
+    assert AGREE_ATOL < worst <= NEAR_TIE_ATOL
+
+
+_DENSE = (
+    ("channel", "encode"),
+    ("gates", "gxor"),
+    ("tensor_core", "apply"),
+    ("tensor_core", "born_probabilities"),
+    ("tensor_core", "project_subsystem"),
+    ("discrimination", "dilation_unitary"),
+    ("discrimination", "me_measurement"),
+)
+
+
+def _refuse_dense_circuit(monkeypatch):
+    """Make every binding of the dense circuit functions raise."""
+    originals = [getattr(getattr(densecode, mod), name) for mod, name in _DENSE]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense circuit built on the runtime path")
+
+    modules = [m for n, m in sys.modules.items() if n == "densecode" or n.startswith("densecode.")]
+    for module in modules:
+        for name, obj in list(vars(module).items()):
+            if any(obj is fn for fn in originals):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
+    _refuse_dense_circuit(monkeypatch)
+    with pytest.raises(AssertionError):
+        densecode.channel.encode(None, None)
+    s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
+    strat = DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))
+    eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
+    run_simulation(s, strat, 5000, seed=1)
+    run_trial(s, strat, np.random.default_rng(2))
+    simulate_qkd(s, eve, 5000, seed=3)
+    analytic_record_distribution(s, strat)
+    analytic_joint(s, strat)
+    analytic_qkd_error(s.coeffs, eve)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "state": {"d1": 5, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True},
+                "strategy": {"kind": "multistage", "stages": [{"xi": 1.0}, {"xi": 0.5}], "final": "me"},
+                "eve": {"kind": "intercept", "strategy": {"kind": "me"}},
+                "trials": 5000,
+            }
+        )
+    )
+    for command in ("montecarlo", "qkd"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / f"{command}.csv")]) == 0
+    # Rank 64: one dense (d1*d2)^2 operator alone would be 268 MB.
+    wide = SchmidtState.from_squared(64, 64, np.arange(1, 65) / (64 * 65 / 2))
+    report = run_simulation(wide, DecodingStrategy.sep_me(1.0), 4096, seed=4)
+    assert report.joint_counts.sum() == 4096
+    plan = DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ABSTAIN))
+    qkd = simulate_qkd(wide, EveStrategy.intercept(plan, GUESS_UNIFORM), 4096, seed=5)
+    assert qkd.eve_counts.sum() == qkd.kept

@@ -65,6 +65,15 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
         ("qkd", {"eve": "absent"}, "eve"),
         ("qkd", {"state": {"d1": 2, "coeffs": [0.5, 0.5]}}, "d2"),
         ("sweep-sep", {"xi_step": 4}, "xi_step"),
+        ("montecarlo", {"strategy": {"kind": "sep_me", "xi": None}}, "'xi'"),
+        ("montecarlo", {"strategy": {"kind": "multistage", "stages": [{"xi": "1"}]}}, "'xi'"),
+        ("qkd", {"state": {"d1": None, "d2": 2, "coeffs": [0.2, 0.8]}}, "'d1'"),
+        ("montecarlo", {"state": {"d1": 2.9, "d2": 2, "coeffs": [0.6, 0.8]}}, "'d1'"),
+        ("montecarlo", {"state": {"d1": 2, "d2": True, "coeffs": [0.6, 0.8]}}, "'d2'"),
+        ("qkd", {"state": {"d1": 2, "d2": 2, "coeffs": [None, 1.0]}}, "finite"),
+        ("qkd", {"trials": None}, "'trials'"),
+        ("sweep-me", {"grid": 2.5}, "'grid'"),
+        ("sweep-sep", {"xi_steps": "4"}, "'xi_steps'"),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):

@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from densecode import (
+    FINAL_ME,
     INCONCLUSIVE,
+    StagePlan,
+    cli,
     Ket,
     apply,
     born_probabilities,
@@ -11,6 +16,7 @@ from densecode import (
     failure_state,
     me_measurement,
     me_outcome_probs,
+    mutual_info_multistage,
     project_subsystem,
     separated_state,
     separation_map,
@@ -152,6 +158,29 @@ class TestFailureState:
         smap = separation_map(np.sqrt([0.5, 0.5]), 1.0)
         with pytest.raises(ValueError, match="failure branch is empty"):
             failure_state(smap, 0)
+
+    @pytest.mark.parametrize("gap", [1e-10, 9.9e-10])
+    def test_near_tied_minimum_leaves_a_normalised_family(self, gap, tmp_path):
+        # The two smallest squares differ by gap <= GROUP_TOL_SQ, so both
+        # leave the failure family; the rest must still sum to 1.
+        squared = [0.1, 0.1 + gap, 0.3, 0.5 - gap]
+        chi = separation_map(np.sqrt(squared), 1.0).failure_coeffs
+        assert np.count_nonzero(chi) == 2
+        assert abs(np.sum(chi**2) - 1.0) <= 1e-12
+        state = SchmidtState.from_squared(4, 4, squared)
+        plan = StagePlan((1.0, 1.0), FINAL_ME)
+        assert mutual_info_multistage(state, plan).branch_probabilities[1] > 0
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "state": {"d1": 4, "d2": 4, "coeffs": squared, "squared": True},
+                    "strategy": {"kind": "multistage", "stages": [{"xi": 1.0}, {"xi": 1.0}], "final": "me"},
+                    "trials": 2000,
+                }
+            )
+        )
+        assert cli.main(["montecarlo", "--config", str(config), "--out", str(tmp_path / "mc.csv")]) == 0
 
 
 class TestDilationUnitary:

@@ -24,6 +24,7 @@ from densecode import (
     run_trial,
 )
 
+from circuit_oracle import circuit_joint
 from conftest import random_schmidt
 
 
@@ -250,5 +251,6 @@ def test_analytic_joint_matches_strategy_totals(seed):
             DecodingStrategy.multistage(plan),
             mutual_info_multistage(s, plan).total_bits,
         )
-    joint = analytic_joint(s, strat)
-    assert abs(mutual_info_from_joint(joint) - total) <= 1e-9
+    reference = circuit_joint(s, strat)
+    assert np.max(np.abs(analytic_joint(s, strat) - reference)) <= 1e-12
+    assert abs(mutual_info_from_joint(reference) - total) <= 1e-9
