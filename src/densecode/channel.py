@@ -30,6 +30,25 @@ def config_number(obj: dict, key: str, default, integral: bool = False):
     return int(value) if integral else float(value)
 
 
+def check_coeffs(d1: int, d2: int, coeffs) -> np.ndarray:
+    """Schmidt coefficients of a d1 x d2 channel as a read-only float array:
+    one state (D,) or one state per row (N, D). Raises ValueError unless every
+    row is finite, strictly positive, normalised and of rank <= min(d1, d2)."""
+    if d1 < 1 or d2 < 1:
+        raise ValueError("subsystem dimensions must be positive")
+    coeffs = np.array(coeffs, dtype=float)
+    if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
+        raise ValueError("coeffs must be a nonempty 1D vector")
+    if not np.all(coeffs >= COEFF_TOL):
+        raise ValueError("all Schmidt coefficients must be finite and strictly positive")
+    if np.any(np.abs(np.sum(coeffs**2, axis=-1) - 1.0) > 1e-10):
+        raise ValueError("squared Schmidt coefficients must sum to 1")
+    if coeffs.shape[-1] > min(d1, d2):
+        raise ValueError("Schmidt rank exceeds min(d1, d2)")
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 @dataclass(frozen=True, eq=False)
 class SchmidtState:
     """Bipartite pure resource sum_l a_l |l>|l> with strictly positive a_l.
@@ -43,18 +62,9 @@ class SchmidtState:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("subsystem dimensions must be positive")
-        coeffs = np.array(self.coeffs, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
+        coeffs = check_coeffs(self.d1, self.d2, self.coeffs)
+        if coeffs.ndim != 1:
             raise ValueError("coeffs must be a nonempty 1D vector")
-        if not np.all(coeffs >= COEFF_TOL):
-            raise ValueError("all Schmidt coefficients must be finite and strictly positive")
-        if abs(np.sum(coeffs**2) - 1.0) > 1e-10:
-            raise ValueError("squared Schmidt coefficients must sum to 1")
-        if coeffs.size > min(self.d1, self.d2):
-            raise ValueError("Schmidt rank exceeds min(d1, d2)")
-        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

@@ -18,13 +18,9 @@ import sys
 
 import numpy as np
 
-from .channel import SchmidtState, config_number
+from .channel import SchmidtState, check_coeffs, config_number
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan
-from .infometrics import (
-    mutual_info_me,
-    mutual_info_multistage,
-    mutual_info_sep,
-)
+from .infometrics import me_bits, multistage_bits, mutual_info_me, mutual_info_multistage, sep_bits
 from .protocol_sim import (
     DecodingStrategy,
     analytic_record_distribution,
@@ -61,34 +57,35 @@ def _write_text(path: str, text: str) -> None:
         raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer tuples of length `parts` summing to `total`,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
     """Uniform lattice over squared coefficients, affinely shrunk so every
     coordinate stays at least `margin` from the simplex boundary (a boundary
     point would change the Schmidt rank). The centroid is on the grid whenever
-    `rank` divides `resolution`."""
+    `rank` divides `resolution`.
+
+    Rows are the nonnegative integer compositions of `resolution` into `rank`
+    parts, in lexicographic order, each scaled as margin + (k / resolution) *
+    (1 - rank * margin)."""
+    if rank < 1:
+        raise ValueError("grid rank must be >= 1")
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     if margin <= 0:
         raise ValueError("boundary margin must be positive")
     if rank * margin >= 1.0:
         raise ValueError("margin too large for this rank")
-    scale = 1.0 - rank * margin
-    points = [
-        [margin + (k / resolution) * scale for k in combo]
-        for combo in _compositions(resolution, rank)
-    ]
-    return np.array(points)
+    # Grow the compositions one part at a time: each prefix with `left` still
+    # to place is followed by heads 0..left, which keeps lexicographic order.
+    combos = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([resolution])
+    for _ in range(rank - 1):
+        counts = left + 1
+        prefix = np.repeat(np.arange(left.size), counts)
+        heads = np.arange(prefix.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        combos = np.column_stack([combos[prefix], heads])
+        left = left[prefix] - heads
+    combos = np.column_stack([combos, left])
+    return margin + (combos / resolution) * (1.0 - rank * margin)
 
 
 def _load_config(path: str | None) -> dict:
@@ -116,8 +113,15 @@ def _setting(args, config: dict, key: str, default, integral=None):
     return config_number(config, key, default, integral)
 
 
-def _simplex_states(args, config: dict, grid: int, min_rank: int = 1):
-    """Schmidt states of a simplex sweep, with their rank."""
+def _out_path(args, config: dict, default: str) -> str:
+    out = _setting(args, config, "out", default)
+    if not isinstance(out, str):
+        raise ValueError(f"'out' must be a file path, not {out!r}")
+    return out
+
+
+def _simplex_coeffs(args, config: dict, grid: int, min_rank: int = 1):
+    """(d2, Schmidt coefficients of a simplex sweep, one state per row)."""
     d1 = _setting(args, config, "d1", 3, integral=True)
     d2 = _setting(args, config, "d2", 4, integral=True)
     rank = min(d1, d2)
@@ -128,19 +132,15 @@ def _simplex_states(args, config: dict, grid: int, min_rank: int = 1):
         _setting(args, config, "grid", grid, integral=True),
         _setting(args, config, "margin", _DEFAULT_MARGIN, integral=False),
     )
-    return rank, [SchmidtState.from_squared(d1, d2, squared) for squared in points]
+    return d2, check_coeffs(d1, d2, np.sqrt(points))
 
 
 def _cmd_sweep_me(args) -> int:
     config = _load_config(args.config)
-    out = _setting(args, config, "out", "sweep_me.csv")
-    rank, states = _simplex_states(args, config, 60)
-    rows = [
-        [float(c) for c in state.coeffs[: rank - 1]] + [mutual_info_me(state).total_bits]
-        for state in states
-    ]
-    header = [f"a{i}" for i in range(rank - 1)] + ["I_bits"]
-    _write_csv(out, header, rows)
+    out = _out_path(args, config, "sweep_me.csv")
+    d2, coeffs = _simplex_coeffs(args, config, 60)
+    rows = np.column_stack([coeffs[:, :-1], me_bits(coeffs, d2)]).tolist()
+    _write_csv(out, [f"a{i}" for i in range(coeffs.shape[1] - 1)] + ["I_bits"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -149,16 +149,13 @@ def _cmd_sweep_sep(args) -> int:
     config = _load_config(args.config)
     state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
     steps = _setting(args, config, "xi_steps", 50, integral=True)
-    out = _setting(args, config, "out", "sweep_sep.csv")
+    out = _out_path(args, config, "sweep_sep.csv")
     if steps < 1:
         raise RuntimeError("xi_steps must be >= 1")
-    i_me = mutual_info_me(state).total_bits
-    rows = []
-    for k in range(steps + 1):
-        xi = k / steps
-        report = mutual_info_sep(state, xi)
-        p_s = report.branch_probabilities[0]
-        rows.append([xi, p_s, report.total_bits, report.success_branch_bits, i_me])
+    xi = np.arange(steps + 1) / steps
+    total, p_s, success = sep_bits(state.coeffs, state.d2, xi)
+    i_me = np.full(xi.size, mutual_info_me(state).total_bits)
+    rows = np.column_stack([xi, p_s, total, success, i_me]).tolist()
     _write_csv(out, ["xi", "P_s", "I_total", "I_success", "I_ME"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -166,36 +163,18 @@ def _cmd_sweep_sep(args) -> int:
 
 def _cmd_sweep_multistage(args) -> int:
     config = _load_config(args.config)
-    out = _setting(args, config, "out", "sweep_multistage.csv")
-    rank, states = _simplex_states(args, config, 30, min_rank=3)
-    plan_abstain = StagePlan((1.0,), FINAL_ABSTAIN)
-    plan_me = StagePlan((1.0,), FINAL_ME)
-    plan_two = StagePlan((1.0, 1.0), FINAL_ABSTAIN)
-
-    def point(state) -> list:
-        i_me = mutual_info_me(state).total_bits
-        single = mutual_info_multistage(state, plan_abstain)
-        follow_me = mutual_info_multistage(state, plan_me)
-        two_stage = mutual_info_multistage(state, plan_two)
-        p_s1 = two_stage.branch_probabilities[0]
-        p_s2 = two_stage.branch_probabilities[1]
-        i_suc1 = two_stage.stage_success_bits[0]
-        i_suc2 = two_stage.stage_success_bits[1]
-        p_overall = p_s1 + (1.0 - p_s1) * p_s2 * (1.0 if i_suc2 > i_me else 0.0)
-        coeffs = [float(c) for c in state.coeffs[: rank - 1]]
-        return coeffs + [
-            single.total_bits,
-            follow_me.total_bits,
-            two_stage.total_bits,
-            i_suc1,
-            i_suc2,
-            i_me,
-            p_s1,
-            p_overall,
-        ]
-
-    rows = [point(state) for state in states]
-    header = [f"a{i}" for i in range(rank - 1)] + [
+    out = _out_path(args, config, "sweep_multistage.csv")
+    d2, coeffs = _simplex_coeffs(args, config, 30, min_rank=3)
+    i_me = me_bits(coeffs, d2)
+    single = multistage_bits(coeffs, d2, StagePlan((1.0,), FINAL_ABSTAIN))[0]
+    follow_me = multistage_bits(coeffs, d2, StagePlan((1.0,), FINAL_ME))[0]
+    two_stage, (p_s1, p_s2), (i_suc1, i_suc2) = multistage_bits(
+        coeffs, d2, StagePlan((1.0, 1.0), FINAL_ABSTAIN)
+    )
+    p_overall = p_s1 + (1.0 - p_s1) * p_s2 * np.where(i_suc2 > i_me, 1.0, 0.0)
+    columns = [single, follow_me, two_stage, i_suc1, i_suc2, i_me, p_s1, p_overall]
+    rows = np.column_stack([coeffs[:, :-1], *columns]).tolist()
+    header = [f"a{i}" for i in range(coeffs.shape[1] - 1)] + [
         "I_MC",
         "I_MC_ME",
         "I_MC_MC",
@@ -266,7 +245,7 @@ def _cmd_montecarlo(args) -> int:
     strat = DecodingStrategy.from_dict(config.get("strategy", {"kind": "me"}))
     trials = _setting(args, config, "trials", 100000, integral=True)
     seed = _setting(args, config, "seed", 0, integral=True)
-    out = _setting(args, config, "out", "montecarlo.csv")
+    out = _out_path(args, config, "montecarlo.csv")
     report = run_simulation(state, strat, trials, seed)
     rows = montecarlo_summary(report, state, strat)
     rendered = [
@@ -285,7 +264,7 @@ def _cmd_qkd(args) -> int:
     eve = EveStrategy.from_dict(config.get("eve", {"kind": "absent"}))
     rounds = _setting(args, config, "trials", 100000, integral=True)
     seed = _setting(args, config, "seed", 0, integral=True)
-    out = _setting(args, config, "out", "qkd.csv")
+    out = _out_path(args, config, "qkd.csv")
     report = simulate_qkd(state, eve, rounds, seed)
     sift_analytic = analytic_sift_rate(state.coeffs)
     error_analytic = analytic_qkd_error(state.coeffs, eve)

@@ -5,6 +5,7 @@ dilation unitary, failure states, stage recursion, and Bayes confidence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +36,89 @@ class StagePlan:
         object.__setattr__(self, "stages", stages)
 
 
+class Separation(NamedTuple):
+    """Optimal separation of a stack of symmetric families at one
+    distinguishability: one family per row of a (..., P) coefficient array,
+    each field an array over those rows. A uniform row has nothing to
+    separate (identity map, certain success, zero failure coefficients); a
+    collapsed row has fewer than two support levels, so a stage walk stops
+    before it."""
+
+    support: np.ndarray
+    minimal: np.ndarray
+    b_coeffs: np.ndarray
+    p_success: np.ndarray
+    success_diag: np.ndarray
+    failure_diag: np.ndarray
+    failure_coeffs: np.ndarray
+    uniform: np.ndarray
+    collapsed: np.ndarray
+
+
+def separate(coeffs, xi) -> Separation:
+    """Optimal separation of each coefficient row of `coeffs` (shape (..., P),
+    zeros marking levels outside the support) at distinguishability `xi`, one
+    value for all rows or one per row (shape (...)).
+
+    The minimum group holds the support levels whose squares lie within
+    GROUP_TOL_SQ of the smallest; failure strips it and keeps the excess over
+    that smallest square, normalised over what is left. The Kraus diagonals
+    act as the identity off the support.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if not np.all((0.0 <= xi) & (xi <= 1.0)):
+        raise ValueError("distinguishability must lie in [0, 1]")
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
+        raise ValueError("coeffs must be a nonempty 1D vector")
+    if np.any(coeffs < -COEFF_TOL):
+        raise ValueError("coefficients must be nonnegative")
+    support = coeffs > COEFF_TOL
+    d_sup = support.sum(axis=-1)
+    if np.any(d_sup == 0):
+        raise ValueError("empty support")
+    sq = coeffs**2
+    if np.any(np.abs(np.sum(sq, axis=-1, where=support) - 1.0) > 1e-10):
+        raise ValueError("squared coefficients must sum to 1 on the support")
+
+    m2 = np.min(sq, axis=-1, where=support, initial=np.inf)
+    uniform = np.max(sq, axis=-1, where=support, initial=0.0) - m2 <= GROUP_TOL_SQ
+    minimal = support & (sq - m2[..., None] <= GROUP_TOL_SQ)
+    level_sq = np.where(support, sq, 1.0)
+    keep = xi / d_sup
+    denom = (1.0 - xi) + xi / (d_sup * m2)
+    stay = (1.0 - xi)[..., None]
+    separated = np.sqrt(stay * sq + keep[..., None])
+    s_diag = np.sqrt((stay + xi[..., None] / (d_sup[..., None] * level_sq)) / denom[..., None])
+    f_diag = np.sqrt(keep[..., None] * (1.0 / m2[..., None] - 1.0 / level_sq) / denom[..., None])
+    flat = uniform[..., None]
+    # Normalised over what is left: a near-tied level in the minimal class
+    # drops its excess over m2 as well, so 1 - d*m2 would overcount.
+    excess = np.where(support & ~minimal, sq - m2[..., None], 0.0)
+    norm = np.where(uniform, 1.0, excess.sum(axis=-1))
+    return Separation(
+        support=support,
+        minimal=minimal,
+        b_coeffs=np.where(support, np.where(flat, coeffs, separated), 0.0),
+        p_success=np.where(uniform, 1.0, 1.0 / denom),
+        success_diag=np.where(support & ~flat, s_diag, 1.0),
+        failure_diag=np.where(support & ~flat, f_diag, 0.0),
+        failure_coeffs=np.sqrt(excess / norm[..., None]),
+        uniform=uniform,
+        collapsed=d_sup < 2,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SeparationMap:
     """Probabilistic map increasing the pairwise distinguishability of a
     symmetric family with coefficients `coeffs` (phase period = len(coeffs)).
 
-    kraus_success acts as the identity off the support so that the pair stays
-    complete on the ambient space; no valid state carries amplitude there.
-    failure_coeffs is None for a uniform family (the failure branch is empty).
+    The Kraus pair is diagonal; success_diag and failure_diag hold it on the
+    ambient space of dimension `dim`. kraus_success acts as the identity off
+    the support so that the pair stays complete on the ambient space; no
+    valid state carries amplitude there. failure_coeffs is None for a uniform
+    family (the failure branch is empty).
     """
 
     xi: float
@@ -50,8 +126,8 @@ class SeparationMap:
     support: tuple
     b_coeffs: np.ndarray
     p_success: float
-    kraus_success: Operator
-    kraus_failure: Operator
+    success_diag: np.ndarray
+    failure_diag: np.ndarray
     failure_coeffs: np.ndarray | None
     dim: int
 
@@ -59,35 +135,45 @@ class SeparationMap:
     def period(self) -> int:
         return self.coeffs.size
 
+    @property
+    def kraus_success(self) -> Operator:
+        return Operator(np.diag(self.success_diag.astype(complex)))
 
-def _support(coeffs: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(coeffs > COEFF_TOL)
+    @property
+    def kraus_failure(self) -> Operator:
+        return Operator(np.diag(self.failure_diag.astype(complex)))
 
 
-def _min_group(coeffs: np.ndarray, support: np.ndarray) -> np.ndarray:
-    sq = coeffs[support] ** 2
-    return support[sq - np.min(sq) <= GROUP_TOL_SQ]
+def _readonly(values: np.ndarray) -> np.ndarray:
+    values = np.array(values)
+    values.setflags(write=False)
+    return values
 
 
-def failure_coefficients(coeffs: np.ndarray) -> np.ndarray | None:
-    """Post-failure family coefficients; None when the family is uniform.
+def _as_map(coeffs: np.ndarray, xi: float, sep: Separation, dim: int) -> SeparationMap:
+    """One family's separation map from a batch-of-one kernel result."""
+    s_diag = np.ones(dim)
+    f_diag = np.zeros(dim)
+    s_diag[: coeffs.size] = sep.success_diag
+    f_diag[: coeffs.size] = sep.failure_diag
+    return SeparationMap(
+        xi=float(xi),
+        coeffs=_readonly(coeffs),
+        support=tuple(int(i) for i in np.flatnonzero(sep.support)),
+        b_coeffs=_readonly(sep.b_coeffs),
+        p_success=float(sep.p_success),
+        success_diag=_readonly(s_diag),
+        failure_diag=_readonly(f_diag),
+        failure_coeffs=None if sep.uniform else _readonly(sep.failure_coeffs),
+        dim=dim,
+    )
 
-    Supported only where the input exceeds its minimum, so each failure strips
-    at least the whole minimal multiplicity class.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    support = _support(coeffs)
-    minimal = _min_group(coeffs, support)
-    if minimal.size == support.size:
-        return None
-    m2 = float(np.min(coeffs[support] ** 2))
-    rest = np.setdiff1d(support, minimal)
-    # Normalised over what is left: a near-tied level in the minimal class
-    # drops its excess over m2 as well, so 1 - d*m2 would overcount.
-    excess = coeffs[rest] ** 2 - m2
-    chi = np.zeros_like(coeffs)
-    chi[rest] = np.sqrt(excess / excess.sum())
-    return chi
+
+def _ambient(coeffs: np.ndarray, dim: int | None) -> int:
+    dim = coeffs.size if dim is None else int(dim)
+    if dim < coeffs.size:
+        raise ValueError("ambient dimension smaller than the coefficient vector")
+    return dim
 
 
 def separation_map(coeffs, xi: float, dim: int | None = None) -> SeparationMap:
@@ -96,59 +182,39 @@ def separation_map(coeffs, xi: float, dim: int | None = None) -> SeparationMap:
     `coeffs` is the coefficient vector on the phase period; zeros mark levels
     outside the support. `dim` embeds the operators in a larger ambient space.
     """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("distinguishability must lie in [0, 1]")
     coeffs = np.array(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0:
+    sep = separate(coeffs, xi)
+    if coeffs.ndim != 1:
         raise ValueError("coeffs must be a nonempty 1D vector")
-    if np.min(coeffs) < -COEFF_TOL:
-        raise ValueError("coefficients must be nonnegative")
-    support = _support(coeffs)
-    if support.size == 0:
-        raise ValueError("empty support")
-    if abs(np.sum(coeffs[support] ** 2) - 1.0) > 1e-10:
-        raise ValueError("squared coefficients must sum to 1 on the support")
-    dim = coeffs.size if dim is None else int(dim)
-    if dim < coeffs.size:
-        raise ValueError("ambient dimension smaller than the coefficient vector")
+    return _as_map(coeffs, xi, sep, _ambient(coeffs, dim))
 
-    d_sup = support.size
-    sq = coeffs**2
-    m2 = float(np.min(sq[support]))
-    uniform = bool(np.max(sq[support]) - m2 <= GROUP_TOL_SQ)
 
-    b = np.zeros_like(coeffs)
-    if uniform:
-        # Nothing to separate: identity map, certain success.
-        b[support] = coeffs[support]
-        s_diag = np.ones(dim)
-        f_diag = np.zeros(dim)
-        p_success = 1.0
-    else:
-        b[support] = np.sqrt((1.0 - xi) * sq[support] + xi / d_sup)
-        denom = (1.0 - xi) + xi / (d_sup * m2)
-        p_success = 1.0 / denom
-        s_diag = np.ones(dim)
-        f_diag = np.zeros(dim)
-        s_diag[support] = np.sqrt((1.0 - xi + xi / (d_sup * sq[support])) / denom)
-        f_diag[support] = np.sqrt((xi / d_sup) * (1.0 / m2 - 1.0 / sq[support]) / denom)
+def walk_stages(coeffs, stages):
+    """Walk a stage plan down the failure-state hierarchy of each coefficient
+    row of `coeffs` (shape (..., P)).
 
-    coeffs.setflags(write=False)
-    b.setflags(write=False)
-    chi = failure_coefficients(coeffs)
-    if chi is not None:
-        chi.setflags(write=False)
-    return SeparationMap(
-        xi=float(xi),
-        coeffs=coeffs,
-        support=tuple(int(i) for i in support),
-        b_coeffs=b,
-        p_success=float(p_success),
-        kraus_success=Operator(np.diag(s_diag.astype(complex))),
-        kraus_failure=Operator(np.diag(f_diag.astype(complex))),
-        failure_coeffs=chi,
-        dim=dim,
-    )
+    Returns (steps, rest, sure). steps holds per planned stage a tuple
+    (rows that execute it, the families it acts on, their Separation); rest
+    the families left for the final action; sure the rows whose walk ended
+    with a uniform family, that is with certain success and nothing left.
+    A row stops once its support drops below two levels, and an ended row
+    executes no later stage; its families stay as they were, so every row
+    stays valid input.
+    """
+    current = np.asarray(coeffs, dtype=float)
+    if len(stages) > max(current.shape[-1] - 1, 0):
+        raise ValueError("plan exceeds channel stages")
+    live = np.ones(current.shape[:-1], dtype=bool)
+    sure = np.zeros_like(live)
+    steps = []
+    for xi in stages:
+        sep = separate(current, xi)
+        live = live & ~sep.collapsed
+        steps.append((live, current, sep))
+        sure = sure | (live & sep.uniform)
+        live = live & ~sep.uniform
+        current = np.where(live[..., None], sep.failure_coeffs, current)
+    return steps, current, sure
 
 
 def stage_walk(coeffs, stages, dim: int | None = None):
@@ -160,19 +226,11 @@ def stage_walk(coeffs, stages, dim: int | None = None):
     once the family's support drops below two levels (nothing left to
     separate); the stages after that are never attempted.
     """
-    current = np.asarray(coeffs, dtype=float)
-    if len(stages) > max(current.size - 1, 0):
-        raise ValueError("plan exceeds channel stages")
-    maps = []
-    for xi in stages:
-        if _support(current).size < 2:
-            break
-        smap = separation_map(current, xi, dim)
-        maps.append(smap)
-        if smap.failure_coeffs is None:
-            return maps, None
-        current = smap.failure_coeffs
-    return maps, current
+    coeffs = np.asarray(coeffs, dtype=float)
+    steps, rest, sure = walk_stages(coeffs, stages)
+    dim = _ambient(coeffs, dim)
+    maps = [_as_map(family, xi, sep, dim) for (executed, family, sep), xi in zip(steps, stages) if executed]
+    return maps, None if sure else rest
 
 
 def _phased_ket(coeffs: np.ndarray, period: int, j: int, dim: int) -> Ket:
@@ -206,8 +264,7 @@ def dilation_unitary(smap: SeparationMap) -> Operator:
     which is one valid isometric extension.
     """
     dim = smap.dim
-    s_diag = np.real(np.diag(smap.kraus_success.entries))
-    f_diag = np.real(np.diag(smap.kraus_failure.entries))
+    s_diag, f_diag = smap.success_diag, smap.failure_diag
     mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
     for n in range(dim):
         mat[2 * n, 2 * n] = s_diag[n]
@@ -243,12 +300,14 @@ def me_measurement(rank: int, d: int) -> Measurement:
 
 
 def me_outcome_probs(coeffs) -> np.ndarray:
-    """Closed-form ME outcome row q_t = |sum_l c_l w^(lt)|^2 / P over the
-    relative index t = (j - l) mod P; circulant in (j, l)."""
+    """Closed-form ME outcome rows q_t = |sum_l c_l w^(lt)|^2 / P over the
+    relative index t = (j - l) mod P, along the last axis of `coeffs`;
+    circulant in (j, l). The transform is one matrix-vector product per row,
+    so each row's result does not depend on the rows batched with it."""
     coeffs = np.asarray(coeffs, dtype=float)
-    period = coeffs.size
+    period = coeffs.shape[-1]
     grid = np.outer(np.arange(period), np.arange(period))
-    amps = np.exp(2j * np.pi * grid / period) @ coeffs
+    amps = np.matmul(np.exp(2j * np.pi * grid / period), coeffs[..., None])[..., 0]
     return np.abs(amps) ** 2 / period
 
 
@@ -259,13 +318,11 @@ def stage_success_probability(coeffs) -> float:
     Returns 0.0 when no further stage is possible: uniform input (no failure
     branch) or a failure support of dimension <= 1 (identical failure states).
     """
-    chi = failure_coefficients(np.asarray(coeffs, dtype=float))
-    if chi is None:
+    first = separate(coeffs, 1.0)
+    if first.uniform:
         return 0.0
-    support = _support(chi)
-    if support.size <= 1:
-        return 0.0
-    return float(support.size * np.min(chi[support] ** 2))
+    second = separate(first.failure_coeffs, 1.0)
+    return 0.0 if second.collapsed else float(second.p_success)
 
 
 def confidence(family, priors, m: Measurement, outcome: int, hypothesis: int) -> float:

@@ -10,23 +10,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtState
-from .discrimination import (
-    FINAL_ME,
-    StagePlan,
-    me_outcome_probs,
-    separation_map,
-    stage_walk,
-)
+from .discrimination import FINAL_ME, StagePlan, me_outcome_probs, separate, walk_stages
 from .tensor_core import Measurement, born_probabilities
 
 _ZERO_PROB = 1e-15
 
 
-def _plogp(probs: np.ndarray) -> float:
-    """sum p*log2(p) with 0*log(0) := 0; tiny probabilities count as zero."""
+def _plogp(probs) -> np.ndarray:
+    """sum p*log2(p) along the last axis with 0*log(0) := 0; tiny
+    probabilities count as zero."""
     p = np.asarray(probs, dtype=float)
-    live = p > _ZERO_PROB
-    return float(np.sum(p[live] * np.log2(p[live])))
+    return np.sum(p * np.log2(np.where(p > _ZERO_PROB, p, 1.0)), axis=-1)
+
+
+def _check_bits(bits, d2: int, rank: int):
+    """`bits`, after checking that each lies within [log2 d2, log2(d2*rank)]:
+    the error-free target-system bits at least, a perfect decoding at most."""
+    lo = math.log2(d2)
+    hi = math.log2(d2 * rank)
+    values = np.atleast_1d(bits)
+    outside = ~((lo - 1e-9 <= values) & (values <= hi + 1e-9))
+    if outside.any():
+        raise ValueError(f"total {values[outside][0]} outside [{lo}, {hi}] for this channel")
+    return bits
 
 
 @dataclass(frozen=True)
@@ -42,12 +48,7 @@ class InfoReport:
     stage_success_bits: tuple = ()
 
     def __post_init__(self) -> None:
-        lo = math.log2(self.d2)
-        hi = math.log2(self.d2 * self.rank)
-        if not lo - 1e-9 <= self.total_bits <= hi + 1e-9:
-            raise ValueError(
-                f"total {self.total_bits} outside [{lo}, {hi}] for this channel"
-            )
+        _check_bits(self.total_bits, self.d2, self.rank)
         object.__setattr__(
             self, "branch_probabilities", tuple(float(p) for p in self.branch_probabilities)
         )
@@ -63,20 +64,50 @@ def conditional_entropy(states, m: Measurement) -> float:
         raise ValueError("empty state family")
     acc = 0.0
     for state in states:
-        acc += _plogp(born_probabilities(state, m))
+        acc += float(_plogp(born_probabilities(state, m)))
     return -acc / n_states
 
 
-def _me_branch_bits(coeffs: np.ndarray, d2: int, rank: int) -> float:
-    """Information from an ME measurement on one symmetric branch family,
-    including the error-free target-system part."""
-    q = me_outcome_probs(coeffs)
-    return math.log2(d2 * rank) + _plogp(q)
+def me_bits(coeffs, d2: int) -> np.ndarray:
+    """Information from an ME measurement on each symmetric family, one per
+    row of `coeffs` (shape (..., D)), including the error-free target-system
+    part."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    rank = coeffs.shape[-1]
+    return _check_bits(math.log2(d2 * rank) + _plogp(me_outcome_probs(coeffs)), d2, rank)
+
+
+def _fold(p_success, success_bits, failure_bits):
+    """Bits of a stage that succeeds with probability p_success. p = 0 and
+    p = 1 return the failure or the success bits exactly."""
+    return p_success * success_bits + (1.0 - p_success) * failure_bits
+
+
+def multistage_bits(coeffs, d2: int, plan: StagePlan):
+    """Iterated probabilistic decoding of each coefficient row of `coeffs`
+    (shape (..., D)), folded bottom-up over the plan's stages.
+
+    Returns (total, probabilities, bits): the total per row and, per planned
+    stage, the success probability and the success-branch bits, which are 0
+    and the target-system floor for a stage the walk does not reach."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    floor_bits = math.log2(d2)
+    steps, rest, sure = walk_stages(coeffs, plan.stages)
+    probs = tuple(np.where(executed, sep.p_success, 0.0) for executed, _, sep in steps)
+    bits = tuple(np.where(executed, me_bits(sep.b_coeffs, d2), floor_bits) for executed, _, sep in steps)
+    # A sure row's last stage succeeds surely, so its seed is weighted by 0.
+    if plan.final_action == FINAL_ME:
+        total = np.where(sure, floor_bits, me_bits(rest, d2))
+    else:
+        total = np.full(sure.shape, floor_bits)
+    for p_stage, suc_bits in zip(reversed(probs), reversed(bits)):
+        total = _fold(p_stage, suc_bits, total)
+    return _check_bits(total, d2, coeffs.shape[-1]), probs, bits
 
 
 def mutual_info_me(s: SchmidtState) -> InfoReport:
     """Deterministic minimum-error decoding."""
-    total = _me_branch_bits(s.coeffs, s.d2, s.D)
+    total = float(me_bits(s.coeffs, s.d2))
     return InfoReport(
         strategy="me",
         d2=s.d2,
@@ -87,21 +118,28 @@ def mutual_info_me(s: SchmidtState) -> InfoReport:
     )
 
 
+def sep_bits(coeffs, d2: int, xi):
+    """Separation-assisted decoding of each coefficient row of `coeffs`
+    (shape (..., D)) at distinguishability `xi` (one value, or one per row):
+    (total, P_s, success-branch bits)."""
+    sep = separate(coeffs, xi)
+    success = me_bits(sep.b_coeffs, d2)
+    total = _fold(sep.p_success, success, math.log2(d2))
+    return _check_bits(total, d2, sep.b_coeffs.shape[-1]), sep.p_success, success
+
+
 def mutual_info_sep(s: SchmidtState, xi: float) -> InfoReport:
     """Separation-assisted decoding: separate at `xi`, ME on success, nothing
     on failure. Interpolates between the deterministic ME protocol (xi=0) and
     full unambiguous decoding (xi=1)."""
-    smap = separation_map(s.coeffs, xi)
-    bracket = math.log2(s.D) + _plogp(me_outcome_probs(smap.b_coeffs))
-    total = smap.p_success * bracket + math.log2(s.d2)
-    success = bracket + math.log2(s.d2)
+    total, p_success, success = sep_bits(s.coeffs, s.d2, xi)
     return InfoReport(
         strategy=f"sep_me(xi={xi:g})",
         d2=s.d2,
         rank=s.D,
-        total_bits=total,
-        success_branch_bits=success,
-        branch_probabilities=(smap.p_success,),
+        total_bits=float(total),
+        success_branch_bits=float(success),
+        branch_probabilities=(p_success,),
         stage_success_bits=(success,),
     )
 
@@ -115,28 +153,15 @@ def mutual_info_multistage(s: SchmidtState, plan: StagePlan) -> InfoReport:
     collapsed to one dimension retrieves nothing and its branch is worth only
     the error-free target-system bits.
     """
-    d2, rank = s.d2, s.D
-    floor_bits = math.log2(d2)
-    maps, rest = stage_walk(s.coeffs, plan.stages)
-    stage_bits = [_me_branch_bits(smap.b_coeffs, d2, rank) for smap in maps]
-    # With rest None the last map succeeds surely, so the seed is weighted by 0.
-    if rest is not None and plan.final_action == FINAL_ME:
-        total = _me_branch_bits(rest, d2, rank)
-    else:
-        total = floor_bits
-    for smap, suc_bits in zip(reversed(maps), reversed(stage_bits)):
-        total = smap.p_success * suc_bits + (1.0 - smap.p_success) * total
-    skipped = len(plan.stages) - len(maps)
-    stage_probs = [smap.p_success for smap in maps] + [0.0] * skipped
-    stage_bits += [floor_bits] * skipped
+    total, probs, bits = multistage_bits(s.coeffs, s.d2, plan)
     return InfoReport(
         strategy=f"multistage({len(plan.stages)} stages, final={plan.final_action})",
-        d2=d2,
-        rank=rank,
-        total_bits=total,
-        success_branch_bits=stage_bits[0] if stage_bits else total,
-        branch_probabilities=tuple(stage_probs),
-        stage_success_bits=tuple(stage_bits),
+        d2=s.d2,
+        rank=s.D,
+        total_bits=float(total),
+        success_branch_bits=float(bits[0] if bits else total),
+        branch_probabilities=probs,
+        stage_success_bits=bits,
     )
 
 

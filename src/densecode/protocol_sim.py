@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -212,10 +213,17 @@ def run_blocks(seed: int, n: int, block: int = _BLOCK):
         yield derived_rng(seed, b), min(block, n - start)
 
 
+@lru_cache(maxsize=64)
+def _trial_tree(coeffs: bytes, stages: tuple, final: str) -> _BranchTree:
+    """Branch tree of one (coefficients, normalized strategy) pair, built once
+    and shared by every run_trial call with that pair; trials only read it."""
+    return _BranchTree(np.frombuffer(coeffs), stages, final)
+
+
 def run_trial(s: SchmidtState, strat: DecodingStrategy, rng: np.random.Generator) -> TrialRecord:
     """Simulate a single round: draw a message (j, k), then one record of the
     strategy's branch tree for carrier j; the system-2 readout returns k."""
-    fam = _BranchTree(s.coeffs, *strat.normalized())
+    fam = _trial_tree(s.coeffs.tobytes(), *strat.normalized())
     j, k = divmod(int(rng.integers(0, s.n_messages, size=1)[0]), s.d2)
     record = int(_sample_records(fam, np.array([j]), rng)[0])
     n_stages = len(fam.stage_entries)

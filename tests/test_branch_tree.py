@@ -195,3 +195,21 @@ def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
     plan = DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ABSTAIN))
     qkd = simulate_qkd(wide, EveStrategy.intercept(plan, GUESS_UNIFORM), 4096, seed=5)
     assert qkd.eve_counts.sum() == qkd.kept
+
+
+def test_sweeps_and_runs_build_no_operator(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("dense Operator built on the runtime path")
+
+    monkeypatch.setattr(densecode.tensor_core.Operator, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        densecode.tensor_core.Operator.identity(2)
+    for argv in (
+        ["sweep-me", "--d1", "4", "--d2", "4", "--grid", "5"],
+        ["sweep-sep"],
+        ["sweep-multistage", "--d1", "4", "--d2", "4", "--grid", "5"],
+    ):
+        assert cli.main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
+    s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
+    run_simulation(s, DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME)), 5000, seed=1)
+    simulate_qkd(s, EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME), 5000, seed=3)

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from densecode import cli
+import densecode
+from densecode import SchmidtState, cli, mutual_info_me
 
 
 def read_csv(path):
@@ -84,6 +89,37 @@ def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sweep-me", {"grid": 3}),
+        ("sweep-sep", {"xi_steps": 2}),
+        ("sweep-multistage", {"grid": 3}),
+        ("montecarlo", {"trials": 100}),
+        ("qkd", {"trials": 100}),
+    ],
+)
+def test_non_string_out_config_fails_before_writing(command, config, tmp_path):
+    # No --out flag: the flag overrides the config value. An int `out` would
+    # be taken by open() as a file descriptor, so the CLI runs in its own
+    # process and must write nothing to its standard output either.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "out": 1}))
+    src = str(Path(densecode.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "densecode.cli", command, "--config", str(path)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error:") and "'out'" in result.stderr
+    assert result.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestSweepMe:
@@ -273,6 +309,47 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert out.read_bytes() == reference.read_bytes()
 
 
+def _compositions(total: int, parts: int):
+    """All nonnegative integer tuples of length `parts` summing to `total`,
+    in lexicographic order (the recursive reference for simplex_grid)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _reference_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
+    scale = 1.0 - rank * margin
+    return np.array(
+        [[margin + (k / resolution) * scale for k in combo] for combo in _compositions(resolution, rank)]
+    )
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+@pytest.mark.parametrize("resolution, margin", [(2, 1e-3), (5, 0.01), (12, 1e-3), (13, 0.05)])
+def test_simplex_grid_matches_recursive_compositions(rank, resolution, margin):
+    grid = cli.simplex_grid(rank, resolution, margin)
+    reference = _reference_grid(rank, resolution, margin)
+    assert grid.shape == reference.shape == (math.comb(resolution + rank - 1, rank - 1), rank)
+    assert grid.tobytes() == reference.tobytes()
+
+
+def test_rank8_sweep_me(tmp_path):
+    # Batched sweeps make a rank-8 lattice practical: 50,388 points.
+    out = tmp_path / "rank8.csv"
+    assert cli.main(["sweep-me", "--d1", "8", "--d2", "8", "--grid", "12", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == [f"a{i}" for i in range(7)] + ["I_bits"]
+    assert len(rows) == math.comb(12 + 7, 7) == 50388
+    grid = cli.simplex_grid(8, 12, 1e-3)
+    for r in (0, 20151, len(rows) - 1):
+        state = SchmidtState.from_squared(8, 8, grid[r])
+        expected = [float(c) for c in state.coeffs[:7]] + [mutual_info_me(state).total_bits]
+        assert rows[r] == [f"{v:.9g}" for v in expected]
+
+
 def test_simplex_grid_properties():
     grid = cli.simplex_grid(3, 12, 1e-3)
     assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-12)
@@ -283,3 +360,5 @@ def test_simplex_grid_properties():
         cli.simplex_grid(3, 1, 1e-3)
     with pytest.raises(ValueError):
         cli.simplex_grid(3, 12, 0.0)
+    with pytest.raises(ValueError):
+        cli.simplex_grid(0, 12, 1e-3)

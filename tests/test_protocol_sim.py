@@ -21,6 +21,7 @@ from densecode import (
     mutual_info_multistage,
     mutual_info_sep,
     run_simulation,
+    protocol_sim,
     run_trial,
 )
 
@@ -123,6 +124,21 @@ class TestRunSimulation:
             )
             assert report.joint_counts[j, k, report.outcome_labels.index(label)] == 1
             assert report.joint_counts.sum() == 1
+
+    def test_run_trial_builds_its_tree_once(self, qubit_state, monkeypatch):
+        builds = []
+        tree = protocol_sim._BranchTree
+
+        def counted(*args):
+            builds.append(args)
+            return tree(*args)
+
+        monkeypatch.setattr(protocol_sim, "_BranchTree", counted)
+        strat = DecodingStrategy.multistage(StagePlan((0.3,), FINAL_ME))
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            run_trial(qubit_state, strat, rng)
+        assert len(builds) <= 1
 
     def test_empirical_mutual_info_close_to_analytic(self, qubit_state):
         report = run_simulation(qubit_state, DecodingStrategy.me(), 100000, seed=4)
