@@ -22,6 +22,7 @@ from .gates import fourier, gxor, pauli_x, pauli_z
 from .infometrics import (
     InfoReport,
     conditional_entropy,
+    counts_mutual_info,
     mutual_info_from_joint,
     mutual_info_me,
     mutual_info_multistage,

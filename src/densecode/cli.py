@@ -10,7 +10,6 @@ Floats are printed with 9 significant digits and row order is deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -31,27 +30,38 @@ from .qkd import EveStrategy, analytic_qkd_error, analytic_sift_rate, simulate_q
 _DEFAULT_MARGIN = 1e-3
 _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
 
+_FLOAT = "{:.9g}".format
+_FLOATS_ONLY = {float}
+#: Characters for which csv.writer's default (excel, minimal) quoting quotes a field.
+_NEEDS_QUOTES = frozenset(',"\r\n')
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+
+def _field(value) -> str:
+    """One cell: a float with 9 significant digits, anything else as str(),
+    quoted as csv.writer quotes it."""
+    text = _FLOAT(value) if isinstance(value, float) else str(value)
+    if _NEEDS_QUOTES.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _line(row) -> str:
+    """One CSV line with csv.writer's bytes: each float rendered once, rows of
+    plain floats (the sweeps) without any per-cell dispatch."""
+    if set(map(type, row)) == _FLOATS_ONLY:
+        return ",".join(map(_FLOAT, row)) + "\r\n"
+    return ",".join(map(_field, row)) + "\r\n"
 
 
 def _write_csv(path: str, header, rows) -> None:
-    rendered = [[_fmt(v) for v in row] for row in rows]
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rendered)
-    except OSError as exc:
-        raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
+    _write_text(path, _line(header) + "".join([_line(row) for row in rows]))
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write `text` as is, without newline translation, so CSV lines keep
+    the CRLF ends that csv.writer writes."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
@@ -248,10 +258,7 @@ def _cmd_montecarlo(args) -> int:
     out = _out_path(args, config, "montecarlo.csv")
     report = run_simulation(state, strat, trials, seed)
     rows = montecarlo_summary(report, state, strat)
-    rendered = [
-        [q, _fmt(float(e)), _fmt(float(a)), _fmt(abs(float(e) - float(a))), _fmt(float(b))]
-        for q, e, a, b in rows
-    ]
+    rendered = [[q, float(e), float(a), abs(float(e) - float(a)), float(b)] for q, e, a, b in rows]
     _write_csv(out, ["quantity", "empirical", "analytic", "abs_delta", "bound"], rendered)
     _write_text(os.path.splitext(out)[0] + ".json", report.to_json())
     print(f"wrote {out} and {os.path.splitext(out)[0] + '.json'}")

@@ -165,6 +165,36 @@ def mutual_info_multistage(s: SchmidtState, plan: StagePlan) -> InfoReport:
     )
 
 
+def counts_mutual_info(counts, n: int) -> float:
+    """Plug-in mutual information of `counts`, shape (D, d2, records): trials
+    with message (j, k) and record r, read out as m = k, over `n` trials.
+
+    Works from the counts alone and gives the bits of mutual_info_from_joint
+    on the dense block-diagonal (D*d2) x (records*d2) table, with every
+    floating-point operation kept in order: rows are summed pairwise at the
+    table's row length (zeros add exactly), columns sequentially over j, and
+    terms, taken in the table's row-major order with math.log2, sequentially.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or n < 1 or counts.min() < 0 or counts.sum() != n:
+        raise ValueError(f"counts must be a nonnegative (D, d2, records) array summing to n = {n}")
+    rank, d2, n_records = counts.shape
+    probs = counts / n
+    rows = np.empty((rank, d2))
+    buf = np.zeros((rank, n_records * d2))
+    for k in range(d2):
+        buf[:, k::d2] = probs[:, k, :]
+        rows[:, k] = buf.sum(axis=1)
+        buf[:, k::d2] = 0.0
+    cols = probs.sum(axis=0)
+    j, k, r = np.nonzero(probs > _ZERO_PROB)
+    p = probs[j, k, r]
+    ratio = p / (rows[j, k] * cols[k, r])
+    terms = p * np.array([math.log2(x) for x in ratio.tolist()])
+    # Sequential like the oracle's loop; np.sum would sum pairwise.
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
 def mutual_info_from_joint(joint) -> float:
     """Textbook mutual information of a joint probability table.
 

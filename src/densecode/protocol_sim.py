@@ -26,6 +26,7 @@ import numpy as np
 
 from .channel import SchmidtState, config_number
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, stage_walk
+from .infometrics import counts_mutual_info
 from .tensor_core import INCONCLUSIVE, derived_rng
 
 _BLOCK = 4096
@@ -207,10 +208,12 @@ def _sample_records(fam: _BranchTree, hypotheses: np.ndarray, rng: np.random.Gen
 
 
 def run_blocks(seed: int, n: int, block: int = _BLOCK):
-    """Yield (generator, size) for each block of `n` trials, in index order;
-    block b draws from derived_rng(seed, b), so runs replay bit for bit."""
-    for b, start in enumerate(range(0, n, block)):
-        yield derived_rng(seed, b), min(block, n - start)
+    """(generator, size) for each block of `n` trials, in index order; block b
+    draws from derived_rng(seed, b), so runs replay bit for bit. The seed is
+    checked here, before any draw: it must be an unsigned 64-bit integer."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    return ((derived_rng(seed, b), min(block, n - start)) for b, start in enumerate(range(0, n, block)))
 
 
 @lru_cache(maxsize=64)
@@ -318,7 +321,7 @@ def run_simulation(
     successes = [int(per_record[offset : offset + fam.rank].sum()) for *_, offset in fam.stage_entries]
     attempts = [n_trials - sum(successes[:i]) for i in range(len(successes))]
     counts.setflags(write=False)
-    info_bits = _counts_mutual_info(counts, n_trials, s.d2)
+    info_bits = counts_mutual_info(counts, n_trials)
     return SimulationReport(
         n_trials=n_trials,
         seed=int(seed),
@@ -342,17 +345,11 @@ def _expand_joint(counts: np.ndarray, normalizer: float, d2: int) -> np.ndarray:
     return joint
 
 
-def _counts_mutual_info(counts: np.ndarray, n_trials: int, d2: int) -> float:
-    from .infometrics import mutual_info_from_joint
-
-    return mutual_info_from_joint(_expand_joint(counts.astype(float), n_trials, d2))
-
-
 def empirical_mutual_info(report: SimulationReport) -> float:
-    """Plug-in mutual information over the full joint table; inconclusive
-    outcomes are a distinct symbol, never a guess."""
-    _, d2, _ = report.joint_counts.shape
-    return _counts_mutual_info(report.joint_counts, report.n_trials, d2)
+    """Plug-in mutual information between message (j, k) and (record, m),
+    computed from the compact counts; inconclusive outcomes are a distinct
+    symbol, never a guess."""
+    return counts_mutual_info(report.joint_counts, report.n_trials)
 
 
 def analytic_record_distribution(s: SchmidtState, strat: DecodingStrategy):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .channel import SchmidtState
 from .discrimination import separation_map
+from .infometrics import counts_mutual_info
 from .protocol_sim import (
     GUESS_ME,
     GUESS_UNIFORM,
@@ -159,9 +160,7 @@ def simulate_qkd(
         counts = counts.reshape(s.D, n_records)
         counts.setflags(write=False)
         if kept:
-            from .infometrics import mutual_info_from_joint
-
-            eve_info = mutual_info_from_joint(counts.astype(float) / kept)
+            eve_info = counts_mutual_info(counts[:, None, :], kept)
     return QkdReport(
         n_rounds=n_rounds,
         seed=int(seed),

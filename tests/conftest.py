@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,16 @@ def qubit_state():
 def qutrit_state():
     """Rank-3 channel with squared coefficients (0.2, 0.3, 0.5) in 3x4."""
     return SchmidtState.from_squared(3, 4, [0.2, 0.3, 0.5])
+
+
+def refuse_everywhere(monkeypatch, functions):
+    """Make every binding of `functions` in every densecode namespace raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("refused function called on the runtime path")
+
+    modules = [m for n, m in sys.modules.items() if n == "densecode" or n.startswith("densecode.")]
+    for module in modules:
+        for name, obj in list(vars(module).items()):
+            if any(obj is fn for fn in functions):
+                monkeypatch.setattr(module, name, refuse)

@@ -3,7 +3,6 @@ the runtime path builds no dense circuit."""
 
 import itertools
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -39,6 +38,7 @@ from circuit_oracle import (
     inferred,
     verify_channel,
 )
+from conftest import refuse_everywhere
 
 FINALS = (FINAL_ME, FINAL_ABSTAIN)
 GUESSES = (None, GUESS_ME, GUESS_UNIFORM)
@@ -148,22 +148,8 @@ _DENSE = (
 )
 
 
-def _refuse_dense_circuit(monkeypatch):
-    """Make every binding of the dense circuit functions raise."""
-    originals = [getattr(getattr(densecode, mod), name) for mod, name in _DENSE]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense circuit built on the runtime path")
-
-    modules = [m for n, m in sys.modules.items() if n == "densecode" or n.startswith("densecode.")]
-    for module in modules:
-        for name, obj in list(vars(module).items()):
-            if any(obj is fn for fn in originals):
-                monkeypatch.setattr(module, name, refuse)
-
-
 def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
-    _refuse_dense_circuit(monkeypatch)
+    refuse_everywhere(monkeypatch, [getattr(getattr(densecode, mod), name) for mod, name in _DENSE])
     with pytest.raises(AssertionError):
         densecode.channel.encode(None, None)
     s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -79,6 +80,9 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
         ("qkd", {"trials": None}, "'trials'"),
         ("sweep-me", {"grid": 2.5}, "'grid'"),
         ("sweep-sep", {"xi_steps": "4"}, "'xi_steps'"),
+        ("montecarlo", {"seed": 2**64}, "seed 18446744073709551616"),
+        ("qkd", {"seed": 2**64}, "seed 18446744073709551616"),
+        ("qkd", {"seed": -1}, "seed -1"),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
@@ -89,6 +93,16 @@ def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "qkd"])
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_seed_flag_outside_u64_fails_cleanly(command, seed, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert cli.main([command, "--seed", str(seed), "--trials", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"seed {seed} " in err
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 @pytest.mark.parametrize(
@@ -362,3 +376,32 @@ def test_simplex_grid_properties():
         cli.simplex_grid(3, 12, 0.0)
     with pytest.raises(ValueError):
         cli.simplex_grid(0, 12, 1e-3)
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The reference: csv.writer over cells formatted one at a time."""
+
+    def fmt(value):
+        return f"{value:.9g}" if isinstance(value, float) else str(value)
+
+    with io.StringIO(newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([[fmt(v) for v in row] for row in rows])
+        return fh.getvalue().encode()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = np.column_stack([rng.random((50, 3)), 10.0 ** rng.integers(-20, 20, 50)]).tolist()
+    rows += [
+        ["intercept(me, fallback=uniform)", 7, np.int64(2**40), 1e-300, float("nan")],
+        ['say "hi"', "a\nb", "c\rd", None, True, np.float64(0.1), -0.0, float("inf")],
+        [12345678901, 0.5, "plain", ""],
+        [],
+        ["", ""],
+    ]
+    header = ["a0", "label, with comma", "I_bits"]
+    path = tmp_path / "out.csv"
+    cli._write_csv(str(path), header, rows)
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)

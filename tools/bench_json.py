@@ -1,0 +1,78 @@
+"""Summarise paired perfbench runs of a parent commit and a change into one
+BENCH_<n>.json.
+
+    python3 tools/bench_json.py RUN_DIR PARENT_SHA CHANGE_SHA OUT
+
+RUN_DIR holds the standard output of each `perfbench/run.py --trace 0` run,
+one file per run, named `parent_<workload>_<seed>.txt` or
+`change_<workload>_<seed>.txt`; runs of both sides with the same workload and
+seed form a pair. Per workload and side the summary gives every end-to-end
+metric of BENCHMARK.json as median and quartiles over the runs, and per
+metric the number of pairs the change won (ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _quartiles(values: list) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = defaultdict(dict)  # (workload, seed) -> side -> (provenance, result)
+    for path in sorted(Path(run_dir).glob("*.txt")):
+        side = path.name.split("_", 1)[0]
+        lines = path.read_text().strip().splitlines()
+        if len(lines) < 2:
+            sys.exit(f"{path}: no result lines; the run did not finish")
+        head, result = lines[-2:]
+        provenance = json.loads(head)["provenance"]
+        runs[(provenance["workload"], provenance["seed"])][side] = (provenance, json.loads(result))
+    workloads = {}
+    env = {}
+    for workload in sorted({w for w, _ in runs}):
+        pairs = [sides for (w, _), sides in sorted(runs.items()) if w == workload and len(sides) == 2]
+        summary = {"pairs": len(pairs), "seeds": sorted(s for w, s in runs if w == workload)}
+        for side in ("parent", "change"):
+            results = [sides[side][1] for sides in pairs]
+            summary[side] = {
+                "src_sha256": sorted({sides[side][0]["src_sha256"] for sides in pairs}),
+                "failed": sum(r["failed"] for r in results),
+                "attempted": sum(r["attempted"] for r in results),
+                **{m["name"]: _quartiles([r["metrics"][m["name"]]["value"] for r in results]) for m in metrics},
+            }
+            env = {k: pairs[0][side][0][k] for k in ("python", "numpy", "cpu_count", "blas_threads")}
+        wins = {}
+        for m in metrics:
+            sign = 1 if m["better"] == "lower" else -1
+            values = [(s["parent"][1]["metrics"][m["name"]]["value"], s["change"][1]["metrics"][m["name"]]["value"]) for s in pairs]
+            wins[m["name"]] = sum(sign * (p - c) > 0 for p, c in values)
+        summary["change_wins"] = wins
+        workloads[workload] = summary
+    doc = {
+        "parent_sha": parent_sha,
+        "change_sha": change_sha,
+        **env,
+        "run_seconds": json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
+        "units": {m["name"]: m["unit"] for m in metrics},
+        "workloads": workloads,
+    }
+    Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 5:
+        sys.exit(__doc__)
+    main(*sys.argv[1:])
