@@ -1,4 +1,6 @@
+import math
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -51,3 +53,48 @@ def refuse_everywhere(monkeypatch, functions):
         for name, obj in list(vars(module).items()):
             if any(obj is fn for fn in functions):
                 monkeypatch.setattr(module, name, refuse)
+
+
+#: Significance of the law-level sampler tests: a sampler drawing from the
+#: right law fails one of them with about this probability at a random seed.
+#: The seeds are fixed, so each verdict is reproducible.
+LAW_ALPHA = 1e-6
+#: Two-sided normal bound at LAW_ALPHA for one binomial count.
+LAW_Z = NormalDist().inv_cdf(1.0 - LAW_ALPHA / 2.0)
+#: Cells expected to hold fewer draws than this are pooled into one cell, so
+#: the G statistic stays close to its chi-square law.
+MIN_EXPECTED = 5.0
+
+
+def chi2_bound(dof: int, alpha: float = LAW_ALPHA) -> float:
+    """Upper alpha-quantile of chi-square with `dof` degrees of freedom
+    (Wilson-Hilferty; slightly conservative at one degree of freedom)."""
+    z = NormalDist().inv_cdf(1.0 - alpha)
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+def assert_counts_follow(observed, probs):
+    """G-test of a table of counts against exact cell probabilities of the same
+    shape, summing to 1. A cell of probability 0 must stay empty; cells with
+    expected count below MIN_EXPECTED are pooled. Returns (G, bound)."""
+    observed = np.asarray(observed, dtype=float).ravel()
+    probs = np.asarray(probs, dtype=float).ravel()
+    assert abs(probs.sum() - 1.0) <= 1e-9
+    assert not observed[probs == 0.0].any(), "a count landed on a cell of probability 0"
+    expected = observed.sum() * probs
+    small = expected < MIN_EXPECTED
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    obs, exp = obs[exp > 0], exp[exp > 0]
+    hit = obs > 0
+    g = 2.0 * float(np.sum(obs[hit] * np.log(obs[hit] / exp[hit])))
+    bound = chi2_bound(max(obs.size - 1, 1))
+    assert g <= bound, f"G = {g:.1f} over {obs.size} cells, bound {bound:.1f}"
+    return g, bound
+
+
+def assert_binomial(successes: int, trials: int, p: float):
+    """`successes` out of `trials` within LAW_Z standard deviations of p."""
+    sigma = math.sqrt(max(p * (1.0 - p), 0.0) * trials)
+    assert abs(successes - p * trials) <= LAW_Z * sigma + 1e-6, (successes, trials, p)

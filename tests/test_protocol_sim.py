@@ -26,7 +26,7 @@ from densecode import (
 )
 
 from circuit_oracle import circuit_joint
-from conftest import random_schmidt
+from conftest import assert_counts_follow, random_schmidt
 
 
 def sigma3(p, n):
@@ -75,6 +75,33 @@ class TestRunTrial:
             assert record.ancilla_outcomes in ((0,), (1,))
             if record.ancilla_outcomes == (1,):
                 assert record.inferred[0] == INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "state,strat",
+        [
+            ("qubit_state", DecodingStrategy.sep_me(1.0)),
+            ("qutrit_state", DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))),
+        ],
+        ids=["qubit_sep_me", "qutrit_multistage_me"],
+    )
+    def test_records_follow_distribution(self, state, strat, request):
+        """20,000 single rounds, tallied by (j, k, record), against the exact
+        record distribution with uniform messages."""
+        s = request.getfixturevalue(state)
+        labels, dist = analytic_record_distribution(s, strat)
+        counts = np.zeros((s.D, s.d2, len(labels)), dtype=np.int64)
+        rng = derived_rng(21, 0)
+        for _ in range(20_000):
+            record = run_trial(s, strat, rng)
+            (j, k), (l, m) = record.message, record.inferred
+            assert m == k
+            n = record.stage_reached
+            if n and record.ancilla_outcomes[-1] == 0:
+                label = f"s{n}:{l}"
+            else:
+                label = "inc" if l == INCONCLUSIVE else f"f:{l}"
+            counts[j, k, labels.index(label)] += 1
+        assert_counts_follow(counts, np.broadcast_to(dist[:, None, :] / s.n_messages, counts.shape))
 
 
 class TestRunSimulation:
