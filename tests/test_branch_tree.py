@@ -42,6 +42,10 @@ from conftest import refuse_everywhere
 
 FINALS = (FINAL_ME, FINAL_ABSTAIN)
 GUESSES = (None, GUESS_ME, GUESS_UNIFORM)
+#: numpy's multinomial rejects probability rows with a negative entry or with
+#: all but the last entry summing above 1 + 1e-12; Monte Carlo passes it
+#: `distribution()` rows, so every row must stay inside that tolerance.
+PVALS_ATOL = 1e-12
 #: State families of the oracle cases; "gap_above" puts the two smallest
 #: squared coefficients just outside one multiplicity class.
 KINDS = ("random", "tie", "uniform", "gap_above")
@@ -105,6 +109,9 @@ def test_tree_matches_circuit_oracle():
         final = FINALS[case % 2]
         guess = GUESSES[(case // 8) % 3]
         assert _compare(s, stages, final, guess) <= AGREE_ATOL, (case, kind, stages, final, guess)
+        dist = _BranchTree(s.coeffs, stages, final, guess).distribution()
+        assert dist.min() >= 0.0, case
+        assert np.max(np.abs(dist.sum(axis=1) - 1.0)) <= PVALS_ATOL, case
         assert abs(analytic_sift_rate(s.coeffs) - circuit_sift_rate(s)) <= AGREE_ATOL
         if guess is not None:
             eve = EveStrategy.intercept(DecodingStrategy.multistage(StagePlan(stages, final)), guess)
