@@ -18,6 +18,7 @@ deterministic system-2 outcome consumes nothing.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -257,16 +258,14 @@ class SimulationReport:
         return tuple(rates)
 
     def counts_dict(self) -> dict:
-        """Counts keyed "j,k|record:m"; the system-2 outcome m always equals k."""
-        rank, d2, _ = self.joint_counts.shape
-        out = {}
-        for j in range(rank):
-            for k in range(d2):
-                for r, label in enumerate(self.outcome_labels):
-                    c = int(self.joint_counts[j, k, r])
-                    if c:
-                        out[f"{j},{k}|{label}:{k}"] = c
-        return out
+        """Nonzero counts keyed "j,k|record:m", in (j, k, record) order; the
+        system-2 outcome m always equals k."""
+        cells = np.nonzero(self.joint_counts)
+        labels = self.outcome_labels
+        return {
+            f"{j},{k}|{labels[r]}:{k}": c
+            for j, k, r, c in zip(*(i.tolist() for i in cells), self.joint_counts[cells].tolist())
+        }
 
     def to_json(self) -> str:
         return json.dumps(
@@ -289,13 +288,10 @@ class SimulationReport:
         )
 
     def csv_rows(self) -> list:
-        rows = []
+        """[j, k, record, count] for every cell, zeros included, in (j, k, record) order."""
         rank, d2, _ = self.joint_counts.shape
-        for j in range(rank):
-            for k in range(d2):
-                for r, label in enumerate(self.outcome_labels):
-                    rows.append([j, k, label, int(self.joint_counts[j, k, r])])
-        return rows
+        keys = itertools.product(range(rank), range(d2), self.outcome_labels)
+        return [[j, k, label, c] for (j, k, label), c in zip(keys, self.joint_counts.ravel().tolist())]
 
 
 def run_simulation(
