@@ -3,8 +3,9 @@
 Monte Carlo and the key-distribution run must draw their counts from the
 exact distributions of the branch tree, whatever order they consume their
 random streams in: record counts per (carrier, readout) against
-`distribution()`, stage successes against their binomial laws, a uniform
-readout marginal, and the sift and error counts against their closed forms.
+`distribution()`, stage successes against their binomial laws, uniform
+carrier and readout marginals, and the sift and error counts against their
+closed forms.
 """
 
 from functools import lru_cache
@@ -81,9 +82,12 @@ def test_stage_successes_follow_binomial_laws(rank, kind):
 
 
 @pytest.mark.parametrize("rank,kind", MC_CASES)
-def test_readout_marginal_is_uniform(rank, kind):
+def test_message_marginals_are_uniform(rank, kind):
+    """The readout k and the carrier j are each uniform on their own, which
+    the joint test above checks only diluted over every record."""
     s, _, report = _mc_run(rank, kind)
     assert_counts_follow(report.joint_counts.sum(axis=(0, 2)), np.full(s.d2, 1.0 / s.d2))
+    assert_counts_follow(report.joint_counts.sum(axis=(1, 2)), np.full(s.D, 1.0 / s.D))
 
 
 #: Eavesdropper families of the key-distribution cases: (strategy kind, fallback).
@@ -129,6 +133,7 @@ def test_qkd_eve_counts_follow_distribution(rank, kind, fallback):
     wrong = tree.inferred != np.arange(s.D)[:, None]
     assert int(report.eve_counts[wrong].sum()) == report.errors
     assert_counts_follow(report.eve_counts, tree.distribution() / s.D)
+    assert_counts_follow(report.eve_counts.sum(axis=1), np.full(s.D, 1.0 / s.D))
 
 
 @pytest.mark.parametrize("rank", range(2, 6))
