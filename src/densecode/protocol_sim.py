@@ -4,16 +4,20 @@ A strategy becomes one closed-form branch tree per run: separation stages and
 their success probabilities from the failure-state hierarchy (stage_walk),
 confusion rows from the square-root measurement (me_outcome_probs). The
 GXOR split returns the sender's k with certainty, so only the carrier index j
-is decoded. Trials sample records from that tree, fast and bit-reproducible;
-the test suite checks the tree against the actual circuit (encoding, GXOR
-split, dilation couplings, POVMs).
+is decoded. Runs draw record counts from that tree's exact distribution, fast
+and bit-reproducible; the test suite checks the tree against the actual
+circuit (encoding, GXOR split, dilation couplings, POVMs).
 
-Randomness contract: trials are grouped in fixed-size blocks, run serially;
-block b uses the generator derived from (seed, b). Within a block the draws
-are stage-major: one bounded integer per trial for the message, then per
-separation stage one uniform per active trial followed by one per trial the
-stage concluded, then one draw per trial left for the final action. The
-deterministic system-2 outcome consumes nothing.
+Randomness contract: trials are grouped in fixed 4096-trial blocks, run
+serially; block b uses the generator derived from (seed, b). A block draws
+counts, not trials: one multinomial of its size over the D equally likely
+carriers, then one multinomial per carrier over the tree's records with
+probabilities distribution(). After the last block, the generator derived
+from (seed, number of blocks) splits each (carrier, record) count over the
+d2 equally likely values of the sender's k, which the system-2 readout
+returns exactly: one multinomial per cell. run_trial, the single-round API,
+draws one bounded integer for the message (j, k), then one uniform for the
+record by inverse CDF on distribution()[j].
 """
 
 from __future__ import annotations
@@ -116,7 +120,7 @@ class TrialRecord:
 class _BranchTree:
     """Closed-form branch tree of a decoding strategy over one symmetric family.
 
-    stage_entries[n] = (P_s, confusion table, its cdf, record offset) of the
+    stage_entries[n] = (P_s, confusion table, record offset) of the
     n-th stage of stage_walk; a table is the circulant q[(j - l) mod D] of
     q = me_outcome_probs. The walk ends after a sure stage (xi = 0, uniform
     family). Records are "s{n}:l" for success at stage n, then those of the
@@ -135,7 +139,7 @@ class _BranchTree:
         records: list = []
         for n, smap in enumerate(maps):
             table = me_outcome_probs(smap.b_coeffs)[circulant]
-            self.stage_entries.append((smap.p_success, table, np.cumsum(table, axis=1), len(records)))
+            self.stage_entries.append((smap.p_success, table, len(records)))
             records += [f"s{n + 1}:{l}" for l in range(rank)]
             if smap.p_success >= _SURE_SUCCESS:
                 # The final action, reached with weight 0, reads this stage's input.
@@ -156,7 +160,6 @@ class _BranchTree:
         self.final_table = None
         if final == FINAL_ME or guess == GUESS_ME:
             self.final_table = me_outcome_probs(rest)[circulant]
-        self.final_cdf = None if self.final_table is None else np.cumsum(self.final_table, axis=1)
 
     def distribution(self) -> np.ndarray:
         """Exact P(record | hypothesis), shape (D, n_records), rows summing to
@@ -164,7 +167,7 @@ class _BranchTree:
         action's rows; a uniform guess spreads the remaining weight evenly."""
         dist = np.zeros((self.rank, len(self.records)))
         weight = 1.0
-        for p_stage, table, _, offset in self.stage_entries:
+        for p_stage, table, offset in self.stage_entries:
             dist[:, offset : offset + self.rank] = weight * p_stage * table
             weight *= 1.0 - p_stage
         if self.final_table is not None:
@@ -174,38 +177,6 @@ class _BranchTree:
         else:
             dist[:, self.final_offset] = weight
         return dist
-
-
-def _draw_rows(cdf: np.ndarray, hypotheses: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(size=hypotheses.size)
-    rows = cdf[hypotheses]
-    idx = (rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf.shape[1] - 1)
-
-
-def _sample_records(fam: _BranchTree, hypotheses: np.ndarray, rng: np.random.Generator):
-    """Record index per trial, stage-major: each stage draws one uniform per
-    active trial, then one per trial it concluded; the final action draws one
-    uniform per remaining trial, or one bounded integer for a uniform guess."""
-    record = np.empty(hypotheses.size, dtype=np.int64)
-    active = np.arange(hypotheses.size)
-    for p_stage, _, cdf, offset in fam.stage_entries:
-        if active.size == 0:
-            break
-        ok = rng.random(size=active.size) < p_stage
-        concluded = active[ok]
-        if concluded.size:
-            record[concluded] = offset + _draw_rows(cdf, hypotheses[concluded], rng)
-        active = active[~ok]
-    if active.size:
-        if fam.final_cdf is not None:
-            rows = _draw_rows(fam.final_cdf, hypotheses[active], rng)
-        elif fam.uniform_guess:
-            rows = rng.integers(0, fam.rank, size=active.size)
-        else:
-            rows = 0
-        record[active] = fam.final_offset + rows
-    return record
 
 
 def run_blocks(seed: int, n: int, block: int = _BLOCK):
@@ -218,18 +189,21 @@ def run_blocks(seed: int, n: int, block: int = _BLOCK):
 
 
 @lru_cache(maxsize=64)
-def _trial_tree(coeffs: bytes, stages: tuple, final: str) -> _BranchTree:
-    """Branch tree of one (coefficients, normalized strategy) pair, built once
-    and shared by every run_trial call with that pair; trials only read it."""
-    return _BranchTree(np.frombuffer(coeffs), stages, final)
+def _trial_tree(coeffs: bytes, stages: tuple, final: str):
+    """Branch tree of one (coefficients, normalized strategy) pair and the
+    cumulative sums of its distribution() rows, built once and shared by
+    every run_trial call with that pair; trials only read them."""
+    fam = _BranchTree(np.frombuffer(coeffs), stages, final)
+    return fam, np.cumsum(fam.distribution(), axis=1)
 
 
 def run_trial(s: SchmidtState, strat: DecodingStrategy, rng: np.random.Generator) -> TrialRecord:
     """Simulate a single round: draw a message (j, k), then one record of the
     strategy's branch tree for carrier j; the system-2 readout returns k."""
-    fam = _trial_tree(s.coeffs.tobytes(), *strat.normalized())
+    fam, cdf = _trial_tree(s.coeffs.tobytes(), *strat.normalized())
     j, k = divmod(int(rng.integers(0, s.n_messages, size=1)[0]), s.d2)
-    record = int(_sample_records(fam, np.array([j]), rng)[0])
+    u = rng.random()
+    record = min(int(np.searchsorted(cdf[j], u, side="right")), cdf.shape[1] - 1)
     n_stages = len(fam.stage_entries)
     stage = record // fam.rank
     ancilla = (1,) * stage + (0,) if stage < n_stages else (1,) * n_stages
@@ -302,18 +276,20 @@ def run_simulation(
     threads: int | None = None,
 ) -> SimulationReport:
     """Seed-deterministic Monte Carlo run. `threads` is accepted and ignored:
-    blocks run serially."""
+    blocks run serially. Each block costs O(D * records) whatever its size."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     fam = _BranchTree(s.coeffs, *strat.normalized())
-    n_records = len(fam.records)
-    counts = np.zeros(s.n_messages * n_records, dtype=np.int64)
+    dist = fam.distribution()
+    by_carrier = np.zeros(dist.shape, dtype=np.int64)
+    n_blocks = 0
     for rng, size in run_blocks(seed, n_trials):
-        msg = rng.integers(0, s.n_messages, size=size)
-        record = _sample_records(fam, msg // s.d2, rng)
-        counts += np.bincount(msg * n_records + record, minlength=counts.size)
-    counts = counts.reshape(fam.rank, s.d2, n_records)
-    per_record = counts.sum(axis=(0, 1))
+        per_carrier = rng.multinomial(size, np.full(fam.rank, 1.0 / fam.rank))
+        by_carrier += rng.multinomial(per_carrier, dist)
+        n_blocks += 1
+    readout = derived_rng(seed, n_blocks).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
+    counts = np.ascontiguousarray(readout.transpose(0, 2, 1))
+    per_record = by_carrier.sum(axis=0)
     successes = [int(per_record[offset : offset + fam.rank].sum()) for *_, offset in fam.stage_entries]
     attempts = [n_trials - sum(successes[:i]) for i in range(len(successes))]
     counts.setflags(write=False)

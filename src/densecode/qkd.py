@@ -20,7 +20,6 @@ from .protocol_sim import (
     GUESS_UNIFORM,
     DecodingStrategy,
     _BranchTree,
-    _sample_records,
     run_blocks,
 )
 
@@ -128,37 +127,29 @@ def simulate_qkd(
     threads: int | None = None,
 ) -> QkdReport:
     """Seed-deterministic intercept-resend run. `threads` is accepted and
-    ignored: blocks run serially. Per block the draws are the transmitted
-    dits, the eavesdropper's records (stage-major), then the receiver's sift."""
+    ignored: blocks run serially. Each block draws counts: the transmitted
+    dits per carrier, the eavesdropper's records per carrier, then the
+    receiver's sift of each (carrier, record) cell. Without an eavesdropper a
+    block draws one sift count."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     if s.D < 2:
         raise ValueError("sifting requires channel rank >= 2")
     p_keep = analytic_sift_rate(s.coeffs)
-    fam = None
-    if eve.kind == "intercept":
-        fam = _BranchTree(s.coeffs, *eve.strategy.normalized(), eve.fallback)
-    n_records = len(fam.records) if fam else 0
-    counts = np.zeros(s.D * n_records, dtype=np.int64)
-    kept = errors = 0
-    for rng, n in run_blocks(seed, n_rounds):
-        j_all = rng.integers(0, s.D, size=n)
-        if fam is not None:
-            record = _sample_records(fam, j_all, rng)
-            dit = fam.inferred[record]
-        else:
-            dit = j_all
-        keep = rng.random(size=n) < p_keep
-        kept += int(keep.sum())
-        errors += int(np.sum(keep & (dit != j_all)))
-        if fam is not None:
-            counts += np.bincount(j_all[keep] * n_records + record[keep], minlength=counts.size)
-    eve_info = 0.0
-    if fam is None:
-        counts = None
+    labels, counts, errors, eve_info = (), None, 0, 0.0
+    if eve.kind == "absent":
+        kept = sum(int(rng.binomial(n, p_keep)) for rng, n in run_blocks(seed, n_rounds))
     else:
-        counts = counts.reshape(s.D, n_records)
+        fam = _BranchTree(s.coeffs, *eve.strategy.normalized(), eve.fallback)
+        dist = fam.distribution()
+        counts = np.zeros(dist.shape, dtype=np.int64)
+        for rng, n in run_blocks(seed, n_rounds):
+            per_carrier = rng.multinomial(n, np.full(s.D, 1.0 / s.D))
+            counts += rng.binomial(rng.multinomial(per_carrier, dist), p_keep)
         counts.setflags(write=False)
+        labels = fam.records
+        kept = int(counts.sum())
+        errors = int(counts[fam.inferred != np.arange(s.D)[:, None]].sum())
         if kept:
             eve_info = counts_mutual_info(counts[:, None, :], kept)
     return QkdReport(
@@ -171,7 +162,7 @@ def simulate_qkd(
         sift_rate=kept / n_rounds,
         sifted_error_rate=errors / kept if kept else 0.0,
         eve_info_bits=eve_info,
-        eve_record_labels=fam.records if fam else (),
+        eve_record_labels=labels,
         eve_counts=counts,
     )
 

@@ -138,20 +138,6 @@ class TestRunSimulation:
         d = run_simulation(qubit_state, strat, 20000, seed=10)
         assert a.to_json() != d.to_json()
 
-    def test_single_trial_matches_run_trial(self, qubit_state):
-        strat = DecodingStrategy.sep_me(1.0)
-        for seed in range(8):
-            record = run_trial(qubit_state, strat, derived_rng(seed, 0))
-            report = run_simulation(qubit_state, strat, 1, seed=seed)
-            j, k = record.message
-            label = (
-                "inc"
-                if record.inferred[0] == INCONCLUSIVE
-                else f"s{record.stage_reached}:{record.inferred[0]}"
-            )
-            assert report.joint_counts[j, k, report.outcome_labels.index(label)] == 1
-            assert report.joint_counts.sum() == 1
-
     def test_run_trial_builds_its_tree_once(self, qubit_state, monkeypatch):
         builds = []
         tree = protocol_sim._BranchTree
