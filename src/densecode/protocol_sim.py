@@ -287,6 +287,7 @@ def run_simulation(
         per_carrier = rng.multinomial(size, np.full(fam.rank, 1.0 / fam.rank))
         by_carrier += rng.multinomial(per_carrier, dist)
         n_blocks += 1
+    # The stream after the last block splits each (carrier, record) count over k.
     readout = derived_rng(seed, n_blocks).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
     counts = np.ascontiguousarray(readout.transpose(0, 2, 1))
     per_record = by_carrier.sum(axis=0)
