@@ -188,6 +188,17 @@ def run_blocks(seed: int, n: int, block: int = _BLOCK):
     return ((derived_rng(seed, b), min(block, n - start)) for b, start in enumerate(range(0, n, block)))
 
 
+def block_tables(seed: int, n: int, dist: np.ndarray):
+    """(generator, counts) for each block of `n` trials: the block's carrier
+    counts are one multinomial over the D = len(dist) equally likely
+    carriers, then its (carrier, record) counts one multinomial per carrier
+    over the rows of `dist`. The caller may go on drawing from the generator
+    before the next block."""
+    carriers = np.full(len(dist), 1.0 / len(dist))
+    for rng, size in run_blocks(seed, n):
+        yield rng, rng.multinomial(rng.multinomial(size, carriers), dist)
+
+
 @lru_cache(maxsize=64)
 def _trial_tree(coeffs: bytes, stages: tuple, final: str):
     """Branch tree of one (coefficients, normalized strategy) pair and the
@@ -280,13 +291,8 @@ def run_simulation(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     fam = _BranchTree(s.coeffs, *strat.normalized())
-    dist = fam.distribution()
-    by_carrier = np.zeros(dist.shape, dtype=np.int64)
-    n_blocks = 0
-    for rng, size in run_blocks(seed, n_trials):
-        per_carrier = rng.multinomial(size, np.full(fam.rank, 1.0 / fam.rank))
-        by_carrier += rng.multinomial(per_carrier, dist)
-        n_blocks += 1
+    by_carrier = sum(table for _, table in block_tables(seed, n_trials, fam.distribution()))
+    n_blocks = -(-n_trials // _BLOCK)
     # The stream after the last block splits each (carrier, record) count over k.
     readout = derived_rng(seed, n_blocks).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
     counts = np.ascontiguousarray(readout.transpose(0, 2, 1))

@@ -20,6 +20,7 @@ from .protocol_sim import (
     GUESS_UNIFORM,
     DecodingStrategy,
     _BranchTree,
+    block_tables,
     run_blocks,
 )
 
@@ -141,11 +142,8 @@ def simulate_qkd(
         kept = sum(int(rng.binomial(n, p_keep)) for rng, n in run_blocks(seed, n_rounds))
     else:
         fam = _BranchTree(s.coeffs, *eve.strategy.normalized(), eve.fallback)
-        dist = fam.distribution()
-        counts = np.zeros(dist.shape, dtype=np.int64)
-        for rng, n in run_blocks(seed, n_rounds):
-            per_carrier = rng.multinomial(n, np.full(s.D, 1.0 / s.D))
-            counts += rng.binomial(rng.multinomial(per_carrier, dist), p_keep)
+        tables = block_tables(seed, n_rounds, fam.distribution())
+        counts = sum(rng.binomial(table, p_keep) for rng, table in tables)
         counts.setflags(write=False)
         labels = fam.records
         kept = int(counts.sum())

@@ -66,10 +66,10 @@ LAW_Z = NormalDist().inv_cdf(1.0 - LAW_ALPHA / 2.0)
 MIN_EXPECTED = 5.0
 
 
-def chi2_bound(dof: int, alpha: float = LAW_ALPHA) -> float:
-    """Upper alpha-quantile of chi-square with `dof` degrees of freedom
+def chi2_bound(dof: int) -> float:
+    """Upper LAW_ALPHA-quantile of chi-square with `dof` degrees of freedom
     (Wilson-Hilferty; slightly conservative at one degree of freedom)."""
-    z = NormalDist().inv_cdf(1.0 - alpha)
+    z = NormalDist().inv_cdf(1.0 - LAW_ALPHA)
     h = 2.0 / (9.0 * dof)
     return dof * (1.0 - h + z * math.sqrt(h)) ** 3
 
@@ -77,7 +77,7 @@ def chi2_bound(dof: int, alpha: float = LAW_ALPHA) -> float:
 def assert_counts_follow(observed, probs):
     """G-test of a table of counts against exact cell probabilities of the same
     shape, summing to 1. A cell of probability 0 must stay empty; cells with
-    expected count below MIN_EXPECTED are pooled. Returns (G, bound)."""
+    expected count below MIN_EXPECTED are pooled."""
     observed = np.asarray(observed, dtype=float).ravel()
     probs = np.asarray(probs, dtype=float).ravel()
     assert abs(probs.sum() - 1.0) <= 1e-9
@@ -91,7 +91,6 @@ def assert_counts_follow(observed, probs):
     g = 2.0 * float(np.sum(obs[hit] * np.log(obs[hit] / exp[hit])))
     bound = chi2_bound(max(obs.size - 1, 1))
     assert g <= bound, f"G = {g:.1f} over {obs.size} cells, bound {bound:.1f}"
-    return g, bound
 
 
 def assert_binomial(successes: int, trials: int, p: float):

@@ -111,17 +111,13 @@ def _qkd_run(rank: int, kind: str, fallback: str):
     return s, eve, simulate_qkd(s, eve, QKD_ROUNDS, seed=seed)
 
 
-def _sift_law(report, p_keep: float, error: float):
-    """Counts (kept and correct, kept and wrong, discarded) with their closed-form probabilities."""
-    counts = [report.kept - report.errors, report.errors, report.n_rounds - report.kept]
-    probs = [p_keep * (1.0 - error), p_keep * error, 1.0 - p_keep]
-    return counts, probs
-
-
 @pytest.mark.parametrize("rank,kind,fallback", QKD_CASES)
 def test_qkd_sift_and_errors_follow_closed_form(rank, kind, fallback):
+    """Rounds kept and correct, kept and wrong, and discarded."""
     s, eve, report = _qkd_run(rank, kind, fallback)
-    assert_counts_follow(*_sift_law(report, analytic_sift_rate(s.coeffs), analytic_qkd_error(s.coeffs, eve)))
+    p_keep, error = analytic_sift_rate(s.coeffs), analytic_qkd_error(s.coeffs, eve)
+    counts = [report.kept - report.errors, report.errors, report.n_rounds - report.kept]
+    assert_counts_follow(counts, [p_keep * (1.0 - error), p_keep * error, 1.0 - p_keep])
 
 
 @pytest.mark.parametrize("rank,kind,fallback", QKD_CASES)
