@@ -12,12 +12,13 @@ Randomness contract: trials are grouped in fixed 4096-trial blocks, run
 serially; block b uses the generator derived from (seed, b). A block draws
 counts, not trials: one multinomial of its size over the D equally likely
 carriers, then one multinomial per carrier over the tree's records with
-probabilities distribution(). After the last block, the generator derived
-from (seed, number of blocks) splits each (carrier, record) count over the
-d2 equally likely values of the sender's k, which the system-2 readout
-returns exactly: one multinomial per cell. run_trial, the single-round API,
+probabilities multinomial_rows(distribution()), rows clipped at 0 and
+renormalised. After the last block, the generator derived from (seed,
+number of blocks) splits each (carrier, record) count over the d2 equally
+likely values of the sender's k, which the system-2 readout returns
+exactly: one multinomial per cell. run_trial, the single-round API,
 draws one bounded integer for the message (j, k), then one uniform for the
-record by inverse CDF on distribution()[j].
+record by inverse CDF on the same row.
 """
 
 from __future__ import annotations
@@ -179,33 +180,49 @@ class _BranchTree:
         return dist
 
 
-def run_blocks(seed: int, n: int, block: int = _BLOCK):
+def _block_starts(n: int) -> range:
+    """First trial of each fixed-size block of `n` trials. Block b draws from
+    derived_rng(seed, b); stream len(_block_starts(n)) is the first past them."""
+    return range(0, n, _BLOCK)
+
+
+def run_blocks(seed: int, n: int):
     """(generator, size) for each block of `n` trials, in index order; block b
     draws from derived_rng(seed, b), so runs replay bit for bit. The seed is
     checked here, before any draw: it must be an unsigned 64-bit integer."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
-    return ((derived_rng(seed, b), min(block, n - start)) for b, start in enumerate(range(0, n, block)))
+    return ((derived_rng(seed, b), min(_BLOCK, n - start)) for b, start in enumerate(_block_starts(n)))
+
+
+def multinomial_rows(dist: np.ndarray) -> np.ndarray:
+    """Rows of `dist` clipped at 0 and divided by their sums, so that numpy's
+    multinomial takes them: entries in [0, 1], partial sums at most 1 + 1e-12.
+    distribution() alone is not enough. The Bell state's ME row holds
+    1 + 2.2e-16, and a state's squared coefficients may sum to 1 within 1e-10."""
+    rows = np.clip(dist, 0.0, None)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def block_tables(seed: int, n: int, dist: np.ndarray):
     """(generator, counts) for each block of `n` trials: the block's carrier
     counts are one multinomial over the D = len(dist) equally likely
     carriers, then its (carrier, record) counts one multinomial per carrier
-    over the rows of `dist`. The caller may go on drawing from the generator
-    before the next block."""
+    over the rows of `dist`, made valid by multinomial_rows. The caller may
+    go on drawing from the generator before the next block."""
     carriers = np.full(len(dist), 1.0 / len(dist))
+    rows = multinomial_rows(dist)
     for rng, size in run_blocks(seed, n):
-        yield rng, rng.multinomial(rng.multinomial(size, carriers), dist)
+        yield rng, rng.multinomial(rng.multinomial(size, carriers), rows)
 
 
 @lru_cache(maxsize=64)
 def _trial_tree(coeffs: bytes, stages: tuple, final: str):
     """Branch tree of one (coefficients, normalized strategy) pair and the
-    cumulative sums of its distribution() rows, built once and shared by
-    every run_trial call with that pair; trials only read them."""
+    cumulative sums of its multinomial_rows, built once and shared by every
+    run_trial call with that pair; trials only read them."""
     fam = _BranchTree(np.frombuffer(coeffs), stages, final)
-    return fam, np.cumsum(fam.distribution(), axis=1)
+    return fam, np.cumsum(multinomial_rows(fam.distribution()), axis=1)
 
 
 def run_trial(s: SchmidtState, strat: DecodingStrategy, rng: np.random.Generator) -> TrialRecord:
@@ -292,9 +309,9 @@ def run_simulation(
         raise ValueError("n_trials must be >= 1")
     fam = _BranchTree(s.coeffs, *strat.normalized())
     by_carrier = sum(table for _, table in block_tables(seed, n_trials, fam.distribution()))
-    n_blocks = -(-n_trials // _BLOCK)
-    # The stream after the last block splits each (carrier, record) count over k.
-    readout = derived_rng(seed, n_blocks).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
+    # The first stream past the blocks splits each (carrier, record) count over k.
+    readout_rng = derived_rng(seed, len(_block_starts(n_trials)))
+    readout = readout_rng.multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
     counts = np.ascontiguousarray(readout.transpose(0, 2, 1))
     per_record = by_carrier.sum(axis=0)
     successes = [int(per_record[offset : offset + fam.rank].sum()) for *_, offset in fam.stage_entries]

@@ -27,7 +27,7 @@ from densecode import (
     simulate_qkd,
 )
 from densecode.channel import GROUP_TOL_SQ
-from densecode.protocol_sim import _BranchTree
+from densecode.protocol_sim import _BranchTree, multinomial_rows
 
 from circuit_oracle import (
     AGREE_ATOL,
@@ -42,9 +42,11 @@ from conftest import refuse_everywhere
 
 FINALS = (FINAL_ME, FINAL_ABSTAIN)
 GUESSES = (None, GUESS_ME, GUESS_UNIFORM)
-#: numpy's multinomial rejects probability rows with a negative entry or with
-#: all but the last entry summing above 1 + 1e-12; Monte Carlo passes it
-#: `distribution()` rows, so every row must stay inside that tolerance.
+#: numpy's multinomial rejects probability rows with an entry outside [0, 1]
+#: or with all but the last entry summing above 1 + 1e-12. `distribution()`
+#: rows sum to 1 within this tolerance, but an entry may pass 1 by an ulp
+#: (the Bell state's ME row), so Monte Carlo samples `multinomial_rows` of
+#: them: inside numpy's bounds and within this tolerance of `distribution()`.
 PVALS_ATOL = 1e-12
 #: State families of the oracle cases; "gap_above" puts the two smallest
 #: squared coefficients just outside one multiplicity class.
@@ -112,6 +114,10 @@ def test_tree_matches_circuit_oracle():
         dist = _BranchTree(s.coeffs, stages, final, guess).distribution()
         assert dist.min() >= 0.0, case
         assert np.max(np.abs(dist.sum(axis=1) - 1.0)) <= PVALS_ATOL, case
+        rows = multinomial_rows(dist)
+        assert rows.min() >= 0.0 and rows.max() <= 1.0, case
+        assert np.max(rows[:, :-1].sum(axis=1)) <= 1.0 + PVALS_ATOL, case
+        assert np.max(np.abs(rows - dist)) <= PVALS_ATOL, case
         assert abs(analytic_sift_rate(s.coeffs) - circuit_sift_rate(s)) <= AGREE_ATOL
         if guess is not None:
             eve = EveStrategy.intercept(DecodingStrategy.multistage(StagePlan(stages, final)), guess)

@@ -20,6 +20,7 @@ from densecode import (
     GUESS_UNIFORM,
     DecodingStrategy,
     EveStrategy,
+    SchmidtState,
     StagePlan,
     analytic_qkd_error,
     analytic_record_distribution,
@@ -138,3 +139,43 @@ def test_qkd_without_eve_keeps_binomially_and_errs_never(rank):
     report = simulate_qkd(s, EveStrategy.absent(), QKD_ROUNDS, seed=900 + rank)
     assert report.errors == 0 and report.eve_counts is None
     assert_binomial(report.kept, QKD_ROUNDS, analytic_sift_rate(s.coeffs))
+
+
+#: Resources at the edges of floating point and of the input check, as
+#: (d1, d2, squared coefficients): the Bell state, whose ME row holds
+#: 1 + 2.2e-16; uniform rank 3; and (near-)uniform states whose squares sum
+#: to 1 + 5e-11, inside the 1e-10 slack SchmidtState accepts, so that a row
+#: entry or a partial row sum passes 1 by about that much.
+EDGE_STATES = {
+    "bell": (2, 2, [0.5, 0.5]),
+    "uniform3": (3, 4, [1 / 3] * 3),
+    "slack_uniform2": (2, 2, [0.5 + 2.5e-11] * 2),
+    "slack_near_uniform3": (3, 3, [1 / 3, 1 / 3, 1 / 3 + 5e-11]),
+}
+EDGE_STRATEGIES = {
+    "me": DecodingStrategy.me(),
+    "sep_me": DecodingStrategy.sep_me(1.0),
+    "ms_me": DecodingStrategy.multistage(StagePlan((1.0,), FINAL_ME)),
+}
+EDGE_CASES = [(state, kind) for state in EDGE_STATES for kind in EDGE_STRATEGIES]
+EDGE_TRIALS = 20_000
+
+
+@pytest.mark.parametrize("state,kind", EDGE_CASES)
+def test_samplers_take_rows_at_float_edges(state, kind):
+    """Monte Carlo and the key-distribution run take these resources and
+    draw from distribution()."""
+    d1, d2, squared = EDGE_STATES[state]
+    s, strat = SchmidtState.from_squared(d1, d2, squared), EDGE_STRATEGIES[kind]
+    _, dist = analytic_record_distribution(s, strat)
+    seed = 1100 + EDGE_CASES.index((state, kind))
+    report = run_simulation(s, strat, EDGE_TRIALS, seed=seed)
+    probs = np.broadcast_to(dist[:, None, :] / s.n_messages, report.joint_counts.shape)
+    assert_counts_follow(report.joint_counts, probs)
+
+    for fallback in (GUESS_UNIFORM, GUESS_ME):
+        eve = EveStrategy.intercept(strat, fallback)
+        qkd = simulate_qkd(s, eve, EDGE_TRIALS, seed=seed)
+        assert_binomial(qkd.kept, EDGE_TRIALS, analytic_sift_rate(s.coeffs))
+        tree = _BranchTree(s.coeffs, *strat.normalized(), fallback)
+        assert_counts_follow(qkd.eve_counts, tree.distribution() / s.D)
