@@ -29,6 +29,8 @@ from .qkd import EveStrategy, analytic_qkd_error, analytic_sift_rate, simulate_q
 
 _DEFAULT_MARGIN = 1e-3
 _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
+#: Most rows one sweep may compute; the rank-8 grid-12 lattice has 50,388.
+MAX_SWEEP_ROWS = 10**6
 
 _FLOAT = "{:.9g}".format
 _FLOATS_ONLY = {float}
@@ -67,6 +69,12 @@ def _write_text(path: str, text: str) -> None:
         raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
 
 
+def _check_rows(rows: int) -> None:
+    """Fail before a sweep allocates anything for more than MAX_SWEEP_ROWS rows."""
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
+
+
 def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
     """Uniform lattice over squared coefficients, affinely shrunk so every
     coordinate stays at least `margin` from the simplex boundary (a boundary
@@ -84,6 +92,7 @@ def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
         raise ValueError("boundary margin must be positive")
     if rank * margin >= 1.0:
         raise ValueError("margin too large for this rank")
+    _check_rows(math.comb(resolution + rank - 1, rank - 1))
     # Grow the compositions one part at a time: each prefix with `left` still
     # to place is followed by heads 0..left, which keeps lexicographic order.
     combos = np.zeros((1, 0), dtype=np.int64)
@@ -162,6 +171,7 @@ def _cmd_sweep_sep(args) -> int:
     out = _out_path(args, config, "sweep_sep.csv")
     if steps < 1:
         raise RuntimeError("xi_steps must be >= 1")
+    _check_rows(steps + 1)
     xi = np.arange(steps + 1) / steps
     total, p_s, success = sep_bits(state.coeffs, state.d2, xi)
     i_me = np.full(xi.size, mutual_info_me(state).total_bits)

@@ -136,6 +136,32 @@ def test_non_string_out_config_fails_before_writing(command, config, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["sweep-me", "--d1", "8", "--d2", "8", "--grid", "100000"], math.comb(100007, 7)),
+        (["sweep-multistage", "--d1", "8", "--d2", "8", "--grid", "100000"], math.comb(100007, 7)),
+        (["sweep-sep", "--xi-steps", "10000000000"], 10000000001),
+    ],
+)
+def test_oversized_sweep_fails_before_allocating(argv, rows, tmp_path, capsys):
+    # Unchecked, the first would allocate 37 GiB and the last 74 GiB.
+    out = tmp_path / "never.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"sweep of {rows} rows" in err and f"limit of {cli.MAX_SWEEP_ROWS} rows" in err
+    assert not out.exists()
+
+
+def test_sweep_row_limit_is_inclusive():
+    cli._check_rows(cli.MAX_SWEEP_ROWS)
+    with pytest.raises(ValueError, match=f"sweep of {cli.MAX_SWEEP_ROWS + 1} rows"):
+        cli._check_rows(cli.MAX_SWEEP_ROWS + 1)
+    # The largest lattice in use stays well inside the limit.
+    assert math.comb(12 + 7, 7) < cli.MAX_SWEEP_ROWS
+
+
 class TestSweepMe:
     def test_header_centroid_and_formatting(self, tmp_path):
         out = tmp_path / "me.csv"
