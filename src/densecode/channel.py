@@ -1,6 +1,5 @@
-"""Shared entangled resource, sender-side encoding, and the receiver's
-GXOR-plus-target-measurement split into a symmetric-state discrimination
-subproblem."""
+"""The shared entangled resource: a Schmidt state, its validation, and the
+config-number parsing the file formats share."""
 
 from __future__ import annotations
 
@@ -10,11 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import gxor, pauli_x, pauli_z
-from .tensor_core import Ket, Operator, apply
-
 #: Coefficients below this are treated as absent from the Schmidt decomposition.
 COEFF_TOL = 1e-12
+#: Slack of "squared coefficients sum to 1".
+NORM_TOL = 1e-10
 #: Squared-coefficient spread below which values share a multiplicity class.
 GROUP_TOL_SQ = 1e-9
 
@@ -41,7 +39,7 @@ def check_coeffs(d1: int, d2: int, coeffs) -> np.ndarray:
         raise ValueError("coeffs must be a nonempty 1D vector")
     if not np.all(coeffs >= COEFF_TOL):
         raise ValueError("all Schmidt coefficients must be finite and strictly positive")
-    if np.any(np.abs(np.sum(coeffs**2, axis=-1) - 1.0) > 1e-10):
+    if np.any(np.abs(np.sum(coeffs**2, axis=-1) - 1.0) > NORM_TOL):
         raise ValueError("squared Schmidt coefficients must sum to 1")
     if coeffs.shape[-1] > min(d1, d2):
         raise ValueError("Schmidt rank exceeds min(d1, d2)")
@@ -118,70 +116,3 @@ class SchmidtState:
 
     def to_dict(self) -> dict:
         return {"d1": self.d1, "d2": self.d2, "coeffs": [float(c) for c in self.coeffs]}
-
-
-@dataclass(frozen=True)
-class Message:
-    """Classical message (j, k) with j < D and k < d2."""
-
-    j: int
-    k: int
-
-    def validate(self, s: SchmidtState) -> None:
-        if not 0 <= self.j < s.D:
-            raise ValueError(f"message j={self.j} out of range for rank {s.D}")
-        if not 0 <= self.k < s.d2:
-            raise ValueError(f"message k={self.k} out of range for d2={s.d2}")
-
-
-def resource_state(s: SchmidtState) -> Ket:
-    """The shared ket sum_l a_l |l>_1 |l>_2 in the d1*d2 space."""
-    amps = np.zeros(s.d1 * s.d2, dtype=complex)
-    for level, coeff in enumerate(s.coeffs):
-        amps[level * s.d2 + level] = coeff
-    return Ket(amps)
-
-
-def _encoding_unitary(s: SchmidtState, m: Message) -> np.ndarray:
-    xmat = pauli_x(s.d2).entries
-    xpow = np.linalg.matrix_power(xmat, (-m.k) % s.d2)
-    if s.D == 1:
-        return xpow
-    zmat = pauli_z(s.D, s.d2).entries
-    return xpow @ np.linalg.matrix_power(zmat, m.j)
-
-
-def encode(s: SchmidtState, m: Message) -> Ket:
-    """Sender's local action: (I x X^-k Z^j) applied to the resource state."""
-    m.validate(s)
-    local = _encoding_unitary(s, m)
-    full = np.kron(np.eye(s.d1, dtype=complex), local)
-    return apply(Operator(full), resource_state(s))
-
-
-def symmetric_state(s: SchmidtState, j: int) -> Ket:
-    """Carrier state sum_l a_l exp(2*pi*i*j*l/D) |l> in the d1 space."""
-    if not 0 <= j < s.D:
-        raise ValueError(f"index j={j} out of range for rank {s.D}")
-    amps = np.zeros(s.d1, dtype=complex)
-    levels = np.arange(s.D)
-    amps[: s.D] = s.coeffs * np.exp(2j * np.pi * j * levels / s.D)
-    return Ket(amps)
-
-
-def decode_split(state: Ket, s: SchmidtState):
-    """Apply GXOR and measure system 2; returns (k, residual system-1 state).
-
-    The system-2 outcome is deterministic for any validly encoded state; a
-    spread-out outcome distribution means the input was not one.
-    """
-    if state.dim != s.d1 * s.d2:
-        raise ValueError("state dimension does not match the channel")
-    split = apply(gxor(s.d1, s.d2), state)
-    table = split.amplitudes.reshape(s.d1, s.d2)
-    outcome_probs = np.sum(np.abs(table) ** 2, axis=0)
-    k = int(np.argmax(outcome_probs))
-    if outcome_probs[k] < 1.0 - 1e-9:
-        raise ValueError("input is not a valid encoded state")
-    branch = table[:, k]
-    return k, Ket(branch / np.linalg.norm(branch))

@@ -1,6 +1,6 @@
-"""Analytic information quantities: conditional entropy, the simplified
-mutual-information reduction, per-strategy totals, and the textbook
-joint-distribution oracle."""
+"""Analytic information quantities: the simplified mutual-information
+reduction, per-strategy totals, the plug-in estimate from counts, and the
+textbook joint-distribution oracle."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .channel import SchmidtState
 from .discrimination import FINAL_ME, StagePlan, me_outcome_probs, separate, walk_stages
-from .tensor_core import Measurement, born_probabilities
 
 _ZERO_PROB = 1e-15
 
@@ -55,17 +54,6 @@ class InfoReport:
         object.__setattr__(
             self, "stage_success_bits", tuple(float(b) for b in self.stage_success_bits)
         )
-
-
-def conditional_entropy(states, m: Measurement) -> float:
-    """Equal-prior conditional entropy -(1/D) sum_jl p(l|j) log2 p(l|j)."""
-    n_states = len(states)
-    if n_states == 0:
-        raise ValueError("empty state family")
-    acc = 0.0
-    for state in states:
-        acc += float(_plogp(born_probabilities(state, m)))
-    return -acc / n_states
 
 
 def me_bits(coeffs, d2: int) -> np.ndarray:

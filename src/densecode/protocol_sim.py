@@ -1,7 +1,7 @@
 """End-to-end Monte Carlo simulation of the dense-coding protocol.
 
 A strategy becomes one closed-form branch tree per run: separation stages and
-their success probabilities from the failure-state hierarchy (stage_walk),
+their success probabilities from the failure-state hierarchy (walk_stages),
 confusion rows from the square-root measurement (me_outcome_probs). The
 GXOR split returns the sender's k with certainty, so only the carrier index j
 is decoded. Runs draw record counts from that tree's exact distribution, fast
@@ -31,11 +31,13 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import SchmidtState, config_number
-from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, stage_walk
+from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 from .infometrics import counts_mutual_info
-from .tensor_core import INCONCLUSIVE, derived_rng
 
 _BLOCK = 4096
+
+#: Inferred hypothesis of a record that abstains.
+INCONCLUSIVE = -1
 
 #: An eavesdropper's guess on an abstained record.
 GUESS_UNIFORM = "uniform"
@@ -121,9 +123,9 @@ class TrialRecord:
 class _BranchTree:
     """Closed-form branch tree of a decoding strategy over one symmetric family.
 
-    stage_entries[n] = (P_s, confusion table, record offset) of the
-    n-th stage of stage_walk; a table is the circulant q[(j - l) mod D] of
-    q = me_outcome_probs. The walk ends after a sure stage (xi = 0, uniform
+    stage_entries[n] = (P_s, confusion table, record offset) of the n-th
+    stage that walk_stages executes; a table is the circulant q[(j - l) mod D]
+    of q = me_outcome_probs. The walk ends after a sure stage (xi = 0, uniform
     family). Records are "s{n}:l" for success at stage n, then those of the
     final action: "f:l" for ME, "inc" for abstention. An eavesdropper (`guess`
     set) never abstains: she follows the empty "inc" column with an ME guess
@@ -135,16 +137,20 @@ class _BranchTree:
         coeffs = np.asarray(coeffs, dtype=float)
         self.rank = rank = coeffs.size
         circulant = (np.arange(rank)[:, None] - np.arange(rank)) % rank
-        maps, rest = stage_walk(coeffs, stages)
+        steps, rest, _ = walk_stages(coeffs, stages)
         self.stage_entries: list = []
         records: list = []
-        for n, smap in enumerate(maps):
-            table = me_outcome_probs(smap.b_coeffs)[circulant]
-            self.stage_entries.append((smap.p_success, table, len(records)))
+        # The executed steps are a prefix of the walk.
+        for n, (executed, family, sep) in enumerate(steps):
+            if not executed:
+                break
+            p_stage = float(sep.p_success)
+            table = me_outcome_probs(sep.b_coeffs)[circulant]
+            self.stage_entries.append((p_stage, table, len(records)))
             records += [f"s{n + 1}:{l}" for l in range(rank)]
-            if smap.p_success >= _SURE_SUCCESS:
+            if p_stage >= _SURE_SUCCESS:
                 # The final action, reached with weight 0, reads this stage's input.
-                rest = smap.coeffs
+                rest = family
                 break
         self.final_offset = len(records)
         if final == FINAL_ME:
@@ -180,6 +186,11 @@ class _BranchTree:
         return dist
 
 
+def derived_rng(seed: int, stream: int) -> np.random.Generator:
+    """Independent generator for (seed, stream); bit-reproducible."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+
+
 def _block_starts(n: int) -> range:
     """First trial of each fixed-size block of `n` trials. Block b draws from
     derived_rng(seed, b); stream len(_block_starts(n)) is the first past them."""
@@ -199,7 +210,8 @@ def multinomial_rows(dist: np.ndarray) -> np.ndarray:
     """Rows of `dist` clipped at 0 and divided by their sums, so that numpy's
     multinomial takes them: entries in [0, 1], partial sums at most 1 + 1e-12.
     distribution() alone is not enough. The Bell state's ME row holds
-    1 + 2.2e-16, and a state's squared coefficients may sum to 1 within 1e-10."""
+    1 + 2.2e-16, and a state's squared coefficients may sum to 1 within
+    channel.NORM_TOL."""
     rows = np.clip(dist, 0.0, None)
     return rows / rows.sum(axis=1, keepdims=True)
 

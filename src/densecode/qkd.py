@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtState
-from .discrimination import separation_map
+from .discrimination import separate
 from .infometrics import counts_mutual_info
 from .protocol_sim import (
     GUESS_ME,
@@ -167,7 +167,7 @@ def simulate_qkd(
 
 def analytic_sift_rate(coeffs) -> float:
     """Receiver keep probability: the full-separation success probability."""
-    return separation_map(np.asarray(coeffs, dtype=float), 1.0).p_success
+    return float(separate(coeffs, 1.0).p_success)
 
 
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:

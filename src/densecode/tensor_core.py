@@ -11,18 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Reserved outcome label for a POVM element that carries no hypothesis.
-INCONCLUSIVE = -1
-
 _NORM_ATOL = 1e-10
 _PROB_SUM_ATOL = 1e-9
 _PROB_CLIP = 1e-10
 _NULL_EVENT = 1e-14
-
-
-def derived_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream); bit-reproducible."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 @dataclass(frozen=True, eq=False)

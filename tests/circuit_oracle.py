@@ -15,11 +15,13 @@ import math
 
 import numpy as np
 
-from densecode.channel import GROUP_TOL_SQ, Message, encode, symmetric_state
-from densecode.discrimination import FINAL_ABSTAIN, FINAL_ME, dilation_unitary, me_measurement, stage_walk
+from densecode.channel import GROUP_TOL_SQ
+from densecode.discrimination import FINAL_ABSTAIN, FINAL_ME, walk_stages
 from densecode.gates import gxor
-from densecode.protocol_sim import _SURE_SUCCESS, GUESS_ME, GUESS_UNIFORM
-from densecode.tensor_core import INCONCLUSIVE, Ket, apply, born_probabilities, project_subsystem, tensor
+from densecode.protocol_sim import _SURE_SUCCESS, GUESS_ME, GUESS_UNIFORM, INCONCLUSIVE
+from densecode.tensor_core import Ket, apply, born_probabilities, project_subsystem, tensor
+
+from dense import Message, dilation_unitary, encode, me_measurement, symmetric_state
 
 #: Amplitude-level slack of the channel checks: the GXOR split of an encoded
 #: message is a permutation of amplitudes, so only rounding separates it from
@@ -75,8 +77,8 @@ class CircuitTree:
     """Branch tree of a strategy over one symmetric family, circuit-derived.
 
     stages[n] = (success probability, confusion table) of the n-th executed
-    stage: the separation maps of stage_walk, applied as dilation couplings
-    to the evolved states, cut after a stage that the evolved states show
+    stage: the separations that walk_stages executes, applied as dilation
+    couplings to the evolved states, cut after a stage that the evolved states show
     succeeds surely. Records and labels follow the runtime tree.
     """
 
@@ -97,8 +99,10 @@ class CircuitTree:
         self.stages: list = []
         records: list = []
         current = [symmetric_state(s, j) for j in range(rank)]
-        for smap in stage_walk(s.coeffs, stages, dim)[0]:
-            coupling = dilation_unitary(smap)
+        for executed, _, sep in walk_stages(s.coeffs, stages)[0]:
+            if not executed:
+                break
+            coupling = dilation_unitary(sep, dim)
             probs, succeeded, failed = [], [], []
             for state in current:
                 evolved = apply(coupling, tensor(state, Ket.basis(2, 0)))

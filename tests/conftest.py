@@ -43,12 +43,15 @@ def qutrit_state():
 
 
 def refuse_everywhere(monkeypatch, functions):
-    """Make every binding of `functions` in every densecode namespace raise."""
+    """Make every binding of `functions` in every densecode namespace and in
+    the tests' dense helpers raise."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("refused function called on the runtime path")
 
-    modules = [m for n, m in sys.modules.items() if n == "densecode" or n.startswith("densecode.")]
+    modules = [
+        m for n, m in sys.modules.items() if n in ("densecode", "dense") or n.startswith("densecode.")
+    ]
     for module in modules:
         for name, obj in list(vars(module).items()):
             if any(obj is fn for fn in functions):

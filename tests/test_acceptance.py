@@ -17,31 +17,27 @@ from densecode import (
     EveStrategy,
     GUESS_ME,
     GUESS_UNIFORM,
-    Ket,
     SchmidtState,
     StagePlan,
     analytic_joint,
     analytic_qkd_error,
     analytic_record_distribution,
-    born_probabilities,
     cli,
-    conditional_entropy,
-    gxor,
-    me_measurement,
     mutual_info_from_joint,
     mutual_info_me,
     mutual_info_multistage,
     mutual_info_sep,
-    separated_state,
-    separation_map,
     simulate_qkd,
-    symmetric_state,
 )
 from densecode.cli import montecarlo_summary
+from densecode.discrimination import separate
+from densecode.gates import gxor
 from densecode.protocol_sim import run_simulation
+from densecode.tensor_core import Ket, born_probabilities
 
 from circuit_oracle import circuit_joint
 from conftest import random_schmidt, random_support_coeffs
+from dense import conditional_entropy, kraus_pair, me_measurement, separated_state, symmetric_state
 
 QUBIT = SchmidtState.from_squared(2, 2, [0.2, 0.8])
 QUTRIT = SchmidtState.from_squared(3, 4, [0.2, 0.3, 0.5])
@@ -266,10 +262,10 @@ def test_criterion_7_structural_invariants():
     worst_kraus = 0.0
     for _ in range(120):
         coeffs = random_support_coeffs(rng)
-        smap = separation_map(coeffs, float(rng.uniform(0, 1)))
+        kraus_success, kraus_failure = kraus_pair(separate(coeffs, float(rng.uniform(0, 1))), coeffs.size)
         total = (
-            smap.kraus_success.dagger().entries @ smap.kraus_success.entries
-            + smap.kraus_failure.dagger().entries @ smap.kraus_failure.entries
+            kraus_success.dagger().entries @ kraus_success.entries
+            + kraus_failure.dagger().entries @ kraus_failure.entries
         )
         worst_kraus = max(worst_kraus, float(np.max(np.abs(total - np.eye(coeffs.size)))))
     worst_gxor = 0.0
@@ -287,13 +283,13 @@ def test_criterion_7_structural_invariants():
     for _ in range(100):
         s = random_schmidt(rng)
         xi_lo, xi_hi = np.sort(rng.uniform(0, 1, size=2))
-        lo = separation_map(s.coeffs, float(xi_lo))
-        hi = separation_map(s.coeffs, float(xi_hi))
+        lo = separate(s.coeffs, float(xi_lo))
+        hi = separate(s.coeffs, float(xi_hi))
         base = [symmetric_state(s, j) for j in range(s.D)]
         for j in range(s.D):
             for k in range(j + 1, s.D):
-                top = abs(separated_state(hi, j).overlap(separated_state(hi, k)))
-                mid = abs(separated_state(lo, j).overlap(separated_state(lo, k)))
+                top = abs(separated_state(hi, j, s.D).overlap(separated_state(hi, k, s.D)))
+                mid = abs(separated_state(lo, j, s.D).overlap(separated_state(lo, k, s.D)))
                 raw = abs(base[j].overlap(base[k]))
                 if top > mid + 1e-10 or mid > raw + 1e-10:
                     monotone_ok = False
@@ -301,12 +297,12 @@ def test_criterion_7_structural_invariants():
     for _ in range(100):
         coeffs = random_support_coeffs(rng)
         xi_a, xi_b = rng.uniform(0, 1, size=2)
-        map_a = separation_map(coeffs, float(xi_a))
-        map_b = separation_map(coeffs, float(xi_b))
-        if map_a.failure_coeffs is None:
+        sep_a = separate(coeffs, float(xi_a))
+        sep_b = separate(coeffs, float(xi_b))
+        if sep_a.uniform:
             continue
         worst_chi = max(
-            worst_chi, float(np.max(np.abs(map_a.failure_coeffs - map_b.failure_coeffs)))
+            worst_chi, float(np.max(np.abs(sep_a.failure_coeffs - sep_b.failure_coeffs)))
         )
     ok = worst_kraus <= 1e-12 and worst_gxor <= 1e-10 and monotone_ok and worst_chi <= 1e-10
     report_line(
@@ -329,14 +325,14 @@ def _brute_force_error(s, eve):
         for xi in stages:
             if np.sum(coeffs > 1e-12) < 2:
                 break
-            smap = separation_map(coeffs, xi, dim=s.d1)
-            probs = born_probabilities(separated_state(smap, j), povm)
-            err += weight * smap.p_success * (1.0 - probs[j])
-            if smap.failure_coeffs is None:
+            sep = separate(coeffs, xi)
+            probs = born_probabilities(separated_state(sep, j, s.d1), povm)
+            err += weight * sep.p_success * (1.0 - probs[j])
+            if sep.uniform:
                 weight = 0.0
                 break
-            weight *= 1.0 - smap.p_success
-            coeffs = smap.failure_coeffs
+            weight *= 1.0 - sep.p_success
+            coeffs = sep.failure_coeffs
         if weight > 0:
             if final == FINAL_ME or eve.fallback == GUESS_ME:
                 levels = np.arange(s.D)

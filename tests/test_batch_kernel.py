@@ -15,7 +15,6 @@ from densecode import (
     StagePlan,
     mutual_info_from_joint,
     mutual_info_multistage,
-    separation_map,
 )
 from densecode.channel import GROUP_TOL_SQ
 from densecode.discrimination import separate
@@ -64,12 +63,12 @@ def test_separation_rows_are_independent():
             alone = separate(coeffs[None, :], xi)
             for name, value in alone._asdict().items():
                 assert np.array_equal(getattr(batch, name)[r], value[0]), (r, xi, name)
-            smap = separation_map(coeffs, xi)
-            assert smap.p_success == batch.p_success[r]
-            assert smap.b_coeffs.tobytes() == batch.b_coeffs[r].tobytes()
-            expected = None if batch.uniform[r] else batch.failure_coeffs[r].tobytes()
-            got = None if smap.failure_coeffs is None else smap.failure_coeffs.tobytes()
-            assert got == expected
+            row = separate(coeffs, xi)
+            assert row.p_success == batch.p_success[r]
+            assert row.b_coeffs.tobytes() == batch.b_coeffs[r].tobytes()
+            assert row.uniform == batch.uniform[r]
+            if not row.uniform:
+                assert row.failure_coeffs.tobytes() == batch.failure_coeffs[r].tobytes()
 
 
 def test_per_row_xi_matches_one_xi_per_call():

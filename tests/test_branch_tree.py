@@ -3,11 +3,17 @@ the runtime path builds no dense circuit."""
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import densecode
+import densecode.gates
+import densecode.tensor_core
 from densecode import (
     FINAL_ABSTAIN,
     FINAL_ME,
@@ -29,6 +35,7 @@ from densecode import (
 from densecode.channel import GROUP_TOL_SQ
 from densecode.protocol_sim import _BranchTree, multinomial_rows
 
+import dense
 from circuit_oracle import (
     AGREE_ATOL,
     NEAR_TIE_ATOL,
@@ -151,20 +158,20 @@ def test_near_tie_tree_within_named_bound(gap):
 
 
 _DENSE = (
-    ("channel", "encode"),
-    ("gates", "gxor"),
-    ("tensor_core", "apply"),
-    ("tensor_core", "born_probabilities"),
-    ("tensor_core", "project_subsystem"),
-    ("discrimination", "dilation_unitary"),
-    ("discrimination", "me_measurement"),
+    (dense, "encode"),
+    (densecode.gates, "gxor"),
+    (densecode.tensor_core, "apply"),
+    (densecode.tensor_core, "born_probabilities"),
+    (densecode.tensor_core, "project_subsystem"),
+    (dense, "dilation_unitary"),
+    (dense, "me_measurement"),
 )
 
 
 def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
-    refuse_everywhere(monkeypatch, [getattr(getattr(densecode, mod), name) for mod, name in _DENSE])
+    refuse_everywhere(monkeypatch, [getattr(module, name) for module, name in _DENSE])
     with pytest.raises(AssertionError):
-        densecode.channel.encode(None, None)
+        dense.encode(None, None)
     s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
     strat = DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))
     eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
@@ -194,6 +201,24 @@ def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
     plan = DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ABSTAIN))
     qkd = simulate_qkd(wide, EveStrategy.intercept(plan, GUESS_UNIFORM), 4096, seed=5)
     assert qkd.eve_counts.sum() == qkd.kept
+
+
+def test_runtime_imports_no_dense_module():
+    # A fresh interpreter, so no test has imported the dense modules yet.
+    src = str(Path(densecode.__file__).resolve().parent.parent)
+    code = (
+        "import sys, densecode, densecode.cli; "
+        "print([m for m in ('densecode.tensor_core', 'densecode.gates') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_sweeps_and_runs_build_no_operator(monkeypatch, tmp_path):

@@ -3,20 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from densecode import (
-    Ket,
-    Message,
-    SchmidtState,
-    decode_split,
-    encode,
-    pauli_z,
-    resource_state,
-    symmetric_state,
-)
-from densecode.gates import fourier, gxor
-from densecode.tensor_core import apply, tensor
+from densecode import SchmidtState
+from densecode.gates import fourier, gxor, pauli_z
+from densecode.tensor_core import Ket, apply, tensor
 
 from conftest import random_schmidt
+from dense import Message, decode_split, encode, resource_state, symmetric_state
 
 
 class TestSchmidtState:

@@ -8,25 +8,23 @@ from densecode import (
     INCONCLUSIVE,
     StagePlan,
     cli,
-    Ket,
-    apply,
-    born_probabilities,
+    me_outcome_probs,
+    mutual_info_multistage,
+)
+from densecode.channel import SchmidtState
+from densecode.discrimination import separate, walk_stages
+from densecode.tensor_core import Ket, apply, born_probabilities, project_subsystem, tensor
+
+from conftest import random_schmidt, random_support_coeffs
+from dense import (
     confidence,
     dilation_unitary,
     failure_state,
+    kraus_pair,
     me_measurement,
-    me_outcome_probs,
-    mutual_info_multistage,
-    project_subsystem,
     separated_state,
-    separation_map,
-    stage_success_probability,
     symmetric_state,
-    tensor,
 )
-from densecode.channel import SchmidtState
-
-from conftest import random_schmidt, random_support_coeffs
 
 QUBIT = np.sqrt([0.2, 0.8])
 QUTRIT = np.sqrt([0.2, 0.3, 0.5])
@@ -69,69 +67,72 @@ class TestMeMeasurement:
 
 class TestSeparationMap:
     def test_no_separation_limit(self):
-        smap = separation_map(QUBIT, 0.0)
-        assert abs(smap.p_success - 1.0) < 1e-12
-        assert np.allclose(smap.kraus_success.entries, np.eye(2), atol=1e-12)
-        assert np.allclose(smap.kraus_failure.entries, 0.0, atol=1e-12)
-        assert np.allclose(smap.b_coeffs, QUBIT, atol=1e-12)
+        sep = separate(QUBIT, 0.0)
+        kraus_success, kraus_failure = kraus_pair(sep, 2)
+        assert abs(sep.p_success - 1.0) < 1e-12
+        assert np.allclose(kraus_success.entries, np.eye(2), atol=1e-12)
+        assert np.allclose(kraus_failure.entries, 0.0, atol=1e-12)
+        assert np.allclose(sep.b_coeffs, QUBIT, atol=1e-12)
 
     def test_full_separation_success_probability(self):
-        smap = separation_map(QUBIT, 1.0)
-        assert abs(smap.p_success - 0.4) < 1e-12
-        assert np.allclose(smap.b_coeffs, [2**-0.5, 2**-0.5], atol=1e-12)
+        sep = separate(QUBIT, 1.0)
+        assert abs(sep.p_success - 0.4) < 1e-12
+        assert np.allclose(sep.b_coeffs, [2**-0.5, 2**-0.5], atol=1e-12)
 
     def test_half_separation(self):
-        smap = separation_map(QUBIT, 0.5)
-        assert abs(smap.p_success - 1 / 1.75) < 1e-12
-        assert np.allclose(smap.b_coeffs**2, [0.35, 0.65], atol=1e-12)
+        sep = separate(QUBIT, 0.5)
+        assert abs(sep.p_success - 1 / 1.75) < 1e-12
+        assert np.allclose(sep.b_coeffs**2, [0.35, 0.65], atol=1e-12)
 
     def test_rejects_xi_outside_range(self):
         with pytest.raises(ValueError):
-            separation_map(QUBIT, 1.5)
+            separate(QUBIT, 1.5)
         with pytest.raises(ValueError):
-            separation_map(QUBIT, -0.1)
+            separate(QUBIT, -0.1)
 
     def test_uniform_input_is_identity_map(self):
-        smap = separation_map(np.sqrt([0.5, 0.5]), 0.7)
-        assert smap.p_success == 1.0
-        assert np.allclose(smap.kraus_success.entries, np.eye(2), atol=1e-12)
-        assert np.allclose(smap.kraus_failure.entries, 0.0, atol=1e-12)
-        assert smap.failure_coeffs is None
+        sep = separate(np.sqrt([0.5, 0.5]), 0.7)
+        kraus_success, kraus_failure = kraus_pair(sep, 2)
+        assert sep.p_success == 1.0
+        assert np.allclose(kraus_success.entries, np.eye(2), atol=1e-12)
+        assert np.allclose(kraus_failure.entries, 0.0, atol=1e-12)
+        assert sep.uniform
 
     @pytest.mark.parametrize("xi", [0.0, 0.3, 0.8, 1.0])
     def test_kraus_action_reproduces_branches(self, xi):
         s = SchmidtState.from_squared(3, 4, [0.2, 0.3, 0.5])
-        smap = separation_map(s.coeffs, xi, dim=s.d1)
+        sep = separate(s.coeffs, xi)
+        kraus_success, kraus_failure = kraus_pair(sep, s.d1)
         for j in range(s.D):
             alpha = symmetric_state(s, j)
-            success = smap.kraus_success.entries @ alpha.amplitudes
-            expected = np.sqrt(smap.p_success) * separated_state(smap, j).amplitudes
+            success = kraus_success.entries @ alpha.amplitudes
+            expected = np.sqrt(sep.p_success) * separated_state(sep, j, s.d1).amplitudes
             assert np.max(np.abs(success - expected)) <= 1e-10
             if xi > 0:
-                failure = smap.kraus_failure.entries @ alpha.amplitudes
-                target = np.sqrt(1 - smap.p_success) * failure_state(smap, j).amplitudes
+                failure = kraus_failure.entries @ alpha.amplitudes
+                target = np.sqrt(1 - sep.p_success) * failure_state(sep, j, s.d1).amplitudes
                 assert np.max(np.abs(failure - target)) <= 1e-10
 
 
 class TestSeparatedState:
     def test_zero_xi_returns_carrier(self):
         s = SchmidtState(2, 2, QUBIT)
-        smap = separation_map(s.coeffs, 0.0)
+        sep = separate(s.coeffs, 0.0)
         for j in range(2):
             assert np.allclose(
-                separated_state(smap, j).amplitudes, symmetric_state(s, j).amplitudes
+                separated_state(sep, j, 2).amplitudes, symmetric_state(s, j).amplitudes
             )
 
     def test_full_separation_orthonormal(self):
-        smap = separation_map(QUTRIT, 1.0)
-        states = [separated_state(smap, j) for j in range(3)]
+        sep = separate(QUTRIT, 1.0)
+        states = [separated_state(sep, j, 3) for j in range(3)]
         for j in range(3):
             for k in range(3):
                 assert abs(states[j].overlap(states[k]) - (j == k)) < 1e-10
 
     def test_overlap_reduction_by_hand(self):
-        smap = separation_map(QUBIT, 0.5)
-        beta = [separated_state(smap, j) for j in range(2)]
+        sep = separate(QUBIT, 0.5)
+        beta = [separated_state(sep, j, 2) for j in range(2)]
         assert abs(abs(beta[0].overlap(beta[1])) - 0.3) < 1e-12
         alpha_overlap = abs(np.sum(QUBIT**2 * np.exp(2j * np.pi * np.arange(2) / 2)))
         assert abs(alpha_overlap - 0.6) < 1e-12
@@ -139,32 +140,32 @@ class TestSeparatedState:
 
 class TestFailureState:
     def test_qubit_failures_identical(self):
-        smap = separation_map(QUBIT, 0.6)
-        chi = [failure_state(smap, j) for j in range(2)]
+        sep = separate(QUBIT, 0.6)
+        chi = [failure_state(sep, j, 2) for j in range(2)]
         assert abs(abs(chi[0].overlap(chi[1])) - 1.0) < 1e-12
 
     def test_hand_evaluated_coefficients(self):
-        smap = separation_map(QUTRIT, 1.0)
-        assert np.allclose(smap.failure_coeffs, [0.0, 0.5, np.sqrt(0.75)], atol=1e-12)
+        sep = separate(QUTRIT, 1.0)
+        assert np.allclose(sep.failure_coeffs, [0.0, 0.5, np.sqrt(0.75)], atol=1e-12)
 
     def test_xi_independence(self):
-        lo = separation_map(QUTRIT, 0.3)
-        hi = separation_map(QUTRIT, 0.9)
+        lo = separate(QUTRIT, 0.3)
+        hi = separate(QUTRIT, 0.9)
         for j in range(3):
-            delta = failure_state(lo, j).amplitudes - failure_state(hi, j).amplitudes
+            delta = failure_state(lo, j, 3).amplitudes - failure_state(hi, j, 3).amplitudes
             assert np.max(np.abs(delta)) <= 1e-10
 
     def test_uniform_input_has_no_failure_branch(self):
-        smap = separation_map(np.sqrt([0.5, 0.5]), 1.0)
+        sep = separate(np.sqrt([0.5, 0.5]), 1.0)
         with pytest.raises(ValueError, match="failure branch is empty"):
-            failure_state(smap, 0)
+            failure_state(sep, 0, 2)
 
     @pytest.mark.parametrize("gap", [1e-10, 9.9e-10])
     def test_near_tied_minimum_leaves_a_normalised_family(self, gap, tmp_path):
         # The two smallest squares differ by gap <= GROUP_TOL_SQ, so both
         # leave the failure family; the rest must still sum to 1.
         squared = [0.1, 0.1 + gap, 0.3, 0.5 - gap]
-        chi = separation_map(np.sqrt(squared), 1.0).failure_coeffs
+        chi = separate(np.sqrt(squared), 1.0).failure_coeffs
         assert np.count_nonzero(chi) == 2
         assert abs(np.sum(chi**2) - 1.0) <= 1e-12
         state = SchmidtState.from_squared(4, 4, squared)
@@ -185,17 +186,16 @@ class TestFailureState:
 
 class TestDilationUnitary:
     def test_zero_xi_is_identity(self):
-        u = dilation_unitary(separation_map(QUBIT, 0.0))
+        u = dilation_unitary(separate(QUBIT, 0.0), 2)
         assert np.allclose(u.entries, np.eye(4), atol=1e-12)
 
     def test_unitarity(self):
-        u = dilation_unitary(separation_map(QUTRIT, 1.0))
+        u = dilation_unitary(separate(QUTRIT, 1.0), 3)
         assert u.is_unitary(1e-10)
 
     def test_ancilla_outcome_probabilities(self):
         s = SchmidtState(2, 2, QUBIT)
-        smap = separation_map(s.coeffs, 1.0)
-        u = dilation_unitary(smap)
+        u = dilation_unitary(separate(s.coeffs, 1.0), 2)
         for j in range(2):
             evolved = apply(u, tensor(symmetric_state(s, j), Ket.basis(2, 0)))
             p_s, _ = project_subsystem(evolved, (2, 2), "B", 0)
@@ -206,37 +206,48 @@ class TestDilationUnitary:
     @pytest.mark.parametrize("xi", [0.2, 0.7, 1.0])
     def test_branch_amplitudes(self, xi):
         s = SchmidtState.from_squared(3, 4, [0.2, 0.3, 0.5])
-        smap = separation_map(s.coeffs, xi, dim=s.d1)
-        u = dilation_unitary(smap)
+        sep = separate(s.coeffs, xi)
+        u = dilation_unitary(sep, s.d1)
         for j in range(s.D):
             evolved = apply(u, tensor(symmetric_state(s, j), Ket.basis(2, 0)))
-            expected = np.sqrt(smap.p_success) * np.kron(
-                separated_state(smap, j).amplitudes, [1, 0]
-            ) + np.sqrt(1 - smap.p_success) * np.kron(
-                failure_state(smap, j).amplitudes, [0, 1]
+            expected = np.sqrt(sep.p_success) * np.kron(
+                separated_state(sep, j, s.d1).amplitudes, [1, 0]
+            ) + np.sqrt(1 - sep.p_success) * np.kron(
+                failure_state(sep, j, s.d1).amplitudes, [0, 1]
             )
             assert np.max(np.abs(evolved.amplitudes - expected)) <= 1e-10
 
 
 class TestStageSuccessProbability:
+    """The next stage separates the failure family of the first, both at full
+    distinguishability: two chained separate(..., 1.0) calls."""
+
     def test_hand_evaluated_second_stage(self):
-        assert abs(stage_success_probability(QUTRIT) - 0.5) < 1e-12
+        second = separate(separate(QUTRIT, 1.0).failure_coeffs, 1.0)
+        assert not second.collapsed
+        assert abs(second.p_success - 0.5) < 1e-12
 
     def test_no_further_stage_when_min_multiplicity_is_high(self):
-        assert stage_success_probability(np.sqrt([0.2, 0.2, 0.6])) == 0.0
+        first = separate(np.sqrt([0.2, 0.2, 0.6]), 1.0)
+        assert not first.uniform
+        assert separate(first.failure_coeffs, 1.0).collapsed
 
     def test_uniform_has_no_failure_branch(self):
-        assert stage_success_probability(np.sqrt([0.5, 0.5])) == 0.0
+        first = separate(np.sqrt([0.5, 0.5]), 1.0)
+        assert first.uniform
+        assert not np.any(first.failure_coeffs)
 
     def test_matches_separation_of_failure_family(self):
-        chi = separation_map(QUTRIT, 1.0).failure_coeffs
-        expected = separation_map(chi, 1.0).p_success
-        assert abs(stage_success_probability(QUTRIT) - expected) < 1e-12
+        second = separate(separate(QUTRIT, 1.0).failure_coeffs, 1.0)
+        steps, _, _ = walk_stages(QUTRIT, (1.0, 1.0))
+        executed, _, walked = steps[1]
+        assert executed
+        assert abs(walked.p_success - second.p_success) < 1e-12
 
     def test_first_stage_consistency(self):
         # the same stage construction applied to the original coefficients
-        smap = separation_map(QUTRIT, 1.0)
-        assert abs(smap.p_success - 3 * 0.2) < 1e-12
+        sep = separate(QUTRIT, 1.0)
+        assert abs(sep.p_success - 3 * 0.2) < 1e-12
 
 
 class TestConfidence:
@@ -253,8 +264,8 @@ class TestConfidence:
         assert abs(confidence(family, [0.5, 0.5], m, 0, 0) - 0.9) < 1e-12
 
     def test_unambiguous_limit(self):
-        smap = separation_map(QUBIT, 1.0)
-        family = [separated_state(smap, j) for j in range(2)]
+        sep = separate(QUBIT, 1.0)
+        family = [separated_state(sep, j, 2) for j in range(2)]
         m = me_measurement(2, 2)
         assert abs(confidence(family, [0.5, 0.5], m, 1, 1) - 1.0) < 1e-10
 
@@ -285,10 +296,10 @@ def test_kraus_completeness(seed):
     rng = np.random.default_rng(seed)
     coeffs = random_support_coeffs(rng)
     for xi in (0.0, float(rng.uniform(0, 1)), 1.0):
-        smap = separation_map(coeffs, xi)
+        kraus_success, kraus_failure = kraus_pair(separate(coeffs, xi), coeffs.size)
         total = (
-            smap.kraus_success.dagger().entries @ smap.kraus_success.entries
-            + smap.kraus_failure.dagger().entries @ smap.kraus_failure.entries
+            kraus_success.dagger().entries @ kraus_success.entries
+            + kraus_failure.dagger().entries @ kraus_failure.entries
         )
         assert np.max(np.abs(total - np.eye(coeffs.size))) <= 1e-12
 
@@ -298,16 +309,16 @@ def test_separation_monotonicity(seed):
     rng = np.random.default_rng(1000 + seed)
     s = random_schmidt(rng)
     xi_lo, xi_hi = np.sort(rng.uniform(0, 1, size=2))
-    lo = separation_map(s.coeffs, float(xi_lo))
-    hi = separation_map(s.coeffs, float(xi_hi))
+    lo = separate(s.coeffs, float(xi_lo))
+    hi = separate(s.coeffs, float(xi_hi))
     alphas = phased_family(np.asarray(s.coeffs))
     for j in range(s.D):
         for k in range(s.D):
             if j == k:
                 continue
             base = abs(alphas[j].overlap(alphas[k]))
-            mid = abs(separated_state(lo, j).overlap(separated_state(lo, k)))
-            top = abs(separated_state(hi, j).overlap(separated_state(hi, k)))
+            mid = abs(separated_state(lo, j, s.D).overlap(separated_state(lo, k, s.D)))
+            top = abs(separated_state(hi, j, s.D).overlap(separated_state(hi, k, s.D)))
             assert top <= mid + 1e-10
             assert mid <= base + 1e-10
 
@@ -318,11 +329,11 @@ def test_failure_states_less_distinguishable(seed):
     s = random_schmidt(rng, rank=int(rng.integers(3, 5)))
     if s.is_uniform:
         pytest.skip("uniform draw has no failure branch")
-    smap = separation_map(s.coeffs, 1.0)
-    if smap.failure_coeffs is None:
+    sep = separate(s.coeffs, 1.0)
+    if sep.uniform:
         pytest.skip("uniform draw has no failure branch")
     alphas = phased_family(np.asarray(s.coeffs))
-    chis = [failure_state(smap, j) for j in range(s.D)]
+    chis = [failure_state(sep, j, s.D) for j in range(s.D)]
     for j in range(s.D):
         for k in range(j + 1, s.D):
             assert abs(chis[j].overlap(chis[k])) >= abs(alphas[j].overlap(alphas[k])) - 1e-10

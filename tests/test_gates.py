@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from densecode import Ket, apply, fourier, gxor, pauli_x, pauli_z, tensor
-from densecode.channel import Message, encode, symmetric_state
+from densecode.gates import fourier, gxor, pauli_x, pauli_z
+from densecode.tensor_core import Ket, apply, tensor
 
 from conftest import random_schmidt
+from dense import Message, encode, symmetric_state
 
 
 class TestPauliX:

@@ -7,20 +7,17 @@ from densecode import (
     FINAL_ABSTAIN,
     FINAL_ME,
     InfoReport,
-    Ket,
     SchmidtState,
     StagePlan,
-    born_probabilities,
-    conditional_entropy,
-    me_measurement,
     mutual_info_from_joint,
     mutual_info_me,
     mutual_info_multistage,
     mutual_info_sep,
-    symmetric_state,
 )
+from densecode.tensor_core import Ket, born_probabilities
 
 from conftest import random_schmidt
+from dense import conditional_entropy, me_measurement, symmetric_state
 
 
 def binary_entropy(p):

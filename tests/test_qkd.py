@@ -6,7 +6,6 @@ import pytest
 
 from densecode import (
     FINAL_ABSTAIN,
-    Ket,
     DecodingStrategy,
     EveStrategy,
     GUESS_ME,
@@ -15,14 +14,13 @@ from densecode import (
     StagePlan,
     analytic_qkd_error,
     analytic_sift_rate,
-    born_probabilities,
-    me_measurement,
-    separated_state,
-    separation_map,
     simulate_qkd,
 )
+from densecode.discrimination import separate
+from densecode.tensor_core import Ket, born_probabilities
 
 from conftest import random_schmidt
+from dense import me_measurement, separated_state
 
 
 def sigma3(p, n):
@@ -40,14 +38,14 @@ def brute_force_error(s, stages, final, fallback):
         for xi in stages:
             if np.sum(coeffs > 1e-12) < 2:
                 break
-            smap = separation_map(coeffs, xi, dim=s.d1)
-            probs = born_probabilities(separated_state(smap, j), povm)
-            err += weight * smap.p_success * (1.0 - probs[j])
-            if smap.failure_coeffs is None:
+            sep = separate(coeffs, xi)
+            probs = born_probabilities(separated_state(sep, j, s.d1), povm)
+            err += weight * sep.p_success * (1.0 - probs[j])
+            if sep.uniform:
                 weight = 0.0
                 break
-            weight *= 1.0 - smap.p_success
-            coeffs = smap.failure_coeffs
+            weight *= 1.0 - sep.p_success
+            coeffs = sep.failure_coeffs
         if weight > 0:
             if final == "me" or fallback == GUESS_ME:
                 levels = np.arange(s.D)

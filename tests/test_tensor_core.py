@@ -1,24 +1,21 @@
 import numpy as np
 import pytest
 
-from densecode import (
+from densecode import derived_rng
+from densecode.gates import fourier, gxor, pauli_x
+from densecode.tensor_core import (
     Ket,
     Measurement,
     Operator,
     apply,
     born_probabilities,
-    derived_rng,
-    me_measurement,
-    pauli_x,
     project_subsystem,
     sample_outcome,
-    symmetric_state,
     tensor,
 )
-from densecode.channel import Message, encode
-from densecode.gates import fourier, gxor
 
 from conftest import random_schmidt
+from dense import Message, encode, me_measurement, symmetric_state
 
 
 def basis(dim, i):
