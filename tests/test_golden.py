@@ -85,6 +85,10 @@ EVES = {
 #: 20001 trials: four full 4096-trial blocks and a partial fifth one.
 SEEDS = (1, 7)
 TRIALS = "20001"
+#: Cases also run at 4096 trials, exactly one block, at seed 3.
+SHORT_TRIALS = "4096"
+SHORT_STRATEGIES = ("me", "ms_me", "tied_abstain", "uniform_tail_me")
+SHORT_EVES = ("absent", "me", "ms_abstain_guess_me", "tied_uniform")
 
 
 def _cases() -> dict:
@@ -104,6 +108,13 @@ def _cases() -> dict:
             cases[f"montecarlo_{name}_seed{seed}"] = (["montecarlo", *run], config)
         for name, (state, eve) in EVES.items():
             cases[f"qkd_{name}_seed{seed}"] = (["qkd", *run], {"state": state, "eve": eve})
+    short = ["--trials", SHORT_TRIALS, "--seed", "3"]
+    for name in SHORT_STRATEGIES:
+        state, strategy = STRATEGIES[name]
+        cases[f"montecarlo_{name}_n4096"] = (["montecarlo", *short], {"state": state, "strategy": strategy})
+    for name in SHORT_EVES:
+        state, eve = EVES[name]
+        cases[f"qkd_{name}_n4096"] = (["qkd", *short], {"state": state, "eve": eve})
     return cases
 
 
