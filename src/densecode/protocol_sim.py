@@ -8,17 +8,16 @@ is decoded. Runs draw record counts from that tree's exact distribution, fast
 and bit-reproducible; the test suite checks the tree against the actual
 circuit (encoding, GXOR split, dilation couplings, POVMs).
 
-Randomness contract: trials are grouped in fixed 4096-trial blocks, run
-serially; block b uses the generator derived from (seed, b). A block draws
-counts, not trials: one multinomial of its size over the D equally likely
-carriers, then one multinomial per carrier over the tree's records with
-probabilities multinomial_rows(distribution()), rows clipped at 0 and
-renormalised. After the last block, the generator derived from (seed,
-number of blocks) splits each (carrier, record) count over the d2 equally
-likely values of the sender's k, which the system-2 readout returns
-exactly: one multinomial per cell. run_trial, the single-round API,
-draws one bounded integer for the message (j, k), then one uniform for the
-record by inverse CDF on the same row.
+Randomness contract: a run of n trials draws one count table, whatever n
+is. The generator derived from (seed, 0) draws one multinomial of n over the
+D equally likely carriers, then one multinomial per carrier over the tree's
+records with probabilities multinomial_rows(distribution()), rows clipped at
+0 and renormalised. The generator derived from (seed, 1) then splits each
+(carrier, record) count over the d2 equally likely values of the sender's k,
+which the system-2 readout returns exactly: one multinomial per cell. Counts
+are signed 64-bit integers, so n must lie in [1, 2**63). run_trial, the
+single-round API, draws one bounded integer for the message (j, k), then one
+uniform for the record by inverse CDF on the same row.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ import numpy as np
 from .channel import SchmidtState, config_number
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 from .infometrics import counts_mutual_info
-
-_BLOCK = 4096
 
 #: Inferred hypothesis of a record that abstains.
 INCONCLUSIVE = -1
@@ -191,21 +188,6 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
-def _block_starts(n: int) -> range:
-    """First trial of each fixed-size block of `n` trials. Block b draws from
-    derived_rng(seed, b); stream len(_block_starts(n)) is the first past them."""
-    return range(0, n, _BLOCK)
-
-
-def run_blocks(seed: int, n: int):
-    """(generator, size) for each block of `n` trials, in index order; block b
-    draws from derived_rng(seed, b), so runs replay bit for bit. The seed is
-    checked here, before any draw: it must be an unsigned 64-bit integer."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed {seed} outside [0, 2**64)")
-    return ((derived_rng(seed, b), min(_BLOCK, n - start)) for b, start in enumerate(_block_starts(n)))
-
-
 def multinomial_rows(dist: np.ndarray) -> np.ndarray:
     """Rows of `dist` clipped at 0 and divided by their sums, so that numpy's
     multinomial takes them: entries in [0, 1], partial sums at most 1 + 1e-12.
@@ -216,16 +198,22 @@ def multinomial_rows(dist: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def block_tables(seed: int, n: int, dist: np.ndarray):
-    """(generator, counts) for each block of `n` trials: the block's carrier
-    counts are one multinomial over the D = len(dist) equally likely
-    carriers, then its (carrier, record) counts one multinomial per carrier
-    over the rows of `dist`, made valid by multinomial_rows. The caller may
-    go on drawing from the generator before the next block."""
-    carriers = np.full(len(dist), 1.0 / len(dist))
-    rows = multinomial_rows(dist)
-    for rng, size in run_blocks(seed, n):
-        yield rng, rng.multinomial(rng.multinomial(size, carriers), rows)
+def count_table(seed: int, n: int, dist: np.ndarray | None = None):
+    """(generator, counts) of a run of `n` trials, both from derived_rng(seed,
+    0): one multinomial of n over the D = len(dist) equally likely carriers,
+    then one multinomial per carrier over the rows of `dist`, made valid by
+    multinomial_rows. Without `dist` the counts are None and the caller draws
+    its own. Before any draw the seed must be an unsigned 64-bit integer and
+    n lie in [1, 2**63), the range of numpy's signed 64-bit counts."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    if not 1 <= n < 2**63:
+        raise ValueError(f"trial count {n} outside [1, 2**63)")
+    rng = derived_rng(seed, 0)
+    if dist is None:
+        return rng, None
+    carriers = rng.multinomial(n, np.full(len(dist), 1.0 / len(dist)))
+    return rng, rng.multinomial(carriers, multinomial_rows(dist))
 
 
 @lru_cache(maxsize=64)
@@ -316,14 +304,11 @@ def run_simulation(
     threads: int | None = None,
 ) -> SimulationReport:
     """Seed-deterministic Monte Carlo run. `threads` is accepted and ignored:
-    blocks run serially. Each block costs O(D * records) whatever its size."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    the run draws one count table, in O(D * records) whatever n_trials is."""
     fam = _BranchTree(s.coeffs, *strat.normalized())
-    by_carrier = sum(table for _, table in block_tables(seed, n_trials, fam.distribution()))
-    # The first stream past the blocks splits each (carrier, record) count over k.
-    readout_rng = derived_rng(seed, len(_block_starts(n_trials)))
-    readout = readout_rng.multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
+    _, by_carrier = count_table(seed, n_trials, fam.distribution())
+    # Stream 1 splits each (carrier, record) count over k.
+    readout = derived_rng(seed, 1).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
     counts = np.ascontiguousarray(readout.transpose(0, 2, 1))
     per_record = by_carrier.sum(axis=0)
     successes = [int(per_record[offset : offset + fam.rank].sum()) for *_, offset in fam.stage_entries]

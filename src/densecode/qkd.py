@@ -20,8 +20,7 @@ from .protocol_sim import (
     GUESS_UNIFORM,
     DecodingStrategy,
     _BranchTree,
-    block_tables,
-    run_blocks,
+    count_table,
 )
 
 
@@ -128,22 +127,21 @@ def simulate_qkd(
     threads: int | None = None,
 ) -> QkdReport:
     """Seed-deterministic intercept-resend run. `threads` is accepted and
-    ignored: blocks run serially. Each block draws counts: the transmitted
-    dits per carrier, the eavesdropper's records per carrier, then the
-    receiver's sift of each (carrier, record) cell. Without an eavesdropper a
-    block draws one sift count."""
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
+    ignored. The run draws one count table: the transmitted dits per carrier
+    and the eavesdropper's records per carrier, then, from the same
+    generator, the receiver's sift of each (carrier, record) cell. Without an
+    eavesdropper it draws one sift count."""
     if s.D < 2:
         raise ValueError("sifting requires channel rank >= 2")
     p_keep = analytic_sift_rate(s.coeffs)
     labels, counts, errors, eve_info = (), None, 0, 0.0
     if eve.kind == "absent":
-        kept = sum(int(rng.binomial(n, p_keep)) for rng, n in run_blocks(seed, n_rounds))
+        rng, _ = count_table(seed, n_rounds)
+        kept = int(rng.binomial(n_rounds, p_keep))
     else:
         fam = _BranchTree(s.coeffs, *eve.strategy.normalized(), eve.fallback)
-        tables = block_tables(seed, n_rounds, fam.distribution())
-        counts = sum(rng.binomial(table, p_keep) for rng, table in tables)
+        rng, table = count_table(seed, n_rounds, fam.distribution())
+        counts = rng.binomial(table, p_keep)
         counts.setflags(write=False)
         labels = fam.records
         kept = int(counts.sum())

@@ -36,7 +36,7 @@ from densecode.protocol_sim import run_simulation
 from densecode.tensor_core import Ket, born_probabilities
 
 from circuit_oracle import circuit_joint
-from conftest import random_schmidt, random_support_coeffs
+from conftest import LAW_ALPHA, assert_counts_follow, random_schmidt, random_support_coeffs
 from dense import conditional_entropy, kraus_pair, me_measurement, separated_state, symmetric_state
 
 QUBIT = SchmidtState.from_squared(2, 2, [0.2, 0.8])
@@ -235,24 +235,20 @@ def test_criterion_6_monte_carlo_consistency():
             else:
                 assert abs(emp - analytic) <= bound + 1e-12, quantity
                 worst_rate = max(worst_rate, abs(emp - analytic) - bound)
+        # One calibrated law test of the whole joint table: a 3-sigma bound on
+        # each of its ~60 cells would fail on about 14% of seeds of a sampler
+        # drawing from the right law.
         _, dist = analytic_record_distribution(state, strat)
-        n_messages = state.n_messages
-        for j in range(state.D):
-            for k in range(state.d2):
-                for r in range(dist.shape[1]):
-                    p = dist[j, r] / n_messages
-                    if p * n < 10:
-                        continue
-                    cells_checked += 1
-                    freq = report.joint_counts[j, k, r] / n
-                    assert abs(freq - p) <= sigma3(p, n), (j, k, r)
+        probs = np.broadcast_to(dist[:, None, :] / state.n_messages, report.joint_counts.shape)
+        assert_counts_follow(report.joint_counts, probs)
+        cells_checked += report.joint_counts.size
     elapsed = time.perf_counter() - started
     ok = worst_info <= 0.02 and elapsed < 10.0
     report_line(
         6,
         ok,
-        f"3 strategies x {n} trials: every branch rate within 3 sigma "
-        f"({cells_checked} joint cells), worst mutual-info delta {worst_info:.4f} "
+        f"3 strategies x {n} trials: every branch rate within 3 sigma, joint counts "
+        f"({cells_checked} cells) pass a G-test at alpha {LAW_ALPHA:g}, worst mutual-info delta {worst_info:.4f} "
         f"(<= 0.02), took {elapsed:.2f}s (< 10s)",
     )
 

@@ -83,6 +83,9 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
         ("montecarlo", {"seed": 2**64}, "seed 18446744073709551616"),
         ("qkd", {"seed": 2**64}, "seed 18446744073709551616"),
         ("qkd", {"seed": -1}, "seed -1"),
+        ("montecarlo", {"trials": 2**63}, "trial count 9223372036854775808"),
+        ("qkd", {"trials": 2**63}, "trial count 9223372036854775808"),
+        ("qkd", {"trials": 0}, "trial count 0"),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
@@ -102,6 +105,15 @@ def test_seed_flag_outside_u64_fails_cleanly(command, seed, tmp_path, capsys):
     assert cli.main([command, "--seed", str(seed), "--trials", "10", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"seed {seed} " in err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "qkd"])
+def test_trials_flag_outside_signed_64_bits_fails_cleanly(command, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert cli.main([command, "--trials", str(2**63), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: trial count {2**63} outside [1, 2**63)\n"
     assert not out.exists() and not out.with_suffix(".json").exists()
 
 

@@ -149,3 +149,29 @@ def test_seed_outside_u64_is_rejected(seed, qubit_state):
 def test_largest_u64_seed_runs(qubit_state):
     assert run_simulation(qubit_state, DecodingStrategy.me(), 10, 2**64 - 1).seed == 2**64 - 1
     assert simulate_qkd(qubit_state, EveStrategy.absent(), 10, 2**64 - 1).seed == 2**64 - 1
+
+
+def _runs(state, n):
+    """Monte Carlo and both kinds of key-distribution run of `n` trials."""
+    strat = DecodingStrategy.sep_me(1.0)
+    eve = EveStrategy.intercept(strat, GUESS_ME)
+    return (
+        lambda: run_simulation(state, strat, n, 3),
+        lambda: simulate_qkd(state, EveStrategy.absent(), n, 3),
+        lambda: simulate_qkd(state, eve, n, 3),
+    )
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**63, 2**70])
+def test_count_outside_signed_64_bits_is_rejected(n, qubit_state):
+    for run in _runs(qubit_state, n):
+        with pytest.raises(ValueError, match=f"trial count {n} "):
+            run()
+
+
+def test_largest_signed_64_bit_count_runs(qubit_state):
+    n = 2**63 - 1
+    mc, plain, intercepted = (run() for run in _runs(qubit_state, n))
+    assert int(mc.joint_counts.sum()) == n == mc.stage_attempts[0]
+    assert 0 < plain.kept < n
+    assert 0 < intercepted.kept == int(intercepted.eve_counts.sum()) < n

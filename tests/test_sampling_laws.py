@@ -158,7 +158,8 @@ EDGE_STRATEGIES = {
     "ms_me": DecodingStrategy.multistage(StagePlan((1.0,), FINAL_ME)),
 }
 EDGE_CASES = [(state, kind) for state in EDGE_STATES for kind in EDGE_STRATEGIES]
-EDGE_TRIALS = 20_000
+#: A small run, and one large enough that numpy draws its binomials by BTPE.
+EDGE_TRIALS = (20_000, 10**9)
 
 
 @pytest.mark.parametrize("state,kind", EDGE_CASES)
@@ -169,13 +170,35 @@ def test_samplers_take_rows_at_float_edges(state, kind):
     s, strat = SchmidtState.from_squared(d1, d2, squared), EDGE_STRATEGIES[kind]
     _, dist = analytic_record_distribution(s, strat)
     seed = 1100 + EDGE_CASES.index((state, kind))
-    report = run_simulation(s, strat, EDGE_TRIALS, seed=seed)
-    probs = np.broadcast_to(dist[:, None, :] / s.n_messages, report.joint_counts.shape)
-    assert_counts_follow(report.joint_counts, probs)
+    for n in EDGE_TRIALS:
+        report = run_simulation(s, strat, n, seed=seed)
+        probs = np.broadcast_to(dist[:, None, :] / s.n_messages, report.joint_counts.shape)
+        assert_counts_follow(report.joint_counts, probs)
 
-    for fallback in (GUESS_UNIFORM, GUESS_ME):
-        eve = EveStrategy.intercept(strat, fallback)
-        qkd = simulate_qkd(s, eve, EDGE_TRIALS, seed=seed)
-        assert_binomial(qkd.kept, EDGE_TRIALS, analytic_sift_rate(s.coeffs))
-        tree = _BranchTree(s.coeffs, *strat.normalized(), fallback)
-        assert_counts_follow(qkd.eve_counts, tree.distribution() / s.D)
+        for fallback in (GUESS_UNIFORM, GUESS_ME):
+            eve = EveStrategy.intercept(strat, fallback)
+            qkd = simulate_qkd(s, eve, n, seed=seed)
+            assert_binomial(qkd.kept, n, analytic_sift_rate(s.coeffs))
+            tree = _BranchTree(s.coeffs, *strat.normalized(), fallback)
+            assert_counts_follow(qkd.eve_counts, tree.distribution() / s.D)
+
+
+def test_runs_of_10_to_the_12_trials_add_up():
+    """One count table serves any count: a run of 10**12 trials or rounds
+    tallies every one of them, and its stage tallies chain."""
+    s, strat = _mc_case(4, "ms_me")
+    n = 10**12
+    report = run_simulation(s, strat, n, seed=31)
+    assert int(report.joint_counts.sum()) == n
+    attempts, successes = report.stage_attempts, report.stage_successes
+    assert attempts[0] == n and len(attempts) == len(successes) == 3
+    for i in range(1, len(attempts)):
+        assert attempts[i] == attempts[i - 1] - successes[i - 1]
+    assert all(0 <= suc <= att for att, suc in zip(attempts, successes))
+    finals = report.joint_counts[:, :, report.outcome_labels.index("f:0") :].sum()
+    assert finals == attempts[-1] - successes[-1]
+
+    eve = EveStrategy.intercept(strat, GUESS_UNIFORM)
+    qkd = simulate_qkd(s, eve, n, seed=32)
+    assert 0 < qkd.errors < qkd.kept == int(qkd.eve_counts.sum()) < n
+    assert 0 < simulate_qkd(s, EveStrategy.absent(), n, seed=33).kept < n
