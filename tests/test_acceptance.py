@@ -236,7 +236,7 @@ def test_criterion_6_monte_carlo_consistency():
                 assert abs(emp - analytic) <= bound + 1e-12, quantity
                 worst_rate = max(worst_rate, abs(emp - analytic) - bound)
         # One calibrated law test of the whole joint table: a 3-sigma bound on
-        # each of its ~60 cells would fail on about 14% of seeds of a sampler
+        # each of its ~60 cells would fail on about 15% of seeds of a sampler
         # drawing from the right law.
         _, dist = analytic_record_distribution(state, strat)
         probs = np.broadcast_to(dist[:, None, :] / state.n_messages, report.joint_counts.shape)
@@ -247,9 +247,9 @@ def test_criterion_6_monte_carlo_consistency():
     report_line(
         6,
         ok,
-        f"3 strategies x {n} trials: every branch rate within 3 sigma, joint counts "
-        f"({cells_checked} cells) pass a G-test at alpha {LAW_ALPHA:g}, worst mutual-info delta {worst_info:.4f} "
-        f"(<= 0.02), took {elapsed:.2f}s (< 10s)",
+        f"3 strategies x {n} trials: every branch rate within 3 sigma, joint "
+        f"counts ({cells_checked} cells) pass a G-test at alpha {LAW_ALPHA:g}, "
+        f"worst mutual-info delta {worst_info:.4f} (<= 0.02), took {elapsed:.2f}s (< 10s)",
     )
 
 

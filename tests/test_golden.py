@@ -82,13 +82,12 @@ EVES = {
     ),
 }
 
-#: 20001 trials, one count table per run like any other size.
+#: 20001 trials, longer than the 4096-trial cases below.
 SEEDS = (1, 7)
 TRIALS = "20001"
-#: Cases also run at 4096 trials, seed 3. A run of at most 4096 trials was
-#: one block when runs were split into 4096-trial blocks, so it drew the same
-#: counts from the same streams (0 for the table, 1 for the readout) as the
-#: one-table sampler; these files predate that sampler and pin this.
+#: Cases also run at 4096 trials, seed 3: a run of at most 4096 trials draws
+#: the same counts from the same streams (0 for the table, 1 for the readout)
+#: as when runs were split into 4096-trial blocks, and these files pin that.
 SHORT_TRIALS = "4096"
 SHORT_STRATEGIES = ("me", "ms_me", "tied_abstain", "uniform_tail_me")
 SHORT_EVES = ("absent", "me", "ms_abstain_guess_me", "tied_uniform")
