@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from .channel import SchmidtState, check_coeffs, config_number
-from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan
-from .infometrics import me_bits, multistage_bits, mutual_info_me, mutual_info_multistage, sep_bits
+from .discrimination import FINAL_ABSTAIN, FINAL_ME
+from .infometrics import me_bits, multistage_bits, mutual_info_me, mutual_info_multistage
 from .protocol_sim import (
     DecodingStrategy,
     analytic_record_distribution,
@@ -29,8 +29,9 @@ from .qkd import EveStrategy, analytic_qkd_error, analytic_sift_rate, simulate_q
 
 _DEFAULT_MARGIN = 1e-3
 _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
-#: Most rows one sweep may compute; the rank-8 grid-12 lattice has 50,388.
-MAX_SWEEP_ROWS = 10**6
+#: Most coefficients (rows times rank) one sweep may hold; peak memory grows with
+#: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 200 MiB.
+MAX_SWEEP_COEFFS = 10**6
 
 _FLOAT = "{:.9g}".format
 _FLOATS_ONLY = {float}
@@ -69,10 +70,11 @@ def _write_text(path: str, text: str) -> None:
         raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _check_rows(rows: int) -> None:
-    """Fail before a sweep allocates anything for more than MAX_SWEEP_ROWS rows."""
-    if rows > MAX_SWEEP_ROWS:
-        raise ValueError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
+def _check_size(rows: int, rank: int) -> None:
+    """Fail before a sweep of `rows` states of `rank` coefficients allocates
+    anything, if it would hold more than MAX_SWEEP_COEFFS coefficients."""
+    if rows * rank > MAX_SWEEP_COEFFS:
+        raise ValueError(f"sweep of {rows} x {rank} coefficients exceeds the limit of {MAX_SWEEP_COEFFS}")
 
 
 def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
@@ -92,7 +94,7 @@ def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
         raise ValueError("boundary margin must be positive")
     if rank * margin >= 1.0:
         raise ValueError("margin too large for this rank")
-    _check_rows(math.comb(resolution + rank - 1, rank - 1))
+    _check_size(math.comb(resolution + rank - 1, rank - 1), rank)
     # Grow the compositions one part at a time: each prefix with `left` still
     # to place is followed by heads 0..left, which keeps lexicographic order.
     combos = np.zeros((1, 0), dtype=np.int64)
@@ -136,7 +138,14 @@ def _out_path(args, config: dict, default: str) -> str:
     out = _setting(args, config, "out", default)
     if not isinstance(out, str):
         raise ValueError(f"'out' must be a file path, not {out!r}")
-    return out
+    return _unless_config(args, out)
+
+
+def _unless_config(args, path: str) -> str:
+    """`path`, unless it is the config file, which an output written there would destroy."""
+    if args.config and os.path.exists(path) and os.path.samefile(path, args.config):
+        raise ValueError(f"output {path} would overwrite the config file {args.config}")
+    return path
 
 
 def _simplex_coeffs(args, config: dict, grid: int, min_rank: int = 1):
@@ -171,9 +180,9 @@ def _cmd_sweep_sep(args) -> int:
     out = _out_path(args, config, "sweep_sep.csv")
     if steps < 1:
         raise RuntimeError("xi_steps must be >= 1")
-    _check_rows(steps + 1)
+    _check_size(steps + 1, state.D)
     xi = np.arange(steps + 1) / steps
-    total, p_s, success = sep_bits(state.coeffs, state.d2, xi)
+    total, (p_s,), (success,) = multistage_bits(state.coeffs, state.d2, (xi,), FINAL_ABSTAIN)
     i_me = np.full(xi.size, mutual_info_me(state).total_bits)
     rows = np.column_stack([xi, p_s, total, success, i_me]).tolist()
     _write_csv(out, ["xi", "P_s", "I_total", "I_success", "I_ME"], rows)
@@ -186,11 +195,9 @@ def _cmd_sweep_multistage(args) -> int:
     out = _out_path(args, config, "sweep_multistage.csv")
     d2, coeffs = _simplex_coeffs(args, config, 30, min_rank=3)
     i_me = me_bits(coeffs, d2)
-    single = multistage_bits(coeffs, d2, StagePlan((1.0,), FINAL_ABSTAIN))[0]
-    follow_me = multistage_bits(coeffs, d2, StagePlan((1.0,), FINAL_ME))[0]
-    two_stage, (p_s1, p_s2), (i_suc1, i_suc2) = multistage_bits(
-        coeffs, d2, StagePlan((1.0, 1.0), FINAL_ABSTAIN)
-    )
+    single = multistage_bits(coeffs, d2, (1.0,), FINAL_ABSTAIN)[0]
+    follow_me = multistage_bits(coeffs, d2, (1.0,), FINAL_ME)[0]
+    two_stage, (p_s1, p_s2), (i_suc1, i_suc2) = multistage_bits(coeffs, d2, (1.0, 1.0), FINAL_ABSTAIN)
     p_overall = p_s1 + (1.0 - p_s1) * p_s2 * np.where(i_suc2 > i_me, 1.0, 0.0)
     columns = [single, follow_me, two_stage, i_suc1, i_suc2, i_me, p_s1, p_overall]
     rows = np.column_stack([coeffs[:, :-1], *columns]).tolist()
@@ -219,7 +226,7 @@ def montecarlo_summary(report, state: SchmidtState, strat: DecodingStrategy):
     """Empirical-versus-analytic rows: (quantity, empirical, analytic, bound)."""
     labels, dist = analytic_record_distribution(state, strat)
     per_record = dist.mean(axis=0)
-    info = mutual_info_multistage(state, StagePlan(*strat.normalized()))
+    info = mutual_info_multistage(state, strat.plan)
     stage_probs = info.branch_probabilities
     rows = []
     rows.append(["k_channel_exact_rate", 1.0, 1.0, 0.0])
@@ -266,12 +273,13 @@ def _cmd_montecarlo(args) -> int:
     trials = _setting(args, config, "trials", 100000, integral=True)
     seed = _setting(args, config, "seed", 0, integral=True)
     out = _out_path(args, config, "montecarlo.csv")
+    sidecar = _unless_config(args, os.path.splitext(out)[0] + ".json")
     report = run_simulation(state, strat, trials, seed)
     rows = montecarlo_summary(report, state, strat)
     rendered = [[q, float(e), float(a), abs(float(e) - float(a)), float(b)] for q, e, a, b in rows]
     _write_csv(out, ["quantity", "empirical", "analytic", "abs_delta", "bound"], rendered)
-    _write_text(os.path.splitext(out)[0] + ".json", report.to_json())
-    print(f"wrote {out} and {os.path.splitext(out)[0] + '.json'}")
+    _write_text(sidecar, report.to_json())
+    print(f"wrote {out} and {sidecar}")
     return 0
 
 
@@ -282,6 +290,7 @@ def _cmd_qkd(args) -> int:
     rounds = _setting(args, config, "trials", 100000, integral=True)
     seed = _setting(args, config, "seed", 0, integral=True)
     out = _out_path(args, config, "qkd.csv")
+    sidecar = _unless_config(args, os.path.splitext(out)[0] + ".json")
     report = simulate_qkd(state, eve, rounds, seed)
     sift_analytic = analytic_sift_rate(state.coeffs)
     error_analytic = analytic_qkd_error(state.coeffs, eve)
@@ -313,8 +322,8 @@ def _cmd_qkd(args) -> int:
         ],
         [row],
     )
-    _write_text(os.path.splitext(out)[0] + ".json", report.to_json())
-    print(f"wrote {out} and {os.path.splitext(out)[0] + '.json'}")
+    _write_text(sidecar, report.to_json())
+    print(f"wrote {out} and {sidecar}")
     return 0
 
 

@@ -118,10 +118,11 @@ def walk_stages(coeffs, stages):
     with a uniform family, that is with certain success and nothing left.
     A row stops once its support drops below two levels, and an ended row
     executes no later stage; its families stay as they were, so every row
-    stays valid input.
+    stays valid input. A plan may hold rank - 1 stages, and one on a rank-1
+    family, which that stage leaves unexecuted.
     """
     current = np.asarray(coeffs, dtype=float)
-    if len(stages) > max(current.shape[-1] - 1, 0):
+    if len(stages) > max(current.shape[-1] - 1, 1):
         raise ValueError("plan exceeds channel stages")
     live = np.ones(current.shape[:-1], dtype=bool)
     sure = np.zeros_like(live)

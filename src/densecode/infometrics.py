@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtState
-from .discrimination import FINAL_ME, StagePlan, me_outcome_probs, separate, walk_stages
+from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 
 _ZERO_PROB = 1e-15
 
@@ -38,7 +38,6 @@ def _check_bits(bits, d2: int, rank: int):
 class InfoReport:
     """Mutual-information figures for one decoding strategy on one channel."""
 
-    strategy: str
     d2: int
     rank: int
     total_bits: float
@@ -65,71 +64,41 @@ def me_bits(coeffs, d2: int) -> np.ndarray:
     return _check_bits(math.log2(d2 * rank) + _plogp(me_outcome_probs(coeffs)), d2, rank)
 
 
-def _fold(p_success, success_bits, failure_bits):
-    """Bits of a stage that succeeds with probability p_success. p = 0 and
-    p = 1 return the failure or the success bits exactly."""
-    return p_success * success_bits + (1.0 - p_success) * failure_bits
-
-
-def multistage_bits(coeffs, d2: int, plan: StagePlan):
+def multistage_bits(coeffs, d2: int, stages, final: str):
     """Iterated probabilistic decoding of each coefficient row of `coeffs`
-    (shape (..., D)), folded bottom-up over the plan's stages.
+    (shape (..., D)), folded bottom-up over the separation `stages` and the
+    `final` action. Each stage's distinguishability is one value for all
+    rows or one per row (shape (...)), as walk_stages takes it.
 
     Returns (total, probabilities, bits): the total per row and, per planned
     stage, the success probability and the success-branch bits, which are 0
     and the target-system floor for a stage the walk does not reach."""
     coeffs = np.asarray(coeffs, dtype=float)
     floor_bits = math.log2(d2)
-    steps, rest, sure = walk_stages(coeffs, plan.stages)
+    steps, rest, sure = walk_stages(coeffs, stages)
     probs = tuple(np.where(executed, sep.p_success, 0.0) for executed, _, sep in steps)
     bits = tuple(np.where(executed, me_bits(sep.b_coeffs, d2), floor_bits) for executed, _, sep in steps)
     # A sure row's last stage succeeds surely, so its seed is weighted by 0.
-    if plan.final_action == FINAL_ME:
+    if final == FINAL_ME:
         total = np.where(sure, floor_bits, me_bits(rest, d2))
     else:
         total = np.full(sure.shape, floor_bits)
+    # Fold each stage in; P_s = 0 and P_s = 1 give the failure or the success bits exactly.
     for p_stage, suc_bits in zip(reversed(probs), reversed(bits)):
-        total = _fold(p_stage, suc_bits, total)
+        total = p_stage * suc_bits + (1.0 - p_stage) * total
     return _check_bits(total, d2, coeffs.shape[-1]), probs, bits
 
 
 def mutual_info_me(s: SchmidtState) -> InfoReport:
     """Deterministic minimum-error decoding."""
-    total = float(me_bits(s.coeffs, s.d2))
-    return InfoReport(
-        strategy="me",
-        d2=s.d2,
-        rank=s.D,
-        total_bits=total,
-        success_branch_bits=total,
-        branch_probabilities=(),
-    )
-
-
-def sep_bits(coeffs, d2: int, xi):
-    """Separation-assisted decoding of each coefficient row of `coeffs`
-    (shape (..., D)) at distinguishability `xi` (one value, or one per row):
-    (total, P_s, success-branch bits)."""
-    sep = separate(coeffs, xi)
-    success = me_bits(sep.b_coeffs, d2)
-    total = _fold(sep.p_success, success, math.log2(d2))
-    return _check_bits(total, d2, sep.b_coeffs.shape[-1]), sep.p_success, success
+    return mutual_info_multistage(s, StagePlan((), FINAL_ME))
 
 
 def mutual_info_sep(s: SchmidtState, xi: float) -> InfoReport:
     """Separation-assisted decoding: separate at `xi`, ME on success, nothing
     on failure. Interpolates between the deterministic ME protocol (xi=0) and
     full unambiguous decoding (xi=1)."""
-    total, p_success, success = sep_bits(s.coeffs, s.d2, xi)
-    return InfoReport(
-        strategy=f"sep_me(xi={xi:g})",
-        d2=s.d2,
-        rank=s.D,
-        total_bits=float(total),
-        success_branch_bits=float(success),
-        branch_probabilities=(p_success,),
-        stage_success_bits=(success,),
-    )
+    return mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN))
 
 
 def mutual_info_multistage(s: SchmidtState, plan: StagePlan) -> InfoReport:
@@ -141,9 +110,8 @@ def mutual_info_multistage(s: SchmidtState, plan: StagePlan) -> InfoReport:
     collapsed to one dimension retrieves nothing and its branch is worth only
     the error-free target-system bits.
     """
-    total, probs, bits = multistage_bits(s.coeffs, s.d2, plan)
+    total, probs, bits = multistage_bits(s.coeffs, s.d2, plan.stages, plan.final_action)
     return InfoReport(
-        strategy=f"multistage({len(plan.stages)} stages, final={plan.final_action})",
         d2=s.d2,
         rank=s.D,
         total_bits=float(total),

@@ -46,31 +46,30 @@ _SURE_SUCCESS = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class DecodingStrategy:
-    """Receiver policy: plain ME, separation-then-ME, or a multistage plan."""
+    """Receiver policy, held as the StagePlan it runs: plain ME has no stage
+    and ends in ME, separation-then-ME one stage that abstains, and a
+    multistage strategy is its plan. `kind` only names the policy."""
 
     kind: str
-    xi: float = 1.0
     plan: StagePlan | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("me", "sep_me", "multistage"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError("xi must lie in [0, 1]")
-        if self.kind == "multistage" and self.plan is None:
-            raise ValueError("multistage strategy requires a plan")
+        if not isinstance(self.plan, StagePlan):
+            raise ValueError(f"{self.kind} strategy requires a plan")
 
     @classmethod
     def me(cls) -> "DecodingStrategy":
-        return cls(kind="me")
+        return cls("me", StagePlan((), FINAL_ME))
 
     @classmethod
     def sep_me(cls, xi: float) -> "DecodingStrategy":
-        return cls(kind="sep_me", xi=xi)
+        return cls("sep_me", StagePlan((xi,), FINAL_ABSTAIN))
 
     @classmethod
     def multistage(cls, plan: StagePlan) -> "DecodingStrategy":
-        return cls(kind="multistage", plan=plan)
+        return cls("multistage", plan)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DecodingStrategy":
@@ -90,19 +89,11 @@ class DecodingStrategy:
             return cls.multistage(StagePlan(stages, final))
         raise ValueError(f"unknown strategy kind {kind!r}")
 
-    def normalized(self) -> tuple:
-        """(separation stages, final action) normal form."""
-        if self.kind == "me":
-            return (), FINAL_ME
-        if self.kind == "sep_me":
-            return (self.xi,), FINAL_ABSTAIN
-        return self.plan.stages, self.plan.final_action
-
     def describe(self) -> str:
         if self.kind == "me":
             return "me"
         if self.kind == "sep_me":
-            return f"sep_me(xi={self.xi:g})"
+            return f"sep_me(xi={self.plan.stages[0]:g})"
         stages = ",".join(f"{xi:g}" for xi in self.plan.stages)
         return f"multistage([{stages}], final={self.plan.final_action})"
 
@@ -130,11 +121,12 @@ class _BranchTree:
     final action writes.
     """
 
-    def __init__(self, coeffs, stages, final: str, guess=None):
+    def __init__(self, coeffs, plan: StagePlan, guess=None):
         coeffs = np.asarray(coeffs, dtype=float)
         self.rank = rank = coeffs.size
         circulant = (np.arange(rank)[:, None] - np.arange(rank)) % rank
-        steps, rest, _ = walk_stages(coeffs, stages)
+        steps, rest, _ = walk_stages(coeffs, plan.stages)
+        final = plan.final_action
         self.stage_entries: list = []
         records: list = []
         # The executed steps are a prefix of the walk.
@@ -217,18 +209,18 @@ def count_table(seed: int, n: int, dist: np.ndarray | None = None):
 
 
 @lru_cache(maxsize=64)
-def _trial_tree(coeffs: bytes, stages: tuple, final: str):
-    """Branch tree of one (coefficients, normalized strategy) pair and the
-    cumulative sums of its multinomial_rows, built once and shared by every
-    run_trial call with that pair; trials only read them."""
-    fam = _BranchTree(np.frombuffer(coeffs), stages, final)
+def _trial_tree(coeffs: bytes, plan: StagePlan):
+    """Branch tree of one (coefficients, stage plan) pair and the cumulative
+    sums of its multinomial_rows, built once and shared by every run_trial
+    call with that pair; trials only read them."""
+    fam = _BranchTree(np.frombuffer(coeffs), plan)
     return fam, np.cumsum(multinomial_rows(fam.distribution()), axis=1)
 
 
 def run_trial(s: SchmidtState, strat: DecodingStrategy, rng: np.random.Generator) -> TrialRecord:
     """Simulate a single round: draw a message (j, k), then one record of the
     strategy's branch tree for carrier j; the system-2 readout returns k."""
-    fam, cdf = _trial_tree(s.coeffs.tobytes(), *strat.normalized())
+    fam, cdf = _trial_tree(s.coeffs.tobytes(), strat.plan)
     j, k = divmod(int(rng.integers(0, s.n_messages, size=1)[0]), s.d2)
     u = rng.random()
     record = min(int(np.searchsorted(cdf[j], u, side="right")), cdf.shape[1] - 1)
@@ -305,7 +297,7 @@ def run_simulation(
 ) -> SimulationReport:
     """Seed-deterministic Monte Carlo run. `threads` is accepted and ignored:
     the run draws one count table, in O(D * records) whatever n_trials is."""
-    fam = _BranchTree(s.coeffs, *strat.normalized())
+    fam = _BranchTree(s.coeffs, strat.plan)
     _, by_carrier = count_table(seed, n_trials, fam.distribution())
     # Stream 1 splits each (carrier, record) count over k.
     readout = derived_rng(seed, 1).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
@@ -351,7 +343,7 @@ def analytic_record_distribution(s: SchmidtState, strat: DecodingStrategy):
     Returns (record labels, array of shape (D, n_records)) with rows summing
     to 1: the distribution of the branch tree that Monte Carlo samples.
     """
-    fam = _BranchTree(s.coeffs, *strat.normalized())
+    fam = _BranchTree(s.coeffs, strat.plan)
     return fam.records, fam.distribution()
 
 

@@ -139,7 +139,7 @@ def simulate_qkd(
         rng, _ = count_table(seed, n_rounds)
         kept = int(rng.binomial(n_rounds, p_keep))
     else:
-        fam = _BranchTree(s.coeffs, *eve.strategy.normalized(), eve.fallback)
+        fam = _BranchTree(s.coeffs, eve.strategy.plan, eve.fallback)
         rng, table = count_table(seed, n_rounds, fam.distribution())
         counts = rng.binomial(table, p_keep)
         counts.setflags(write=False)
@@ -173,6 +173,6 @@ def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:
     puts on records inferring a wrong dit; the receiver's sift is error-free."""
     if eve.kind == "absent":
         return 0.0
-    fam = _BranchTree(coeffs, *eve.strategy.normalized(), eve.fallback)
+    fam = _BranchTree(coeffs, eve.strategy.plan, eve.fallback)
     wrong = fam.inferred != np.arange(fam.rank)[:, None]
     return float(fam.distribution()[wrong].sum() / fam.rank)

@@ -159,7 +159,7 @@ def circuit_joint(s, strat) -> np.ndarray:
     circuit's system-2 readout P(m | j, k) times the carrier's record
     distribution. Row j*d2 + k, column record*d2 + m."""
     readout = verify_channel(s)
-    dist = CircuitTree(s, *strat.normalized()).distribution()
+    dist = CircuitTree(s, strat.plan.stages, strat.plan.final_action).distribution()
     joint = np.einsum("jkm,jr->jkrm", readout, dist) / s.n_messages
     return joint.reshape(s.n_messages, dist.shape[1] * s.d2)
 

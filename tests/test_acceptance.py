@@ -312,7 +312,7 @@ def test_criterion_7_structural_invariants():
 
 def _brute_force_error(s, eve):
     povm = me_measurement(s.D, s.d1)
-    stages, final = eve.strategy.normalized()
+    stages, final = eve.strategy.plan.stages, eve.strategy.plan.final_action
     total = 0.0
     for j in range(s.D):
         weight = 1.0

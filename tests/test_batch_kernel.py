@@ -94,11 +94,14 @@ def test_bits_rows_are_independent():
     batch_me = me_bits(MIXED, d2)
     for r, coeffs in enumerate(MIXED):
         assert me_bits(coeffs[None, :], d2)[0] == batch_me[r]
-    for plan in PLANS:
-        total, probs, bits = multistage_bits(MIXED, d2, plan)
+    # The last input gives each of its two stages one distinguishability per row.
+    per_row = (np.linspace(0.0, 1.0, len(MIXED)), np.linspace(1.0, 0.2, len(MIXED)))
+    for stages, final in [(p.stages, p.final_action) for p in PLANS] + [(per_row, FINAL_ME)]:
+        total, probs, bits = multistage_bits(MIXED, d2, stages, final)
         for r, coeffs in enumerate(MIXED):
-            alone_total, alone_probs, alone_bits = multistage_bits(coeffs[None, :], d2, plan)
-            assert alone_total[0] == total[r], (plan, r)
+            row_stages = tuple(float(np.broadcast_to(xi, len(MIXED))[r]) for xi in stages)
+            alone_total, alone_probs, alone_bits = multistage_bits(coeffs[None, :], d2, row_stages, final)
+            assert alone_total[0] == total[r], (stages, r)
             assert [p[0] for p in alone_probs] == [p[r] for p in probs]
             assert [b[0] for b in alone_bits] == [b[r] for b in bits]
 
@@ -131,7 +134,7 @@ def state_stacks(draw):
 def test_batched_multistage_matches_circuit_oracle(case):
     states, plan = case
     stack = np.array([s.coeffs for s in states])
-    totals = multistage_bits(stack, states[0].d2, plan)[0]
+    totals = multistage_bits(stack, states[0].d2, plan.stages, plan.final_action)[0]
     strat = DecodingStrategy.multistage(plan)
     for s, total in zip(states, totals):
         oracle = mutual_info_from_joint(circuit_joint(s, strat))

@@ -96,7 +96,7 @@ def _oracle_error(tree):
 def _compare(s, stages, final, guess):
     """Worst distribution gap between the closed-form tree and the circuit;
     records and stage counts must agree exactly."""
-    tree = _BranchTree(s.coeffs, stages, final, guess)
+    tree = _BranchTree(s.coeffs, StagePlan(stages, final), guess)
     oracle = CircuitTree(s, stages, final, guess)
     assert tree.records == oracle.records
     assert len(tree.stage_entries) == len(oracle.stages)
@@ -118,7 +118,7 @@ def test_tree_matches_circuit_oracle():
         final = FINALS[case % 2]
         guess = GUESSES[(case // 8) % 3]
         assert _compare(s, stages, final, guess) <= AGREE_ATOL, (case, kind, stages, final, guess)
-        dist = _BranchTree(s.coeffs, stages, final, guess).distribution()
+        dist = _BranchTree(s.coeffs, StagePlan(stages, final), guess).distribution()
         assert dist.min() >= 0.0, case
         assert np.max(np.abs(dist.sum(axis=1) - 1.0)) <= PVALS_ATOL, case
         rows = multinomial_rows(dist)

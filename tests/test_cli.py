@@ -86,16 +86,23 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
         ("montecarlo", {"trials": 2**63}, "trial count 9223372036854775808"),
         ("qkd", {"trials": 2**63}, "trial count 9223372036854775808"),
         ("qkd", {"trials": 0}, "trial count 0"),
+        # The CSV or the JSON sidecar over the config file.
+        ("montecarlo", {"out": "config.json"}, "overwrite the config"),
+        ("montecarlo", {"out": "config.csv"}, "overwrite the config"),
+        ("qkd", {"out": "config.csv"}, "overwrite the config"),
+        ("sweep-sep", {"out": "config.json"}, "overwrite the config"),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    out = tmp_path / "never.csv"
+    # A case's "out" key names the --out path too (the flag overrides the key).
+    out = tmp_path / config.get("out", "never.csv")
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert json.loads(path.read_text()) == config
 
 
 @pytest.mark.parametrize("command", ["montecarlo", "qkd"])
@@ -154,24 +161,28 @@ def test_non_string_out_config_fails_before_writing(command, config, tmp_path):
         (["sweep-me", "--d1", "8", "--d2", "8", "--grid", "100000"], math.comb(100007, 7)),
         (["sweep-multistage", "--d1", "8", "--d2", "8", "--grid", "100000"], math.comb(100007, 7)),
         (["sweep-sep", "--xi-steps", "10000000000"], 10000000001),
+        (["sweep-me", "--d1", "1000", "--d2", "1000", "--grid", "2", "--margin", "1e-4"], 500500),
+        (["sweep-multistage", "--d1", "8", "--d2", "8", "--grid", "16"], 245157),
     ],
 )
 def test_oversized_sweep_fails_before_allocating(argv, rows, tmp_path, capsys):
-    # Unchecked, the first would allocate 37 GiB and the last 74 GiB.
+    # Unchecked, the first would allocate 37 GiB, the third 74 GiB and the
+    # fourth 4 GB; the last two have fewer than 10**6 rows.
     out = tmp_path / "never.csv"
     assert cli.main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert f"sweep of {rows} rows" in err and f"limit of {cli.MAX_SWEEP_ROWS} rows" in err
+    assert f"sweep of {rows} x " in err
+    assert f"coefficients exceeds the limit of {cli.MAX_SWEEP_COEFFS}" in err
     assert not out.exists()
 
 
 def test_sweep_row_limit_is_inclusive():
-    cli._check_rows(cli.MAX_SWEEP_ROWS)
-    with pytest.raises(ValueError, match=f"sweep of {cli.MAX_SWEEP_ROWS + 1} rows"):
-        cli._check_rows(cli.MAX_SWEEP_ROWS + 1)
-    # The largest lattice in use stays well inside the limit.
-    assert math.comb(12 + 7, 7) < cli.MAX_SWEEP_ROWS
+    cli._check_size(cli.MAX_SWEEP_COEFFS // 8, 8)
+    with pytest.raises(ValueError, match=f"sweep of {cli.MAX_SWEEP_COEFFS // 8 + 1} x 8 coefficients"):
+        cli._check_size(cli.MAX_SWEEP_COEFFS // 8 + 1, 8)
+    # The largest lattice in use stays inside the limit.
+    assert math.comb(12 + 7, 7) * 8 < cli.MAX_SWEEP_COEFFS
 
 
 class TestSweepMe:

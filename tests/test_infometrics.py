@@ -203,9 +203,9 @@ class TestMutualInfoFromJoint:
 class TestInfoReportInvariants:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
-            InfoReport("bad", 4, 3, 5.0, None, ())
+            InfoReport(4, 3, 5.0, None, ())
         with pytest.raises(ValueError):
-            InfoReport("bad", 4, 3, 1.0, None, ())
+            InfoReport(4, 3, 1.0, None, ())
 
     @pytest.mark.parametrize("seed", range(10))
     def test_all_reports_within_bounds(self, seed):

@@ -43,10 +43,10 @@ class TestDecodingStrategy:
             DecodingStrategy(kind="multistage")
 
     def test_normal_forms(self):
-        assert DecodingStrategy.me().normalized() == ((), FINAL_ME)
-        assert DecodingStrategy.sep_me(0.25).normalized() == ((0.25,), FINAL_ABSTAIN)
+        assert DecodingStrategy.me().plan == StagePlan((), FINAL_ME)
+        assert DecodingStrategy.sep_me(0.25).plan == StagePlan((0.25,), FINAL_ABSTAIN)
         plan = StagePlan((1.0, 0.5), FINAL_ME)
-        assert DecodingStrategy.multistage(plan).normalized() == ((1.0, 0.5), FINAL_ME)
+        assert DecodingStrategy.multistage(plan).plan == plan
 
     def test_dict_round_trip(self):
         strat = DecodingStrategy.from_dict(
@@ -181,6 +181,15 @@ class TestRunSimulation:
         plan = StagePlan((1.0, 1.0), FINAL_ME)
         with pytest.raises(ValueError, match="plan exceeds channel stages"):
             run_simulation(qubit_state, DecodingStrategy.multistage(plan), 10, seed=0)
+
+    def test_rank1_separation_abstains_without_a_stage(self):
+        # One stage is allowed on a rank-1 state, and the walk leaves it
+        # unexecuted, as mutual_info_sep reports it.
+        s = SchmidtState(4, 4, [1.0])
+        report = run_simulation(s, DecodingStrategy.sep_me(0.8), 20000, seed=3)
+        assert report.outcome_labels == ("inc",)
+        assert report.stage_attempts == () and report.stage_successes == ()
+        assert abs(report.empirical_mutual_info_bits - 2.0) <= 0.02
 
     @pytest.mark.parametrize("seed", range(4))
     def test_joint_frequencies_within_three_sigma(self, seed, qubit_state):

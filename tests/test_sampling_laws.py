@@ -72,7 +72,7 @@ def test_record_counts_follow_distribution(rank, kind):
 @pytest.mark.parametrize("rank,kind", [c for c in MC_CASES if c[1] != "me"])
 def test_stage_successes_follow_binomial_laws(rank, kind):
     s, strat, report = _mc_run(rank, kind)
-    probs = mutual_info_multistage(s, StagePlan(*strat.normalized())).branch_probabilities
+    probs = mutual_info_multistage(s, strat.plan).branch_probabilities
     attempts, successes = report.stage_attempts, report.stage_successes
     assert 1 <= len(attempts) == len(successes) <= len(probs)
     assert attempts[0] == MC_TRIALS
@@ -124,7 +124,7 @@ def test_qkd_sift_and_errors_follow_closed_form(rank, kind, fallback):
 @pytest.mark.parametrize("rank,kind,fallback", QKD_CASES)
 def test_qkd_eve_counts_follow_distribution(rank, kind, fallback):
     s, eve, report = _qkd_run(rank, kind, fallback)
-    tree = _BranchTree(s.coeffs, *eve.strategy.normalized(), eve.fallback)
+    tree = _BranchTree(s.coeffs, eve.strategy.plan, eve.fallback)
     assert report.eve_record_labels == tree.records
     assert int(report.eve_counts.sum()) == report.kept
     wrong = tree.inferred != np.arange(s.D)[:, None]
@@ -179,7 +179,7 @@ def test_samplers_take_rows_at_float_edges(state, kind):
             eve = EveStrategy.intercept(strat, fallback)
             qkd = simulate_qkd(s, eve, n, seed=seed)
             assert_binomial(qkd.kept, n, analytic_sift_rate(s.coeffs))
-            tree = _BranchTree(s.coeffs, *strat.normalized(), fallback)
+            tree = _BranchTree(s.coeffs, strat.plan, fallback)
             assert_counts_follow(qkd.eve_counts, tree.distribution() / s.D)
 
 
