@@ -17,13 +17,10 @@ from .protocol_sim import (
     INCONCLUSIVE,
     DecodingStrategy,
     SimulationReport,
-    TrialRecord,
     analytic_joint,
     analytic_record_distribution,
     derived_rng,
-    empirical_mutual_info,
     run_simulation,
-    run_trial,
 )
 from .qkd import (
     GUESS_ME,

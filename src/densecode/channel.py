@@ -3,7 +3,6 @@ config-number parsing the file formats share."""
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 
@@ -71,20 +70,6 @@ class SchmidtState:
         return self.coeffs.size
 
     @property
-    def a_min(self) -> float:
-        return float(np.min(self.coeffs))
-
-    @property
-    def mu(self) -> int:
-        """Multiplicity of the smallest coefficient (squared-value grouping)."""
-        sq = self.coeffs**2
-        return int(np.sum(sq - np.min(sq) <= GROUP_TOL_SQ))
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.mu == self.D
-
-    @property
     def n_messages(self) -> int:
         return self.d2 * self.D
 
@@ -109,10 +94,6 @@ class SchmidtState:
         if obj.get("squared", False):
             return cls.from_squared(d1, d2, coeffs)
         return cls(d1, d2, coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SchmidtState":
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
         return {"d1": self.d1, "d2": self.d2, "coeffs": [float(c) for c in self.coeffs]}

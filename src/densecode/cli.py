@@ -148,6 +148,15 @@ def _unless_config(args, path: str) -> str:
     return path
 
 
+def _sidecar(args, out: str) -> str:
+    """The JSON report path beside the CSV `out`, unless it is `out` itself
+    (an `out` ending in .json) or the config file."""
+    sidecar = os.path.splitext(out)[0] + ".json"
+    if os.path.abspath(sidecar) == os.path.abspath(out):
+        raise ValueError(f"JSON report {sidecar} would overwrite the CSV output {out}")
+    return _unless_config(args, sidecar)
+
+
 def _simplex_coeffs(args, config: dict, grid: int, min_rank: int = 1):
     """(d2, Schmidt coefficients of a simplex sweep, one state per row)."""
     d1 = _setting(args, config, "d1", 3, integral=True)
@@ -273,7 +282,7 @@ def _cmd_montecarlo(args) -> int:
     trials = _setting(args, config, "trials", 100000, integral=True)
     seed = _setting(args, config, "seed", 0, integral=True)
     out = _out_path(args, config, "montecarlo.csv")
-    sidecar = _unless_config(args, os.path.splitext(out)[0] + ".json")
+    sidecar = _sidecar(args, out)
     report = run_simulation(state, strat, trials, seed)
     rows = montecarlo_summary(report, state, strat)
     rendered = [[q, float(e), float(a), abs(float(e) - float(a)), float(b)] for q, e, a, b in rows]
@@ -290,7 +299,7 @@ def _cmd_qkd(args) -> int:
     rounds = _setting(args, config, "trials", 100000, integral=True)
     seed = _setting(args, config, "seed", 0, integral=True)
     out = _out_path(args, config, "qkd.csv")
-    sidecar = _unless_config(args, os.path.splitext(out)[0] + ".json")
+    sidecar = _sidecar(args, out)
     report = simulate_qkd(state, eve, rounds, seed)
     sift_analytic = analytic_sift_rate(state.coeffs)
     error_analytic = analytic_qkd_error(state.coeffs, eve)
@@ -341,10 +350,6 @@ _RUNS = ("montecarlo", "qkd")
 _FLAGS = {
     "--config": ({"help": "JSON config file; flags override it"}, tuple(_COMMANDS)),
     "--out": ({"help": "output CSV path"}, tuple(_COMMANDS)),
-    "--threads": (
-        {"type": int, "help": "accepted for compatibility and ignored; runs are serial"},
-        tuple(_COMMANDS),
-    ),
     "--seed": ({"type": int, "help": "RNG seed"}, _RUNS),
     "--trials": ({"type": int, "help": "Monte Carlo trials / rounds"}, _RUNS),
     "--grid": ({"type": int, "help": "simplex lattice resolution"}, _SIMPLEX),

@@ -12,7 +12,10 @@ import numpy as np
 from .channel import SchmidtState
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 
+#: Probabilities at or below this count as zero in p*log2(p) and in the plug-in estimate.
 _ZERO_PROB = 1e-15
+#: Rounding slack of _check_bits: perfect or unentangled decoding lands on a range end.
+_BITS_SLACK = 1e-9
 
 
 def _plogp(probs) -> np.ndarray:
@@ -28,7 +31,7 @@ def _check_bits(bits, d2: int, rank: int):
     lo = math.log2(d2)
     hi = math.log2(d2 * rank)
     values = np.atleast_1d(bits)
-    outside = ~((lo - 1e-9 <= values) & (values <= hi + 1e-9))
+    outside = ~((lo - _BITS_SLACK <= values) & (values <= hi + _BITS_SLACK))
     if outside.any():
         raise ValueError(f"total {values[outside][0]} outside [{lo}, {hi}] for this channel")
     return bits

@@ -15,17 +15,13 @@ records with probabilities multinomial_rows(distribution()), rows clipped at
 0 and renormalised. The generator derived from (seed, 1) then splits each
 (carrier, record) count over the d2 equally likely values of the sender's k,
 which the system-2 readout returns exactly: one multinomial per cell. Counts
-are signed 64-bit integers, so n must lie in [1, 2**63). run_trial, the
-single-round API, draws one bounded integer for the message (j, k), then one
-uniform for the record by inverse CDF on the same row.
+are signed 64-bit integers, so n must lie in [1, 2**63).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,28 +44,25 @@ _SURE_SUCCESS = 1.0 - 1e-12
 class DecodingStrategy:
     """Receiver policy, held as the StagePlan it runs: plain ME has no stage
     and ends in ME, separation-then-ME one stage that abstains, and a
-    multistage strategy is its plan. `kind` only names the policy."""
+    multistage strategy is its plan. describe() names it by that shape."""
 
-    kind: str
-    plan: StagePlan | None = None
+    plan: StagePlan
 
     def __post_init__(self) -> None:
-        if self.kind not in ("me", "sep_me", "multistage"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
         if not isinstance(self.plan, StagePlan):
-            raise ValueError(f"{self.kind} strategy requires a plan")
+            raise ValueError(f"a strategy requires a StagePlan, not {self.plan!r}")
 
     @classmethod
     def me(cls) -> "DecodingStrategy":
-        return cls("me", StagePlan((), FINAL_ME))
+        return cls(StagePlan((), FINAL_ME))
 
     @classmethod
     def sep_me(cls, xi: float) -> "DecodingStrategy":
-        return cls("sep_me", StagePlan((xi,), FINAL_ABSTAIN))
+        return cls(StagePlan((xi,), FINAL_ABSTAIN))
 
     @classmethod
     def multistage(cls, plan: StagePlan) -> "DecodingStrategy":
-        return cls("multistage", plan)
+        return cls(plan)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DecodingStrategy":
@@ -90,22 +83,13 @@ class DecodingStrategy:
         raise ValueError(f"unknown strategy kind {kind!r}")
 
     def describe(self) -> str:
-        if self.kind == "me":
+        stages, final = self.plan.stages, self.plan.final_action
+        if not stages and final == FINAL_ME:
             return "me"
-        if self.kind == "sep_me":
-            return f"sep_me(xi={self.plan.stages[0]:g})"
-        stages = ",".join(f"{xi:g}" for xi in self.plan.stages)
-        return f"multistage([{stages}], final={self.plan.final_action})"
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One simulated round; inferred carries INCONCLUSIVE when decoding abstained."""
-
-    message: tuple
-    inferred: tuple
-    stage_reached: int
-    ancilla_outcomes: tuple
+        if len(stages) == 1 and final == FINAL_ABSTAIN:
+            return f"sep_me(xi={stages[0]:g})"
+        listed = ",".join(f"{xi:g}" for xi in stages)
+        return f"multistage([{listed}], final={final})"
 
 
 class _BranchTree:
@@ -208,28 +192,6 @@ def count_table(seed: int, n: int, dist: np.ndarray | None = None):
     return rng, rng.multinomial(carriers, multinomial_rows(dist))
 
 
-@lru_cache(maxsize=64)
-def _trial_tree(coeffs: bytes, plan: StagePlan):
-    """Branch tree of one (coefficients, stage plan) pair and the cumulative
-    sums of its multinomial_rows, built once and shared by every run_trial
-    call with that pair; trials only read them."""
-    fam = _BranchTree(np.frombuffer(coeffs), plan)
-    return fam, np.cumsum(multinomial_rows(fam.distribution()), axis=1)
-
-
-def run_trial(s: SchmidtState, strat: DecodingStrategy, rng: np.random.Generator) -> TrialRecord:
-    """Simulate a single round: draw a message (j, k), then one record of the
-    strategy's branch tree for carrier j; the system-2 readout returns k."""
-    fam, cdf = _trial_tree(s.coeffs.tobytes(), strat.plan)
-    j, k = divmod(int(rng.integers(0, s.n_messages, size=1)[0]), s.d2)
-    u = rng.random()
-    record = min(int(np.searchsorted(cdf[j], u, side="right")), cdf.shape[1] - 1)
-    n_stages = len(fam.stage_entries)
-    stage = record // fam.rank
-    ancilla = (1,) * stage + (0,) if stage < n_stages else (1,) * n_stages
-    return TrialRecord((j, k), (int(fam.inferred[record]), k), len(ancilla), ancilla)
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
     """Tallies of one seeded run; a fixed seed reproduces them bit for bit."""
@@ -272,20 +234,12 @@ class SimulationReport:
                 "counts": self.counts_dict(),
                 "stage_attempts": list(self.stage_attempts),
                 "stage_successes": list(self.stage_successes),
-                "empirical_success_rate": [
-                    None if r is None else r for r in self.empirical_success_rate
-                ],
+                "empirical_success_rate": list(self.empirical_success_rate),
                 "empirical_mutual_info_bits": self.empirical_mutual_info_bits,
             },
             indent=2,
             sort_keys=True,
         )
-
-    def csv_rows(self) -> list:
-        """[j, k, record, count] for every cell, zeros included, in (j, k, record) order."""
-        rank, d2, _ = self.joint_counts.shape
-        keys = itertools.product(range(rank), range(d2), self.outcome_labels)
-        return [[j, k, label, c] for (j, k, label), c in zip(keys, self.joint_counts.ravel().tolist())]
 
 
 def run_simulation(
@@ -295,8 +249,8 @@ def run_simulation(
     seed: int,
     threads: int | None = None,
 ) -> SimulationReport:
-    """Seed-deterministic Monte Carlo run. `threads` is accepted and ignored:
-    the run draws one count table, in O(D * records) whatever n_trials is."""
+    """Seed-deterministic Monte Carlo run: one count table, in O(D * records)
+    whatever n_trials is. `threads` is ignored (perfbench/ still passes it)."""
     fam = _BranchTree(s.coeffs, strat.plan)
     _, by_carrier = count_table(seed, n_trials, fam.distribution())
     # Stream 1 splits each (carrier, record) count over k.
@@ -328,13 +282,6 @@ def _expand_joint(counts: np.ndarray, normalizer: float, d2: int) -> np.ndarray:
         for k in range(d2):
             joint[j * d2 + k, k::d2] = counts[j, k, :] / normalizer
     return joint
-
-
-def empirical_mutual_info(report: SimulationReport) -> float:
-    """Plug-in mutual information between message (j, k) and (record, m),
-    computed from the compact counts; inconclusive outcomes are a distinct
-    symbol, never a guess."""
-    return counts_mutual_info(report.joint_counts, report.n_trials)
 
 
 def analytic_record_distribution(s: SchmidtState, strat: DecodingStrategy):

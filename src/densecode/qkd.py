@@ -26,34 +26,37 @@ from .protocol_sim import (
 
 @dataclass(frozen=True)
 class EveStrategy:
-    """Eavesdropper policy; the fallback fires only on an inconclusive record."""
+    """Eavesdropper policy: the decoding strategy she intercepts with, None
+    when she is absent; the fallback fires only on an inconclusive record."""
 
-    kind: str
     strategy: DecodingStrategy | None = None
     fallback: str = GUESS_UNIFORM
 
     def __post_init__(self) -> None:
-        if self.kind not in ("absent", "intercept"):
-            raise ValueError(f"unknown eavesdropper kind {self.kind!r}")
-        if self.kind == "intercept" and self.strategy is None:
-            raise ValueError("intercepting eavesdropper requires a strategy")
+        if not isinstance(self.strategy, (DecodingStrategy, type(None))):
+            raise ValueError(f"eavesdropper strategy must be a DecodingStrategy, not {self.strategy!r}")
         if self.fallback not in (GUESS_UNIFORM, GUESS_ME):
             raise ValueError("fallback must be 'uniform' or 'me'")
 
     @classmethod
     def absent(cls) -> "EveStrategy":
-        return cls(kind="absent")
+        return cls()
 
     @classmethod
     def intercept(cls, strategy: DecodingStrategy, fallback: str = GUESS_UNIFORM) -> "EveStrategy":
-        return cls(kind="intercept", strategy=strategy, fallback=fallback)
+        if strategy is None:
+            raise ValueError("intercepting eavesdropper requires a strategy")
+        return cls(strategy, fallback)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EveStrategy":
         if not isinstance(obj, dict):
             raise ValueError("'eve' must be an object with a 'kind'")
-        if obj.get("kind") != "intercept":
-            return cls(kind=obj.get("kind"))
+        kind = obj.get("kind")
+        if kind == "absent":
+            return cls.absent()
+        if kind != "intercept":
+            raise ValueError(f"unknown eavesdropper kind {kind!r}")
         if "strategy" not in obj:
             raise ValueError("an intercepting 'eve' needs key 'strategy'")
         return cls.intercept(
@@ -62,7 +65,7 @@ class EveStrategy:
         )
 
     def describe(self) -> str:
-        if self.kind == "absent":
+        if self.strategy is None:
             return "absent"
         return f"intercept({self.strategy.describe()}, fallback={self.fallback})"
 
@@ -108,16 +111,6 @@ class QkdReport:
             sort_keys=True,
         )
 
-    def csv_row(self) -> dict:
-        return {
-            "eve": self.eve,
-            "n_rounds": self.n_rounds,
-            "seed": self.seed,
-            "sift_rate": self.sift_rate,
-            "sifted_error_rate": self.sifted_error_rate,
-            "eve_info_bits": self.eve_info_bits,
-        }
-
 
 def simulate_qkd(
     s: SchmidtState,
@@ -126,16 +119,16 @@ def simulate_qkd(
     seed: int,
     threads: int | None = None,
 ) -> QkdReport:
-    """Seed-deterministic intercept-resend run. `threads` is accepted and
-    ignored. The run draws one count table: the transmitted dits per carrier
-    and the eavesdropper's records per carrier, then, from the same
+    """Seed-deterministic intercept-resend run, `threads` ignored as in
+    run_simulation. The run draws one count table: the transmitted dits per
+    carrier and the eavesdropper's records per carrier, then, from the same
     generator, the receiver's sift of each (carrier, record) cell. Without an
     eavesdropper it draws one sift count."""
     if s.D < 2:
         raise ValueError("sifting requires channel rank >= 2")
     p_keep = analytic_sift_rate(s.coeffs)
     labels, counts, errors, eve_info = (), None, 0, 0.0
-    if eve.kind == "absent":
+    if eve.strategy is None:
         rng, _ = count_table(seed, n_rounds)
         kept = int(rng.binomial(n_rounds, p_keep))
     else:
@@ -171,7 +164,7 @@ def analytic_sift_rate(coeffs) -> float:
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:
     """Exact sifted-key error rate: the weight the eavesdropper's branch tree
     puts on records inferring a wrong dit; the receiver's sift is error-free."""
-    if eve.kind == "absent":
+    if eve.strategy is None:
         return 0.0
     fam = _BranchTree(coeffs, eve.strategy.plan, eve.fallback)
     wrong = fam.inferred != np.arange(fam.rank)[:, None]

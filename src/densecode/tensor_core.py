@@ -1,8 +1,7 @@
 """Exact complex linear algebra on finite-dimensional Hilbert spaces.
 
 States are dense complex vectors, operators dense matrices, and measurements
-ordered POVM element lists. All values are immutable after construction;
-outcome sampling takes an explicit generator, never a module-level one.
+ordered POVM element lists. All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -171,20 +170,6 @@ def born_probabilities(state: Ket, m: Measurement) -> np.ndarray:
     if abs(probs.sum() - 1.0) > _PROB_SUM_ATOL:
         raise ValueError("outcome probabilities do not sum to 1")
     return probs
-
-
-def sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an outcome index by inverse CDF; deterministic for a fixed stream."""
-    p = np.asarray(probs, dtype=float)
-    if p.size == 0:
-        raise ValueError("empty probability vector")
-    if np.min(p) < -_PROB_CLIP:
-        raise ValueError("negative probability beyond rounding tolerance")
-    if abs(p.sum() - 1.0) > _PROB_SUM_ATOL:
-        raise ValueError("probabilities do not sum to 1")
-    cdf = np.cumsum(np.clip(p, 0.0, None))
-    u = rng.random(size=1)[0]
-    return int(min(np.searchsorted(cdf, u, side="right"), p.size - 1))
 
 
 def project_subsystem(state: Ket, dims: tuple, subsystem: str, outcome: int):

@@ -1,6 +1,7 @@
 """The closed-form branch tree against the circuit oracle, and a guard that
 the runtime path builds no dense circuit."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -29,7 +30,6 @@ from densecode import (
     analytic_sift_rate,
     cli,
     run_simulation,
-    run_trial,
     simulate_qkd,
 )
 from densecode.channel import GROUP_TOL_SQ
@@ -176,7 +176,6 @@ def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
     strat = DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))
     eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
     run_simulation(s, strat, 5000, seed=1)
-    run_trial(s, strat, np.random.default_rng(2))
     simulate_qkd(s, eve, 5000, seed=3)
     analytic_record_distribution(s, strat)
     analytic_joint(s, strat)
@@ -219,6 +218,35 @@ def test_runtime_imports_no_dense_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+#: The package's public names; a second sampler or wrapper must be added here on purpose.
+PUBLIC_API = [
+    "DecodingStrategy", "EveStrategy", "FINAL_ABSTAIN", "FINAL_ME", "GUESS_ME", "GUESS_UNIFORM",
+    "INCONCLUSIVE", "InfoReport", "QkdReport", "SchmidtState", "SimulationReport", "StagePlan",
+    "analytic_joint", "analytic_qkd_error", "analytic_record_distribution", "analytic_sift_rate",
+    "channel", "counts_mutual_info", "derived_rng", "discrimination", "infometrics",
+    "me_outcome_probs", "mutual_info_from_joint", "mutual_info_me", "mutual_info_multistage",
+    "mutual_info_sep", "protocol_sim", "qkd", "run_simulation", "simulate_qkd",
+]
+
+
+def test_public_api_is_pinned():
+    # A fresh interpreter: other tests import submodules such as cli into the package.
+    src = str(Path(densecode.__file__).resolve().parent.parent)
+    code = "import densecode; print(sorted(n for n in dir(densecode) if not n.startswith('_')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == repr(PUBLIC_API)
+    # A strategy is its plan, an eavesdropper her strategy: no separate kind to disagree with.
+    assert [f.name for f in dataclasses.fields(DecodingStrategy)] == ["plan"]
+    assert [f.name for f in dataclasses.fields(EveStrategy)] == ["strategy", "fallback"]
 
 
 def test_sweeps_and_runs_build_no_operator(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from densecode import SchmidtState
+from densecode.discrimination import separate
 from densecode.gates import fourier, gxor, pauli_z
 from densecode.tensor_core import Ket, apply, tensor
 
@@ -14,18 +15,18 @@ from dense import Message, decode_split, encode, resource_state, symmetric_state
 class TestSchmidtState:
     def test_basic_fields(self, qutrit_state):
         assert qutrit_state.D == 3
-        assert qutrit_state.mu == 1
-        assert abs(qutrit_state.a_min - np.sqrt(0.2)) < 1e-12
+        assert abs(qutrit_state.coeffs.min() - np.sqrt(0.2)) < 1e-12
         assert qutrit_state.n_messages == 12
 
     def test_uniform_multiplicity(self):
         s = SchmidtState.from_squared(3, 3, [1 / 3, 1 / 3, 1 / 3])
-        assert s.mu == s.D == 3
-        assert s.is_uniform
+        sep = separate(s.coeffs, 1.0)
+        assert sep.minimal.sum() == s.D == 3
+        assert sep.uniform
 
     def test_multiplicity_groups_float_noise(self):
         s = SchmidtState.from_squared(3, 3, [0.2, 0.2 + 1e-10, 0.6 - 1e-10])
-        assert s.mu == 2
+        assert separate(s.coeffs, 1.0).minimal.sum() == 2
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -41,7 +42,7 @@ class TestSchmidtState:
 
     def test_json_round_trip(self):
         obj = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
-        s = SchmidtState.from_json(json.dumps(obj))
+        s = SchmidtState.from_dict(json.loads(json.dumps(obj)))
         assert np.allclose(s.coeffs**2, [0.2, 0.8])
         t = SchmidtState.from_dict({"d1": 2, "d2": 2, "coeffs": list(s.coeffs)})
         assert np.allclose(t.coeffs, s.coeffs)

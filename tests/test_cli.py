@@ -44,11 +44,19 @@ def test_invalid_flag_exits_nonzero_without_output(tmp_path, capsys):
         ["montecarlo", "--margin", "0.01"],
         ["qkd", "--xi-steps", "4"],
         ["qkd", "--d2", "3"],
+        # The inert --threads flag is gone from every command.
+        ["sweep-me", "--threads", "2"],
+        ["sweep-sep", "--threads", "2"],
+        ["sweep-multistage", "--threads", "2"],
+        ["montecarlo", "--threads", "2"],
+        ["qkd", "--threads", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(out)])
         assert exc.value.code != 0, argv
         assert not out.exists()
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1, argv
 
 
 def test_unwritable_path_fails_cleanly(tmp_path, capsys):
@@ -91,6 +99,14 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
         ("montecarlo", {"out": "config.csv"}, "overwrite the config"),
         ("qkd", {"out": "config.csv"}, "overwrite the config"),
         ("sweep-sep", {"out": "config.json"}, "overwrite the config"),
+        # The JSON report beside --out x.json is x.json itself.
+        ("montecarlo", {"out": "x.json"}, "would overwrite the CSV output"),
+        ("qkd", {"out": "x.json"}, "would overwrite the CSV output"),
+        ("sweep-me", {"threads": 2}, "unknown config key 'threads'"),
+        ("sweep-sep", {"threads": 2}, "unknown config key 'threads'"),
+        ("sweep-multistage", {"threads": 2}, "unknown config key 'threads'"),
+        ("montecarlo", {"threads": 2}, "unknown config key 'threads'"),
+        ("qkd", {"threads": 2}, "unknown config key 'threads'"),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
@@ -100,7 +116,7 @@ def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
     out = tmp_path / config.get("out", "never.csv")
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
     assert json.loads(path.read_text()) == config
 
@@ -216,7 +232,7 @@ class TestSweepMe:
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         cli.main(["sweep-me", "--grid", "9", "--out", str(a)])
-        cli.main(["sweep-me", "--grid", "9", "--out", str(b), "--threads", "3"])
+        cli.main(["sweep-me", "--grid", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 

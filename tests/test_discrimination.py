@@ -327,8 +327,6 @@ def test_separation_monotonicity(seed):
 def test_failure_states_less_distinguishable(seed):
     rng = np.random.default_rng(2000 + seed)
     s = random_schmidt(rng, rank=int(rng.integers(3, 5)))
-    if s.is_uniform:
-        pytest.skip("uniform draw has no failure branch")
     sep = separate(s.coeffs, 1.0)
     if sep.uniform:
         pytest.skip("uniform draw has no failure branch")

@@ -14,6 +14,7 @@ from densecode import (
     mutual_info_multistage,
     mutual_info_sep,
 )
+from densecode.channel import GROUP_TOL_SQ
 from densecode.tensor_core import Ket, born_probabilities
 
 from conftest import random_schmidt
@@ -84,7 +85,7 @@ class TestMutualInfoMe:
     def test_partial_entanglement_beats_none(self, seed):
         rng = np.random.default_rng(100 + seed)
         s = random_schmidt(rng)
-        if s.is_uniform:
+        if np.ptp(s.coeffs**2) <= GROUP_TOL_SQ:
             pytest.skip("uniform draw")
         assert mutual_info_me(s).total_bits - math.log2(s.d2) > 1e-12
 
@@ -108,10 +109,10 @@ class TestMutualInfoSep:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_full_separation_closed_form(self, seed):
-        # the unambiguous limit recovers D * a_min^2 * log2(D) + log2(d2)
+        # the unambiguous limit recovers D * min(a)^2 * log2(D) + log2(d2)
         rng = np.random.default_rng(200 + seed)
         s = random_schmidt(rng)
-        expected = s.D * s.a_min**2 * math.log2(s.D) + math.log2(s.d2)
+        expected = s.D * s.coeffs.min() ** 2 * math.log2(s.D) + math.log2(s.d2)
         assert abs(mutual_info_sep(s, 1.0).total_bits - expected) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))

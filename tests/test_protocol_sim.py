@@ -7,26 +7,21 @@ import pytest
 from densecode import (
     FINAL_ABSTAIN,
     FINAL_ME,
-    INCONCLUSIVE,
     DecodingStrategy,
     SchmidtState,
-    SimulationReport,
     StagePlan,
     analytic_joint,
     analytic_record_distribution,
-    derived_rng,
-    empirical_mutual_info,
+    counts_mutual_info,
     mutual_info_from_joint,
     mutual_info_me,
     mutual_info_multistage,
     mutual_info_sep,
     run_simulation,
-    protocol_sim,
-    run_trial,
 )
 
 from circuit_oracle import circuit_joint
-from conftest import assert_counts_follow, random_schmidt
+from conftest import random_schmidt
 
 
 def sigma3(p, n):
@@ -35,12 +30,14 @@ def sigma3(p, n):
 
 class TestDecodingStrategy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DecodingStrategy(kind="nope")
+        with pytest.raises(ValueError, match="unknown strategy kind 'nope'"):
+            DecodingStrategy.from_dict({"kind": "nope"})
+        with pytest.raises(ValueError, match="unknown strategy kind None"):
+            DecodingStrategy.from_dict({"xi": 0.5})
         with pytest.raises(ValueError):
             DecodingStrategy.sep_me(1.5)
-        with pytest.raises(ValueError):
-            DecodingStrategy(kind="multistage")
+        with pytest.raises(ValueError, match="requires a StagePlan"):
+            DecodingStrategy(None)
 
     def test_normal_forms(self):
         assert DecodingStrategy.me().plan == StagePlan((), FINAL_ME)
@@ -54,54 +51,38 @@ class TestDecodingStrategy:
         )
         assert strat.plan.stages == (1.0, 1.0)
         assert strat.plan.final_action == FINAL_ME
-
-
-class TestRunTrial:
-    def test_uniform_channel_is_error_free(self):
-        s = SchmidtState.from_squared(3, 4, [1 / 3] * 3)
-        rng = derived_rng(3, 0)
-        for _ in range(60):
-            record = run_trial(s, DecodingStrategy.me(), rng)
-            j, k = record.message
-            assert record.inferred == (j, k)
-            assert record.stage_reached == 0
-
-    def test_k_channel_exact_and_ancilla_recorded(self, qubit_state):
-        rng = derived_rng(11, 0)
-        for _ in range(50):
-            record = run_trial(qubit_state, DecodingStrategy.sep_me(1.0), rng)
-            assert record.inferred[1] == record.message[1]
-            assert record.stage_reached == 1
-            assert record.ancilla_outcomes in ((0,), (1,))
-            if record.ancilla_outcomes == (1,):
-                assert record.inferred[0] == INCONCLUSIVE
+        assert strat.describe() == "multistage([1,1], final=me)"
 
     @pytest.mark.parametrize(
-        "state,strat",
+        "config,name",
         [
-            ("qubit_state", DecodingStrategy.sep_me(1.0)),
-            ("qutrit_state", DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))),
+            ({"kind": "me"}, "me"),
+            ({"kind": "sep_me", "xi": 0.5}, "sep_me(xi=0.5)"),
+            ({"kind": "sep_me"}, "sep_me(xi=1)"),
+            ({"kind": "multistage", "stages": [{"xi": 0.3}], "final": "abstain"}, "sep_me(xi=0.3)"),
+            ({"kind": "multistage", "stages": [], "final": "me"}, "me"),
+            ({"kind": "multistage", "stages": [{"xi": 0.3}], "final": "me"}, "multistage([0.3], final=me)"),
+            ({"kind": "multistage", "final": "abstain"}, "multistage([], final=abstain)"),
+            ({"kind": "multistage", "stages": [{}, {"xi": 0.5}]}, "multistage([1,0.5], final=abstain)"),
         ],
-        ids=["qubit_sep_me", "qutrit_multistage_me"],
     )
-    def test_records_follow_distribution(self, state, strat, request):
-        """20,000 single rounds, tallied by (j, k, record), against the exact
-        record distribution with uniform messages."""
-        s = request.getfixturevalue(state)
-        labels, dist = analytic_record_distribution(s, strat)
-        counts = np.zeros((s.D, s.d2, len(labels)), dtype=np.int64)
-        rng = derived_rng(21, 0)
-        for _ in range(20_000):
-            record = run_trial(s, strat, rng)
-            (j, k), (l, m) = record.message, record.inferred
-            assert m == k
-            n = record.stage_reached
-            if n and record.ancilla_outcomes[-1] == 0:
-                label = f"s{n}:{l}"
-            else:
-                label = "inc" if l == INCONCLUSIVE else f"f:{l}"
-            counts[j, k, labels.index(label)] += 1
-        assert_counts_follow(counts, np.broadcast_to(dist[:, None, :] / s.n_messages, counts.shape))
+    def test_describe_reads_the_plan_shape(self, config, name):
+        strat = DecodingStrategy.from_dict(config)
+        assert strat.describe() == name
+        assert DecodingStrategy(strat.plan) == strat
+
+    def test_kind_is_not_a_field(self):
+        # A name and a plan of another shape cannot be paired: the plan alone
+        # names the strategy, so no run can report a policy it did not run.
+        plan = StagePlan((1.0,), FINAL_ABSTAIN)
+        with pytest.raises(TypeError):
+            DecodingStrategy("me", plan)
+        with pytest.raises(TypeError):
+            DecodingStrategy(kind="me", plan=plan)
+        strat = DecodingStrategy(plan)
+        report = run_simulation(SchmidtState.from_squared(2, 2, [0.2, 0.8]), strat, 100, seed=1)
+        assert report.outcome_labels == ("s1:0", "s1:1", "inc")
+        assert report.strategy == strat.describe() == "sep_me(xi=1)"
 
 
 class TestRunSimulation:
@@ -137,21 +118,6 @@ class TestRunSimulation:
         assert a.to_json() == b.to_json() == c.to_json()
         d = run_simulation(qubit_state, strat, 20000, seed=10)
         assert a.to_json() != d.to_json()
-
-    def test_run_trial_builds_its_tree_once(self, qubit_state, monkeypatch):
-        builds = []
-        tree = protocol_sim._BranchTree
-
-        def counted(*args):
-            builds.append(args)
-            return tree(*args)
-
-        monkeypatch.setattr(protocol_sim, "_BranchTree", counted)
-        strat = DecodingStrategy.multistage(StagePlan((0.3,), FINAL_ME))
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            run_trial(qubit_state, strat, rng)
-        assert len(builds) <= 1
 
     def test_empirical_mutual_info_close_to_analytic(self, qubit_state):
         report = run_simulation(qubit_state, DecodingStrategy.me(), 100000, seed=4)
@@ -219,12 +185,6 @@ class TestSerialization:
             j, k = (int(x) for x in msg.split(","))
             assert outcome.endswith(f":{k}") or outcome == "inc"
 
-    def test_csv_rows_cover_all_cells(self, qubit_state):
-        report = run_simulation(qubit_state, DecodingStrategy.me(), 100, seed=8)
-        rows = report.csv_rows()
-        assert len(rows) == 2 * 2 * len(report.outcome_labels)
-        assert sum(row[-1] for row in rows) == 100
-
 
 class TestEmpiricalMutualInfo:
     def test_all_correct_diagonal(self):
@@ -251,22 +211,11 @@ class TestEmpiricalMutualInfo:
         msgs = rng.integers(0, 4, size=n)
         records = rng.integers(0, len(base.outcome_labels), size=n)
         np.add.at(counts, (msgs // 2, msgs % 2, records), 1)
-        shuffled = SimulationReport(
-            n_trials=n,
-            seed=0,
-            strategy=base.strategy,
-            state=base.state,
-            outcome_labels=base.outcome_labels,
-            joint_counts=counts,
-            stage_attempts=(),
-            stage_successes=(),
-            empirical_mutual_info_bits=0.0,
-        )
-        assert abs(empirical_mutual_info(shuffled) - 1.0) <= 0.05
+        assert abs(counts_mutual_info(counts, n) - 1.0) <= 0.05
 
     def test_me_qubit_value(self, qubit_state):
         report = run_simulation(qubit_state, DecodingStrategy.me(), 100000, seed=13)
-        assert abs(empirical_mutual_info(report) - 1.531) <= 0.02
+        assert abs(report.empirical_mutual_info_bits - 1.531) <= 0.02
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -61,10 +61,14 @@ def brute_force_error(s, stages, final, fallback):
 
 class TestEveStrategy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EveStrategy(kind="sneaky")
-        with pytest.raises(ValueError):
-            EveStrategy(kind="intercept")
+        with pytest.raises(ValueError, match="unknown eavesdropper kind 'sneaky'"):
+            EveStrategy.from_dict({"kind": "sneaky"})
+        with pytest.raises(ValueError, match="needs key 'strategy'"):
+            EveStrategy.from_dict({"kind": "intercept"})
+        with pytest.raises(ValueError, match="requires a strategy"):
+            EveStrategy.intercept(None)
+        with pytest.raises(ValueError, match="must be a DecodingStrategy"):
+            EveStrategy("absent")
         with pytest.raises(ValueError):
             EveStrategy.intercept(DecodingStrategy.me(), fallback="coin")
 
@@ -72,8 +76,26 @@ class TestEveStrategy:
         eve = EveStrategy.from_dict(
             {"kind": "intercept", "strategy": {"kind": "sep_me", "xi": 0.5}, "fallback": "me"}
         )
-        assert eve.strategy.kind == "sep_me"
+        assert eve.strategy == DecodingStrategy.sep_me(0.5)
+        assert eve.strategy.describe() == "sep_me(xi=0.5)"
         assert eve.fallback == GUESS_ME
+        assert eve.describe() == "intercept(sep_me(xi=0.5), fallback=me)"
+        absent = EveStrategy.from_dict({"kind": "absent"})
+        assert absent == EveStrategy.absent() and absent.strategy is None
+        assert absent.describe() == "absent"
+
+    def test_absence_is_a_missing_strategy(self, qubit_state):
+        # An absent eavesdropper cannot carry a strategy: one with a strategy
+        # intercepts, and is named and run as intercepting.
+        with pytest.raises(ValueError, match="must be a DecodingStrategy, not 'absent'"):
+            EveStrategy("absent", DecodingStrategy.me())
+        with pytest.raises(TypeError):
+            EveStrategy(kind="absent", strategy=DecodingStrategy.me())
+        eve = EveStrategy(DecodingStrategy.me())
+        assert eve == EveStrategy.intercept(DecodingStrategy.me())
+        report = simulate_qkd(qubit_state, eve, 20000, seed=2)
+        assert report.eve == "intercept(me, fallback=uniform)"
+        assert report.errors > 0 and report.eve_record_labels == ("f:0", "f:1")
 
 
 class TestSimulateQkd:

@@ -10,7 +10,6 @@ from densecode.tensor_core import (
     apply,
     born_probabilities,
     project_subsystem,
-    sample_outcome,
     tensor,
 )
 
@@ -137,59 +136,6 @@ class TestBornProbabilities:
         probs = born_probabilities(state, me_measurement(s.D, s.d1))
         assert abs(probs.sum() - 1.0) < 1e-9
         assert probs.min() >= 0.0 and probs.max() <= 1.0
-
-
-def batch_outcomes(probs, rng, n):
-    """Same stream consumption as n successive sample_outcome calls."""
-    cdf = np.cumsum(probs)
-    u = rng.random(size=n)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(probs) - 1)
-
-
-class TestSampleOutcome:
-    def test_deterministic_distribution(self):
-        for seed in (0, 1, 99):
-            assert sample_outcome([1.0, 0.0], np.random.default_rng(seed)) == 0
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ValueError):
-            sample_outcome([1.1, -0.1], np.random.default_rng(0))
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            sample_outcome([0.5, 0.4], np.random.default_rng(0))
-
-    def test_batch_matches_sequential(self):
-        probs = [0.3, 0.2, 0.5]
-        sequential = [sample_outcome(probs, np.random.default_rng(11)) for _ in range(1)]
-        rng = np.random.default_rng(11)
-        seq = [sample_outcome(probs, rng) for _ in range(300)]
-        batch = batch_outcomes(probs, np.random.default_rng(11), 300)
-        assert np.array_equal(seq, batch)
-
-    def test_fair_coin_frequency(self):
-        outcomes = batch_outcomes([0.5, 0.5], np.random.default_rng(42), 100000)
-        freq = np.mean(outcomes == 0)
-        assert abs(freq - 0.5) <= 0.01
-
-    def test_biased_coin_frequency(self):
-        outcomes = batch_outcomes([0.9, 0.1], np.random.default_rng(7), 100000)
-        freq = np.mean(outcomes == 0)
-        assert abs(freq - 0.9) <= 0.003
-
-    def test_three_sigma_coverage(self):
-        # each frequency within 3 sigma in at least 99% of seeded runs
-        n = 100000
-        checks = 0
-        hits = 0
-        for seed in range(100):
-            for probs in ([0.3, 0.7], [0.05, 0.5, 0.45]):
-                outcomes = batch_outcomes(probs, derived_rng(seed, 17), n)
-                for idx, p in enumerate(probs):
-                    freq = np.mean(outcomes == idx)
-                    checks += 1
-                    hits += abs(freq - p) <= 3 * np.sqrt(p * (1 - p) / n)
-        assert hits / checks >= 0.99
 
 
 class TestProjectSubsystem:
