@@ -1,5 +1,5 @@
 """The shared entangled resource: a Schmidt state, its validation, and the
-config-number parsing the file formats share."""
+config-number and config-key checks the file formats share."""
 
 from __future__ import annotations
 
@@ -25,6 +25,13 @@ def config_number(obj: dict, key: str, default, integral: bool = False):
     if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ValueError(f"{key!r} must be an integer, not {value!r}")
     return int(value) if integral else float(value)
+
+
+def check_keys(obj: dict, allowed, where: str) -> None:
+    """Raise ValueError naming every key of `obj` that is not in `allowed`."""
+    unknown = sorted(set(obj) - set(allowed), key=repr)
+    if unknown:
+        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
 
 
 def check_coeffs(d1: int, d2: int, coeffs) -> np.ndarray:
@@ -85,6 +92,7 @@ class SchmidtState:
         """Build from {"d1": ..., "d2": ..., "coeffs": [...], "squared": bool}."""
         if not isinstance(obj, dict):
             raise ValueError("'state' must be an object with keys d1, d2 and coeffs")
+        check_keys(obj, ("d1", "d2", "coeffs", "squared"), "state")
         missing = [key for key in ("d1", "d2", "coeffs") if key not in obj]
         if missing:
             raise ValueError(f"'state' lacks key {missing[0]!r}")

@@ -10,6 +10,7 @@ Floats are printed with 9 significant digits and row order is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .channel import SchmidtState, check_coeffs, config_number
+from .channel import SchmidtState, check_coeffs, check_keys, config_number
 from .discrimination import FINAL_ABSTAIN, FINAL_ME
 from .infometrics import me_bits, multistage_bits, mutual_info_me, mutual_info_multistage
 from .protocol_sim import (
@@ -30,11 +31,12 @@ from .qkd import EveStrategy, analytic_qkd_error, analytic_sift_rate, simulate_q
 _DEFAULT_MARGIN = 1e-3
 _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
 #: Most coefficients (rows times rank) one sweep may hold; peak memory grows with
-#: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 200 MiB.
+#: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 170 MiB.
 MAX_SWEEP_COEFFS = 10**6
 
 _FLOAT = "{:.9g}".format
-_FLOATS_ONLY = {float}
+#: Rows _write_table renders at a time; each block holds its cells' text.
+_BLOCK_ROWS = 8192
 #: Characters for which csv.writer's default (excel, minimal) quoting quotes a field.
 _NEEDS_QUOTES = frozenset(',"\r\n')
 
@@ -49,15 +51,29 @@ def _field(value) -> str:
 
 
 def _line(row) -> str:
-    """One CSV line with csv.writer's bytes: each float rendered once, rows of
-    plain floats (the sweeps) without any per-cell dispatch."""
-    if set(map(type, row)) == _FLOATS_ONLY:
-        return ",".join(map(_FLOAT, row)) + "\r\n"
+    """One CSV line with csv.writer's bytes."""
     return ",".join(map(_field, row)) + "\r\n"
 
 
 def _write_csv(path: str, header, rows) -> None:
     _write_text(path, _line(header) + "".join([_line(row) for row in rows]))
+
+
+def _write_table(path: str, header, table: np.ndarray) -> None:
+    """Write an (N, C) float64 table with _write_csv's bytes. Per block of rows,
+    each distinct bit pattern of a column (so -0.0 is not 0.0) is formatted once."""
+
+    def blocks():
+        yield _line(header)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            columns = []
+            for column in table[start : start + _BLOCK_ROWS].T:
+                bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+                text = np.array([_FLOAT(x) for x in bits.view(np.float64).tolist()], dtype=object)
+                columns.append(text[inverse].tolist())
+            yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+    _write_text(path, "".join(blocks()))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -90,8 +106,8 @@ def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
         raise ValueError("grid rank must be >= 1")
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
-    if margin <= 0:
-        raise ValueError("boundary margin must be positive")
+    if not 0 < margin < math.inf:
+        raise ValueError(f"boundary margin must be positive and finite, not {margin!r}")
     if rank * margin >= 1.0:
         raise ValueError("margin too large for this rank")
     _check_size(math.comb(resolution + rank - 1, rank - 1), rank)
@@ -119,9 +135,7 @@ def _load_config(path: str | None) -> dict:
         raise RuntimeError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise RuntimeError("config file must hold a JSON object")
-    unknown = sorted(set(obj) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+    check_keys(obj, _CONFIG_KEYS, "config")
     return obj
 
 
@@ -176,8 +190,8 @@ def _cmd_sweep_me(args) -> int:
     config = _load_config(args.config)
     out = _out_path(args, config, "sweep_me.csv")
     d2, coeffs = _simplex_coeffs(args, config, 60)
-    rows = np.column_stack([coeffs[:, :-1], me_bits(coeffs, d2)]).tolist()
-    _write_csv(out, [f"a{i}" for i in range(coeffs.shape[1] - 1)] + ["I_bits"], rows)
+    rows = np.column_stack([coeffs[:, :-1], me_bits(coeffs, d2)])
+    _write_table(out, [f"a{i}" for i in range(coeffs.shape[1] - 1)] + ["I_bits"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -193,8 +207,8 @@ def _cmd_sweep_sep(args) -> int:
     xi = np.arange(steps + 1) / steps
     total, (p_s,), (success,) = multistage_bits(state.coeffs, state.d2, (xi,), FINAL_ABSTAIN)
     i_me = np.full(xi.size, mutual_info_me(state).total_bits)
-    rows = np.column_stack([xi, p_s, total, success, i_me]).tolist()
-    _write_csv(out, ["xi", "P_s", "I_total", "I_success", "I_ME"], rows)
+    rows = np.column_stack([xi, p_s, total, success, i_me])
+    _write_table(out, ["xi", "P_s", "I_total", "I_success", "I_ME"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -209,7 +223,7 @@ def _cmd_sweep_multistage(args) -> int:
     two_stage, (p_s1, p_s2), (i_suc1, i_suc2) = multistage_bits(coeffs, d2, (1.0, 1.0), FINAL_ABSTAIN)
     p_overall = p_s1 + (1.0 - p_s1) * p_s2 * np.where(i_suc2 > i_me, 1.0, 0.0)
     columns = [single, follow_me, two_stage, i_suc1, i_suc2, i_me, p_s1, p_overall]
-    rows = np.column_stack([coeffs[:, :-1], *columns]).tolist()
+    rows = np.column_stack([coeffs[:, :-1], *columns])
     header = [f"a{i}" for i in range(coeffs.shape[1] - 1)] + [
         "I_MC",
         "I_MC_ME",
@@ -220,7 +234,7 @@ def _cmd_sweep_multistage(args) -> int:
         "P_s1",
         "P_overall",
     ]
-    _write_csv(out, header, rows)
+    _write_table(out, header, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -365,7 +379,10 @@ _CONFIG_KEYS = {"state", "strategy", "eve"} | {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The densecode parser, built once per process: each command's `_cmd_*`
+    function is bound as its default `func` when the parser is first built."""
     parser = argparse.ArgumentParser(
         prog="densecode",
         description="Probabilistic dense coding: analytic sweeps and Monte Carlo runs.",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtState, config_number
+from .channel import SchmidtState, check_keys, config_number
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 from .infometrics import counts_mutual_info
 
@@ -70,13 +70,18 @@ class DecodingStrategy:
             raise ValueError("'strategy' must be an object with a 'kind'")
         kind = obj.get("kind")
         if kind == "me":
+            check_keys(obj, ("kind",), "me strategy")
             return cls.me()
         if kind == "sep_me":
+            check_keys(obj, ("kind", "xi"), "sep_me strategy")
             return cls.sep_me(config_number(obj, "xi", 1.0))
         if kind == "multistage":
+            check_keys(obj, ("kind", "stages", "final"), "multistage strategy")
             stages = obj.get("stages", [])
             if not isinstance(stages, list) or not all(isinstance(st, dict) for st in stages):
                 raise ValueError("'stages' must be a list of objects such as {\"xi\": 1.0}")
+            for st in stages:
+                check_keys(st, ("xi",), "stage")
             stages = tuple(config_number(st, "xi", 1.0) for st in stages)
             final = obj.get("final", FINAL_ABSTAIN)
             return cls.multistage(StagePlan(stages, final))

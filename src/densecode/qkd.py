@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtState
+from .channel import SchmidtState, check_keys
 from .discrimination import separate
 from .infometrics import counts_mutual_info
 from .protocol_sim import (
@@ -54,9 +54,11 @@ class EveStrategy:
             raise ValueError("'eve' must be an object with a 'kind'")
         kind = obj.get("kind")
         if kind == "absent":
+            check_keys(obj, ("kind",), "absent eve")
             return cls.absent()
         if kind != "intercept":
             raise ValueError(f"unknown eavesdropper kind {kind!r}")
+        check_keys(obj, ("kind", "strategy", "fallback"), "intercept eve")
         if "strategy" not in obj:
             raise ValueError("an intercepting 'eve' needs key 'strategy'")
         return cls.intercept(

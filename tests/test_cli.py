@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import densecode
 from densecode import SchmidtState, cli, mutual_info_me
@@ -107,6 +110,41 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
         ("sweep-multistage", {"threads": 2}, "unknown config key 'threads'"),
         ("montecarlo", {"threads": 2}, "unknown config key 'threads'"),
         ("qkd", {"threads": 2}, "unknown config key 'threads'"),
+        # Nested objects name the keys their kind does not read.
+        ("montecarlo", {"strategy": {"kind": "me", "xi": 0.5}}, "unknown me strategy key 'xi'"),
+        ("montecarlo", {"strategy": {"kind": "me", "stages": [{"xi": 1}]}}, "unknown me strategy key 'stages'"),
+        ("montecarlo", {"strategy": {"kind": "sep_me", "final": "me"}}, "unknown sep_me strategy key 'final'"),
+        (
+            "montecarlo",
+            {"strategy": {"kind": "multistage", "stages": [{"xi": 1}], "xi": 0.5}},
+            "unknown multistage strategy key 'xi'",
+        ),
+        (
+            "montecarlo",
+            {"strategy": {"kind": "multistage", "stages": [{"xi": 1, "final": "me"}]}},
+            "unknown stage key 'final'",
+        ),
+        (
+            "qkd",
+            {"eve": {"kind": "absent", "strategy": {"kind": "me"}, "fallback": "coin"}},
+            "unknown absent eve key 'fallback', 'strategy'",
+        ),
+        (
+            "qkd",
+            {"eve": {"kind": "intercept", "strategy": {"kind": "me"}, "guess": "me"}},
+            "unknown intercept eve key 'guess'",
+        ),
+        (
+            "qkd",
+            {"eve": {"kind": "intercept", "strategy": {"kind": "sep_me", "xi": 0.5, "stages": []}}},
+            "unknown sep_me strategy key 'stages'",
+        ),
+        (
+            "montecarlo",
+            {"state": {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "sqared": True}},
+            "unknown state key 'sqared'",
+        ),
+        ("sweep-sep", {"state": {"d1": 2, "d2": 2, "coeffs": [0.6, 0.8], "rank": 2}}, "unknown state key 'rank'"),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
@@ -429,6 +467,20 @@ def test_rank8_sweep_me(tmp_path):
         assert rows[r] == [f"{v:.9g}" for v in expected]
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_simplex_grid_rejects_non_finite_margin(margin):
+    with pytest.raises(ValueError, match=f"boundary margin must be positive and finite, not {margin!r}"):
+        cli.simplex_grid(3, 12, margin)
+
+
+@pytest.mark.parametrize("command", ["sweep-me", "sweep-multistage"])
+def test_nan_margin_flag_fails_naming_the_margin(command, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert cli.main([command, "--margin", "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: boundary margin must be positive and finite, not nan\n"
+    assert not out.exists()
+
+
 def test_simplex_grid_properties():
     grid = cli.simplex_grid(3, 12, 1e-3)
     assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-12)
@@ -470,3 +522,77 @@ def test_write_csv_matches_csv_writer(tmp_path):
     path = tmp_path / "out.csv"
     cli._write_csv(str(path), header, rows)
     assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+
+#: Cells whose text is easy to get wrong: signed zeros, NaN, infinities, the
+#: smallest subnormal, and magnitudes where %g switches to exponent form.
+_AWKWARD = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, 1e-5, 1e-4, 1e16, 123456789.5]
+
+
+def _awkward_table(rows: int, seed: int = 5) -> np.ndarray:
+    """A lattice-like column of few distinct values, awkward cells, values
+    spanning 10^+-20, and random floats with no repeats."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack(
+        [
+            rng.integers(0, 13, rows) / 13,
+            rng.choice(_AWKWARD, rows),
+            rng.random(rows) * 10.0 ** rng.integers(-20, 21, rows),
+            -rng.random(rows),
+        ]
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 8191, 8192, 8193, 20000])
+def test_write_table_matches_csv_writer(rows, tmp_path):
+    table = _awkward_table(rows)
+    header = ["a0", "awkward", "I_bits", "negative"]
+    path = tmp_path / "table.csv"
+    cli._write_table(str(path), header, table)
+    assert path.read_bytes() == _csv_writer_bytes(header, table.tolist())
+
+
+def test_write_table_keeps_signed_zeros_and_strided_views_apart(tmp_path):
+    table = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [math.nan, -math.nan, 2.0]] * 3)
+    path = tmp_path / "zeros.csv"
+    cli._write_table(str(path), ["x", "y", "z"], table)
+    assert path.read_bytes().splitlines()[1:4] == [b"0,-0,1", b"-0,0,1", b"nan,nan,2"]
+    for view in (table[:, ::2], table.T.copy().T, table[::-1]):
+        header = ["x", "y", "z"][: view.shape[1]]
+        cli._write_table(str(path), header, view)
+        assert path.read_bytes() == _csv_writer_bytes(header, view.tolist())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    table=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=st.floats(width=64) | st.sampled_from(_AWKWARD),
+    ),
+    block=st.integers(1, 5),
+)
+def test_write_table_matches_csv_writer_on_any_table(table, block, tmp_path_factory):
+    # Small blocks, so most examples join several blocks.
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    header = [f"c{i}" for i in range(table.shape[1])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_ROWS", block)
+        cli._write_table(str(path), header, table)
+    assert path.read_bytes() == _csv_writer_bytes(header, table.tolist())
+
+
+def test_sweep_sep_across_blocks_matches_csv_writer(tmp_path, monkeypatch):
+    written = []
+    write_table = cli._write_table
+
+    def capture(path, header, table):
+        written.append((header, table.copy()))
+        write_table(path, header, table)
+
+    monkeypatch.setattr(cli, "_write_table", capture)
+    out = tmp_path / "sep.csv"
+    assert cli.main(["sweep-sep", "--xi-steps", "20000", "--out", str(out)]) == 0
+    (header, table), = written
+    assert table.shape == (20001, 5) and len(table) > 2 * cli._BLOCK_ROWS
+    assert out.read_bytes() == _csv_writer_bytes(header, table.tolist())
