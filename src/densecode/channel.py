@@ -98,10 +98,10 @@ class SchmidtState:
             raise ValueError(f"'state' lacks key {missing[0]!r}")
         d1 = config_number(obj, "d1", None, integral=True)
         d2 = config_number(obj, "d2", None, integral=True)
-        coeffs = obj["coeffs"]
-        if obj.get("squared", False):
-            return cls.from_squared(d1, d2, coeffs)
-        return cls(d1, d2, coeffs)
+        squared = obj.get("squared", False)
+        if not isinstance(squared, bool):
+            raise ValueError(f"'squared' must be true or false, not {squared!r}")
+        return (cls.from_squared if squared else cls)(d1, d2, obj["coeffs"])
 
     def to_dict(self) -> dict:
         return {"d1": self.d1, "d2": self.d2, "coeffs": [float(c) for c in self.coeffs]}

@@ -27,9 +27,8 @@ class StagePlan:
 
     def __post_init__(self) -> None:
         stages = tuple(float(x) for x in self.stages)
-        for xi in stages:
-            if not 0.0 <= xi <= 1.0:
-                raise ValueError("stage distinguishability must lie in [0, 1]")
+        if not all(0.0 <= xi <= 1.0 for xi in stages):
+            raise ValueError("stage distinguishability must lie in [0, 1]")
         if self.final_action not in (FINAL_ME, FINAL_ABSTAIN):
             raise ValueError("final_action must be 'me' or 'abstain'")
         object.__setattr__(self, "stages", stages)
@@ -47,25 +46,15 @@ class Separation(NamedTuple):
     minimal: np.ndarray
     b_coeffs: np.ndarray
     p_success: np.ndarray
-    success_diag: np.ndarray
-    failure_diag: np.ndarray
     failure_coeffs: np.ndarray
     uniform: np.ndarray
     collapsed: np.ndarray
 
 
-def separate(coeffs, xi) -> Separation:
-    """Optimal separation of each coefficient row of `coeffs` (shape (..., P),
-    zeros marking levels outside the support) at distinguishability `xi`, one
-    value for all rows or one per row (shape (...)).
-
-    The minimum group holds the support levels whose squares lie within
-    GROUP_TOL_SQ of the smallest; failure strips it and keeps the excess over
-    that smallest square, normalised over what is left. The Kraus diagonals
-    act as the identity off the support.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if not np.all((0.0 <= xi) & (xi <= 1.0)):
+def _checked(coeffs, *xis):
+    """(coeffs, *xis) as float arrays, after the checks of separate."""
+    xis = [np.asarray(xi, dtype=float) for xi in xis]
+    if not all(np.all((0.0 <= xi) & (xi <= 1.0)) for xi in xis):
         raise ValueError("distinguishability must lie in [0, 1]")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
@@ -73,24 +62,36 @@ def separate(coeffs, xi) -> Separation:
     if np.any(coeffs < -COEFF_TOL):
         raise ValueError("coefficients must be nonnegative")
     support = coeffs > COEFF_TOL
-    d_sup = support.sum(axis=-1)
-    if np.any(d_sup == 0):
+    if not np.all(np.any(support, axis=-1)):
         raise ValueError("empty support")
-    sq = coeffs**2
-    if np.any(np.abs(np.sum(sq, axis=-1, where=support) - 1.0) > NORM_TOL):
+    if np.any(np.abs(np.sum(coeffs**2, axis=-1, where=support) - 1.0) > NORM_TOL):
         raise ValueError("squared coefficients must sum to 1 on the support")
+    return (coeffs, *xis)
 
+
+def separate(coeffs, xi) -> Separation:
+    """Optimal separation of each coefficient row of `coeffs` (shape (..., P),
+    zeros marking levels outside the support) at distinguishability `xi`, one
+    value for all rows or one per row (shape (...)). Raises ValueError unless
+    xi lies in [0, 1] and each row is nonnegative and normalised on a nonempty
+    support; _separate is the unchecked kernel.
+
+    The minimum group holds the support levels whose squares lie within
+    GROUP_TOL_SQ of the smallest; failure strips it and keeps the excess over
+    that smallest square, normalised over what is left.
+    """
+    return _separate(*_checked(coeffs, xi))
+
+
+def _separate(coeffs: np.ndarray, xi: np.ndarray) -> Separation:
+    support = coeffs > COEFF_TOL
+    d_sup = support.sum(axis=-1)
+    sq = coeffs**2
     m2 = np.min(sq, axis=-1, where=support, initial=np.inf)
     uniform = np.max(sq, axis=-1, where=support, initial=0.0) - m2 <= GROUP_TOL_SQ
     minimal = support & (sq - m2[..., None] <= GROUP_TOL_SQ)
-    level_sq = np.where(support, sq, 1.0)
-    keep = xi / d_sup
     denom = (1.0 - xi) + xi / (d_sup * m2)
-    stay = (1.0 - xi)[..., None]
-    separated = np.sqrt(stay * sq + keep[..., None])
-    s_diag = np.sqrt((stay + xi[..., None] / (d_sup[..., None] * level_sq)) / denom[..., None])
-    f_diag = np.sqrt(keep[..., None] * (1.0 / m2[..., None] - 1.0 / level_sq) / denom[..., None])
-    flat = uniform[..., None]
+    separated = np.sqrt((1.0 - xi)[..., None] * sq + (xi / d_sup)[..., None])
     # Normalised over what is left: a near-tied level in the minimal class
     # drops its excess over m2 as well, so 1 - d*m2 would overcount.
     excess = np.where(support & ~minimal, sq - m2[..., None], 0.0)
@@ -98,10 +99,8 @@ def separate(coeffs, xi) -> Separation:
     return Separation(
         support=support,
         minimal=minimal,
-        b_coeffs=np.where(support, np.where(flat, coeffs, separated), 0.0),
+        b_coeffs=np.where(support, np.where(uniform[..., None], coeffs, separated), 0.0),
         p_success=np.where(uniform, 1.0, 1.0 / denom),
-        success_diag=np.where(support & ~flat, s_diag, 1.0),
-        failure_diag=np.where(support & ~flat, f_diag, 0.0),
         failure_coeffs=np.sqrt(excess / norm[..., None]),
         uniform=uniform,
         collapsed=d_sup < 2,
@@ -119,16 +118,18 @@ def walk_stages(coeffs, stages):
     A row stops once its support drops below two levels, and an ended row
     executes no later stage; its families stay as they were, so every row
     stays valid input. A plan may hold rank - 1 stages, and one on a rank-1
-    family, which that stage leaves unexecuted.
+    family, which that stage leaves unexecuted. The input passes the checks of
+    separate once, `coeffs` and every stage's xi; failure families are valid
+    by construction, so the stages run the unchecked kernel.
     """
-    current = np.asarray(coeffs, dtype=float)
+    current, *stages = _checked(coeffs, *stages)
     if len(stages) > max(current.shape[-1] - 1, 1):
         raise ValueError("plan exceeds channel stages")
     live = np.ones(current.shape[:-1], dtype=bool)
     sure = np.zeros_like(live)
     steps = []
     for xi in stages:
-        sep = separate(current, xi)
+        sep = _separate(current, xi)
         live = live & ~sep.collapsed
         steps.append((live, current, sep))
         sure = sure | (live & sep.uniform)

@@ -76,7 +76,6 @@ def multistage_bits(coeffs, d2: int, stages, final: str):
     Returns (total, probabilities, bits): the total per row and, per planned
     stage, the success probability and the success-branch bits, which are 0
     and the target-system floor for a stage the walk does not reach."""
-    coeffs = np.asarray(coeffs, dtype=float)
     floor_bits = math.log2(d2)
     steps, rest, sure = walk_stages(coeffs, stages)
     probs = tuple(np.where(executed, sep.p_success, 0.0) for executed, _, sep in steps)
@@ -89,7 +88,7 @@ def multistage_bits(coeffs, d2: int, stages, final: str):
     # Fold each stage in; P_s = 0 and P_s = 1 give the failure or the success bits exactly.
     for p_stage, suc_bits in zip(reversed(probs), reversed(bits)):
         total = p_stage * suc_bits + (1.0 - p_stage) * total
-    return _check_bits(total, d2, coeffs.shape[-1]), probs, bits
+    return _check_bits(total, d2, rest.shape[-1]), probs, bits
 
 
 def mutual_info_me(s: SchmidtState) -> InfoReport:
@@ -149,7 +148,7 @@ def counts_mutual_info(counts, n: int) -> float:
     j, k, r = np.nonzero(probs > _ZERO_PROB)
     p = probs[j, k, r]
     ratio = p / (rows[j, k] * cols[k, r])
-    terms = p * np.array([math.log2(x) for x in ratio.tolist()])
+    terms = p * np.fromiter(map(math.log2, ratio.tolist()), float, count=ratio.size)
     # Sequential like the oracle's loop; np.sum would sum pairwise.
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 

@@ -111,20 +111,18 @@ class _BranchTree:
     """
 
     def __init__(self, coeffs, plan: StagePlan, guess=None):
-        coeffs = np.asarray(coeffs, dtype=float)
-        self.rank = rank = coeffs.size
+        self.rank = rank = np.size(coeffs)
         circulant = (np.arange(rank)[:, None] - np.arange(rank)) % rank
         steps, rest, _ = walk_stages(coeffs, plan.stages)
         final = plan.final_action
-        self.stage_entries: list = []
+        entries: list = []  # (P_s, separated family, record offset)
         records: list = []
         # The executed steps are a prefix of the walk.
         for n, (executed, family, sep) in enumerate(steps):
             if not executed:
                 break
             p_stage = float(sep.p_success)
-            table = me_outcome_probs(sep.b_coeffs)[circulant]
-            self.stage_entries.append((p_stage, table, len(records)))
+            entries.append((p_stage, sep.b_coeffs, len(records)))
             records += [f"s{n + 1}:{l}" for l in range(rank)]
             if p_stage >= _SURE_SUCCESS:
                 # The final action, reached with weight 0, reads this stage's input.
@@ -142,9 +140,11 @@ class _BranchTree:
         #: Hypothesis each record infers; INCONCLUSIVE for "inc".
         self.inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in records])
         self.uniform_guess = final != FINAL_ME and guess == GUESS_UNIFORM
-        self.final_table = None
-        if final == FINAL_ME or guess == GUESS_ME:
-            self.final_table = me_outcome_probs(rest)[circulant]
+        finals = [rest] if final == FINAL_ME or guess == GUESS_ME else []
+        # One ME transform for the tree: me_outcome_probs is row-independent.
+        tables = me_outcome_probs(np.reshape([b for _, b, _ in entries] + finals, (-1, rank)))[:, circulant]
+        self.stage_entries = [(p_stage, table, offset) for (p_stage, _, offset), table in zip(entries, tables)]
+        self.final_table = tables[-1] if finals else None
 
     def distribution(self) -> np.ndarray:
         """Exact P(record | hypothesis), shape (D, n_records), rows summing to

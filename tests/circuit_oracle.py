@@ -99,10 +99,10 @@ class CircuitTree:
         self.stages: list = []
         records: list = []
         current = [symmetric_state(s, j) for j in range(rank)]
-        for executed, _, sep in walk_stages(s.coeffs, stages)[0]:
+        for xi, (executed, family, _) in zip(stages, walk_stages(s.coeffs, stages)[0]):
             if not executed:
                 break
-            coupling = dilation_unitary(sep, dim)
+            coupling = dilation_unitary(family, xi, dim)
             probs, succeeded, failed = [], [], []
             for state in current:
                 evolved = apply(coupling, tensor(state, Ket.basis(2, 0)))

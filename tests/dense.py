@@ -5,13 +5,14 @@ coefficients and the batched `Separation` rows of
 `densecode.discrimination.separate`. The helpers here build the same objects
 as dense kets, operators and POVMs from `densecode.tensor_core` and
 `densecode.gates`: the encoded messages and the GXOR split, the carrier
-family, a separation row's Kraus pair and dilation unitary on an ambient
-space, the ME measurement, Bayes confidence and conditional entropy. They
-serve `circuit_oracle.py` and the tests that check the closed form against
-the circuit.
+family, a separation's Kraus pair and dilation unitary on an ambient space,
+the ME measurement, Bayes confidence and conditional entropy. They serve
+`circuit_oracle.py` and the tests that check the closed form against the
+circuit.
 
-A separation row is the result of `separate` on one 1D coefficient vector.
-Its Kraus diagonals cover that vector's levels; the helpers pad them to the
+The Kraus pair is not part of the runtime: `kraus_diagonals` derives it here
+from the Chefles-Barnett formula, without calling `separate`. Its diagonals
+cover the levels of one 1D coefficient vector; the helpers pad them to the
 ambient dimension `dim` with 1 (success) and 0 (failure), so the pair stays
 complete there. No valid state carries amplitude on the padded levels.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from densecode.channel import SchmidtState
+from densecode.channel import COEFF_TOL, GROUP_TOL_SQ, SchmidtState
 from densecode.gates import fourier, gxor, pauli_x, pauli_z
 from densecode.infometrics import _plogp
 from densecode.protocol_sim import INCONCLUSIVE
@@ -105,10 +106,46 @@ def _padded(values: np.ndarray, dim: int, fill: float) -> np.ndarray:
     return out
 
 
-def kraus_pair(sep, dim: int):
-    """(success, failure) Kraus operators of a separation row on `dim` levels."""
-    success = _padded(sep.success_diag, dim, 1.0)
-    failure = _padded(sep.failure_diag, dim, 0.0)
+def kraus_diagonals(coeffs, xi: float):
+    """(success, failure) Kraus diagonals of the optimal separation of the
+    symmetric family of the 1D vector `coeffs` at distinguishability `xi`.
+
+    Chefles-Barnett: on d support levels with smallest square m2, success
+    happens with P_s = 1 / ((1 - xi) + xi / (d * m2)) and leaves the levels
+    b_l with b_l^2 = (1 - xi) * c_l^2 + xi / d, so the success diagonal is
+    A_l = sqrt(P_s) * b_l / c_l, that is A_l^2 = P_s * ((1 - xi) + xi / (d * c_l^2)).
+    Completeness fixes the failure diagonal, F_l^2 = 1 - A_l^2 =
+    P_s * (xi / d) * (1 / m2 - 1 / c_l^2), which vanishes on the minimum.
+    The pair is (1, 0) off the support, and on every level when the support
+    squares all lie within GROUP_TOL_SQ of each other: such a family is
+    uniform and there is nothing to separate.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1:
+        raise ValueError("coeffs must be a 1D vector")
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError("distinguishability must lie in [0, 1]")
+    success, failure = np.ones(coeffs.size), np.zeros(coeffs.size)
+    on = coeffs > COEFF_TOL
+    level_sq = coeffs[on] ** 2
+    if level_sq.max() - level_sq.min() <= GROUP_TOL_SQ:
+        return success, failure
+    d, m2 = level_sq.size, level_sq.min()
+    p_success = 1.0 / ((1.0 - xi) + xi / (d * m2))
+    success[on] = np.sqrt(p_success * ((1.0 - xi) + xi / (d * level_sq)))
+    failure[on] = np.sqrt(p_success * (xi / d) * (1.0 / m2 - 1.0 / level_sq))
+    return success, failure
+
+
+def _padded_diagonals(coeffs, xi: float, dim: int):
+    success, failure = kraus_diagonals(coeffs, xi)
+    return _padded(success, dim, 1.0), _padded(failure, dim, 0.0)
+
+
+def kraus_pair(coeffs, xi: float, dim: int):
+    """(success, failure) Kraus operators of the separation of `coeffs` at
+    `xi` on `dim` levels."""
+    success, failure = _padded_diagonals(coeffs, xi, dim)
     return Operator(np.diag(success.astype(complex))), Operator(np.diag(failure.astype(complex)))
 
 
@@ -137,15 +174,15 @@ def failure_state(sep, j: int, dim: int) -> Ket:
     return _phased_ket(sep.failure_coeffs, period, j, dim)
 
 
-def dilation_unitary(sep, dim: int) -> Operator:
-    """Two-level ancilla coupling realizing the Kraus pair on `dim` levels.
+def dilation_unitary(coeffs, xi: float, dim: int) -> Operator:
+    """Two-level ancilla coupling realizing the Kraus pair of the separation
+    of `coeffs` at `xi` on `dim` levels.
 
     On |psi>|0> it produces sqrt(P_s)|beta>|0> + sqrt(1-P_s)|chi>|1>. The
     unused ancilla-|1> input sector is completed by a per-level rotation,
     which is one valid isometric extension.
     """
-    s_diag = _padded(sep.success_diag, dim, 1.0)
-    f_diag = _padded(sep.failure_diag, dim, 0.0)
+    s_diag, f_diag = _padded_diagonals(coeffs, xi, dim)
     mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
     for n in range(dim):
         mat[2 * n, 2 * n] = s_diag[n]

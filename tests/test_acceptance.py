@@ -258,7 +258,7 @@ def test_criterion_7_structural_invariants():
     worst_kraus = 0.0
     for _ in range(120):
         coeffs = random_support_coeffs(rng)
-        kraus_success, kraus_failure = kraus_pair(separate(coeffs, float(rng.uniform(0, 1))), coeffs.size)
+        kraus_success, kraus_failure = kraus_pair(coeffs, float(rng.uniform(0, 1)), coeffs.size)
         total = (
             kraus_success.dagger().entries @ kraus_success.entries
             + kraus_failure.dagger().entries @ kraus_failure.entries

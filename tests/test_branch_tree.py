@@ -265,3 +265,37 @@ def test_sweeps_and_runs_build_no_operator(monkeypatch, tmp_path):
     s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
     run_simulation(s, DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME)), 5000, seed=1)
     simulate_qkd(s, EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME), 5000, seed=3)
+
+
+@pytest.mark.parametrize(
+    "squared, stages, final, guess",
+    [
+        ([0.1, 0.2, 0.3, 0.4], (1.0, 1.0, 1.0), FINAL_ME, None),
+        ([0.1, 0.2, 0.3, 0.4], (), FINAL_ME, None),
+        ([0.1, 0.2, 0.3, 0.4], (0.5, 1.0), FINAL_ABSTAIN, None),
+        ([0.1, 0.2, 0.3, 0.4], (1.0, 0.5), FINAL_ABSTAIN, GUESS_ME),
+        ([0.1, 0.2, 0.3, 0.4], (1.0,), FINAL_ABSTAIN, GUESS_UNIFORM),
+        # A sure first stage cuts the walk; the final reads that stage's input.
+        ([0.2, 0.3, 0.5], (0.0, 1.0), FINAL_ME, None),
+        # Rank 1: the stage is not executed and nothing needs a transform.
+        ([1.0], (1.0,), FINAL_ABSTAIN, None),
+    ],
+)
+def test_branch_tree_makes_one_me_transform(monkeypatch, squared, stages, final, guess):
+    """Every stage's separated family and the final family go through one
+    batched me_outcome_probs call, whatever the plan."""
+    calls = []
+
+    def counted(coeffs):
+        calls.append(np.shape(coeffs))
+        return densecode.discrimination.me_outcome_probs(coeffs)
+
+    monkeypatch.setattr(densecode.protocol_sim, "me_outcome_probs", counted)
+    s = SchmidtState.from_squared(len(squared), len(squared), squared)
+    tree = _BranchTree(s.coeffs, StagePlan(stages, final), guess)
+    needs_final = final == FINAL_ME or guess == GUESS_ME
+    assert calls == [(len(tree.stage_entries) + needs_final, s.D)]
+    assert (tree.final_table is not None) == needs_final
+    calls.clear()
+    run_simulation(s, DecodingStrategy.multistage(StagePlan(stages, final)), 1000, seed=2)
+    assert len(calls) == 1

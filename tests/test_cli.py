@@ -145,6 +145,11 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
             "unknown state key 'sqared'",
         ),
         ("sweep-sep", {"state": {"d1": 2, "d2": 2, "coeffs": [0.6, 0.8], "rank": 2}}, "unknown state key 'rank'"),
+        # "squared" is a JSON boolean; "no" once squared the coefficients.
+        *(
+            ("montecarlo", {"state": {"d1": 2, "d2": 2, "coeffs": [0.36, 0.64], "squared": flag}}, "'squared'")
+            for flag in ("no", 1, None)
+        ),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):

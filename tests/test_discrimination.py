@@ -11,7 +11,7 @@ from densecode import (
     me_outcome_probs,
     mutual_info_multistage,
 )
-from densecode.channel import SchmidtState
+from densecode.channel import COEFF_TOL, GROUP_TOL_SQ, SchmidtState
 from densecode.discrimination import separate, walk_stages
 from densecode.tensor_core import Ket, apply, born_probabilities, project_subsystem, tensor
 
@@ -20,6 +20,7 @@ from dense import (
     confidence,
     dilation_unitary,
     failure_state,
+    kraus_diagonals,
     kraus_pair,
     me_measurement,
     separated_state,
@@ -68,7 +69,7 @@ class TestMeMeasurement:
 class TestSeparationMap:
     def test_no_separation_limit(self):
         sep = separate(QUBIT, 0.0)
-        kraus_success, kraus_failure = kraus_pair(sep, 2)
+        kraus_success, kraus_failure = kraus_pair(QUBIT, 0.0, 2)
         assert abs(sep.p_success - 1.0) < 1e-12
         assert np.allclose(kraus_success.entries, np.eye(2), atol=1e-12)
         assert np.allclose(kraus_failure.entries, 0.0, atol=1e-12)
@@ -92,7 +93,7 @@ class TestSeparationMap:
 
     def test_uniform_input_is_identity_map(self):
         sep = separate(np.sqrt([0.5, 0.5]), 0.7)
-        kraus_success, kraus_failure = kraus_pair(sep, 2)
+        kraus_success, kraus_failure = kraus_pair(np.sqrt([0.5, 0.5]), 0.7, 2)
         assert sep.p_success == 1.0
         assert np.allclose(kraus_success.entries, np.eye(2), atol=1e-12)
         assert np.allclose(kraus_failure.entries, 0.0, atol=1e-12)
@@ -102,7 +103,7 @@ class TestSeparationMap:
     def test_kraus_action_reproduces_branches(self, xi):
         s = SchmidtState.from_squared(3, 4, [0.2, 0.3, 0.5])
         sep = separate(s.coeffs, xi)
-        kraus_success, kraus_failure = kraus_pair(sep, s.d1)
+        kraus_success, kraus_failure = kraus_pair(s.coeffs, xi, s.d1)
         for j in range(s.D):
             alpha = symmetric_state(s, j)
             success = kraus_success.entries @ alpha.amplitudes
@@ -186,16 +187,16 @@ class TestFailureState:
 
 class TestDilationUnitary:
     def test_zero_xi_is_identity(self):
-        u = dilation_unitary(separate(QUBIT, 0.0), 2)
+        u = dilation_unitary(QUBIT, 0.0, 2)
         assert np.allclose(u.entries, np.eye(4), atol=1e-12)
 
     def test_unitarity(self):
-        u = dilation_unitary(separate(QUTRIT, 1.0), 3)
+        u = dilation_unitary(QUTRIT, 1.0, 3)
         assert u.is_unitary(1e-10)
 
     def test_ancilla_outcome_probabilities(self):
         s = SchmidtState(2, 2, QUBIT)
-        u = dilation_unitary(separate(s.coeffs, 1.0), 2)
+        u = dilation_unitary(s.coeffs, 1.0, 2)
         for j in range(2):
             evolved = apply(u, tensor(symmetric_state(s, j), Ket.basis(2, 0)))
             p_s, _ = project_subsystem(evolved, (2, 2), "B", 0)
@@ -207,7 +208,7 @@ class TestDilationUnitary:
     def test_branch_amplitudes(self, xi):
         s = SchmidtState.from_squared(3, 4, [0.2, 0.3, 0.5])
         sep = separate(s.coeffs, xi)
-        u = dilation_unitary(sep, s.d1)
+        u = dilation_unitary(s.coeffs, xi, s.d1)
         for j in range(s.D):
             evolved = apply(u, tensor(symmetric_state(s, j), Ket.basis(2, 0)))
             expected = np.sqrt(sep.p_success) * np.kron(
@@ -296,7 +297,7 @@ def test_kraus_completeness(seed):
     rng = np.random.default_rng(seed)
     coeffs = random_support_coeffs(rng)
     for xi in (0.0, float(rng.uniform(0, 1)), 1.0):
-        kraus_success, kraus_failure = kraus_pair(separate(coeffs, xi), coeffs.size)
+        kraus_success, kraus_failure = kraus_pair(coeffs, xi, coeffs.size)
         total = (
             kraus_success.dagger().entries @ kraus_success.entries
             + kraus_failure.dagger().entries @ kraus_failure.entries
@@ -347,3 +348,94 @@ def test_me_probabilities_are_circulant(seed):
         probs = born_probabilities(symmetric_state(s, j), m)[: s.D]
         for l in range(s.D):
             assert abs(probs[l] - closed_form[(j - l) % s.D]) <= 1e-10
+
+
+#: Agreement of the oracle's Kraus action with the runtime's branch
+#: amplitudes: both are square roots of sums of a few terms of size <= 1.
+KRAUS_ATOL = 1e-12
+
+
+def _kraus_case(rng, case):
+    """Coefficients of period 2-8 with holes; every third case puts the two
+    smallest support squares within GROUP_TOL_SQ of each other, which on a
+    two-level support makes the family uniform."""
+    coeffs = random_support_coeffs(rng, period=2 + case % 7)
+    if case % 3 == 2:
+        on = np.flatnonzero(coeffs)
+        sq = coeffs[on] ** 2
+        order = np.argsort(sq)
+        gap = GROUP_TOL_SQ * float(rng.uniform(0.01, 1.0))
+        if on.size == 2:
+            sq[order] = (1.0 - gap) / 2.0, (1.0 + gap) / 2.0
+        else:
+            sq[order[1]] = sq[order[0]] + gap
+            sq[order[2:]] *= (1.0 - sq[order[0]] - sq[order[1]]) / sq[order[2:]].sum()
+        coeffs[on] = np.sqrt(sq)
+    return coeffs
+
+
+def test_oracle_kraus_action_reproduces_runtime_branches():
+    """Success maps the family to sqrt(P_s) * b_coeffs and failure to
+    sqrt(1 - P_s) * failure_coeffs. On a near tie the runtime also strips the
+    excess g of the near-tied levels over m2, which the Kraus pair keeps: the
+    failure amplitudes then differ by at most sqrt(g / E), E = 1 - d * m2."""
+    rng = np.random.default_rng(13)
+    periods, holes, near_ties = set(), 0, 0
+    for case in range(420):
+        coeffs = _kraus_case(rng, case)
+        on = coeffs > COEFF_TOL
+        level_sq = coeffs[on] ** 2
+        m2 = level_sq.min()
+        stripped = level_sq - m2
+        g = float(stripped[stripped <= GROUP_TOL_SQ].sum())
+        excess = 1.0 - on.sum() * m2
+        bound = (np.sqrt(g / excess) if g else 0.0) + KRAUS_ATOL
+        for xi in (0.0, float(rng.uniform(0, 1)), 1.0):
+            sep = separate(coeffs, xi)
+            success, failure = kraus_diagonals(coeffs, xi)
+            assert np.max(np.abs(success * coeffs - np.sqrt(sep.p_success) * sep.b_coeffs)) <= KRAUS_ATOL
+            gap = np.max(np.abs(failure * coeffs - np.sqrt(1.0 - sep.p_success) * sep.failure_coeffs))
+            assert gap <= bound, (case, xi)
+            near_ties += bool(g) and xi > 0 and not sep.uniform and gap > KRAUS_ATOL
+        periods.add(coeffs.size)
+        holes += not on.all()
+    assert periods == set(range(2, 9))
+    assert holes >= 100 and near_ties >= 100
+
+
+def test_kraus_diagonals_are_identity_on_a_near_uniform_family():
+    squared = [0.25 - 4e-10, 0.25, 0.25, 0.25 + 4e-10]
+    success, failure = kraus_diagonals(np.sqrt(squared), 1.0)
+    assert separate(np.sqrt(squared), 1.0).uniform
+    assert success.tolist() == [1.0] * 4 and failure.tolist() == [0.0] * 4
+
+
+class TestInputChecks:
+    """separate checks its input; walk_stages checks its input once and then
+    runs the unchecked kernel, so the checks it keeps must still fire."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([-0.6, 0.8], "nonnegative"),
+            ([0.0, 0.0], "empty support"),
+            ([0.6, 0.6], "sum to 1"),
+        ],
+    )
+    def test_separate_rejects_bad_rows(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            separate(row, 0.5)
+        batch = np.array([QUBIT, row])
+        with pytest.raises(ValueError, match=message):
+            separate(batch, 0.5)
+        with pytest.raises(ValueError, match=message):
+            walk_stages(batch, (0.5,))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    def test_walk_stages_checks_a_later_per_row_xi(self, bad):
+        coeffs = np.array([QUTRIT, np.sqrt([0.1, 0.3, 0.6])])
+        walk_stages(coeffs, (np.array([1.0, 0.5]), np.array([0.5, 1.0])))
+        with pytest.raises(ValueError, match="distinguishability"):
+            walk_stages(coeffs, (np.array([1.0, 0.5]), np.array([0.5, bad])))
+        with pytest.raises(ValueError, match="distinguishability"):
+            walk_stages(coeffs, (1.0, bad))
