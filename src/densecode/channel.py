@@ -16,11 +16,16 @@ NORM_TOL = 1e-10
 GROUP_TOL_SQ = 1e-9
 
 
+def _is_real(value) -> bool:
+    """A real number, but not a bool (JSON true/false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def config_number(obj: dict, key: str, default, integral: bool = False):
     """obj[key], or `default` when absent, as an int (`integral`) or a float;
     any other value raises ValueError naming the key."""
     value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ValueError(f"{key!r} must be a number, not {value!r}")
     if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ValueError(f"{key!r} must be an integer, not {value!r}")
@@ -98,10 +103,13 @@ class SchmidtState:
             raise ValueError(f"'state' lacks key {missing[0]!r}")
         d1 = config_number(obj, "d1", None, integral=True)
         d2 = config_number(obj, "d2", None, integral=True)
+        coeffs = obj["coeffs"]
+        if not (isinstance(coeffs, list) and coeffs and all(map(_is_real, coeffs))):
+            raise ValueError(f"'coeffs' must be a nonempty list of finite numbers, not {coeffs!r}")
         squared = obj.get("squared", False)
         if not isinstance(squared, bool):
             raise ValueError(f"'squared' must be true or false, not {squared!r}")
-        return (cls.from_squared if squared else cls)(d1, d2, obj["coeffs"])
+        return (cls.from_squared if squared else cls)(d1, d2, coeffs)
 
     def to_dict(self) -> dict:
         return {"d1": self.d1, "d2": self.d2, "coeffs": [float(c) for c in self.coeffs]}

@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from .channel import SchmidtState, check_coeffs, check_keys, config_number
-from .discrimination import FINAL_ABSTAIN, FINAL_ME
-from .infometrics import me_bits, multistage_bits, mutual_info_me, mutual_info_multistage
+from .discrimination import FINAL_ABSTAIN
+from .infometrics import me_bits, multistage_bits, multistage_columns, mutual_info_multistage
 from .protocol_sim import (
     DecodingStrategy,
     analytic_record_distribution,
@@ -34,7 +34,8 @@ _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
 #: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 170 MiB.
 MAX_SWEEP_COEFFS = 10**6
 
-_FLOAT = "{:.9g}".format
+#: Every float cell: 9 significant digits.
+_FLOAT = "%.9g"
 #: Rows _write_table renders at a time; each block holds its cells' text.
 _BLOCK_ROWS = 8192
 #: Characters for which csv.writer's default (excel, minimal) quoting quotes a field.
@@ -44,7 +45,7 @@ _NEEDS_QUOTES = frozenset(',"\r\n')
 def _field(value) -> str:
     """One cell: a float with 9 significant digits, anything else as str(),
     quoted as csv.writer quotes it."""
-    text = _FLOAT(value) if isinstance(value, float) else str(value)
+    text = _FLOAT % value if isinstance(value, float) else str(value)
     if _NEEDS_QUOTES.isdisjoint(text):
         return text
     return '"' + text.replace('"', '""') + '"'
@@ -69,7 +70,9 @@ def _write_table(path: str, header, table: np.ndarray) -> None:
             columns = []
             for column in table[start : start + _BLOCK_ROWS].T:
                 bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-                text = np.array([_FLOAT(x) for x in bits.view(np.float64).tolist()], dtype=object)
+                values = bits.view(np.float64).tolist()
+                # One format call for the block's values; "%.9g" never writes a comma.
+                text = np.array(((_FLOAT + ",") * len(values) % tuple(values)).split(",")[:-1], dtype=object)
                 columns.append(text[inverse].tolist())
             yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
@@ -206,7 +209,7 @@ def _cmd_sweep_sep(args) -> int:
     _check_size(steps + 1, state.D)
     xi = np.arange(steps + 1) / steps
     total, (p_s,), (success,) = multistage_bits(state.coeffs, state.d2, (xi,), FINAL_ABSTAIN)
-    i_me = np.full(xi.size, mutual_info_me(state).total_bits)
+    i_me = np.full(xi.size, me_bits(state.coeffs, state.d2))
     rows = np.column_stack([xi, p_s, total, success, i_me])
     _write_table(out, ["xi", "P_s", "I_total", "I_success", "I_ME"], rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -217,23 +220,9 @@ def _cmd_sweep_multistage(args) -> int:
     config = _load_config(args.config)
     out = _out_path(args, config, "sweep_multistage.csv")
     d2, coeffs = _simplex_coeffs(args, config, 30, min_rank=3)
-    i_me = me_bits(coeffs, d2)
-    single = multistage_bits(coeffs, d2, (1.0,), FINAL_ABSTAIN)[0]
-    follow_me = multistage_bits(coeffs, d2, (1.0,), FINAL_ME)[0]
-    two_stage, (p_s1, p_s2), (i_suc1, i_suc2) = multistage_bits(coeffs, d2, (1.0, 1.0), FINAL_ABSTAIN)
-    p_overall = p_s1 + (1.0 - p_s1) * p_s2 * np.where(i_suc2 > i_me, 1.0, 0.0)
-    columns = [single, follow_me, two_stage, i_suc1, i_suc2, i_me, p_s1, p_overall]
-    rows = np.column_stack([coeffs[:, :-1], *columns])
-    header = [f"a{i}" for i in range(coeffs.shape[1] - 1)] + [
-        "I_MC",
-        "I_MC_ME",
-        "I_MC_MC",
-        "I_suc1",
-        "I_suc2",
-        "I_ME",
-        "P_s1",
-        "P_overall",
-    ]
+    columns = multistage_columns(coeffs, d2)
+    rows = np.column_stack([coeffs[:, :-1], *columns.values()])
+    header = [f"a{i}" for i in range(coeffs.shape[1] - 1)] + list(columns)
     _write_table(out, header, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0

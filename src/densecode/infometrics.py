@@ -67,6 +67,23 @@ def me_bits(coeffs, d2: int) -> np.ndarray:
     return _check_bits(math.log2(d2 * rank) + _plogp(me_outcome_probs(coeffs)), d2, rank)
 
 
+def _stage_bits(step, d2: int):
+    """(P_s, success-branch bits) per row of one walk_stages step: 0 and the
+    target-system floor on rows that do not execute the stage."""
+    executed, _, sep = step
+    return np.where(executed, sep.p_success, 0.0), np.where(executed, me_bits(sep.b_coeffs, d2), math.log2(d2))
+
+
+def _fold_stages(total, probs, bits, d2: int, rank: int) -> np.ndarray:
+    """Fold stages bottom-up into `total`, the bits of what follows the last
+    stage's failure: each stage's success bits weigh P_s and what follows its
+    failure 1 - P_s. The totals are range-checked by _check_bits."""
+    # P_s = 0 and P_s = 1 give the failure or the success bits exactly.
+    for p_stage, suc_bits in zip(reversed(probs), reversed(bits)):
+        total = p_stage * suc_bits + (1.0 - p_stage) * total
+    return _check_bits(total, d2, rank)
+
+
 def multistage_bits(coeffs, d2: int, stages, final: str):
     """Iterated probabilistic decoding of each coefficient row of `coeffs`
     (shape (..., D)), folded bottom-up over the separation `stages` and the
@@ -78,17 +95,50 @@ def multistage_bits(coeffs, d2: int, stages, final: str):
     and the target-system floor for a stage the walk does not reach."""
     floor_bits = math.log2(d2)
     steps, rest, sure = walk_stages(coeffs, stages)
-    probs = tuple(np.where(executed, sep.p_success, 0.0) for executed, _, sep in steps)
-    bits = tuple(np.where(executed, me_bits(sep.b_coeffs, d2), floor_bits) for executed, _, sep in steps)
+    read = [_stage_bits(step, d2) for step in steps]
+    del steps
+    probs = tuple(p_stage for p_stage, _ in read)
+    bits = tuple(suc_bits for _, suc_bits in read)
     # A sure row's last stage succeeds surely, so its seed is weighted by 0.
     if final == FINAL_ME:
         total = np.where(sure, floor_bits, me_bits(rest, d2))
     else:
         total = np.full(sure.shape, floor_bits)
-    # Fold each stage in; P_s = 0 and P_s = 1 give the failure or the success bits exactly.
-    for p_stage, suc_bits in zip(reversed(probs), reversed(bits)):
-        total = p_stage * suc_bits + (1.0 - p_stage) * total
-    return _check_bits(total, d2, rest.shape[-1]), probs, bits
+    return _fold_stages(total, probs, bits, d2, rest.shape[-1]), probs, bits
+
+
+def multistage_columns(coeffs, d2: int) -> dict:
+    """The plan columns of sweep-multistage per coefficient row of `coeffs`
+    (shape (N, D), D >= 3), by CSV name, from one walk of two full
+    separations: every plan the paper compares is a prefix of that walk.
+
+    I_MC separates once and abstains on failure, I_MC_ME decodes the failure
+    family by ME, and I_MC_MC separates it again; each equals multistage_bits
+    of its plan bit for bit. I_suc and P_s are the stages' success-branch bits
+    and probabilities, I_ME is plain ME, and P_overall adds the second stage's
+    success mass where its bits beat I_ME."""
+    floor_bits = math.log2(d2)
+    rank = coeffs.shape[-1]
+    first, second = walk_stages(coeffs, (1.0, 1.0))[0]
+    # Each stage's Separation is dropped once read, so its arrays are freed.
+    p_s1, i_suc1 = _stage_bits(first, d2)
+    sure1 = first[0] & first[2].uniform
+    del first
+    p_s2, i_suc2 = _stage_bits(second, d2)
+    # Stage 2's input is stage 1's failure family; a sure row has none.
+    after_first = np.where(sure1, floor_bits, me_bits(second[1], d2))
+    del second
+    i_me = me_bits(coeffs, d2)
+    return {
+        "I_MC": _fold_stages(floor_bits, (p_s1,), (i_suc1,), d2, rank),
+        "I_MC_ME": _fold_stages(after_first, (p_s1,), (i_suc1,), d2, rank),
+        "I_MC_MC": _fold_stages(floor_bits, (p_s1, p_s2), (i_suc1, i_suc2), d2, rank),
+        "I_suc1": i_suc1,
+        "I_suc2": i_suc2,
+        "I_ME": i_me,
+        "P_s1": p_s1,
+        "P_overall": p_s1 + (1.0 - p_s1) * p_s2 * np.where(i_suc2 > i_me, 1.0, 0.0),
+    }
 
 
 def mutual_info_me(s: SchmidtState) -> InfoReport:

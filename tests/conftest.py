@@ -58,6 +58,22 @@ def refuse_everywhere(monkeypatch, functions):
                 monkeypatch.setattr(module, name, refuse)
 
 
+def count_everywhere(monkeypatch, function) -> list:
+    """Wrap every binding of `function` in every densecode namespace so that
+    each call appends its positional arguments to the returned list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in [m for n, m in sys.modules.items() if n == "densecode" or n.startswith("densecode.")]:
+        for name, obj in list(vars(module).items()):
+            if obj is function:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 #: Significance of the law-level sampler tests: a sampler drawing from the
 #: right law fails one of them with about this probability at a random seed.
 #: The seeds are fixed, so each verdict is reproducible.

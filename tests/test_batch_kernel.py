@@ -4,6 +4,7 @@ were alone, and batched multistage totals agree with the circuit oracle."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +14,13 @@ from densecode import (
     DecodingStrategy,
     SchmidtState,
     StagePlan,
+    cli,
     mutual_info_from_joint,
     mutual_info_multistage,
 )
 from densecode.channel import GROUP_TOL_SQ
-from densecode.discrimination import separate
-from densecode.infometrics import me_bits, multistage_bits
+from densecode.discrimination import separate, walk_stages
+from densecode.infometrics import me_bits, multistage_bits, multistage_columns
 
 from circuit_oracle import circuit_joint
 
@@ -104,6 +106,58 @@ def test_bits_rows_are_independent():
             assert alone_total[0] == total[r], (stages, r)
             assert [p[0] for p in alone_probs] == [p[r] for p in probs]
             assert [b[0] for b in alone_bits] == [b[r] for b in bits]
+
+
+def _separate_walk_bits(coeffs, d2, stages, final):
+    """(total, probabilities, bits) of one plan from a walk of its own, folded
+    here rather than by the shared fold."""
+    floor_bits = math.log2(d2)
+    steps, rest, sure = walk_stages(coeffs, stages)
+    probs = [np.where(executed, sep.p_success, 0.0) for executed, _, sep in steps]
+    bits = [np.where(executed, me_bits(sep.b_coeffs, d2), floor_bits) for executed, _, sep in steps]
+    total = np.where(sure, floor_bits, me_bits(rest, d2)) if final == FINAL_ME else np.full(sure.shape, floor_bits)
+    for p_stage, suc_bits in zip(reversed(probs), reversed(bits)):
+        total = p_stage * suc_bits + (1.0 - p_stage) * total
+    return total, probs, bits
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _check_multistage_columns(coeffs, d2):
+    columns = multistage_columns(coeffs, d2)
+    assert list(columns) == ["I_MC", "I_MC_ME", "I_MC_MC", "I_suc1", "I_suc2", "I_ME", "P_s1", "P_overall"]
+    for name, stages, final in [
+        ("I_MC", (1.0,), FINAL_ABSTAIN),
+        ("I_MC_ME", (1.0,), FINAL_ME),
+        ("I_MC_MC", (1.0, 1.0), FINAL_ABSTAIN),
+    ]:
+        reference = _separate_walk_bits(coeffs, d2, stages, final)[0]
+        assert _same_bits(columns[name], reference), name
+        assert _same_bits(multistage_bits(coeffs, d2, stages, final)[0], reference), name
+    _, (p_s1, p_s2), (i_suc1, i_suc2) = _separate_walk_bits(coeffs, d2, (1.0, 1.0), FINAL_ABSTAIN)
+    i_me = me_bits(coeffs, d2)
+    assert _same_bits(columns["I_ME"], i_me)
+    assert _same_bits(columns["I_suc1"], i_suc1) and _same_bits(columns["I_suc2"], i_suc2)
+    assert _same_bits(columns["P_s1"], p_s1)
+    p_overall = p_s1 + (1.0 - p_s1) * p_s2 * np.where(i_suc2 > i_me, 1.0, 0.0)
+    assert _same_bits(columns["P_overall"], p_overall)
+
+
+@pytest.mark.parametrize("margin", [1e-3, 1e-6])
+@pytest.mark.parametrize("rank, grid", [(3, 24), (4, 12), (5, 8), (6, 6)])
+def test_multistage_columns_match_separate_walks(rank, grid, margin):
+    """Each sweep-multistage column from the one shared walk equals, bit for
+    bit, the plan it reports walked and folded on its own."""
+    coeffs = np.sqrt(cli.simplex_grid(rank, grid, margin))
+    for d2 in (rank, rank + 2):
+        _check_multistage_columns(coeffs, d2)
+
+
+def test_multistage_columns_on_mixed_rows():
+    # Uniform (stage 1 is sure), an exact tie, near ties and a support hole.
+    _check_multistage_columns(MIXED, 5)
 
 
 @st.composite

@@ -45,7 +45,7 @@ from circuit_oracle import (
     inferred,
     verify_channel,
 )
-from conftest import refuse_everywhere
+from conftest import count_everywhere, refuse_everywhere
 
 FINALS = (FINAL_ME, FINAL_ABSTAIN)
 GUESSES = (None, GUESS_ME, GUESS_UNIFORM)
@@ -299,3 +299,18 @@ def test_branch_tree_makes_one_me_transform(monkeypatch, squared, stages, final,
     calls.clear()
     run_simulation(s, DecodingStrategy.multistage(StagePlan(stages, final)), 1000, seed=2)
     assert len(calls) == 1
+
+
+def test_sweep_multistage_walks_the_hierarchy_once(monkeypatch, tmp_path):
+    """Every plan column is a prefix of one stage walk: one input check, one
+    separation per stage, and ME transforms of both stages' separated
+    families, of the second stage's input and of the states themselves."""
+    discrimination = densecode.discrimination
+    walks = count_everywhere(monkeypatch, discrimination.walk_stages)
+    checks = count_everywhere(monkeypatch, discrimination._checked)
+    separations = count_everywhere(monkeypatch, discrimination._separate)
+    transforms = count_everywhere(monkeypatch, discrimination.me_outcome_probs)
+    argv = ["sweep-multistage", "--d1", "4", "--d2", "4", "--grid", "5", "--out", str(tmp_path / "ms.csv")]
+    assert cli.main(argv) == 0
+    assert len(walks) == 1 and len(checks) == 1 and len(separations) == 2
+    assert len(transforms) <= 4

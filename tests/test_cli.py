@@ -150,6 +150,12 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
             ("montecarlo", {"state": {"d1": 2, "d2": 2, "coeffs": [0.36, 0.64], "squared": flag}}, "'squared'")
             for flag in ("no", 1, None)
         ),
+        # "coeffs" is a list of JSON numbers; true once read as 1.0.
+        *(
+            (command, {"state": {"d1": 2, "d2": 2, "coeffs": coeffs}}, "'coeffs'")
+            for command in ("montecarlo", "qkd", "sweep-sep")
+            for coeffs in ({"a": 1}, [0.6, "x"], [0.6, True], "abc", None)
+        ),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
