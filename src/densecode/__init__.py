@@ -8,7 +8,6 @@ from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs
 from .infometrics import (
     InfoReport,
     counts_mutual_info,
-    mutual_info_from_joint,
     mutual_info_me,
     mutual_info_multistage,
     mutual_info_sep,
@@ -17,7 +16,6 @@ from .protocol_sim import (
     INCONCLUSIVE,
     DecodingStrategy,
     SimulationReport,
-    analytic_joint,
     analytic_record_distribution,
     derived_rng,
     run_simulation,

@@ -1,9 +1,8 @@
-"""The shared entangled resource: a Schmidt state, its validation, and the
-config-number and config-key checks the file formats share."""
+"""The shared entangled resource: a Schmidt state and its validation. The
+config format that names a state is read in `densecode.cli`."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,29 +13,6 @@ COEFF_TOL = 1e-12
 NORM_TOL = 1e-10
 #: Squared-coefficient spread below which values share a multiplicity class.
 GROUP_TOL_SQ = 1e-9
-
-
-def _is_real(value) -> bool:
-    """A real number, but not a bool (JSON true/false)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def config_number(obj: dict, key: str, default, integral: bool = False):
-    """obj[key], or `default` when absent, as an int (`integral`) or a float;
-    any other value raises ValueError naming the key."""
-    value = obj.get(key, default)
-    if not _is_real(value):
-        raise ValueError(f"{key!r} must be a number, not {value!r}")
-    if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ValueError(f"{key!r} must be an integer, not {value!r}")
-    return int(value) if integral else float(value)
-
-
-def check_keys(obj: dict, allowed, where: str) -> None:
-    """Raise ValueError naming every key of `obj` that is not in `allowed`."""
-    unknown = sorted(set(obj) - set(allowed), key=repr)
-    if unknown:
-        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
 
 
 def check_coeffs(d1: int, d2: int, coeffs) -> np.ndarray:
@@ -50,7 +26,8 @@ def check_coeffs(d1: int, d2: int, coeffs) -> np.ndarray:
         raise ValueError("coeffs must be a nonempty 1D vector")
     if not np.all(coeffs >= COEFF_TOL):
         raise ValueError("all Schmidt coefficients must be finite and strictly positive")
-    if np.any(np.abs(np.sum(coeffs**2, axis=-1) - 1.0) > NORM_TOL):
+    # A coefficient above 1 cannot be normalised; rejecting it first keeps its square finite.
+    if np.any(coeffs > 1.0 + NORM_TOL) or np.any(np.abs(np.sum(coeffs**2, axis=-1) - 1.0) > NORM_TOL):
         raise ValueError("squared Schmidt coefficients must sum to 1")
     if coeffs.shape[-1] > min(d1, d2):
         raise ValueError("Schmidt rank exceeds min(d1, d2)")
@@ -91,25 +68,6 @@ class SchmidtState:
         if np.min(sq) < 0:
             raise ValueError("squared coefficients must be nonnegative")
         return cls(d1, d2, np.sqrt(sq))
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SchmidtState":
-        """Build from {"d1": ..., "d2": ..., "coeffs": [...], "squared": bool}."""
-        if not isinstance(obj, dict):
-            raise ValueError("'state' must be an object with keys d1, d2 and coeffs")
-        check_keys(obj, ("d1", "d2", "coeffs", "squared"), "state")
-        missing = [key for key in ("d1", "d2", "coeffs") if key not in obj]
-        if missing:
-            raise ValueError(f"'state' lacks key {missing[0]!r}")
-        d1 = config_number(obj, "d1", None, integral=True)
-        d2 = config_number(obj, "d2", None, integral=True)
-        coeffs = obj["coeffs"]
-        if not (isinstance(coeffs, list) and coeffs and all(map(_is_real, coeffs))):
-            raise ValueError(f"'coeffs' must be a nonempty list of finite numbers, not {coeffs!r}")
-        squared = obj.get("squared", False)
-        if not isinstance(squared, bool):
-            raise ValueError(f"'squared' must be true or false, not {squared!r}")
-        return (cls.from_squared if squared else cls)(d1, d2, coeffs)
 
     def to_dict(self) -> dict:
         return {"d1": self.d1, "d2": self.d2, "coeffs": [float(c) for c in self.coeffs]}

@@ -1,6 +1,10 @@
 """Command-line interface: figure-reproduction sweeps, Monte Carlo runs, and
 key-distribution experiments, with JSON config files and CSV output.
 
+This module is the only one that reads or writes a file format: it parses the
+config objects that name a state, a decoding strategy and an eavesdropper,
+and renders the run reports as JSON. The domain modules hold the physics.
+
 Configuration precedence: command-line flags override config-file entries,
 which override built-in defaults. Output files are written only after a
 command has computed all of its rows, so a failure leaves no partial file.
@@ -10,22 +14,20 @@ Floats are printed with 9 significant digits and row order is deterministic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 
 import numpy as np
 
-from .channel import SchmidtState, check_coeffs, check_keys, config_number
-from .discrimination import FINAL_ABSTAIN
+from .channel import SchmidtState, check_coeffs
+from .discrimination import FINAL_ABSTAIN, StagePlan
 from .infometrics import me_bits, multistage_bits, multistage_columns, mutual_info_multistage
-from .protocol_sim import (
-    DecodingStrategy,
-    analytic_record_distribution,
-    run_simulation,
-)
+from .protocol_sim import GUESS_UNIFORM, INCONCLUSIVE, DecodingStrategy, SimulationReport, _BranchTree, run_simulation
 from .qkd import EveStrategy, analytic_qkd_error, analytic_sift_rate, simulate_qkd
 
 _DEFAULT_MARGIN = 1e-3
@@ -40,6 +42,12 @@ _FLOAT = "%.9g"
 _BLOCK_ROWS = 8192
 #: Characters for which csv.writer's default (excel, minimal) quoting quotes a field.
 _NEEDS_QUOTES = frozenset(',"\r\n')
+#: Per config object that names a kind: the noun its errors use, and the keys
+#: each kind reads besides "kind".
+_KINDS = {
+    "strategy": ("strategy", {"me": (), "sep_me": ("xi",), "multistage": ("stages", "final")}),
+    "eve": ("eavesdropper", {"absent": (), "intercept": ("strategy", "fallback")}),
+}
 
 
 def _field(value) -> str:
@@ -128,6 +136,111 @@ def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
     return margin + (combos / resolution) * (1.0 - rank * margin)
 
 
+def _is_real(value) -> bool:
+    """A real number, but not a bool (JSON true/false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _config_number(obj: dict, key: str, default, integral: bool = False):
+    """obj[key], or `default` when absent, as an int (`integral`) or a float;
+    any other value raises ValueError naming the key."""
+    value = obj.get(key, default)
+    if not _is_real(value):
+        raise ValueError(f"{key!r} must be a number, not {value!r}")
+    if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _check_keys(obj: dict, allowed, where: str) -> None:
+    """Raise ValueError naming every key of `obj` that is not in `allowed`."""
+    unknown = sorted(set(obj) - set(allowed), key=repr)
+    if unknown:
+        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+
+
+def _parse_state(obj) -> SchmidtState:
+    """A state from {"d1": ..., "d2": ..., "coeffs": [...], "squared": bool}."""
+    if not isinstance(obj, dict):
+        raise ValueError("'state' must be an object with keys d1, d2 and coeffs")
+    _check_keys(obj, ("d1", "d2", "coeffs", "squared"), "state")
+    missing = [key for key in ("d1", "d2", "coeffs") if key not in obj]
+    if missing:
+        raise ValueError(f"'state' lacks key {missing[0]!r}")
+    d1 = _config_number(obj, "d1", None, integral=True)
+    d2 = _config_number(obj, "d2", None, integral=True)
+    coeffs = obj["coeffs"]
+    if not (isinstance(coeffs, list) and coeffs and all(map(_is_real, coeffs))):
+        raise ValueError(f"'coeffs' must be a nonempty list of finite numbers, not {coeffs!r}")
+    squared = obj.get("squared", False)
+    if not isinstance(squared, bool):
+        raise ValueError(f"'squared' must be true or false, not {squared!r}")
+    return (SchmidtState.from_squared if squared else SchmidtState)(d1, d2, coeffs)
+
+
+def _kind(obj, key: str) -> str:
+    """The kind of config object `obj` under `key`, after checking its keys against that kind."""
+    noun, kinds = _KINDS[key]
+    if not isinstance(obj, dict):
+        raise ValueError(f"'{key}' must be an object with a 'kind'")
+    kind = obj.get("kind")
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ValueError(f"unknown {noun} kind {kind!r}")
+    _check_keys(obj, ("kind", *kinds[kind]), f"{kind} {key}")
+    return kind
+
+
+def _parse_strategy(obj) -> DecodingStrategy:
+    """A decoding strategy from {"kind": "me"}, {"kind": "sep_me", "xi": ...}
+    or {"kind": "multistage", "stages": [{"xi": ...}, ...], "final": ...}."""
+    kind = _kind(obj, "strategy")
+    if kind == "me":
+        return DecodingStrategy.me()
+    if kind == "sep_me":
+        return DecodingStrategy.sep_me(_config_number(obj, "xi", 1.0))
+    stages = obj.get("stages", [])
+    if not isinstance(stages, list) or not all(isinstance(st, dict) for st in stages):
+        raise ValueError("'stages' must be a list of objects such as {\"xi\": 1.0}")
+    for st in stages:
+        _check_keys(st, ("xi",), "stage")
+    xis = tuple(_config_number(st, "xi", 1.0) for st in stages)
+    return DecodingStrategy.multistage(StagePlan(xis, obj.get("final", FINAL_ABSTAIN)))
+
+
+def _parse_eve(obj) -> EveStrategy:
+    """An eavesdropper from {"kind": "absent"} or {"kind": "intercept",
+    "strategy": {...}, "fallback": ...}."""
+    if _kind(obj, "eve") == "absent":
+        return EveStrategy.absent()
+    if "strategy" not in obj:
+        raise ValueError("an intercepting 'eve' needs key 'strategy'")
+    return EveStrategy.intercept(_parse_strategy(obj["strategy"]), obj.get("fallback", GUESS_UNIFORM))
+
+
+def _nonzero_cells(counts: np.ndarray, key) -> dict:
+    """The nonzero cells of a count table, keyed key(*index)."""
+    cells = np.nonzero(counts)
+    return {key(*index): c for *index, c in zip(*(i.tolist() for i in cells), counts[cells].tolist())}
+
+
+def _report_json(report) -> str:
+    """A run report as indented JSON with sorted keys: its fields, with the
+    count table as its nonzero cells keyed by message and record label. A
+    Monte Carlo report adds the per-stage success rates; a key-distribution
+    report's record labels appear only in those keys."""
+    obj = {field.name: getattr(report, field.name) for field in dataclasses.fields(report)}
+    if isinstance(report, SimulationReport):
+        labels = obj["outcome_labels"]
+        # The system-2 outcome m, the last part of a key, always equals k.
+        obj["counts"] = _nonzero_cells(obj.pop("joint_counts"), lambda j, k, r: f"{j},{k}|{labels[r]}:{k}")
+        obj["empirical_success_rate"] = report.empirical_success_rate
+    else:
+        labels = obj.pop("eve_record_labels")
+        counts = obj["eve_counts"]
+        obj["eve_counts"] = {} if counts is None else _nonzero_cells(counts, lambda j, r: f"{j}|{labels[r]}")
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -138,21 +251,19 @@ def _load_config(path: str | None) -> dict:
         raise RuntimeError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise RuntimeError("config file must hold a JSON object")
-    check_keys(obj, _CONFIG_KEYS, "config")
+    _check_keys(obj, _CONFIG_KEYS, "config")
     return obj
 
 
-def _setting(args, config: dict, key: str, default, integral=None):
+def _setting(args, config: dict, key: str, default, integral: bool):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if integral is None:
-        return config.get(key, default)
-    return config_number(config, key, default, integral)
+    return _config_number(config, key, default, integral)
 
 
 def _out_path(args, config: dict, default: str) -> str:
-    out = _setting(args, config, "out", default)
+    out = args.out if args.out is not None else config.get("out", default)
     if not isinstance(out, str):
         raise ValueError(f"'out' must be a file path, not {out!r}")
     return _unless_config(args, out)
@@ -201,7 +312,7 @@ def _cmd_sweep_me(args) -> int:
 
 def _cmd_sweep_sep(args) -> int:
     config = _load_config(args.config)
-    state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
+    state = _parse_state(config.get("state", _DEFAULT_STATE))
     steps = _setting(args, config, "xi_steps", 50, integral=True)
     out = _out_path(args, config, "sweep_sep.csv")
     if steps < 1:
@@ -235,53 +346,41 @@ def _sigma3(p: float, n: int) -> float:
 
 
 def montecarlo_summary(report, state: SchmidtState, strat: DecodingStrategy):
-    """Empirical-versus-analytic rows: (quantity, empirical, analytic, bound)."""
-    labels, dist = analytic_record_distribution(state, strat)
+    """Empirical-versus-analytic rows: (quantity, empirical, analytic, bound),
+    the analytic rates read from the branch tree the run sampled."""
+    tree = _BranchTree(state.coeffs, strat.plan)
+    dist = tree.distribution()
     per_record = dist.mean(axis=0)
-    info = mutual_info_multistage(state, strat.plan)
-    stage_probs = info.branch_probabilities
-    rows = []
-    rows.append(["k_channel_exact_rate", 1.0, 1.0, 0.0])
-    for i, (att, suc) in enumerate(zip(report.stage_attempts, report.stage_successes)):
-        if att == 0:
-            continue
-        rows.append(
-            [f"stage{i + 1}_success_rate", suc / att, stage_probs[i], _sigma3(stage_probs[i], att)]
-        )
-    if "inc" in labels:
-        inc_p = float(per_record[labels.index("inc")])
-        inc_emp = float(
-            report.joint_counts[:, :, labels.index("inc")].sum() / report.n_trials
-        )
-        rows.append(["inconclusive_rate", inc_emp, inc_p, _sigma3(inc_p, report.n_trials)])
-    rank = dist.shape[0]
-    conclusive = [r for r, label in enumerate(labels) if label != "inc"]
-    inferred = [int(labels[r].split(":")[1]) for r in conclusive]
-    conclusive_p = float(sum(per_record[r] for r in conclusive))
-    correct_p = float(
-        np.mean([sum(dist[j, r] for r, l in zip(conclusive, inferred) if l == j) for j in range(rank)])
-    )
+    inconclusive = tree.inferred == INCONCLUSIVE
+    correct = tree.inferred == np.arange(tree.rank)[:, None]
     marginal = report.joint_counts.sum(axis=1)
-    conclusive_emp = int(sum(marginal[:, r].sum() for r in conclusive))
-    correct_emp = int(sum(marginal[l, r] for r, l in zip(conclusive, inferred)))
+    rows = [["k_channel_exact_rate", 1.0, 1.0, 0.0]]
+    attempts = zip(tree.stage_entries, report.stage_attempts, report.stage_successes)
+    for i, ((p_stage, _, _), att, suc) in enumerate(attempts):
+        if att:
+            rows.append([f"stage{i + 1}_success_rate", suc / att, p_stage, _sigma3(p_stage, att)])
+    if inconclusive.any():
+        inc_p = float(per_record[inconclusive].sum())
+        inc_emp = marginal[:, inconclusive].sum() / report.n_trials
+        rows.append(["inconclusive_rate", inc_emp, inc_p, _sigma3(inc_p, report.n_trials)])
+    # Sums in record order (cumsum adds sequentially), so the analytic rate
+    # keeps its bits whatever the number of records.
+    conclusive_p = float(np.cumsum(np.where(inconclusive, 0.0, per_record))[-1])
+    correct_p = float(np.mean(np.cumsum(np.where(correct, dist, 0.0), axis=1)[:, -1]))
+    conclusive_emp = int(marginal[:, ~inconclusive].sum())
     if conclusive_emp and conclusive_p:
         cond_p = correct_p / conclusive_p
-        rows.append(
-            [
-                "conclusive_correct_rate",
-                correct_emp / conclusive_emp,
-                cond_p,
-                _sigma3(cond_p, conclusive_emp),
-            ]
-        )
-    rows.append(["mutual_info_bits", report.empirical_mutual_info_bits, info.total_bits, 0.02])
+        correct_rate = int(marginal[correct].sum()) / conclusive_emp
+        rows.append(["conclusive_correct_rate", correct_rate, cond_p, _sigma3(cond_p, conclusive_emp)])
+    info_bits = mutual_info_multistage(state, strat.plan).total_bits
+    rows.append(["mutual_info_bits", report.empirical_mutual_info_bits, info_bits, 0.02])
     return rows
 
 
 def _cmd_montecarlo(args) -> int:
     config = _load_config(args.config)
-    state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
-    strat = DecodingStrategy.from_dict(config.get("strategy", {"kind": "me"}))
+    state = _parse_state(config.get("state", _DEFAULT_STATE))
+    strat = _parse_strategy(config.get("strategy", {"kind": "me"}))
     trials = _setting(args, config, "trials", 100000, integral=True)
     seed = _setting(args, config, "seed", 0, integral=True)
     out = _out_path(args, config, "montecarlo.csv")
@@ -290,15 +389,15 @@ def _cmd_montecarlo(args) -> int:
     rows = montecarlo_summary(report, state, strat)
     rendered = [[q, float(e), float(a), abs(float(e) - float(a)), float(b)] for q, e, a, b in rows]
     _write_csv(out, ["quantity", "empirical", "analytic", "abs_delta", "bound"], rendered)
-    _write_text(sidecar, report.to_json())
+    _write_text(sidecar, _report_json(report))
     print(f"wrote {out} and {sidecar}")
     return 0
 
 
 def _cmd_qkd(args) -> int:
     config = _load_config(args.config)
-    state = SchmidtState.from_dict(config.get("state", _DEFAULT_STATE))
-    eve = EveStrategy.from_dict(config.get("eve", {"kind": "absent"}))
+    state = _parse_state(config.get("state", _DEFAULT_STATE))
+    eve = _parse_eve(config.get("eve", {"kind": "absent"}))
     rounds = _setting(args, config, "trials", 100000, integral=True)
     seed = _setting(args, config, "seed", 0, integral=True)
     out = _out_path(args, config, "qkd.csv")
@@ -306,35 +405,20 @@ def _cmd_qkd(args) -> int:
     report = simulate_qkd(state, eve, rounds, seed)
     sift_analytic = analytic_sift_rate(state.coeffs)
     error_analytic = analytic_qkd_error(state.coeffs, eve)
-    row = [
-        eve.describe(),
-        rounds,
-        seed,
-        report.sift_rate,
-        sift_analytic,
-        _sigma3(sift_analytic, rounds),
-        report.sifted_error_rate,
-        error_analytic,
-        _sigma3(error_analytic, max(report.kept, 1)),
-        report.eve_info_bits,
-    ]
-    _write_csv(
-        out,
-        [
-            "eve",
-            "n_rounds",
-            "seed",
-            "sift_rate",
-            "sift_rate_analytic",
-            "sift_rate_3sigma",
-            "error_rate",
-            "error_rate_analytic",
-            "error_rate_3sigma",
-            "eve_info_bits",
-        ],
-        [row],
-    )
-    _write_text(sidecar, report.to_json())
+    columns = {
+        "eve": eve.describe(),
+        "n_rounds": rounds,
+        "seed": seed,
+        "sift_rate": report.sift_rate,
+        "sift_rate_analytic": sift_analytic,
+        "sift_rate_3sigma": _sigma3(sift_analytic, rounds),
+        "error_rate": report.sifted_error_rate,
+        "error_rate_analytic": error_analytic,
+        "error_rate_3sigma": _sigma3(error_analytic, max(report.kept, 1)),
+        "eve_info_bits": report.eve_info_bits,
+    }
+    _write_csv(out, columns, [columns.values()])
+    _write_text(sidecar, _report_json(report))
     print(f"wrote {out} and {sidecar}")
     return 0
 

@@ -64,7 +64,8 @@ def _checked(coeffs, *xis):
     support = coeffs > COEFF_TOL
     if not np.all(np.any(support, axis=-1)):
         raise ValueError("empty support")
-    if np.any(np.abs(np.sum(coeffs**2, axis=-1, where=support) - 1.0) > NORM_TOL):
+    # A coefficient above 1 is refused before it is squared, which could overflow.
+    if np.any(coeffs > 1.0 + NORM_TOL) or np.any(np.abs(np.sum(coeffs**2, axis=-1, where=support) - 1.0) > NORM_TOL):
         raise ValueError("squared coefficients must sum to 1 on the support")
     return (coeffs, *xis)
 

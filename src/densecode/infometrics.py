@@ -1,6 +1,5 @@
 """Analytic information quantities: the simplified mutual-information
-reduction, per-strategy totals, the plug-in estimate from counts, and the
-textbook joint-distribution oracle."""
+reduction, per-strategy totals, and the plug-in estimate from counts."""
 
 from __future__ import annotations
 
@@ -177,8 +176,9 @@ def counts_mutual_info(counts, n: int) -> float:
     """Plug-in mutual information of `counts`, shape (D, d2, records): trials
     with message (j, k) and record r, read out as m = k, over `n` trials.
 
-    Works from the counts alone and gives the bits of mutual_info_from_joint
-    on the dense block-diagonal (D*d2) x (records*d2) table, with every
+    Works from the counts alone and gives the bits of the textbook mutual
+    information of the dense block-diagonal (D*d2) x (records*d2) table
+    (the tests' oracle, tests/dense.py:mutual_info_from_joint), with every
     floating-point operation kept in order: rows are summed pairwise at the
     table's row length (zeros add exactly), columns sequentially over j, and
     terms, taken in the table's row-major order with math.log2, sequentially.
@@ -201,27 +201,3 @@ def counts_mutual_info(counts, n: int) -> float:
     terms = p * np.fromiter(map(math.log2, ratio.tolist()), float, count=ratio.size)
     # Sequential like the oracle's loop; np.sum would sum pairwise.
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
-
-
-def mutual_info_from_joint(joint) -> float:
-    """Textbook mutual information of a joint probability table.
-
-    Serves as the independent oracle for the simplified reduction used by the
-    analytic strategy formulas.
-    """
-    table = np.asarray(joint, dtype=float)
-    if table.ndim != 2:
-        raise ValueError("joint must be a 2D table")
-    if np.min(table) < -1e-12:
-        raise ValueError("joint probabilities must be nonnegative")
-    total = float(table.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("joint table is not normalized")
-    table = np.clip(table, 0.0, None)
-    row = table.sum(axis=1)
-    col = table.sum(axis=0)
-    acc = 0.0
-    for i, j in zip(*np.nonzero(table > _ZERO_PROB)):
-        p = table[i, j]
-        acc += p * math.log2(p / (row[i] * col[j]))
-    return float(acc)

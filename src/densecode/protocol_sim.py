@@ -20,12 +20,11 @@ are signed 64-bit integers, so n must lie in [1, 2**63).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtState, check_keys, config_number
+from .channel import SchmidtState
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 from .infometrics import counts_mutual_info
 
@@ -63,29 +62,6 @@ class DecodingStrategy:
     @classmethod
     def multistage(cls, plan: StagePlan) -> "DecodingStrategy":
         return cls(plan)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DecodingStrategy":
-        if not isinstance(obj, dict):
-            raise ValueError("'strategy' must be an object with a 'kind'")
-        kind = obj.get("kind")
-        if kind == "me":
-            check_keys(obj, ("kind",), "me strategy")
-            return cls.me()
-        if kind == "sep_me":
-            check_keys(obj, ("kind", "xi"), "sep_me strategy")
-            return cls.sep_me(config_number(obj, "xi", 1.0))
-        if kind == "multistage":
-            check_keys(obj, ("kind", "stages", "final"), "multistage strategy")
-            stages = obj.get("stages", [])
-            if not isinstance(stages, list) or not all(isinstance(st, dict) for st in stages):
-                raise ValueError("'stages' must be a list of objects such as {\"xi\": 1.0}")
-            for st in stages:
-                check_keys(st, ("xi",), "stage")
-            stages = tuple(config_number(st, "xi", 1.0) for st in stages)
-            final = obj.get("final", FINAL_ABSTAIN)
-            return cls.multistage(StagePlan(stages, final))
-        raise ValueError(f"unknown strategy kind {kind!r}")
 
     def describe(self) -> str:
         stages, final = self.plan.stages, self.plan.final_action
@@ -218,34 +194,6 @@ class SimulationReport:
             rates.append(suc / att if att else None)
         return tuple(rates)
 
-    def counts_dict(self) -> dict:
-        """Nonzero counts keyed "j,k|record:m", in (j, k, record) order; the
-        system-2 outcome m always equals k."""
-        cells = np.nonzero(self.joint_counts)
-        labels = self.outcome_labels
-        return {
-            f"{j},{k}|{labels[r]}:{k}": c
-            for j, k, r, c in zip(*(i.tolist() for i in cells), self.joint_counts[cells].tolist())
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_trials": self.n_trials,
-                "seed": self.seed,
-                "strategy": self.strategy,
-                "state": self.state,
-                "outcome_labels": list(self.outcome_labels),
-                "counts": self.counts_dict(),
-                "stage_attempts": list(self.stage_attempts),
-                "stage_successes": list(self.stage_successes),
-                "empirical_success_rate": list(self.empirical_success_rate),
-                "empirical_mutual_info_bits": self.empirical_mutual_info_bits,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
 
 def run_simulation(
     s: SchmidtState,
@@ -279,16 +227,6 @@ def run_simulation(
     )
 
 
-def _expand_joint(counts: np.ndarray, normalizer: float, d2: int) -> np.ndarray:
-    """Full (message) x (record, m) table; m is the deterministic k readout."""
-    rank, _, n_records = counts.shape
-    joint = np.zeros((rank * d2, n_records * d2))
-    for j in range(rank):
-        for k in range(d2):
-            joint[j * d2 + k, k::d2] = counts[j, k, :] / normalizer
-    return joint
-
-
 def analytic_record_distribution(s: SchmidtState, strat: DecodingStrategy):
     """Exact per-hypothesis distribution over outcome records, in closed form.
 
@@ -297,15 +235,3 @@ def analytic_record_distribution(s: SchmidtState, strat: DecodingStrategy):
     """
     fam = _BranchTree(s.coeffs, strat.plan)
     return fam.records, fam.distribution()
-
-
-def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
-    """Exact joint distribution over (message) x (record, m) of the branch tree.
-
-    Row index is j*d2 + k, column index record*d2 + m, with uniform message
-    priors folded in. The readout m always equals k. The textbook mutual
-    information of this table must equal the strategy's closed-form total.
-    """
-    _, dist = analytic_record_distribution(s, strat)
-    per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))
-    return _expand_joint(per_message, s.n_messages, s.d2)

@@ -7,12 +7,11 @@ inference. All errors in the sifted key are eavesdropper-induced.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtState, check_keys
+from .channel import SchmidtState
 from .discrimination import separate
 from .infometrics import counts_mutual_info
 from .protocol_sim import (
@@ -48,24 +47,6 @@ class EveStrategy:
             raise ValueError("intercepting eavesdropper requires a strategy")
         return cls(strategy, fallback)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EveStrategy":
-        if not isinstance(obj, dict):
-            raise ValueError("'eve' must be an object with a 'kind'")
-        kind = obj.get("kind")
-        if kind == "absent":
-            check_keys(obj, ("kind",), "absent eve")
-            return cls.absent()
-        if kind != "intercept":
-            raise ValueError(f"unknown eavesdropper kind {kind!r}")
-        check_keys(obj, ("kind", "strategy", "fallback"), "intercept eve")
-        if "strategy" not in obj:
-            raise ValueError("an intercepting 'eve' needs key 'strategy'")
-        return cls.intercept(
-            DecodingStrategy.from_dict(obj["strategy"]),
-            obj.get("fallback", GUESS_UNIFORM),
-        )
-
     def describe(self) -> str:
         if self.strategy is None:
             return "absent"
@@ -87,31 +68,6 @@ class QkdReport:
     eve_info_bits: float
     eve_record_labels: tuple
     eve_counts: np.ndarray | None
-
-    def to_json(self) -> str:
-        counts = {}
-        if self.eve_counts is not None:
-            for j in range(self.eve_counts.shape[0]):
-                for r, label in enumerate(self.eve_record_labels):
-                    c = int(self.eve_counts[j, r])
-                    if c:
-                        counts[f"{j}|{label}"] = c
-        return json.dumps(
-            {
-                "n_rounds": self.n_rounds,
-                "seed": self.seed,
-                "eve": self.eve,
-                "state": self.state,
-                "kept": self.kept,
-                "errors": self.errors,
-                "sift_rate": self.sift_rate,
-                "sifted_error_rate": self.sifted_error_rate,
-                "eve_info_bits": self.eve_info_bits,
-                "eve_counts": counts,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def simulate_qkd(

@@ -8,7 +8,9 @@ as dense kets, operators and POVMs from `densecode.tensor_core` and
 family, a separation's Kraus pair and dilation unitary on an ambient space,
 the ME measurement, Bayes confidence and conditional entropy. They serve
 `circuit_oracle.py` and the tests that check the closed form against the
-circuit.
+circuit. The textbook joint-table oracle lives here too: `analytic_joint`
+expands the branch tree into the dense (message) x (record, m) table, and
+`mutual_info_from_joint` is the mutual information of any joint table.
 
 The Kraus pair is not part of the runtime: `kraus_diagonals` derives it here
 from the Chefles-Barnett formula, without calling `separate`. Its diagonals
@@ -19,14 +21,15 @@ complete there. No valid state carries amplitude on the padded levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from densecode.channel import COEFF_TOL, GROUP_TOL_SQ, SchmidtState
 from densecode.gates import fourier, gxor, pauli_x, pauli_z
-from densecode.infometrics import _plogp
-from densecode.protocol_sim import INCONCLUSIVE
+from densecode.infometrics import _ZERO_PROB, _plogp
+from densecode.protocol_sim import INCONCLUSIVE, DecodingStrategy, analytic_record_distribution
 from densecode.tensor_core import Ket, Measurement, Operator, apply, born_probabilities
 
 
@@ -248,3 +251,49 @@ def conditional_entropy(states, m: Measurement) -> float:
     for state in states:
         acc += float(_plogp(born_probabilities(state, m)))
     return -acc / n_states
+
+
+def _expand_joint(counts: np.ndarray, normalizer: float, d2: int) -> np.ndarray:
+    """Full (message) x (record, m) table; m is the deterministic k readout."""
+    rank, _, n_records = counts.shape
+    joint = np.zeros((rank * d2, n_records * d2))
+    for j in range(rank):
+        for k in range(d2):
+            joint[j * d2 + k, k::d2] = counts[j, k, :] / normalizer
+    return joint
+
+
+def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
+    """Exact joint distribution over (message) x (record, m) of the branch tree.
+
+    Row index is j*d2 + k, column index record*d2 + m, with uniform message
+    priors folded in. The readout m always equals k. The textbook mutual
+    information of this table must equal the strategy's closed-form total.
+    """
+    _, dist = analytic_record_distribution(s, strat)
+    per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))
+    return _expand_joint(per_message, s.n_messages, s.d2)
+
+
+def mutual_info_from_joint(joint) -> float:
+    """Textbook mutual information of a joint probability table.
+
+    Serves as the independent oracle for the simplified reduction used by the
+    analytic strategy formulas.
+    """
+    table = np.asarray(joint, dtype=float)
+    if table.ndim != 2:
+        raise ValueError("joint must be a 2D table")
+    if np.min(table) < -1e-12:
+        raise ValueError("joint probabilities must be nonnegative")
+    total = float(table.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError("joint table is not normalized")
+    table = np.clip(table, 0.0, None)
+    row = table.sum(axis=1)
+    col = table.sum(axis=0)
+    acc = 0.0
+    for i, j in zip(*np.nonzero(table > _ZERO_PROB)):
+        p = table[i, j]
+        acc += p * math.log2(p / (row[i] * col[j]))
+    return float(acc)

@@ -19,11 +19,9 @@ from densecode import (
     GUESS_UNIFORM,
     SchmidtState,
     StagePlan,
-    analytic_joint,
     analytic_qkd_error,
     analytic_record_distribution,
     cli,
-    mutual_info_from_joint,
     mutual_info_me,
     mutual_info_multistage,
     mutual_info_sep,
@@ -37,7 +35,15 @@ from densecode.tensor_core import Ket, born_probabilities
 
 from circuit_oracle import circuit_joint
 from conftest import LAW_ALPHA, assert_counts_follow, random_schmidt, random_support_coeffs
-from dense import conditional_entropy, kraus_pair, me_measurement, separated_state, symmetric_state
+from dense import (
+    analytic_joint,
+    conditional_entropy,
+    kraus_pair,
+    me_measurement,
+    mutual_info_from_joint,
+    separated_state,
+    symmetric_state,
+)
 
 QUBIT = SchmidtState.from_squared(2, 2, [0.2, 0.8])
 QUTRIT = SchmidtState.from_squared(3, 4, [0.2, 0.3, 0.5])

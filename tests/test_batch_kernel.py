@@ -15,7 +15,6 @@ from densecode import (
     SchmidtState,
     StagePlan,
     cli,
-    mutual_info_from_joint,
     mutual_info_multistage,
 )
 from densecode.channel import GROUP_TOL_SQ
@@ -23,6 +22,7 @@ from densecode.discrimination import separate, walk_stages
 from densecode.infometrics import me_bits, multistage_bits, multistage_columns
 
 from circuit_oracle import circuit_joint
+from dense import mutual_info_from_joint
 
 
 def _row(squared) -> np.ndarray:

@@ -24,7 +24,6 @@ from densecode import (
     EveStrategy,
     SchmidtState,
     StagePlan,
-    analytic_joint,
     analytic_qkd_error,
     analytic_record_distribution,
     analytic_sift_rate,
@@ -178,7 +177,7 @@ def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
     run_simulation(s, strat, 5000, seed=1)
     simulate_qkd(s, eve, 5000, seed=3)
     analytic_record_distribution(s, strat)
-    analytic_joint(s, strat)
+    dense.analytic_joint(s, strat)
     analytic_qkd_error(s.coeffs, eve)
     config = tmp_path / "config.json"
     config.write_text(
@@ -224,9 +223,9 @@ def test_runtime_imports_no_dense_module():
 PUBLIC_API = [
     "DecodingStrategy", "EveStrategy", "FINAL_ABSTAIN", "FINAL_ME", "GUESS_ME", "GUESS_UNIFORM",
     "INCONCLUSIVE", "InfoReport", "QkdReport", "SchmidtState", "SimulationReport", "StagePlan",
-    "analytic_joint", "analytic_qkd_error", "analytic_record_distribution", "analytic_sift_rate",
+    "analytic_qkd_error", "analytic_record_distribution", "analytic_sift_rate",
     "channel", "counts_mutual_info", "derived_rng", "discrimination", "infometrics",
-    "me_outcome_probs", "mutual_info_from_joint", "mutual_info_me", "mutual_info_multistage",
+    "me_outcome_probs", "mutual_info_me", "mutual_info_multistage",
     "mutual_info_sep", "protocol_sim", "qkd", "run_simulation", "simulate_qkd",
 ]
 

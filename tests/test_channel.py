@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from densecode import SchmidtState
+from densecode import SchmidtState, cli
 from densecode.discrimination import separate
 from densecode.gates import fourier, gxor, pauli_z
 from densecode.tensor_core import Ket, apply, tensor
@@ -42,9 +42,9 @@ class TestSchmidtState:
 
     def test_json_round_trip(self):
         obj = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
-        s = SchmidtState.from_dict(json.loads(json.dumps(obj)))
+        s = cli._parse_state(json.loads(json.dumps(obj)))
         assert np.allclose(s.coeffs**2, [0.2, 0.8])
-        t = SchmidtState.from_dict({"d1": 2, "d2": 2, "coeffs": list(s.coeffs)})
+        t = cli._parse_state({"d1": 2, "d2": 2, "coeffs": list(s.coeffs)})
         assert np.allclose(t.coeffs, s.coeffs)
 
     def test_order_preserved(self):

@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import math
@@ -14,7 +16,29 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import densecode
-from densecode import SchmidtState, cli, mutual_info_me
+from densecode import (
+    DecodingStrategy,
+    EveStrategy,
+    QkdReport,
+    SchmidtState,
+    SimulationReport,
+    cli,
+    mutual_info_me,
+)
+
+
+def run_cli(argv, cwd):
+    """The CLI in a process of its own, so that its whole standard output and
+    error are captured, numpy warnings included."""
+    src = str(Path(densecode.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "densecode.cli", *argv],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 def read_csv(path):
@@ -205,19 +229,40 @@ def test_non_string_out_config_fails_before_writing(command, config, tmp_path):
     # process and must write nothing to its standard output either.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**config, "out": 1}))
-    src = str(Path(densecode.__file__).resolve().parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-m", "densecode.cli", command, "--config", str(path)],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    result = run_cli([command, "--config", str(path)], tmp_path)
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error:") and "'out'" in result.stderr
     assert result.stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "qkd", "sweep-sep"])
+def test_overflowing_coeffs_fail_with_one_line(command, tmp_path):
+    # Squaring 1e308 overflows; numpy's RuntimeWarning would print two lines
+    # before the error.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"state": {"d1": 2, "d2": 2, "coeffs": [1e308, 1e308]}}))
+    result = run_cli([command, "--config", str(path), "--out", "never.csv"], tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == "error: squared Schmidt coefficients must sum to 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+#: The modules that hold the physics; cli alone reads and writes file formats.
+DOMAIN_MODULES = ("channel", "discrimination", "infometrics", "protocol_sim", "qkd")
+
+
+def test_cli_alone_reads_and_writes_file_formats():
+    for name in DOMAIN_MODULES:
+        module = importlib.import_module(f"densecode.{name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+        assert "json" not in imported, name
+        assert not {"_is_real", "config_number", "check_keys"} & set(vars(module)), name
+    for cls in (SchmidtState, DecodingStrategy, EveStrategy, SimulationReport, QkdReport):
+        for method in ("from_dict", "to_json", "counts_dict"):
+            assert not hasattr(cls, method), f"{cls.__name__}.{method}"
 
 
 @pytest.mark.parametrize(

@@ -21,13 +21,12 @@ from densecode import (
     StagePlan,
     cli,
     counts_mutual_info,
-    mutual_info_from_joint,
     run_simulation,
     simulate_qkd,
 )
-from densecode.protocol_sim import _expand_joint
-
+import dense
 from conftest import random_schmidt, refuse_everywhere
+from dense import _expand_joint, mutual_info_from_joint
 
 
 def dense_mi(counts, n: int) -> float:
@@ -115,11 +114,9 @@ def test_rank64_run_stays_small():
 
 
 def test_runtime_path_builds_no_dense_joint(monkeypatch, tmp_path):
-    import densecode
-
-    refuse_everywhere(monkeypatch, [densecode.protocol_sim._expand_joint, mutual_info_from_joint])
+    refuse_everywhere(monkeypatch, [dense._expand_joint, dense.mutual_info_from_joint])
     with pytest.raises(AssertionError):
-        densecode.mutual_info_from_joint(np.eye(2) / 2)
+        dense.mutual_info_from_joint(np.eye(2) / 2)
     s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
     run_simulation(s, DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ABSTAIN)), 5000, seed=1)
     simulate_qkd(s, EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME), 5000, seed=3)

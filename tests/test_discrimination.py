@@ -420,6 +420,8 @@ class TestInputChecks:
             ([-0.6, 0.8], "nonnegative"),
             ([0.0, 0.0], "empty support"),
             ([0.6, 0.6], "sum to 1"),
+            # Squared, it would overflow with a RuntimeWarning, which the test config makes an error.
+            ([1e308, 1e308], "sum to 1"),
         ],
     )
     def test_separate_rejects_bad_rows(self, row, message):

@@ -9,7 +9,6 @@ from densecode import (
     InfoReport,
     SchmidtState,
     StagePlan,
-    mutual_info_from_joint,
     mutual_info_me,
     mutual_info_multistage,
     mutual_info_sep,
@@ -18,7 +17,7 @@ from densecode.channel import GROUP_TOL_SQ
 from densecode.tensor_core import Ket, born_probabilities
 
 from conftest import random_schmidt
-from dense import conditional_entropy, me_measurement, symmetric_state
+from dense import conditional_entropy, me_measurement, mutual_info_from_joint, symmetric_state
 
 
 def binary_entropy(p):

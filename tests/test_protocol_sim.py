@@ -10,10 +10,9 @@ from densecode import (
     DecodingStrategy,
     SchmidtState,
     StagePlan,
-    analytic_joint,
     analytic_record_distribution,
+    cli,
     counts_mutual_info,
-    mutual_info_from_joint,
     mutual_info_me,
     mutual_info_multistage,
     mutual_info_sep,
@@ -21,6 +20,7 @@ from densecode import (
 )
 
 from circuit_oracle import circuit_joint
+from dense import analytic_joint, mutual_info_from_joint
 from conftest import random_schmidt
 
 
@@ -31,9 +31,9 @@ def sigma3(p, n):
 class TestDecodingStrategy:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown strategy kind 'nope'"):
-            DecodingStrategy.from_dict({"kind": "nope"})
+            cli._parse_strategy({"kind": "nope"})
         with pytest.raises(ValueError, match="unknown strategy kind None"):
-            DecodingStrategy.from_dict({"xi": 0.5})
+            cli._parse_strategy({"xi": 0.5})
         with pytest.raises(ValueError):
             DecodingStrategy.sep_me(1.5)
         with pytest.raises(ValueError, match="requires a StagePlan"):
@@ -46,7 +46,7 @@ class TestDecodingStrategy:
         assert DecodingStrategy.multistage(plan).plan == plan
 
     def test_dict_round_trip(self):
-        strat = DecodingStrategy.from_dict(
+        strat = cli._parse_strategy(
             {"kind": "multistage", "stages": [{"xi": 1.0}, {}], "final": "me"}
         )
         assert strat.plan.stages == (1.0, 1.0)
@@ -67,7 +67,7 @@ class TestDecodingStrategy:
         ],
     )
     def test_describe_reads_the_plan_shape(self, config, name):
-        strat = DecodingStrategy.from_dict(config)
+        strat = cli._parse_strategy(config)
         assert strat.describe() == name
         assert DecodingStrategy(strat.plan) == strat
 
@@ -115,9 +115,9 @@ class TestRunSimulation:
         a = run_simulation(qubit_state, strat, 20000, seed=9)
         b = run_simulation(qubit_state, strat, 20000, seed=9)
         c = run_simulation(qubit_state, strat, 20000, seed=9, threads=3)
-        assert a.to_json() == b.to_json() == c.to_json()
+        assert cli._report_json(a) == cli._report_json(b) == cli._report_json(c)
         d = run_simulation(qubit_state, strat, 20000, seed=10)
-        assert a.to_json() != d.to_json()
+        assert cli._report_json(a) != cli._report_json(d)
 
     def test_empirical_mutual_info_close_to_analytic(self, qubit_state):
         report = run_simulation(qubit_state, DecodingStrategy.me(), 100000, seed=4)
@@ -176,7 +176,7 @@ class TestRunSimulation:
 class TestSerialization:
     def test_json_round_trip(self, qubit_state):
         report = run_simulation(qubit_state, DecodingStrategy.sep_me(1.0), 5000, seed=7)
-        payload = json.loads(report.to_json())
+        payload = json.loads(cli._report_json(report))
         assert payload["n_trials"] == 5000
         assert payload["seed"] == 7
         assert sum(payload["counts"].values()) == 5000

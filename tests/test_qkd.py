@@ -14,6 +14,7 @@ from densecode import (
     StagePlan,
     analytic_qkd_error,
     analytic_sift_rate,
+    cli,
     simulate_qkd,
 )
 from densecode.discrimination import separate
@@ -62,9 +63,9 @@ def brute_force_error(s, stages, final, fallback):
 class TestEveStrategy:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown eavesdropper kind 'sneaky'"):
-            EveStrategy.from_dict({"kind": "sneaky"})
+            cli._parse_eve({"kind": "sneaky"})
         with pytest.raises(ValueError, match="needs key 'strategy'"):
-            EveStrategy.from_dict({"kind": "intercept"})
+            cli._parse_eve({"kind": "intercept"})
         with pytest.raises(ValueError, match="requires a strategy"):
             EveStrategy.intercept(None)
         with pytest.raises(ValueError, match="must be a DecodingStrategy"):
@@ -73,14 +74,14 @@ class TestEveStrategy:
             EveStrategy.intercept(DecodingStrategy.me(), fallback="coin")
 
     def test_dict_round_trip(self):
-        eve = EveStrategy.from_dict(
+        eve = cli._parse_eve(
             {"kind": "intercept", "strategy": {"kind": "sep_me", "xi": 0.5}, "fallback": "me"}
         )
         assert eve.strategy == DecodingStrategy.sep_me(0.5)
         assert eve.strategy.describe() == "sep_me(xi=0.5)"
         assert eve.fallback == GUESS_ME
         assert eve.describe() == "intercept(sep_me(xi=0.5), fallback=me)"
-        absent = EveStrategy.from_dict({"kind": "absent"})
+        absent = cli._parse_eve({"kind": "absent"})
         assert absent == EveStrategy.absent() and absent.strategy is None
         assert absent.describe() == "absent"
 
@@ -122,7 +123,7 @@ class TestSimulateQkd:
         a = simulate_qkd(qubit_state, eve, 20000, seed=5)
         b = simulate_qkd(qubit_state, eve, 20000, seed=5)
         c = simulate_qkd(qubit_state, eve, 20000, seed=5, threads=3)
-        assert a.to_json() == b.to_json() == c.to_json()
+        assert cli._report_json(a) == cli._report_json(b) == cli._report_json(c)
 
     def test_succeeded_rounds_are_exact(self, qubit_state):
         # maximum-confidence successes identify the dit with certainty
@@ -137,14 +138,14 @@ class TestSimulateQkd:
         cols = [labels.index(f"s1:{l}") for l in range(2)]
         sub = report.eve_counts[:, cols].astype(float)
         sub /= sub.sum()
-        from densecode import mutual_info_from_joint
+        from dense import mutual_info_from_joint
 
         assert abs(mutual_info_from_joint(sub) - 1.0) <= 0.01
 
     def test_json_payload(self, qubit_state):
         eve = EveStrategy.intercept(DecodingStrategy.me())
         report = simulate_qkd(qubit_state, eve, 4096, seed=7)
-        payload = json.loads(report.to_json())
+        payload = json.loads(cli._report_json(report))
         assert payload["n_rounds"] == 4096
         assert sum(payload["eve_counts"].values()) == payload["kept"]
 
