@@ -10,13 +10,11 @@ from .infometrics import (
     counts_mutual_info,
     mutual_info_me,
     mutual_info_multistage,
-    mutual_info_sep,
 )
 from .protocol_sim import (
     INCONCLUSIVE,
     DecodingStrategy,
     SimulationReport,
-    analytic_record_distribution,
     derived_rng,
     run_simulation,
 )

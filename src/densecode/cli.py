@@ -26,9 +26,9 @@ import numpy as np
 
 from .channel import SchmidtState, check_coeffs
 from .discrimination import FINAL_ABSTAIN, StagePlan
-from .infometrics import me_bits, multistage_bits, multistage_columns, mutual_info_multistage
-from .protocol_sim import GUESS_UNIFORM, INCONCLUSIVE, DecodingStrategy, SimulationReport, _BranchTree, run_simulation
-from .qkd import EveStrategy, analytic_qkd_error, analytic_sift_rate, simulate_qkd
+from .infometrics import me_bits, multistage_bits, multistage_columns
+from .protocol_sim import GUESS_UNIFORM, INCONCLUSIVE, DecodingStrategy, SimulationReport, run_simulation
+from .qkd import EveStrategy, analytic_sift_rate, simulate_qkd
 
 _DEFAULT_MARGIN = 1e-3
 _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
@@ -224,11 +224,11 @@ def _nonzero_cells(counts: np.ndarray, key) -> dict:
 
 
 def _report_json(report) -> str:
-    """A run report as indented JSON with sorted keys: its fields, with the
-    count table as its nonzero cells keyed by message and record label. A
-    Monte Carlo report adds the per-stage success rates; a key-distribution
-    report's record labels appear only in those keys."""
-    obj = {field.name: getattr(report, field.name) for field in dataclasses.fields(report)}
+    """A run report as indented JSON with sorted keys: its fields but the
+    branch tree, with the count table as its nonzero cells keyed by message
+    and record label. A Monte Carlo report adds the per-stage success rates;
+    a key-distribution report's record labels appear only in those keys."""
+    obj = {field.name: getattr(report, field.name) for field in dataclasses.fields(report) if field.name != "tree"}
     if isinstance(report, SimulationReport):
         labels = obj["outcome_labels"]
         # The system-2 outcome m, the last part of a key, always equals k.
@@ -345,14 +345,14 @@ def _sigma3(p: float, n: int) -> float:
     return 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def montecarlo_summary(report, state: SchmidtState, strat: DecodingStrategy):
+def montecarlo_summary(report: SimulationReport, d2: int):
     """Empirical-versus-analytic rows: (quantity, empirical, analytic, bound),
-    the analytic rates read from the branch tree the run sampled."""
-    tree = _BranchTree(state.coeffs, strat.plan)
+    every analytic value read from the branch tree the run sampled over a
+    target system of dimension d2."""
+    tree = report.tree
     dist = tree.distribution()
     per_record = dist.mean(axis=0)
     inconclusive = tree.inferred == INCONCLUSIVE
-    correct = tree.inferred == np.arange(tree.rank)[:, None]
     marginal = report.joint_counts.sum(axis=1)
     rows = [["k_channel_exact_rate", 1.0, 1.0, 0.0]]
     attempts = zip(tree.stage_entries, report.stage_attempts, report.stage_successes)
@@ -366,14 +366,13 @@ def montecarlo_summary(report, state: SchmidtState, strat: DecodingStrategy):
     # Sums in record order (cumsum adds sequentially), so the analytic rate
     # keeps its bits whatever the number of records.
     conclusive_p = float(np.cumsum(np.where(inconclusive, 0.0, per_record))[-1])
-    correct_p = float(np.mean(np.cumsum(np.where(correct, dist, 0.0), axis=1)[:, -1]))
+    correct_p = float(np.mean(np.cumsum(np.where(tree.correct, dist, 0.0), axis=1)[:, -1]))
     conclusive_emp = int(marginal[:, ~inconclusive].sum())
     if conclusive_emp and conclusive_p:
         cond_p = correct_p / conclusive_p
-        correct_rate = int(marginal[correct].sum()) / conclusive_emp
+        correct_rate = int(marginal[tree.correct].sum()) / conclusive_emp
         rows.append(["conclusive_correct_rate", correct_rate, cond_p, _sigma3(cond_p, conclusive_emp)])
-    info_bits = mutual_info_multistage(state, strat.plan).total_bits
-    rows.append(["mutual_info_bits", report.empirical_mutual_info_bits, info_bits, 0.02])
+    rows.append(["mutual_info_bits", report.empirical_mutual_info_bits, tree.info_bits(d2), 0.02])
     return rows
 
 
@@ -386,7 +385,7 @@ def _cmd_montecarlo(args) -> int:
     out = _out_path(args, config, "montecarlo.csv")
     sidecar = _sidecar(args, out)
     report = run_simulation(state, strat, trials, seed)
-    rows = montecarlo_summary(report, state, strat)
+    rows = montecarlo_summary(report, state.d2)
     rendered = [[q, float(e), float(a), abs(float(e) - float(a)), float(b)] for q, e, a, b in rows]
     _write_csv(out, ["quantity", "empirical", "analytic", "abs_delta", "bound"], rendered)
     _write_text(sidecar, _report_json(report))
@@ -404,7 +403,7 @@ def _cmd_qkd(args) -> int:
     sidecar = _sidecar(args, out)
     report = simulate_qkd(state, eve, rounds, seed)
     sift_analytic = analytic_sift_rate(state.coeffs)
-    error_analytic = analytic_qkd_error(state.coeffs, eve)
+    error_analytic = 0.0 if report.tree is None else report.tree.error_rate()
     columns = {
         "eve": eve.describe(),
         "n_rounds": rounds,

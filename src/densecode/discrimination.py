@@ -59,6 +59,9 @@ def _checked(coeffs, *xis):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
         raise ValueError("coeffs must be a nonempty 1D vector")
+    # NaN fails every comparison below, so it would pass as a level outside the support.
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite")
     if np.any(coeffs < -COEFF_TOL):
         raise ValueError("coefficients must be nonnegative")
     support = coeffs > COEFF_TOL
@@ -74,8 +77,8 @@ def separate(coeffs, xi) -> Separation:
     """Optimal separation of each coefficient row of `coeffs` (shape (..., P),
     zeros marking levels outside the support) at distinguishability `xi`, one
     value for all rows or one per row (shape (...)). Raises ValueError unless
-    xi lies in [0, 1] and each row is nonnegative and normalised on a nonempty
-    support; _separate is the unchecked kernel.
+    xi lies in [0, 1] and each row is finite, nonnegative and normalised on a
+    nonempty support; _separate is the unchecked kernel.
 
     The minimum group holds the support levels whose squares lie within
     GROUP_TOL_SQ of the smallest; failure strips it and keeps the excess over

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtState
-from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
+from .discrimination import FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 
 #: Probabilities at or below this count as zero in p*log2(p) and in the plug-in estimate.
 _ZERO_PROB = 1e-15
@@ -38,32 +38,26 @@ def _check_bits(bits, d2: int, rank: int):
 
 @dataclass(frozen=True)
 class InfoReport:
-    """Mutual-information figures for one decoding strategy on one channel."""
+    """Mutual-information figures for one decoding strategy on one channel:
+    the total and, per planned stage, its success probability and bits."""
 
-    d2: int
-    rank: int
     total_bits: float
-    success_branch_bits: float | None
     branch_probabilities: tuple
-    stage_success_bits: tuple = ()
+    stage_success_bits: tuple
 
-    def __post_init__(self) -> None:
-        _check_bits(self.total_bits, self.d2, self.rank)
-        object.__setattr__(
-            self, "branch_probabilities", tuple(float(p) for p in self.branch_probabilities)
-        )
-        object.__setattr__(
-            self, "stage_success_bits", tuple(float(b) for b in self.stage_success_bits)
-        )
+
+def _outcome_bits(q, d2: int) -> np.ndarray:
+    """Information from ME outcome rows `q` (shape (..., D), as
+    me_outcome_probs gives them), including the error-free target-system
+    part: log2(d2*D) + sum q log2 q per row."""
+    rank = q.shape[-1]
+    return _check_bits(math.log2(d2 * rank) + _plogp(q), d2, rank)
 
 
 def me_bits(coeffs, d2: int) -> np.ndarray:
     """Information from an ME measurement on each symmetric family, one per
-    row of `coeffs` (shape (..., D)), including the error-free target-system
-    part."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    rank = coeffs.shape[-1]
-    return _check_bits(math.log2(d2 * rank) + _plogp(me_outcome_probs(coeffs)), d2, rank)
+    row of `coeffs` (shape (..., D))."""
+    return _outcome_bits(me_outcome_probs(coeffs), d2)
 
 
 def _stage_bits(step, d2: int):
@@ -145,30 +139,14 @@ def mutual_info_me(s: SchmidtState) -> InfoReport:
     return mutual_info_multistage(s, StagePlan((), FINAL_ME))
 
 
-def mutual_info_sep(s: SchmidtState, xi: float) -> InfoReport:
-    """Separation-assisted decoding: separate at `xi`, ME on success, nothing
-    on failure. Interpolates between the deterministic ME protocol (xi=0) and
-    full unambiguous decoding (xi=1)."""
-    return mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN))
-
-
 def mutual_info_multistage(s: SchmidtState, plan: StagePlan) -> InfoReport:
-    """Iterated probabilistic decoding over the failure-state hierarchy.
-
-    Each stage separates the current symmetric family and concludes with an
-    ME measurement on success; failures descend to the next stage, and the
-    final action handles the last failure family. A stage whose family has
-    collapsed to one dimension retrieves nothing and its branch is worth only
-    the error-free target-system bits.
-    """
+    """Iterated probabilistic decoding over the failure-state hierarchy:
+    multistage_bits of one state and plan."""
     total, probs, bits = multistage_bits(s.coeffs, s.d2, plan.stages, plan.final_action)
     return InfoReport(
-        d2=s.d2,
-        rank=s.D,
         total_bits=float(total),
-        success_branch_bits=float(bits[0] if bits else total),
-        branch_probabilities=probs,
-        stage_success_bits=bits,
+        branch_probabilities=tuple(map(float, probs)),
+        stage_success_bits=tuple(map(float, bits)),
     )
 
 

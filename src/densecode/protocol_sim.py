@@ -5,7 +5,9 @@ their success probabilities from the failure-state hierarchy (walk_stages),
 confusion rows from the square-root measurement (me_outcome_probs). The
 GXOR split returns the sender's k with certainty, so only the carrier index j
 is decoded. Runs draw record counts from that tree's exact distribution, fast
-and bit-reproducible; the test suite checks the tree against the actual
+and bit-reproducible, and each report keeps the tree it sampled: the run's
+closed forms (stage probabilities, rates, exact information, error rate) are
+read from that one tree. The test suite checks the tree against the actual
 circuit (encoding, GXOR split, dilation couplings, POVMs).
 
 Randomness contract: a run of n trials draws one count table, whatever n
@@ -20,13 +22,14 @@ are signed 64-bit integers, so n must lie in [1, 2**63).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import SchmidtState
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
-from .infometrics import counts_mutual_info
+from .infometrics import _fold_stages, _outcome_bits, counts_mutual_info
 
 #: Inferred hypothesis of a record that abstains.
 INCONCLUSIVE = -1
@@ -74,7 +77,9 @@ class DecodingStrategy:
 
 
 class _BranchTree:
-    """Closed-form branch tree of a decoding strategy over one symmetric family.
+    """Closed-form branch tree of a decoding strategy over one symmetric
+    family, the one source of a run's closed forms. The constructor does what
+    sampling needs (one stage walk, one ME transform); the rest is lazy.
 
     stage_entries[n] = (P_s, confusion table, record offset) of the n-th
     stage that walk_stages executes; a table is the circulant q[(j - l) mod D]
@@ -117,10 +122,16 @@ class _BranchTree:
         self.inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in records])
         self.uniform_guess = final != FINAL_ME and guess == GUESS_UNIFORM
         finals = [rest] if final == FINAL_ME or guess == GUESS_ME else []
-        # One ME transform for the tree: me_outcome_probs is row-independent.
-        tables = me_outcome_probs(np.reshape([b for _, b, _ in entries] + finals, (-1, rank)))[:, circulant]
+        # One ME transform, row-independent; its rows (stages, then final) serve info_bits.
+        self._q = me_outcome_probs(np.reshape([b for _, b, _ in entries] + finals, (-1, rank)))
+        tables = self._q[:, circulant]
         self.stage_entries = [(p_stage, table, offset) for (p_stage, _, offset), table in zip(entries, tables)]
         self.final_table = tables[-1] if finals else None
+
+    @property
+    def correct(self) -> np.ndarray:
+        """(D, n_records) mask of the records that infer hypothesis j in row j."""
+        return self.inferred == np.arange(self.rank)[:, None]
 
     def distribution(self) -> np.ndarray:
         """Exact P(record | hypothesis), shape (D, n_records), rows summing to
@@ -138,6 +149,22 @@ class _BranchTree:
         else:
             dist[:, self.final_offset] = weight
         return dist
+
+    def info_bits(self, d2: int) -> float:
+        """Exact information over equally likely messages, target-system bits
+        included: the stages' ME bits folded over the final action's (log2 d2
+        for abstention or a uniform guess). It is multistage_bits bit for bit,
+        or within 1e-12 * log2(D) if a stage with P_s < 1 ended the walk."""
+        bits = _outcome_bits(self._q, d2)
+        n_stages = len(self.stage_entries)
+        total = bits[-1] if self.final_table is not None else math.log2(d2)
+        probs = [p_stage for p_stage, _, _ in self.stage_entries]
+        return float(_fold_stages(total, probs, bits[:n_stages], d2, self.rank))
+
+    def error_rate(self) -> float:
+        """Weight on records inferring a wrong hypothesis, over equally likely
+        hypotheses: for an eavesdropper, the sifted-key error rate."""
+        return float(self.distribution()[~self.correct].sum() / self.rank)
 
 
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
@@ -186,6 +213,8 @@ class SimulationReport:
     stage_attempts: tuple
     stage_successes: tuple
     empirical_mutual_info_bits: float
+    #: The branch tree the run sampled; the JSON report leaves it out.
+    tree: _BranchTree
 
     @property
     def empirical_success_rate(self) -> tuple:
@@ -224,14 +253,6 @@ def run_simulation(
         stage_attempts=tuple(attempts),
         stage_successes=tuple(successes),
         empirical_mutual_info_bits=info_bits,
+        tree=fam,
     )
 
-
-def analytic_record_distribution(s: SchmidtState, strat: DecodingStrategy):
-    """Exact per-hypothesis distribution over outcome records, in closed form.
-
-    Returns (record labels, array of shape (D, n_records)) with rows summing
-    to 1: the distribution of the branch tree that Monte Carlo samples.
-    """
-    fam = _BranchTree(s.coeffs, strat.plan)
-    return fam.records, fam.distribution()

@@ -68,6 +68,9 @@ class QkdReport:
     eve_info_bits: float
     eve_record_labels: tuple
     eve_counts: np.ndarray | None
+    #: The eavesdropper's branch tree the run sampled, None when she is
+    #: absent; the JSON report leaves it out.
+    tree: _BranchTree | None
 
 
 def simulate_qkd(
@@ -85,7 +88,7 @@ def simulate_qkd(
     if s.D < 2:
         raise ValueError("sifting requires channel rank >= 2")
     p_keep = analytic_sift_rate(s.coeffs)
-    labels, counts, errors, eve_info = (), None, 0, 0.0
+    fam, counts, errors, eve_info = None, None, 0, 0.0
     if eve.strategy is None:
         rng, _ = count_table(seed, n_rounds)
         kept = int(rng.binomial(n_rounds, p_keep))
@@ -94,9 +97,8 @@ def simulate_qkd(
         rng, table = count_table(seed, n_rounds, fam.distribution())
         counts = rng.binomial(table, p_keep)
         counts.setflags(write=False)
-        labels = fam.records
         kept = int(counts.sum())
-        errors = int(counts[fam.inferred != np.arange(s.D)[:, None]].sum())
+        errors = int(counts[~fam.correct].sum())
         if kept:
             eve_info = counts_mutual_info(counts[:, None, :], kept)
     return QkdReport(
@@ -109,8 +111,9 @@ def simulate_qkd(
         sift_rate=kept / n_rounds,
         sifted_error_rate=errors / kept if kept else 0.0,
         eve_info_bits=eve_info,
-        eve_record_labels=labels,
+        eve_record_labels=() if fam is None else fam.records,
         eve_counts=counts,
+        tree=fam,
     )
 
 
@@ -120,10 +123,6 @@ def analytic_sift_rate(coeffs) -> float:
 
 
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:
-    """Exact sifted-key error rate: the weight the eavesdropper's branch tree
-    puts on records inferring a wrong dit; the receiver's sift is error-free."""
-    if eve.strategy is None:
-        return 0.0
-    fam = _BranchTree(coeffs, eve.strategy.plan, eve.fallback)
-    wrong = fam.inferred != np.arange(fam.rank)[:, None]
-    return float(fam.distribution()[wrong].sum() / fam.rank)
+    """Exact sifted-key error rate: the error rate of the eavesdropper's
+    branch tree, 0 without her; the receiver's sift is error-free."""
+    return 0.0 if eve.strategy is None else _BranchTree(coeffs, eve.strategy.plan, eve.fallback).error_rate()

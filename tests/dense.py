@@ -29,7 +29,7 @@ import numpy as np
 from densecode.channel import COEFF_TOL, GROUP_TOL_SQ, SchmidtState
 from densecode.gates import fourier, gxor, pauli_x, pauli_z
 from densecode.infometrics import _ZERO_PROB, _plogp
-from densecode.protocol_sim import INCONCLUSIVE, DecodingStrategy, analytic_record_distribution
+from densecode.protocol_sim import INCONCLUSIVE, DecodingStrategy, _BranchTree
 from densecode.tensor_core import Ket, Measurement, Operator, apply, born_probabilities
 
 
@@ -270,7 +270,7 @@ def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
     priors folded in. The readout m always equals k. The textbook mutual
     information of this table must equal the strategy's closed-form total.
     """
-    _, dist = analytic_record_distribution(s, strat)
+    dist = _BranchTree(s.coeffs, strat.plan).distribution()
     per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))
     return _expand_joint(per_message, s.n_messages, s.d2)
 

@@ -20,17 +20,15 @@ from densecode import (
     SchmidtState,
     StagePlan,
     analytic_qkd_error,
-    analytic_record_distribution,
     cli,
     mutual_info_me,
     mutual_info_multistage,
-    mutual_info_sep,
     simulate_qkd,
 )
 from densecode.cli import montecarlo_summary
 from densecode.discrimination import separate
 from densecode.gates import gxor
-from densecode.protocol_sim import run_simulation
+from densecode.protocol_sim import _BranchTree, run_simulation
 from densecode.tensor_core import Ket, born_probabilities
 
 from circuit_oracle import circuit_joint
@@ -87,8 +85,8 @@ def test_criterion_1_me_sweep_extremes(tmp_path):
 
 
 def test_criterion_2_separation_endpoints():
-    at_zero = mutual_info_sep(QUBIT, 0.0)
-    at_one = mutual_info_sep(QUBIT, 1.0)
+    at_zero = mutual_info_multistage(QUBIT, StagePlan((0.0,), FINAL_ABSTAIN))
+    at_one = mutual_info_multistage(QUBIT, StagePlan((1.0,), FINAL_ABSTAIN))
     i_me = mutual_info_me(QUBIT).total_bits
     ok = (
         abs(at_zero.branch_probabilities[0] - 1.0) <= 1e-12
@@ -96,14 +94,14 @@ def test_criterion_2_separation_endpoints():
         and abs(at_zero.total_bits - 1.531005) <= 1e-6
         and abs(at_one.branch_probabilities[0] - 0.4) <= 1e-12
         and abs(at_one.total_bits - 1.4) <= 1e-9
-        and abs(at_one.success_branch_bits - 2.0) <= 1e-9
+        and abs(at_one.stage_success_bits[0] - 2.0) <= 1e-9
     )
     report_line(
         2,
         ok,
         f"xi=0: P_s=1, I={at_zero.total_bits:.6f}; "
         f"xi=1: P_s={at_one.branch_probabilities[0]:.12f}, "
-        f"I_total={at_one.total_bits:.9f}, I_success={at_one.success_branch_bits:.9f}",
+        f"I_total={at_one.total_bits:.9f}, I_success={at_one.stage_success_bits[0]:.9f}",
     )
 
 
@@ -116,11 +114,11 @@ def test_criterion_3_ordering_grid():
         i_me = mutual_info_me(s).total_bits
         for xi_idx in range(50):
             xi = (xi_idx + 1) / 51
-            rep = mutual_info_sep(s, xi)
+            rep = mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN))
             worst_weak = max(
-                worst_weak, i_me - rep.success_branch_bits, rep.total_bits - i_me
+                worst_weak, i_me - rep.stage_success_bits[0], rep.total_bits - i_me
             )
-            min_gap = min(min_gap, rep.success_branch_bits - i_me, i_me - rep.total_bits)
+            min_gap = min(min_gap, rep.stage_success_bits[0] - i_me, i_me - rep.total_bits)
     ok = worst_weak <= 1e-9 and min_gap > 0.0
     report_line(
         3,
@@ -199,7 +197,7 @@ def test_criterion_5_appendix_identity():
         elif kind == 1:
             xi = float(rng.uniform(0, 1))
             strat = DecodingStrategy.sep_me(xi)
-            total = mutual_info_sep(s, xi).total_bits
+            total = mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN)).total_bits
         else:
             depth = int(rng.integers(1, s.D))
             plan = StagePlan(
@@ -235,7 +233,7 @@ def test_criterion_6_monte_carlo_consistency():
     cells_checked = 0
     for state, strat, seed in configs:
         report = run_simulation(state, strat, n, seed=seed)
-        for quantity, emp, analytic, bound in montecarlo_summary(report, state, strat):
+        for quantity, emp, analytic, bound in montecarlo_summary(report, state.d2):
             if quantity == "mutual_info_bits":
                 worst_info = max(worst_info, abs(emp - analytic))
             else:
@@ -244,7 +242,7 @@ def test_criterion_6_monte_carlo_consistency():
         # One calibrated law test of the whole joint table: a 3-sigma bound on
         # each of its ~60 cells would fail on about 15% of seeds of a sampler
         # drawing from the right law.
-        _, dist = analytic_record_distribution(state, strat)
+        dist = _BranchTree(state.coeffs, strat.plan).distribution()
         probs = np.broadcast_to(dist[:, None, :] / state.n_messages, report.joint_counts.shape)
         assert_counts_follow(report.joint_counts, probs)
         cells_checked += report.joint_counts.size

@@ -1,0 +1,86 @@
+"""tools/bench_json.py on fake run files: paired runs are summarised, and a
+run without its pair stops the tool with a message naming its file."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_json.py"
+METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def _write_run(run_dir: Path, side: str, workload: str, seed: int, value: float) -> str:
+    """One run's standard output: a provenance line, then the result line."""
+    provenance = {
+        "workload": workload,
+        "seed": seed,
+        "src_sha256": f"{side}-sha",
+        "python": "3.x",
+        "numpy": "2.x",
+        "cpu_count": 2,
+        "blas_threads": {},
+    }
+    result = {"failed": 0, "attempted": 10, "metrics": {m: {"value": value} for m in METRICS}}
+    name = f"{side}_{workload}_{seed}.txt"
+    lines = ["warm-up chatter", json.dumps({"provenance": provenance}), json.dumps(result)]
+    (run_dir / name).write_text("\n".join(lines) + "\n")
+    return name
+
+
+def _run_tool(tmp_path: Path):
+    out = tmp_path / "BENCH.json"
+    result = subprocess.run(
+        [sys.executable, str(TOOL), str(tmp_path / "runs"), "parent-sha", "change-sha", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return result, out
+
+
+@pytest.fixture
+def run_dir(tmp_path: Path) -> Path:
+    path = tmp_path / "runs"
+    path.mkdir()
+    return path
+
+
+def test_paired_runs_are_summarised(tmp_path, run_dir):
+    for seed in (1, 2, 3):
+        _write_run(run_dir, "parent", "mc_multistage", seed, 2.0)
+        _write_run(run_dir, "change", "mc_multistage", seed, 1.0 + seed)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(out.read_text())["workloads"]["mc_multistage"]
+    assert summary["pairs"] == 3 and summary["seeds"] == [1, 2, 3]
+    assert summary["change"]["setup_s"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
+    # Lower setup_s is better: only seed 1 (2.0 against 2.0) is a tie, seed 2 and 3 lose.
+    assert summary["change_wins"]["setup_s"] == 0
+    assert summary["change_wins"]["units_per_ref_s"] == 2
+
+
+@pytest.mark.parametrize("complete_pairs", [0, 2])
+def test_unpaired_run_is_named(tmp_path, run_dir, complete_pairs):
+    for seed in range(complete_pairs):
+        _write_run(run_dir, "parent", "qkd_intercept", seed, 1.0)
+        _write_run(run_dir, "change", "qkd_intercept", seed, 1.0)
+    lone = _write_run(run_dir, "change", "qkd_intercept", 7, 1.0)
+    other = _write_run(run_dir, "parent", "sweep_analytic", 1, 1.0)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert lone in result.stderr and other in result.stderr
+    assert not out.exists()
+
+
+def test_second_run_of_one_side_is_refused(tmp_path, run_dir):
+    _write_run(run_dir, "parent", "compile_wide", 1, 1.0)
+    _write_run(run_dir, "change", "compile_wide", 1, 1.0)
+    (run_dir / "parent_compile_wide_1_again.txt").write_text((run_dir / "parent_compile_wide_1.txt").read_text())
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 1 and "a second parent run" in result.stderr
+    assert not out.exists()

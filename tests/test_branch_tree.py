@@ -25,13 +25,14 @@ from densecode import (
     SchmidtState,
     StagePlan,
     analytic_qkd_error,
-    analytic_record_distribution,
     analytic_sift_rate,
     cli,
     run_simulation,
     simulate_qkd,
 )
+from densecode import discrimination
 from densecode.channel import GROUP_TOL_SQ
+from densecode.infometrics import multistage_bits
 from densecode.protocol_sim import _BranchTree, multinomial_rows
 
 import dense
@@ -176,7 +177,6 @@ def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
     eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
     run_simulation(s, strat, 5000, seed=1)
     simulate_qkd(s, eve, 5000, seed=3)
-    analytic_record_distribution(s, strat)
     dense.analytic_joint(s, strat)
     analytic_qkd_error(s.coeffs, eve)
     config = tmp_path / "config.json"
@@ -223,10 +223,10 @@ def test_runtime_imports_no_dense_module():
 PUBLIC_API = [
     "DecodingStrategy", "EveStrategy", "FINAL_ABSTAIN", "FINAL_ME", "GUESS_ME", "GUESS_UNIFORM",
     "INCONCLUSIVE", "InfoReport", "QkdReport", "SchmidtState", "SimulationReport", "StagePlan",
-    "analytic_qkd_error", "analytic_record_distribution", "analytic_sift_rate",
+    "analytic_qkd_error", "analytic_sift_rate",
     "channel", "counts_mutual_info", "derived_rng", "discrimination", "infometrics",
     "me_outcome_probs", "mutual_info_me", "mutual_info_multistage",
-    "mutual_info_sep", "protocol_sim", "qkd", "run_simulation", "simulate_qkd",
+    "protocol_sim", "qkd", "run_simulation", "simulate_qkd",
 ]
 
 
@@ -304,7 +304,6 @@ def test_sweep_multistage_walks_the_hierarchy_once(monkeypatch, tmp_path):
     """Every plan column is a prefix of one stage walk: one input check, one
     separation per stage, and ME transforms of both stages' separated
     families, of the second stage's input and of the states themselves."""
-    discrimination = densecode.discrimination
     walks = count_everywhere(monkeypatch, discrimination.walk_stages)
     checks = count_everywhere(monkeypatch, discrimination._checked)
     separations = count_everywhere(monkeypatch, discrimination._separate)
@@ -313,3 +312,68 @@ def test_sweep_multistage_walks_the_hierarchy_once(monkeypatch, tmp_path):
     assert cli.main(argv) == 0
     assert len(walks) == 1 and len(checks) == 1 and len(separations) == 2
     assert len(transforms) <= 4
+
+
+def _tree_cases(rng, n_cases):
+    """(state, plan) pairs over ranks 1-8 and both finals, from every state
+    kind of the oracle cases plus near ties inside GROUP_TOL_SQ."""
+    for case in range(n_cases):
+        rank = 1 + case % 8
+        d2 = rank + (case // 8) % 2
+        final = FINALS[(case // 16) % 2]
+        if rank == 1:
+            s = SchmidtState(d2, d2, [1.0])
+            stages = ((), (1.0,), (float(rng.uniform()),))[case % 3]
+        else:
+            kind = (*KINDS, "near_tie")[(case // 32) % 5]
+            if kind == "near_tie":
+                s = _state(rng, rank, rank, d2, "tie", gap=GROUP_TOL_SQ * float(rng.uniform(0.01, 0.99)))
+            else:
+                s = _state(rng, rank, rank, d2, kind)
+            stages = _plan(rng, rank)
+        yield s, StagePlan(stages, final)
+
+
+def test_tree_information_is_the_closed_form():
+    """multistage_bits is the exact mutual information of the branch tree
+    (equal message priors, target system included), and the tree's own fold
+    gives it bit for bit."""
+    rng = np.random.default_rng(20261019)
+    worst, ranks, finals, holes = 0.0, set(), set(), False
+    for s, plan in _tree_cases(rng, 400):
+        total = float(multistage_bits(s.coeffs, s.d2, plan.stages, plan.final_action)[0])
+        tree = _BranchTree(s.coeffs, plan)
+        assert tree.info_bits(s.d2) == total, (s.coeffs, plan)
+        joint = dense.analytic_joint(s, DecodingStrategy.multistage(plan))
+        worst = max(worst, abs(dense.mutual_info_from_joint(joint) - total))
+        ranks.add(s.D)
+        finals.add(plan.final_action)
+        steps, _, _ = discrimination.walk_stages(s.coeffs, plan.stages)
+        holes |= any(bool(executed) and not family.all() for executed, family, _ in steps)
+    assert worst <= 1e-12, worst
+    assert ranks == set(range(1, 9)) and finals == set(FINALS) and holes
+
+
+def _run_config(tmp_path, **entries) -> Path:
+    config = tmp_path / "config.json"
+    state = {"d1": 4, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True}
+    config.write_text(json.dumps({"state": state, "trials": 5000, **entries}))
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, entries, trees",
+    [
+        ("montecarlo", {"strategy": {"kind": "multistage", "stages": [{"xi": 1.0}, {"xi": 0.5}], "final": "me"}}, 1),
+        ("qkd", {"eve": {"kind": "intercept", "strategy": {"kind": "sep_me", "xi": 0.6}, "fallback": "me"}}, 1),
+        ("qkd", {"eve": {"kind": "absent"}}, 0),
+    ],
+)
+def test_one_branch_tree_per_run(monkeypatch, tmp_path, command, entries, trees):
+    """A run builds the tree it samples once, walking the stages once, and
+    reads every closed form of its output from that tree."""
+    built = count_everywhere(monkeypatch, _BranchTree)
+    walks = count_everywhere(monkeypatch, discrimination.walk_stages)
+    config = _run_config(tmp_path, **entries)
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "run.csv")]) == 0
+    assert len(built) == trees and len(walks) == trees

@@ -422,6 +422,10 @@ class TestInputChecks:
             ([0.6, 0.6], "sum to 1"),
             # Squared, it would overflow with a RuntimeWarning, which the test config makes an error.
             ([1e308, 1e308], "sum to 1"),
+            # NaN fails every comparison, so it once passed as a level outside the support.
+            ([np.nan, 0.8], "finite"),
+            ([np.inf, 0.8], "finite"),
+            ([-np.inf, 0.8], "finite"),
         ],
     )
     def test_separate_rejects_bad_rows(self, row, message):

@@ -6,14 +6,13 @@ import pytest
 from densecode import (
     FINAL_ABSTAIN,
     FINAL_ME,
-    InfoReport,
     SchmidtState,
     StagePlan,
     mutual_info_me,
     mutual_info_multistage,
-    mutual_info_sep,
 )
 from densecode.channel import GROUP_TOL_SQ
+from densecode.infometrics import _BITS_SLACK, _check_bits, _plogp, multistage_bits
 from densecode.tensor_core import Ket, born_probabilities
 
 from conftest import random_schmidt
@@ -91,20 +90,18 @@ class TestMutualInfoMe:
 
 class TestMutualInfoSep:
     def test_zero_xi_equals_me(self, qubit_state):
-        assert (
-            abs(mutual_info_sep(qubit_state, 0.0).total_bits - mutual_info_me(qubit_state).total_bits)
-            < 1e-12
-        )
+        at_zero = mutual_info_multistage(qubit_state, StagePlan((0.0,), FINAL_ABSTAIN)).total_bits
+        assert abs(at_zero - mutual_info_me(qubit_state).total_bits) < 1e-12
 
     def test_full_separation_hand_values(self, qubit_state):
-        report = mutual_info_sep(qubit_state, 1.0)
+        report = mutual_info_multistage(qubit_state, StagePlan((1.0,), FINAL_ABSTAIN))
         assert abs(report.total_bits - 1.4) < 1e-9
-        assert abs(report.success_branch_bits - 2.0) < 1e-9
+        assert abs(report.stage_success_bits[0] - 2.0) < 1e-9
         assert abs(report.branch_probabilities[0] - 0.4) < 1e-12
 
     def test_no_entanglement_floor(self):
         s = SchmidtState(4, 4, [1.0])
-        assert abs(mutual_info_sep(s, 0.8).total_bits - 2.0) < 1e-12
+        assert abs(mutual_info_multistage(s, StagePlan((0.8,), FINAL_ABSTAIN)).total_bits - 2.0) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_full_separation_closed_form(self, seed):
@@ -112,16 +109,16 @@ class TestMutualInfoSep:
         rng = np.random.default_rng(200 + seed)
         s = random_schmidt(rng)
         expected = s.D * s.coeffs.min() ** 2 * math.log2(s.D) + math.log2(s.d2)
-        assert abs(mutual_info_sep(s, 1.0).total_bits - expected) <= 1e-10
+        assert abs(mutual_info_multistage(s, StagePlan((1.0,), FINAL_ABSTAIN)).total_bits - expected) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ordering(self, seed):
         rng = np.random.default_rng(300 + seed)
         s = random_schmidt(rng)
         xi = float(rng.uniform(0.05, 0.95))
-        report = mutual_info_sep(s, xi)
+        report = mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN))
         base = mutual_info_me(s).total_bits
-        assert report.success_branch_bits >= base - 1e-9
+        assert report.stage_success_bits[0] >= base - 1e-9
         assert base >= report.total_bits - 1e-9
 
 
@@ -158,7 +155,7 @@ class TestMutualInfoMultistage:
     def test_single_stage_abstain_equals_sep(self, qutrit_state):
         plan = StagePlan((1.0,), FINAL_ABSTAIN)
         lhs = mutual_info_multistage(qutrit_state, plan).total_bits
-        rhs = mutual_info_sep(qutrit_state, 1.0).total_bits
+        rhs = mutual_info_multistage(qutrit_state, StagePlan((1.0,), FINAL_ABSTAIN)).total_bits
         assert abs(lhs - rhs) < 1e-10
 
     def test_plan_depth_limit(self, qubit_state):
@@ -201,18 +198,25 @@ class TestMutualInfoFromJoint:
 
 
 class TestInfoReportInvariants:
+    """Every reported total lies within [log2 d2, log2(d2*D)]: _check_bits
+    enforces it on each total that multistage_bits folds."""
+
     def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            InfoReport(4, 3, 5.0, None, ())
-        with pytest.raises(ValueError):
-            InfoReport(4, 3, 1.0, None, ())
+        with pytest.raises(ValueError, match="outside"):
+            _check_bits(5.0, 4, 3)
+        with pytest.raises(ValueError, match="outside"):
+            _check_bits(1.0, 4, 3)
+        # A batch fails on its one bad row.
+        with pytest.raises(ValueError, match="outside"):
+            _check_bits(np.array([2.5, 5.0]), 4, 3)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_all_reports_within_bounds(self, seed):
         rng = np.random.default_rng(900 + seed)
         s = random_schmidt(rng)
         lo, hi = math.log2(s.d2), math.log2(s.d2 * s.D)
-        reports = [mutual_info_me(s), mutual_info_sep(s, float(rng.uniform(0, 1)))]
+        sep = StagePlan((float(rng.uniform(0, 1)),), FINAL_ABSTAIN)
+        reports = [mutual_info_me(s), mutual_info_multistage(s, sep)]
         if s.D >= 3:
             reports.append(mutual_info_multistage(s, StagePlan((1.0, 1.0), FINAL_ME)))
         for report in reports:
@@ -225,5 +229,37 @@ def test_ordering_chain_small_grid():
         s = SchmidtState.from_squared(2, 2, [amin_sq, 1 - amin_sq])
         i_me = mutual_info_me(s).total_bits
         for xi in np.linspace(0.1, 0.9, 9):
-            report = mutual_info_sep(s, float(xi))
-            assert report.success_branch_bits > i_me > report.total_bits
+            report = mutual_info_multistage(s, StagePlan((float(xi),), FINAL_ABSTAIN))
+            assert report.stage_success_bits[0] > i_me > report.total_bits
+
+
+def _holevo_bits(coeffs, d2: int) -> np.ndarray:
+    """Holevo quantity of the dense-coding ensemble per coefficient row:
+    log2 d2 plus the entropy of the squared coefficients."""
+    return math.log2(d2) - _plogp(np.asarray(coeffs) ** 2)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_plan_totals_respect_the_holevo_bound(rank):
+    """Every plan total lies at most _BITS_SLACK above chi = log2 d2 + H(a^2),
+    over random states (ties and near ties included), every depth, both
+    finals and per-row distinguishabilities; ME on the maximally entangled
+    state attains chi."""
+    rng = np.random.default_rng(4100 + rank)
+    d2 = rank + 1
+    sq = 0.02 + rng.dirichlet(np.ones(rank), size=256)
+    if rank > 1:
+        sq[::4, 1] = sq[::4, 0]  # exact ties
+        sq[1::4, 1] = sq[1::4, 0] * (1.0 + 1e-9)  # near ties
+    sq[-1] = 1.0
+    coeffs = np.sqrt(sq / sq.sum(axis=1, keepdims=True))
+    chi = _holevo_bits(coeffs, d2)
+    worst = -np.inf
+    for depth in range(max(rank, 2)):
+        stages = [rng.choice([0.0, 1.0, rng.uniform()], size=len(coeffs)) for _ in range(depth)]
+        for final in (FINAL_ME, FINAL_ABSTAIN):
+            total = multistage_bits(coeffs, d2, stages, final)[0]
+            worst = max(worst, float(np.max(total - chi)))
+    assert worst <= _BITS_SLACK, worst
+    uniform = SchmidtState.from_squared(rank, d2, np.full(rank, 1.0 / rank))
+    assert abs(mutual_info_me(uniform).total_bits - _holevo_bits(uniform.coeffs, d2)) <= 1e-12

@@ -10,14 +10,13 @@ from densecode import (
     DecodingStrategy,
     SchmidtState,
     StagePlan,
-    analytic_record_distribution,
     cli,
     counts_mutual_info,
     mutual_info_me,
     mutual_info_multistage,
-    mutual_info_sep,
     run_simulation,
 )
+from densecode.protocol_sim import _BranchTree
 
 from circuit_oracle import circuit_joint
 from dense import analytic_joint, mutual_info_from_joint
@@ -150,7 +149,7 @@ class TestRunSimulation:
 
     def test_rank1_separation_abstains_without_a_stage(self):
         # One stage is allowed on a rank-1 state, and the walk leaves it
-        # unexecuted, as mutual_info_sep reports it.
+        # unexecuted, as multistage_bits reports it.
         s = SchmidtState(4, 4, [1.0])
         report = run_simulation(s, DecodingStrategy.sep_me(0.8), 20000, seed=3)
         assert report.outcome_labels == ("inc",)
@@ -162,7 +161,7 @@ class TestRunSimulation:
         n = 100000
         strat = DecodingStrategy.sep_me(1.0)
         report = run_simulation(qubit_state, strat, n, seed=40 + seed)
-        _, dist = analytic_record_distribution(qubit_state, strat)
+        dist = _BranchTree(qubit_state.coeffs, strat.plan).distribution()
         for j in range(2):
             for k in range(2):
                 for r in range(dist.shape[1]):
@@ -227,7 +226,7 @@ def test_analytic_joint_matches_strategy_totals(seed):
         strat, total = DecodingStrategy.me(), mutual_info_me(s).total_bits
     elif choice == 1:
         xi = float(rng.uniform(0, 1))
-        strat, total = DecodingStrategy.sep_me(xi), mutual_info_sep(s, xi).total_bits
+        strat, total = DecodingStrategy.sep_me(xi), mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN)).total_bits
     else:
         depth = int(rng.integers(1, s.D))
         plan = StagePlan(

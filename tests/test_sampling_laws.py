@@ -23,7 +23,6 @@ from densecode import (
     SchmidtState,
     StagePlan,
     analytic_qkd_error,
-    analytic_record_distribution,
     analytic_sift_rate,
     mutual_info_multistage,
     run_simulation,
@@ -61,7 +60,8 @@ def _mc_run(rank: int, kind: str):
 @pytest.mark.parametrize("rank,kind", MC_CASES)
 def test_record_counts_follow_distribution(rank, kind):
     s, strat, report = _mc_run(rank, kind)
-    labels, dist = analytic_record_distribution(s, strat)
+    tree = _BranchTree(s.coeffs, strat.plan)
+    labels, dist = tree.records, tree.distribution()
     assert report.outcome_labels == labels
     assert report.joint_counts.shape == (s.D, s.d2, len(labels))
     assert int(report.joint_counts.sum()) == MC_TRIALS
@@ -168,7 +168,7 @@ def test_samplers_take_rows_at_float_edges(state, kind):
     draw from distribution()."""
     d1, d2, squared = EDGE_STATES[state]
     s, strat = SchmidtState.from_squared(d1, d2, squared), EDGE_STRATEGIES[kind]
-    _, dist = analytic_record_distribution(s, strat)
+    dist = _BranchTree(s.coeffs, strat.plan).distribution()
     seed = 1100 + EDGE_CASES.index((state, kind))
     for n in EDGE_TRIALS:
         report = run_simulation(s, strat, n, seed=seed)

@@ -6,7 +6,8 @@ BENCH_<n>.json.
 RUN_DIR holds the standard output of each `perfbench/run.py --trace 0` run,
 one file per run, named `parent_<workload>_<seed>.txt` or
 `change_<workload>_<seed>.txt`; runs of both sides with the same workload and
-seed form a pair. Per workload and side the summary gives every end-to-end
+seed form a pair. A run without its pair stops the tool with a message that
+names its file. Per workload and side the summary gives every end-to-end
 metric of BENCHMARK.json as median and quartiles over the runs, and per
 metric the number of pairs the change won (ties count for neither side).
 """
@@ -31,19 +32,27 @@ def _quartiles(values: list) -> dict:
 
 def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = defaultdict(dict)  # (workload, seed) -> side -> (provenance, result)
+    runs = defaultdict(dict)  # (workload, seed) -> side -> (provenance, result, file name)
     for path in sorted(Path(run_dir).glob("*.txt")):
         side = path.name.split("_", 1)[0]
+        if side not in ("parent", "change"):
+            sys.exit(f"{path}: not named parent_* or change_*")
         lines = path.read_text().strip().splitlines()
         if len(lines) < 2:
             sys.exit(f"{path}: no result lines; the run did not finish")
         head, result = lines[-2:]
         provenance = json.loads(head)["provenance"]
-        runs[(provenance["workload"], provenance["seed"])][side] = (provenance, json.loads(result))
+        sides = runs[(provenance["workload"], provenance["seed"])]
+        if side in sides:
+            sys.exit(f"{path}: a second {side} run of {provenance['workload']} seed {provenance['seed']}")
+        sides[side] = (provenance, json.loads(result), path.name)
+    unpaired = sorted(run[2] for sides in runs.values() if len(sides) < 2 for run in sides.values())
+    if unpaired:
+        sys.exit(f"unpaired run files, each needs the other side's run of its workload and seed: {', '.join(unpaired)}")
     workloads = {}
     env = {}
     for workload in sorted({w for w, _ in runs}):
-        pairs = [sides for (w, _), sides in sorted(runs.items()) if w == workload and len(sides) == 2]
+        pairs = [sides for (w, _), sides in sorted(runs.items()) if w == workload]
         summary = {"pairs": len(pairs), "seeds": sorted(s for w, s in runs if w == workload)}
         for side in ("parent", "change"):
             results = [sides[side][1] for sides in pairs]
