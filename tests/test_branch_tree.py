@@ -354,13 +354,6 @@ def test_tree_information_is_the_closed_form():
     assert ranks == set(range(1, 9)) and finals == set(FINALS) and holes
 
 
-def _run_config(tmp_path, **entries) -> Path:
-    config = tmp_path / "config.json"
-    state = {"d1": 4, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True}
-    config.write_text(json.dumps({"state": state, "trials": 5000, **entries}))
-    return config
-
-
 @pytest.mark.parametrize(
     "command, entries, trees",
     [
@@ -374,6 +367,8 @@ def test_one_branch_tree_per_run(monkeypatch, tmp_path, command, entries, trees)
     reads every closed form of its output from that tree."""
     built = count_everywhere(monkeypatch, _BranchTree)
     walks = count_everywhere(monkeypatch, discrimination.walk_stages)
-    config = _run_config(tmp_path, **entries)
+    config = tmp_path / "config.json"
+    state = {"d1": 4, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True}
+    config.write_text(json.dumps({"state": state, "trials": 5000, **entries}))
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "run.csv")]) == 0
     assert len(built) == trees and len(walks) == trees
