@@ -54,21 +54,23 @@ class Separation(NamedTuple):
 def _checked(coeffs, *xis):
     """(coeffs, *xis) as float arrays, after the checks of separate."""
     xis = [np.asarray(xi, dtype=float) for xi in xis]
-    if not all(np.all((0.0 <= xi) & (xi <= 1.0)) for xi in xis):
-        raise ValueError("distinguishability must lie in [0, 1]")
+    if xis:
+        joined = np.concatenate([xi.ravel() for xi in xis])
+        if not ((0.0 <= joined) & (joined <= 1.0)).all():
+            raise ValueError("distinguishability must lie in [0, 1]")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
         raise ValueError("coeffs must be a nonempty 1D vector")
     # NaN fails every comparison below, so it would pass as a level outside the support.
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
-    if np.any(coeffs < -COEFF_TOL):
+    if (coeffs < -COEFF_TOL).any():
         raise ValueError("coefficients must be nonnegative")
     support = coeffs > COEFF_TOL
-    if not np.all(np.any(support, axis=-1)):
+    if not support.any(axis=-1).all():
         raise ValueError("empty support")
     # A coefficient above 1 is refused before it is squared, which could overflow.
-    if np.any(coeffs > 1.0 + NORM_TOL) or np.any(np.abs(np.sum(coeffs**2, axis=-1, where=support) - 1.0) > NORM_TOL):
+    if (coeffs > 1.0 + NORM_TOL).any() or (abs((coeffs**2).sum(axis=-1, where=support) - 1.0) > NORM_TOL).any():
         raise ValueError("squared coefficients must sum to 1 on the support")
     return (coeffs, *xis)
 

@@ -1,14 +1,20 @@
 """End-to-end Monte Carlo simulation of the dense-coding protocol.
 
-A strategy becomes one closed-form branch tree per run: separation stages and
-their success probabilities from the failure-state hierarchy (walk_stages),
-confusion rows from the square-root measurement (me_outcome_probs). The
-GXOR split returns the sender's k with certainty, so only the carrier index j
-is decoded. Runs draw record counts from that tree's exact distribution, fast
-and bit-reproducible, and each report keeps the tree it sampled: the run's
-closed forms (stage probabilities, rates, exact information, error rate) are
-read from that one tree. The test suite checks the tree against the actual
-circuit (encoding, GXOR split, dilation couplings, POVMs).
+A strategy becomes one closed-form branch tree per configuration: separation
+stages and their success probabilities from the failure-state hierarchy
+(walk_stages), confusion rows from the square-root measurement
+(me_outcome_probs). The GXOR split returns the sender's k with certainty, so
+only the carrier index j is decoded. Runs draw record counts from that
+tree's exact distribution, fast and bit-reproducible, and each report keeps
+the tree it sampled: the run's closed forms (stage probabilities, rates,
+exact information, error rate) are read from that one tree. The test suite
+checks the tree against the actual circuit (encoding, GXOR split, dilation
+couplings, POVMs).
+
+A tree is a pure function of (coefficients, plan, guess), so runs take it
+from a small memo keyed by those values (_shared_tree): seeded runs of one
+configuration build it once per process and share that one read-only tree.
+_BranchTree(...) itself always builds a fresh one.
 
 Randomness contract: a run of n trials draws one count table, whatever n
 is. The generator derived from (seed, 0) draws one multinomial of n over the
@@ -22,6 +28,7 @@ are signed 64-bit integers, so n must lie in [1, 2**63).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +87,9 @@ class _BranchTree:
     """Closed-form branch tree of a decoding strategy over one symmetric
     family, the one source of a run's closed forms. The constructor does what
     sampling needs (one stage walk, one ME transform); the rest is lazy.
+    Runs build it once per configuration (_shared_tree) and share it, so it
+    is read-only: its arrays refuse writes and distribution() returns a
+    fresh array. Calling _BranchTree(...) builds a fresh tree.
 
     stage_entries[n] = (P_s, confusion table, record offset) of the n-th
     stage that walk_stages executes; a table is the circulant q[(j - l) mod D]
@@ -120,12 +130,16 @@ class _BranchTree:
         self.records = tuple(records)
         #: Hypothesis each record infers; INCONCLUSIVE for "inc".
         self.inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in records])
+        self.inferred.setflags(write=False)
         self.uniform_guess = final != FINAL_ME and guess == GUESS_UNIFORM
         finals = [rest] if final == FINAL_ME or guess == GUESS_ME else []
         # One ME transform, row-independent; its rows (stages, then final) serve info_bits.
         self._q = me_outcome_probs(np.reshape([b for _, b, _ in entries] + finals, (-1, rank)))
         tables = self._q[:, circulant]
-        self.stage_entries = [(p_stage, table, offset) for (p_stage, _, offset), table in zip(entries, tables)]
+        # Set before the tables are sliced: a view of a read-only array is read-only.
+        self._q.setflags(write=False)
+        tables.setflags(write=False)
+        self.stage_entries = tuple((p_stage, table, offset) for (p_stage, _, offset), table in zip(entries, tables))
         self.final_table = tables[-1] if finals else None
 
     @property
@@ -165,6 +179,22 @@ class _BranchTree:
         """Weight on records inferring a wrong hypothesis, over equally likely
         hypotheses: for an eavesdropper, the sifted-key error rate."""
         return float(self.distribution()[~self.correct].sum() / self.rank)
+
+
+#: Trees _shared_tree keeps, least recently used dropped first. A seed
+#: ensemble revisits one configuration, so a few entries serve it; at 16 a
+#: full memo of rank-16 two-stage trees holds about 100 KB, and of the
+#: largest trees (rank 64, 63 stages, about 2 MiB each) about 32 MiB.
+_TREE_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
+def _shared_tree(coeff_bytes: bytes, plan: StagePlan, guess) -> _BranchTree:
+    """The branch tree of a state's coefficients (SchmidtState.coeffs.tobytes(),
+    a float64 vector), a plan and a guess, built on the first call with these
+    values and shared by later ones. It is bit for bit a fresh build's tree:
+    the coefficients are copied back into a new array of the same bytes."""
+    return _BranchTree(np.frombuffer(coeff_bytes).copy(), plan, guess)
 
 
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
@@ -213,7 +243,8 @@ class SimulationReport:
     stage_attempts: tuple
     stage_successes: tuple
     empirical_mutual_info_bits: float
-    #: The branch tree the run sampled; the JSON report leaves it out.
+    #: The branch tree the run sampled, shared read-only by every run of its
+    #: configuration; the JSON report leaves it out.
     tree: _BranchTree
 
     @property
@@ -233,7 +264,7 @@ def run_simulation(
 ) -> SimulationReport:
     """Seed-deterministic Monte Carlo run: one count table, in O(D * records)
     whatever n_trials is. `threads` is ignored (perfbench/ still passes it)."""
-    fam = _BranchTree(s.coeffs, strat.plan)
+    fam = _shared_tree(s.coeffs.tobytes(), strat.plan, None)
     _, by_carrier = count_table(seed, n_trials, fam.distribution())
     # Stream 1 splits each (carrier, record) count over k.
     readout = derived_rng(seed, 1).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))

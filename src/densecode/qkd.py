@@ -7,6 +7,7 @@ inference. All errors in the sifted key are eavesdropper-induced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,10 @@ from .infometrics import counts_mutual_info
 from .protocol_sim import (
     GUESS_ME,
     GUESS_UNIFORM,
+    _TREE_MEMO_SIZE,
     DecodingStrategy,
     _BranchTree,
+    _shared_tree,
     count_table,
 )
 
@@ -69,7 +72,8 @@ class QkdReport:
     eve_record_labels: tuple
     eve_counts: np.ndarray | None
     #: The eavesdropper's branch tree the run sampled, None when she is
-    #: absent; the JSON report leaves it out.
+    #: absent; shared read-only by every run of its configuration, and left
+    #: out of the JSON report.
     tree: _BranchTree | None
 
 
@@ -93,7 +97,7 @@ def simulate_qkd(
         rng, _ = count_table(seed, n_rounds)
         kept = int(rng.binomial(n_rounds, p_keep))
     else:
-        fam = _BranchTree(s.coeffs, eve.strategy.plan, eve.fallback)
+        fam = _shared_tree(s.coeffs.tobytes(), eve.strategy.plan, eve.fallback)
         rng, table = count_table(seed, n_rounds, fam.distribution())
         counts = rng.binomial(table, p_keep)
         counts.setflags(write=False)
@@ -118,11 +122,22 @@ def simulate_qkd(
 
 
 def analytic_sift_rate(coeffs) -> float:
-    """Receiver keep probability: the full-separation success probability."""
-    return float(separate(coeffs, 1.0).p_success)
+    """Receiver keep probability: the full-separation success probability,
+    computed once per coefficient array (shape and values) and then reused."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return _sift_rate(coeffs.shape, coeffs.tobytes())
+
+
+# Bounded as the tree memo is, for the same reason: a seed ensemble revisits one state.
+@functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
+def _sift_rate(shape: tuple, coeff_bytes: bytes) -> float:
+    # An input that separate refuses raises here on every call: lru_cache keeps no exception.
+    return float(separate(np.frombuffer(coeff_bytes).reshape(shape), 1.0).p_success)
 
 
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:
     """Exact sifted-key error rate: the error rate of the eavesdropper's
-    branch tree, 0 without her; the receiver's sift is error-free."""
+    branch tree, 0 without her; the receiver's sift is error-free. The tree
+    is built fresh, not taken from the runs' memo, so a check of a run
+    against this closed form never reads what the run read."""
     return 0.0 if eve.strategy is None else _BranchTree(coeffs, eve.strategy.plan, eve.fallback).error_rate()

@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from densecode import SchmidtState
+from densecode import SchmidtState, protocol_sim, qkd
 
 
 def random_schmidt(rng, rank=None, d2=None, d1=None, floor=0.03):
@@ -28,6 +28,14 @@ def random_support_coeffs(rng, period=None, floor=0.02):
     out = np.zeros(period)
     out[support] = np.sqrt(sq / sq.sum())
     return out
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Clear the memo of branch trees and of keep probabilities before each
+    test, so a test that counts builds sees a cold memo whatever ran before."""
+    protocol_sim._shared_tree.cache_clear()
+    qkd._sift_rate.cache_clear()
 
 
 @pytest.fixture

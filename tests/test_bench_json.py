@@ -1,5 +1,6 @@
 """tools/bench_json.py on fake run files: paired runs are summarised, and a
-run without its pair stops the tool with a message naming its file."""
+run without its pair, or runs of one side from two source digests, stop the
+tool with a message naming their files."""
 
 import json
 import subprocess
@@ -13,12 +14,12 @@ TOOL = ROOT / "tools" / "bench_json.py"
 METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
-def _write_run(run_dir: Path, side: str, workload: str, seed: int, value: float) -> str:
+def _write_run(run_dir: Path, side: str, workload: str, seed: int, value: float, sha: str = "") -> str:
     """One run's standard output: a provenance line, then the result line."""
     provenance = {
         "workload": workload,
         "seed": seed,
-        "src_sha256": f"{side}-sha",
+        "src_sha256": sha or f"{side}-sha",
         "python": "3.x",
         "numpy": "2.x",
         "cpu_count": 2,
@@ -83,4 +84,19 @@ def test_second_run_of_one_side_is_refused(tmp_path, run_dir):
     (run_dir / "parent_compile_wide_1_again.txt").write_text((run_dir / "parent_compile_wide_1.txt").read_text())
     result, out = _run_tool(tmp_path)
     assert result.returncode == 1 and "a second parent run" in result.stderr
+    assert not out.exists()
+
+
+def test_mixed_source_digests_are_refused(tmp_path, run_dir):
+    for seed in (1, 2):
+        _write_run(run_dir, "parent", "mc_multistage", seed, 1.0)
+        _write_run(run_dir, "change", "mc_multistage", seed, 1.0)
+    _write_run(run_dir, "parent", "qkd_intercept", 1, 1.0)
+    _write_run(run_dir, "change", "qkd_intercept", 1, 1.0, sha="edited-sha")
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "change runs come from more than one source digest" in result.stderr
+    assert "edited-sha: change_qkd_intercept_1.txt" in result.stderr
+    assert "change-sha: change_mc_multistage_1.txt, change_mc_multistage_2.txt" in result.stderr
     assert not out.exists()

@@ -1,5 +1,6 @@
-"""The closed-form branch tree against the circuit oracle, and a guard that
-the runtime path builds no dense circuit."""
+"""The closed-form branch tree against the circuit oracle, a guard that the
+runtime path builds no dense circuit, and the memo that lets runs of one
+configuration share one read-only tree."""
 
 import dataclasses
 import itertools
@@ -30,10 +31,10 @@ from densecode import (
     run_simulation,
     simulate_qkd,
 )
-from densecode import discrimination
+from densecode import discrimination, protocol_sim, qkd
 from densecode.channel import GROUP_TOL_SQ
 from densecode.infometrics import multistage_bits
-from densecode.protocol_sim import _BranchTree, multinomial_rows
+from densecode.protocol_sim import _BranchTree, _shared_tree, multinomial_rows
 
 import dense
 from circuit_oracle import (
@@ -45,7 +46,7 @@ from circuit_oracle import (
     inferred,
     verify_channel,
 )
-from conftest import count_everywhere, refuse_everywhere
+from conftest import count_everywhere, random_schmidt, refuse_everywhere
 
 FINALS = (FINAL_ME, FINAL_ABSTAIN)
 GUESSES = (None, GUESS_ME, GUESS_UNIFORM)
@@ -354,11 +355,23 @@ def test_tree_information_is_the_closed_form():
     assert ranks == set(range(1, 9)) and finals == set(FINALS) and holes
 
 
+_STATE = {"d1": 4, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True}
+_MULTISTAGE = {"strategy": {"kind": "multistage", "stages": [{"xi": 1.0}, {"xi": 0.5}], "final": "me"}}
+_INTERCEPT = {"eve": {"kind": "intercept", "strategy": {"kind": "sep_me", "xi": 0.6}, "fallback": "me"}}
+
+
+def _run_command(tmp_path, command, entries, name="run"):
+    """One in-process CLI command on _STATE at 5000 trials, writing name.csv and name.json."""
+    config = tmp_path / f"{name}_config.json"
+    config.write_text(json.dumps({"state": _STATE, "trials": 5000, **entries}))
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / f"{name}.csv")]) == 0
+
+
 @pytest.mark.parametrize(
     "command, entries, trees",
     [
-        ("montecarlo", {"strategy": {"kind": "multistage", "stages": [{"xi": 1.0}, {"xi": 0.5}], "final": "me"}}, 1),
-        ("qkd", {"eve": {"kind": "intercept", "strategy": {"kind": "sep_me", "xi": 0.6}, "fallback": "me"}}, 1),
+        ("montecarlo", _MULTISTAGE, 1),
+        ("qkd", _INTERCEPT, 1),
         ("qkd", {"eve": {"kind": "absent"}}, 0),
     ],
 )
@@ -367,8 +380,152 @@ def test_one_branch_tree_per_run(monkeypatch, tmp_path, command, entries, trees)
     reads every closed form of its output from that tree."""
     built = count_everywhere(monkeypatch, _BranchTree)
     walks = count_everywhere(monkeypatch, discrimination.walk_stages)
-    config = tmp_path / "config.json"
-    state = {"d1": 4, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True}
-    config.write_text(json.dumps({"state": state, "trials": 5000, **entries}))
-    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "run.csv")]) == 0
+    _run_command(tmp_path, command, entries)
     assert len(built) == trees and len(walks) == trees
+
+
+@pytest.mark.parametrize("command, entries", [("montecarlo", _MULTISTAGE), ("qkd", _INTERCEPT)])
+def test_second_command_builds_no_tree(monkeypatch, tmp_path, command, entries):
+    """A second identical command in one process finds its tree in the memo:
+    it builds none, walks no stage, and writes the same bytes."""
+    _run_command(tmp_path, command, entries, "cold")
+    built = count_everywhere(monkeypatch, _BranchTree)
+    walks = count_everywhere(monkeypatch, discrimination.walk_stages)
+    _run_command(tmp_path, command, entries, "warm")
+    assert built == [] and walks == []
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"cold{suffix}").read_bytes() == (tmp_path / f"warm{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "eve",
+    [
+        {"kind": "absent"},
+        _INTERCEPT["eve"],
+        {"kind": "intercept", "strategy": {"kind": "multistage", "stages": [{"xi": 1.0}, {"xi": 0.5}]}},
+    ],
+)
+def test_one_sift_separation_per_qkd_command(monkeypatch, tmp_path, eve):
+    """The receiver's sift is separated once per command, though both the run
+    and the CLI's analytic column ask for it; Eve's tree adds one separation
+    per stage it executes."""
+    s = SchmidtState.from_squared(4, 4, [0.1, 0.2, 0.3, 0.4])
+    parsed = cli._parse_eve(eve)
+    stages = 0 if parsed.strategy is None else len(_BranchTree(s.coeffs, parsed.strategy.plan).stage_entries)
+    separations = count_everywhere(monkeypatch, discrimination._separate)
+    _run_command(tmp_path, "qkd", {"eve": eve})
+    assert len(separations) == 1 + stages
+
+
+def _read_only_arrays(tree):
+    tables = [table for _, table, _ in tree.stage_entries]
+    return [tree._q, tree.inferred, *tables, *([] if tree.final_table is None else [tree.final_table])]
+
+
+def test_runs_of_one_configuration_share_a_read_only_tree(qutrit_state):
+    strat = DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))
+    eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
+    pairs = [
+        (run_simulation(qutrit_state, strat, 1000, seed=1), run_simulation(qutrit_state, strat, 1000, seed=2)),
+        (simulate_qkd(qutrit_state, eve, 1000, seed=1), simulate_qkd(qutrit_state, eve, 1000, seed=2)),
+    ]
+    for first, second in pairs:
+        tree = first.tree
+        assert second.tree is tree
+        assert isinstance(tree.stage_entries, tuple) and tree.final_table is not None
+        for array in _read_only_arrays(tree):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # distribution() is the caller's own array.
+        dist = tree.distribution()
+        dist[...] = 0.0
+        assert np.allclose(tree.distribution().sum(axis=1), 1.0)
+
+
+def test_memo_is_keyed_by_value(qubit_state):
+    strat = DecodingStrategy.sep_me(1.0)
+    tree = run_simulation(qubit_state, strat, 100, seed=1).tree
+    equal = SchmidtState(qubit_state.d1, qubit_state.d2, list(qubit_state.coeffs))
+    assert equal.coeffs is not qubit_state.coeffs
+    assert run_simulation(equal, strat, 100, seed=2).tree is tree
+    # One ulp up on a coefficient stays within NORM_TOL of a unit norm.
+    ulp = qubit_state.coeffs.copy()
+    ulp[0] = np.nextafter(ulp[0], 1.0)
+    moved = SchmidtState(qubit_state.d1, qubit_state.d2, ulp)
+    plan = DecodingStrategy.sep_me(0.5)
+    misses = [
+        run_simulation(moved, strat, 100, seed=1).tree,
+        run_simulation(qubit_state, plan, 100, seed=1).tree,
+        simulate_qkd(qubit_state, EveStrategy.intercept(strat, GUESS_UNIFORM), 100, seed=1).tree,
+        simulate_qkd(qubit_state, EveStrategy.intercept(strat, GUESS_ME), 100, seed=1).tree,
+    ]
+    assert len({id(t) for t in [tree, *misses]}) == 5
+    info = _shared_tree.cache_info()
+    assert (info.hits, info.misses) == (1, 5)
+    # The keep probability of a list equal in value is the memoised one.
+    hits = qkd._sift_rate.cache_info().hits
+    assert analytic_sift_rate(list(qubit_state.coeffs)) == analytic_sift_rate(qubit_state.coeffs)
+    assert qkd._sift_rate.cache_info().hits == hits + 2
+
+
+def test_memos_stay_within_their_bound():
+    rng = np.random.default_rng(17)
+    states = [random_schmidt(rng) for _ in range(protocol_sim._TREE_MEMO_SIZE + 5)]
+    for s in states:
+        run_simulation(s, DecodingStrategy.me(), 10, seed=0)
+        analytic_sift_rate(s.coeffs)
+    for memo in (_shared_tree, qkd._sift_rate):
+        info = memo.cache_info()
+        assert info.maxsize == info.currsize == protocol_sim._TREE_MEMO_SIZE
+        assert info.misses == len(states)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: analytic_sift_rate([np.nan, 0.8]), ValueError, "finite"),
+        (lambda: analytic_sift_rate([0.6, 0.6]), ValueError, "sum to 1"),
+        (lambda: analytic_sift_rate([]), ValueError, "nonempty"),
+        (lambda: analytic_sift_rate(0.5), ValueError, "nonempty"),
+        (lambda: analytic_sift_rate([[0.6, 0.8], [0.8, 0.6]]), TypeError, None),
+        (
+            lambda: run_simulation(
+                SchmidtState.from_squared(2, 2, [0.2, 0.8]),
+                DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ME)),
+                10,
+                seed=0,
+            ),
+            ValueError,
+            "plan exceeds",
+        ),
+    ],
+)
+def test_bad_input_raises_on_every_call(call, error, message):
+    for _ in range(3):
+        with pytest.raises(error, match=message):
+            call()
+    assert _shared_tree.cache_info().currsize == 0 and qkd._sift_rate.cache_info().currsize == 0
+
+
+def test_warm_runs_equal_cold_runs():
+    """A memoised tree is bit for bit a fresh build's, so a warm run's counts
+    and report text are a cold run's."""
+    rng = np.random.default_rng(23)
+    for case, (s, plan) in enumerate(_tree_cases(rng, 48)):
+        strat = DecodingStrategy.multistage(plan)
+        eve = EveStrategy.intercept(strat, GUESSES[1 + case % 2])
+        seed = int(rng.integers(2**63))
+        runs = [lambda: run_simulation(s, strat, 5000, seed)]
+        # Sifting needs rank >= 2.
+        runs += [lambda: simulate_qkd(s, eve, 5000, seed)] if s.D > 1 else []
+        for run in runs:
+            _shared_tree.cache_clear()
+            qkd._sift_rate.cache_clear()
+            cold = run()
+            warm = run()
+            assert warm.tree is cold.tree
+            counts = [r.joint_counts if hasattr(r, "joint_counts") else r.eve_counts for r in (cold, warm)]
+            assert counts[0].tobytes() == counts[1].tobytes()
+            assert cli._report_json(cold) == cli._report_json(warm)
+        fresh = _BranchTree(s.coeffs, plan)
+        assert run_simulation(s, strat, 10, seed).tree.distribution().tobytes() == fresh.distribution().tobytes()

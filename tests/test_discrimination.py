@@ -445,3 +445,11 @@ class TestInputChecks:
             walk_stages(coeffs, (np.array([1.0, 0.5]), np.array([0.5, bad])))
         with pytest.raises(ValueError, match="distinguishability"):
             walk_stages(coeffs, (1.0, bad))
+
+    def test_xi_is_checked_before_the_coefficients(self):
+        """An out-of-range xi is reported first, even with a NaN coefficient."""
+        row = [np.nan, 0.8]
+        with pytest.raises(ValueError, match="distinguishability"):
+            separate(row, 1.5)
+        with pytest.raises(ValueError, match="distinguishability"):
+            walk_stages(np.array([QUBIT, row]), (0.5, -0.1))

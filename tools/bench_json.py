@@ -7,9 +7,11 @@ RUN_DIR holds the standard output of each `perfbench/run.py --trace 0` run,
 one file per run, named `parent_<workload>_<seed>.txt` or
 `change_<workload>_<seed>.txt`; runs of both sides with the same workload and
 seed form a pair. A run without its pair stops the tool with a message that
-names its file. Per workload and side the summary gives every end-to-end
-metric of BENCHMARK.json as median and quartiles over the runs, and per
-metric the number of pairs the change won (ties count for neither side).
+names its file, and so do the runs of a side whose runs come from more than
+one source digest (`src_sha256`): their medians would mix two programs. Per
+workload and side the summary gives every end-to-end metric of
+BENCHMARK.json as median and quartiles over the runs, and per metric the
+number of pairs the change won (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -49,6 +51,13 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
     unpaired = sorted(run[2] for sides in runs.values() if len(sides) < 2 for run in sides.values())
     if unpaired:
         sys.exit(f"unpaired run files, each needs the other side's run of its workload and seed: {', '.join(unpaired)}")
+    for side in ("parent", "change"):
+        digests = defaultdict(list)
+        for sides in runs.values():
+            digests[sides[side][0]["src_sha256"]].append(sides[side][2])
+        if len(digests) > 1:
+            listed = "; ".join(f"{sha}: {', '.join(names)}" for sha, names in sorted(digests.items()))
+            sys.exit(f"{side} runs come from more than one source digest, so they measure different programs: {listed}")
     workloads = {}
     env = {}
     for workload in sorted({w for w, _ in runs}):
@@ -57,7 +66,7 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
         for side in ("parent", "change"):
             results = [sides[side][1] for sides in pairs]
             summary[side] = {
-                "src_sha256": sorted({sides[side][0]["src_sha256"] for sides in pairs}),
+                "src_sha256": [pairs[0][side][0]["src_sha256"]],
                 "failed": sum(r["failed"] for r in results),
                 "attempted": sum(r["attempted"] for r in results),
                 **{m["name"]: _quartiles([r["metrics"][m["name"]]["value"] for r in results]) for m in metrics},
