@@ -417,11 +417,6 @@ def test_one_sift_separation_per_qkd_command(monkeypatch, tmp_path, eve):
     assert len(separations) == 1 + stages
 
 
-def _read_only_arrays(tree):
-    tables = [table for _, table, _ in tree.stage_entries]
-    return [tree._q, tree.inferred, *tables, *([] if tree.final_table is None else [tree.final_table])]
-
-
 def test_runs_of_one_configuration_share_a_read_only_tree(qutrit_state):
     strat = DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))
     eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
@@ -433,7 +428,8 @@ def test_runs_of_one_configuration_share_a_read_only_tree(qutrit_state):
         tree = first.tree
         assert second.tree is tree
         assert isinstance(tree.stage_entries, tuple) and tree.final_table is not None
-        for array in _read_only_arrays(tree):
+        tables = [table for _, table, _ in tree.stage_entries]
+        for array in (tree._q, tree.inferred, tree.final_table, *tables):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         # distribution() is the caller's own array.

@@ -66,7 +66,7 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
         for side in ("parent", "change"):
             results = [sides[side][1] for sides in pairs]
             summary[side] = {
-                "src_sha256": [pairs[0][side][0]["src_sha256"]],
+                "src_sha256": sorted({sides[side][0]["src_sha256"] for sides in pairs}),
                 "failed": sum(r["failed"] for r in results),
                 "attempted": sum(r["attempted"] for r in results),
                 **{m["name"]: _quartiles([r["metrics"][m["name"]]["value"] for r in results]) for m in metrics},
