@@ -350,13 +350,13 @@ def montecarlo_summary(report: SimulationReport, d2: int):
     every analytic value read from the branch tree the run sampled over a
     target system of dimension d2."""
     tree = report.tree
-    dist = tree.distribution()
+    dist = tree.dist
     per_record = dist.mean(axis=0)
     inconclusive = tree.inferred == INCONCLUSIVE
     marginal = report.joint_counts.sum(axis=1)
     rows = [["k_channel_exact_rate", 1.0, 1.0, 0.0]]
-    attempts = zip(tree.stage_entries, report.stage_attempts, report.stage_successes)
-    for i, ((p_stage, _, _), att, suc) in enumerate(attempts):
+    attempts = zip(tree.probs, report.stage_attempts, report.stage_successes)
+    for i, (p_stage, att, suc) in enumerate(attempts):
         if att:
             rows.append([f"stage{i + 1}_success_rate", suc / att, p_stage, _sigma3(p_stage, att)])
     if inconclusive.any():

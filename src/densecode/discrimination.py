@@ -16,6 +16,9 @@ from .channel import COEFF_TOL, GROUP_TOL_SQ, NORM_TOL
 FINAL_ME = "me"
 FINAL_ABSTAIN = "abstain"
 
+#: P_s at which a stage is sure and ends the walk; the weight past it is below output resolution.
+SURE_SUCCESS = 1.0 - 1e-12
+
 
 @dataclass(frozen=True)
 class StagePlan:
@@ -117,14 +120,15 @@ def walk_stages(coeffs, stages):
     """Walk a stage plan down the failure-state hierarchy of each coefficient
     row of `coeffs` (shape (..., P)).
 
-    Returns (steps, rest, sure). steps holds per planned stage a tuple
-    (rows that execute it, the families it acts on, their Separation); rest
-    the families left for the final action; sure the rows whose walk ended
-    with a uniform family, that is with certain success and nothing left.
-    A row stops once its support drops below two levels, and an ended row
-    executes no later stage; its families stay as they were, so every row
-    stays valid input. A plan may hold rank - 1 stages, and one on a rank-1
-    family, which that stage leaves unexecuted. The input passes the checks of
+    Returns (steps, rest). steps holds per planned stage a tuple (rows that
+    execute it, the families it acts on, their Separation); rest the families
+    left for the final action. A row's walk ends after a stage whose P_s
+    reaches SURE_SUCCESS (xi = 0, a uniform family), and its rest is that
+    stage's input, which the final action reaches with weight 1 - P_s; a row
+    also stops once its support drops below two levels. An ended row executes
+    no later stage and its families stay as they were, so every row stays
+    valid input. A plan may hold rank - 1 stages, and one on a rank-1 family,
+    which that stage leaves unexecuted. The input passes the checks of
     separate once, `coeffs` and every stage's xi; failure families are valid
     by construction, so the stages run the unchecked kernel.
     """
@@ -132,16 +136,14 @@ def walk_stages(coeffs, stages):
     if len(stages) > max(current.shape[-1] - 1, 1):
         raise ValueError("plan exceeds channel stages")
     live = np.ones(current.shape[:-1], dtype=bool)
-    sure = np.zeros_like(live)
     steps = []
     for xi in stages:
         sep = _separate(current, xi)
         live = live & ~sep.collapsed
         steps.append((live, current, sep))
-        sure = sure | (live & sep.uniform)
-        live = live & ~sep.uniform
+        live = live & (sep.p_success < SURE_SUCCESS)
         current = np.where(live[..., None], sep.failure_coeffs, current)
-    return steps, current, sure
+    return steps, current
 
 
 def me_outcome_probs(coeffs) -> np.ndarray:

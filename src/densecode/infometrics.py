@@ -85,18 +85,14 @@ def multistage_bits(coeffs, d2: int, stages, final: str):
 
     Returns (total, probabilities, bits): the total per row and, per planned
     stage, the success probability and the success-branch bits, which are 0
-    and the target-system floor for a stage the walk does not reach."""
-    floor_bits = math.log2(d2)
-    steps, rest, sure = walk_stages(coeffs, stages)
+    and the target-system floor for a stage the walk does not execute, as
+    after a sure stage."""
+    steps, rest = walk_stages(coeffs, stages)
     read = [_stage_bits(step, d2) for step in steps]
     del steps
     probs = tuple(p_stage for p_stage, _ in read)
     bits = tuple(suc_bits for _, suc_bits in read)
-    # A sure row's last stage succeeds surely, so its seed is weighted by 0.
-    if final == FINAL_ME:
-        total = np.where(sure, floor_bits, me_bits(rest, d2))
-    else:
-        total = np.full(sure.shape, floor_bits)
+    total = me_bits(rest, d2) if final == FINAL_ME else np.full(rest.shape[:-1], math.log2(d2))
     return _fold_stages(total, probs, bits, d2, rest.shape[-1]), probs, bits
 
 
@@ -115,11 +111,10 @@ def multistage_columns(coeffs, d2: int) -> dict:
     first, second = walk_stages(coeffs, (1.0, 1.0))[0]
     # Each stage's Separation is dropped once read, so its arrays are freed.
     p_s1, i_suc1 = _stage_bits(first, d2)
-    sure1 = first[0] & first[2].uniform
     del first
     p_s2, i_suc2 = _stage_bits(second, d2)
-    # Stage 2's input is stage 1's failure family; a sure row has none.
-    after_first = np.where(sure1, floor_bits, me_bits(second[1], d2))
+    # Stage 2's input is stage 1's failure family, or its own input on a row it ended.
+    after_first = me_bits(second[1], d2)
     del second
     i_me = me_bits(coeffs, d2)
     return {

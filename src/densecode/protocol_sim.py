@@ -13,17 +13,18 @@ couplings, POVMs).
 
 A tree is a pure function of (coefficients, plan, guess), so runs take it
 from a small memo keyed by those values (_shared_tree): seeded runs of one
-configuration build it once per process and share that one read-only tree.
-_BranchTree(...) itself always builds a fresh one.
+configuration build it, its exact distribution included, once per process
+and share that one read-only tree. _BranchTree(...) itself always builds a
+fresh one.
 
 Randomness contract: a run of n trials draws one count table, whatever n
 is. The generator derived from (seed, 0) draws one multinomial of n over the
 D equally likely carriers, then one multinomial per carrier over the tree's
-records with probabilities multinomial_rows(distribution()), rows clipped at
-0 and renormalised. The generator derived from (seed, 1) then splits each
-(carrier, record) count over the d2 equally likely values of the sender's k,
-which the system-2 readout returns exactly: one multinomial per cell. Counts
-are signed 64-bit integers, so n must lie in [1, 2**63).
+records with probabilities multinomial_rows(tree.dist), rows clipped at 0
+and renormalised on every run. The generator derived from (seed, 1) then
+splits each (carrier, record) count over the d2 equally likely values of the
+sender's k, which the system-2 readout returns exactly: one multinomial per
+cell. Counts are signed 64-bit integers, so n must lie in [1, 2**63).
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ INCONCLUSIVE = -1
 #: An eavesdropper's guess on an abstained record.
 GUESS_UNIFORM = "uniform"
 GUESS_ME = "me"
-
-#: P_s at which a stage is sure and ends the walk; the weight past it is below output resolution.
-_SURE_SUCCESS = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,100 +83,78 @@ class DecodingStrategy:
 
 class _BranchTree:
     """Closed-form branch tree of a decoding strategy over one symmetric
-    family, the one source of a run's closed forms. The constructor does what
-    sampling needs (one stage walk, one ME transform); the rest is lazy.
-    Runs build it once per configuration (_shared_tree) and share it, so it
-    is read-only: its arrays refuse writes and distribution() returns a
-    fresh array. Calling _BranchTree(...) builds a fresh tree.
+    family, the one source of a run's closed forms, built once with its exact
+    distribution. Runs build it once per configuration (_shared_tree) and
+    share it, so it is read-only: its arrays refuse writes. Calling
+    _BranchTree(...) builds a fresh tree.
 
-    stage_entries[n] = (P_s, confusion table, record offset) of the n-th
-    stage that walk_stages executes; a table is the circulant q[(j - l) mod D]
-    of q = me_outcome_probs. The walk ends after a sure stage (xi = 0, uniform
-    family). Records are "s{n}:l" for success at stage n, then those of the
-    final action: "f:l" for ME, "inc" for abstention. An eavesdropper (`guess`
-    set) never abstains: she follows the empty "inc" column with an ME guess
-    "g:l" or a uniform guess "u:l". final_offset is the first record the
-    final action writes.
+    probs[n] is the P_s of the n-th stage that walk_stages executes; records
+    n*D:(n+1)*D are its successes "s{n+1}:l", then come those of the final
+    action: "f:l" for ME, "inc" for abstention. An eavesdropper (`guess` set)
+    never abstains: she follows the empty "inc" column with an ME guess "g:l"
+    or a uniform guess "u:l". dist is the exact P(record | hypothesis), shape
+    (D, n_records), rows summing to 1: each stage's reach weight times its
+    confusion table, the circulant q[(j - l) mod D] of q = me_outcome_probs,
+    then the final action's rows; a uniform guess spreads the remaining
+    weight evenly.
     """
 
     def __init__(self, coeffs, plan: StagePlan, guess=None):
-        self.rank = rank = np.size(coeffs)
-        circulant = (np.arange(rank)[:, None] - np.arange(rank)) % rank
-        steps, rest, _ = walk_stages(coeffs, plan.stages)
-        final = plan.final_action
-        entries: list = []  # (P_s, separated family, record offset)
-        records: list = []
+        steps, rest = walk_stages(coeffs, plan.stages)
+        if rest.ndim != 1:
+            raise ValueError("coeffs must be a nonempty 1D vector")
+        self.rank = rank = len(rest)
         # The executed steps are a prefix of the walk.
-        for n, (executed, family, sep) in enumerate(steps):
-            if not executed:
-                break
-            p_stage = float(sep.p_success)
-            entries.append((p_stage, sep.b_coeffs, len(records)))
-            records += [f"s{n + 1}:{l}" for l in range(rank)]
-            if p_stage >= _SURE_SUCCESS:
-                # The final action, reached with weight 0, reads this stage's input.
-                rest = family
-                break
-        self.final_offset = len(records)
+        executed = [sep for live, _, sep in steps if live]
+        self.probs = tuple(float(sep.p_success) for sep in executed)
+        records = [f"s{n + 1}:{l}" for n in range(len(executed)) for l in range(rank)]
+        final = plan.final_action
         if final == FINAL_ME:
             records += [f"f:{l}" for l in range(rank)]
         else:
             records.append("inc")
             if guess is not None:
-                self.final_offset += 1
                 records += [f"{'g' if guess == GUESS_ME else 'u'}:{l}" for l in range(rank)]
         self.records = tuple(records)
         #: Hypothesis each record infers; INCONCLUSIVE for "inc".
         self.inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in records])
-        self.inferred.setflags(write=False)
-        self.uniform_guess = final != FINAL_ME and guess == GUESS_UNIFORM
         finals = [rest] if final == FINAL_ME or guess == GUESS_ME else []
         # One ME transform, row-independent; its rows (stages, then final) serve info_bits.
-        self._q = me_outcome_probs(np.reshape([b for _, b, _ in entries] + finals, (-1, rank)))
-        tables = self._q[:, circulant]
-        # Set before the tables are sliced: a view of a read-only array is read-only.
-        self._q.setflags(write=False)
-        tables.setflags(write=False)
-        self.stage_entries = tuple((p_stage, table, offset) for (p_stage, _, offset), table in zip(entries, tables))
-        self.final_table = tables[-1] if finals else None
+        self._q = me_outcome_probs(np.reshape([sep.b_coeffs for sep in executed] + finals, (-1, rank)))
+        tables = self._q[:, (np.arange(rank)[:, None] - np.arange(rank)) % rank]
+        self.dist = np.zeros((rank, len(records)))
+        weight = 1.0
+        for n, p_stage in enumerate(self.probs):
+            self.dist[:, n * rank : (n + 1) * rank] = weight * p_stage * tables[n]
+            weight *= 1.0 - p_stage
+        # The final action's records are the last ones.
+        if finals:
+            self.dist[:, -rank:] = weight * tables[-1]
+        elif guess == GUESS_UNIFORM:
+            self.dist[:, -rank:] = weight / rank
+        else:
+            self.dist[:, -1] = weight
+        for array in (self.inferred, self._q, self.dist):
+            array.setflags(write=False)
 
     @property
     def correct(self) -> np.ndarray:
         """(D, n_records) mask of the records that infer hypothesis j in row j."""
         return self.inferred == np.arange(self.rank)[:, None]
 
-    def distribution(self) -> np.ndarray:
-        """Exact P(record | hypothesis), shape (D, n_records), rows summing to
-        1: each stage's reach weight times its confusion table, then the final
-        action's rows; a uniform guess spreads the remaining weight evenly."""
-        dist = np.zeros((self.rank, len(self.records)))
-        weight = 1.0
-        for p_stage, table, offset in self.stage_entries:
-            dist[:, offset : offset + self.rank] = weight * p_stage * table
-            weight *= 1.0 - p_stage
-        if self.final_table is not None:
-            dist[:, self.final_offset :] = weight * self.final_table
-        elif self.uniform_guess:
-            dist[:, self.final_offset :] = weight / self.rank
-        else:
-            dist[:, self.final_offset] = weight
-        return dist
-
     def info_bits(self, d2: int) -> float:
         """Exact information over equally likely messages, target-system bits
         included: the stages' ME bits folded over the final action's (log2 d2
-        for abstention or a uniform guess). It is multistage_bits bit for bit,
-        or within 1e-12 * log2(D) if a stage with P_s < 1 ended the walk."""
+        for abstention or a uniform guess). It is multistage_bits bit for bit."""
         bits = _outcome_bits(self._q, d2)
-        n_stages = len(self.stage_entries)
-        total = bits[-1] if self.final_table is not None else math.log2(d2)
-        probs = [p_stage for p_stage, _, _ in self.stage_entries]
-        return float(_fold_stages(total, probs, bits[:n_stages], d2, self.rank))
+        n_stages = len(self.probs)
+        total = bits[-1] if len(bits) > n_stages else math.log2(d2)
+        return float(_fold_stages(total, self.probs, bits[:n_stages], d2, self.rank))
 
     def error_rate(self) -> float:
         """Weight on records inferring a wrong hypothesis, over equally likely
         hypotheses: for an eavesdropper, the sifted-key error rate."""
-        return float(self.distribution()[~self.correct].sum() / self.rank)
+        return float(self.dist[~self.correct].sum() / self.rank)
 
 
 #: Trees _shared_tree keeps, least recently used dropped first. A seed
@@ -205,7 +181,7 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
 def multinomial_rows(dist: np.ndarray) -> np.ndarray:
     """Rows of `dist` clipped at 0 and divided by their sums, so that numpy's
     multinomial takes them: entries in [0, 1], partial sums at most 1 + 1e-12.
-    distribution() alone is not enough. The Bell state's ME row holds
+    A tree's dist alone is not enough. The Bell state's ME row holds
     1 + 2.2e-16, and a state's squared coefficients may sum to 1 within
     channel.NORM_TOL."""
     rows = np.clip(dist, 0.0, None)
@@ -216,7 +192,8 @@ def count_table(seed: int, n: int, dist: np.ndarray | None = None):
     """(generator, counts) of a run of `n` trials, both from derived_rng(seed,
     0): one multinomial of n over the D = len(dist) equally likely carriers,
     then one multinomial per carrier over the rows of `dist`, made valid by
-    multinomial_rows. Without `dist` the counts are None and the caller draws
+    multinomial_rows on each call, since keeping those rows in a tree would
+    double its size. Without `dist` the counts are None and the caller draws
     its own. Before any draw the seed must be an unsigned 64-bit integer and
     n lie in [1, 2**63), the range of numpy's signed 64-bit counts."""
     if not 0 <= seed < 2**64:
@@ -265,12 +242,12 @@ def run_simulation(
     """Seed-deterministic Monte Carlo run: one count table, in O(D * records)
     whatever n_trials is. `threads` is ignored (perfbench/ still passes it)."""
     fam = _shared_tree(s.coeffs.tobytes(), strat.plan, None)
-    _, by_carrier = count_table(seed, n_trials, fam.distribution())
+    _, by_carrier = count_table(seed, n_trials, fam.dist)
     # Stream 1 splits each (carrier, record) count over k.
     readout = derived_rng(seed, 1).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
     counts = np.ascontiguousarray(readout.transpose(0, 2, 1))
     per_record = by_carrier.sum(axis=0)
-    successes = [int(per_record[offset : offset + fam.rank].sum()) for *_, offset in fam.stage_entries]
+    successes = [int(per_record[n * fam.rank : (n + 1) * fam.rank].sum()) for n in range(len(fam.probs))]
     attempts = [n_trials - sum(successes[:i]) for i in range(len(successes))]
     counts.setflags(write=False)
     info_bits = counts_mutual_info(counts, n_trials)

@@ -98,7 +98,7 @@ def simulate_qkd(
         kept = int(rng.binomial(n_rounds, p_keep))
     else:
         fam = _shared_tree(s.coeffs.tobytes(), eve.strategy.plan, eve.fallback)
-        rng, table = count_table(seed, n_rounds, fam.distribution())
+        rng, table = count_table(seed, n_rounds, fam.dist)
         counts = rng.binomial(table, p_keep)
         counts.setflags(write=False)
         kept = int(counts.sum())
@@ -132,7 +132,10 @@ def analytic_sift_rate(coeffs) -> float:
 @functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
 def _sift_rate(shape: tuple, coeff_bytes: bytes) -> float:
     # An input that separate refuses raises here on every call: lru_cache keeps no exception.
-    return float(separate(np.frombuffer(coeff_bytes).reshape(shape), 1.0).p_success)
+    p_keep = separate(np.frombuffer(coeff_bytes).reshape(shape), 1.0).p_success
+    if p_keep.ndim:
+        raise ValueError("coeffs must be a nonempty 1D vector")
+    return float(p_keep)
 
 
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:

@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from densecode.channel import GROUP_TOL_SQ
-from densecode.discrimination import FINAL_ABSTAIN, FINAL_ME, walk_stages
+from densecode.discrimination import FINAL_ABSTAIN, FINAL_ME, SURE_SUCCESS, walk_stages
 from densecode.gates import gxor
-from densecode.protocol_sim import _SURE_SUCCESS, GUESS_ME, GUESS_UNIFORM, INCONCLUSIVE
+from densecode.protocol_sim import GUESS_ME, GUESS_UNIFORM, INCONCLUSIVE
 from densecode.tensor_core import Ket, apply, born_probabilities, project_subsystem, tensor
 
 from dense import Message, dilation_unitary, encode, me_measurement, symmetric_state
@@ -109,14 +109,14 @@ class CircuitTree:
                 p_ok, ket_ok = project_subsystem(evolved, (dim, 2), "B", 0)
                 probs.append(p_ok)
                 succeeded.append(ket_ok)
-                if p_ok < _SURE_SUCCESS:
+                if p_ok < SURE_SUCCESS:
                     failed.append(project_subsystem(evolved, (dim, 2), "B", 1)[1])
             if max(probs) - min(probs) > HYPOTHESIS_ATOL:
                 raise ValueError("stage success probability depends on the hypothesis")
             p_stage = float(np.mean(probs))
             records += [f"s{len(self.stages) + 1}:{l}" for l in range(rank)]
             self.stages.append((p_stage, outcome_table(succeeded)))
-            if p_stage >= _SURE_SUCCESS:
+            if p_stage >= SURE_SUCCESS:
                 break
             current = failed
         self.final_offset = len(records)

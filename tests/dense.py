@@ -270,7 +270,7 @@ def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
     priors folded in. The readout m always equals k. The textbook mutual
     information of this table must equal the strategy's closed-form total.
     """
-    dist = _BranchTree(s.coeffs, strat.plan).distribution()
+    dist = _BranchTree(s.coeffs, strat.plan).dist
     per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))
     return _expand_joint(per_message, s.n_messages, s.d2)
 

@@ -112,10 +112,10 @@ def _separate_walk_bits(coeffs, d2, stages, final):
     """(total, probabilities, bits) of one plan from a walk of its own, folded
     here rather than by the shared fold."""
     floor_bits = math.log2(d2)
-    steps, rest, sure = walk_stages(coeffs, stages)
+    steps, rest = walk_stages(coeffs, stages)
     probs = [np.where(executed, sep.p_success, 0.0) for executed, _, sep in steps]
     bits = [np.where(executed, me_bits(sep.b_coeffs, d2), floor_bits) for executed, _, sep in steps]
-    total = np.where(sure, floor_bits, me_bits(rest, d2)) if final == FINAL_ME else np.full(sure.shape, floor_bits)
+    total = me_bits(rest, d2) if final == FINAL_ME else np.full(rest.shape[:-1], floor_bits)
     for p_stage, suc_bits in zip(reversed(probs), reversed(bits)):
         total = p_stage * suc_bits + (1.0 - p_stage) * total
     return total, probs, bits

@@ -33,6 +33,7 @@ from densecode import (
 )
 from densecode import discrimination, protocol_sim, qkd
 from densecode.channel import GROUP_TOL_SQ
+from densecode.discrimination import SURE_SUCCESS
 from densecode.infometrics import multistage_bits
 from densecode.protocol_sim import _BranchTree, _shared_tree, multinomial_rows
 
@@ -51,10 +52,10 @@ from conftest import count_everywhere, random_schmidt, refuse_everywhere
 FINALS = (FINAL_ME, FINAL_ABSTAIN)
 GUESSES = (None, GUESS_ME, GUESS_UNIFORM)
 #: numpy's multinomial rejects probability rows with an entry outside [0, 1]
-#: or with all but the last entry summing above 1 + 1e-12. `distribution()`
+#: or with all but the last entry summing above 1 + 1e-12. A tree's `dist`
 #: rows sum to 1 within this tolerance, but an entry may pass 1 by an ulp
 #: (the Bell state's ME row), so Monte Carlo samples `multinomial_rows` of
-#: them: inside numpy's bounds and within this tolerance of `distribution()`.
+#: them: inside numpy's bounds and within this tolerance of `dist`.
 PVALS_ATOL = 1e-12
 #: State families of the oracle cases; "gap_above" puts the two smallest
 #: squared coefficients just outside one multiplicity class.
@@ -100,8 +101,8 @@ def _compare(s, stages, final, guess):
     tree = _BranchTree(s.coeffs, StagePlan(stages, final), guess)
     oracle = CircuitTree(s, stages, final, guess)
     assert tree.records == oracle.records
-    assert len(tree.stage_entries) == len(oracle.stages)
-    return float(np.max(np.abs(tree.distribution() - oracle.distribution())))
+    assert len(tree.probs) == len(oracle.stages)
+    return float(np.max(np.abs(tree.dist - oracle.distribution())))
 
 
 def test_tree_matches_circuit_oracle():
@@ -119,7 +120,7 @@ def test_tree_matches_circuit_oracle():
         final = FINALS[case % 2]
         guess = GUESSES[(case // 8) % 3]
         assert _compare(s, stages, final, guess) <= AGREE_ATOL, (case, kind, stages, final, guess)
-        dist = _BranchTree(s.coeffs, StagePlan(stages, final), guess).distribution()
+        dist = _BranchTree(s.coeffs, StagePlan(stages, final), guess).dist
         assert dist.min() >= 0.0, case
         assert np.max(np.abs(dist.sum(axis=1) - 1.0)) <= PVALS_ATOL, case
         rows = multinomial_rows(dist)
@@ -294,8 +295,8 @@ def test_branch_tree_makes_one_me_transform(monkeypatch, squared, stages, final,
     s = SchmidtState.from_squared(len(squared), len(squared), squared)
     tree = _BranchTree(s.coeffs, StagePlan(stages, final), guess)
     needs_final = final == FINAL_ME or guess == GUESS_ME
-    assert calls == [(len(tree.stage_entries) + needs_final, s.D)]
-    assert (tree.final_table is not None) == needs_final
+    assert calls == [(len(tree.probs) + needs_final, s.D)]
+    assert (len(tree._q) > len(tree.probs)) == needs_final
     calls.clear()
     run_simulation(s, DecodingStrategy.multistage(StagePlan(stages, final)), 1000, seed=2)
     assert len(calls) == 1
@@ -338,21 +339,30 @@ def _tree_cases(rng, n_cases):
 def test_tree_information_is_the_closed_form():
     """multistage_bits is the exact mutual information of the branch tree
     (equal message priors, target system included), and the tree's own fold
-    gives it bit for bit."""
+    gives it bit for bit, also where a stage with xi = 0 or xi = 1e-13 is
+    sure and ends the walk, with or without P_s reaching 1."""
     rng = np.random.default_rng(20261019)
-    worst, ranks, finals, holes = 0.0, set(), set(), False
-    for s, plan in _tree_cases(rng, 400):
-        total = float(multistage_bits(s.coeffs, s.d2, plan.stages, plan.final_action)[0])
-        tree = _BranchTree(s.coeffs, plan)
-        assert tree.info_bits(s.d2) == total, (s.coeffs, plan)
-        joint = dense.analytic_joint(s, DecodingStrategy.multistage(plan))
-        worst = max(worst, abs(dense.mutual_info_from_joint(joint) - total))
-        ranks.add(s.D)
-        finals.add(plan.final_action)
-        steps, _, _ = discrimination.walk_stages(s.coeffs, plan.stages)
-        holes |= any(bool(executed) and not family.all() for executed, family, _ in steps)
+    worst, ranks, finals, holes, cut = 0.0, set(), set(), False, set()
+    for s, drawn in _tree_cases(rng, 400):
+        stages = list(drawn.stages)
+        if stages:
+            stages[rng.integers(len(stages))] = float(rng.choice([0.0, 1e-13]))
+        for plan in (drawn, StagePlan(tuple(stages), drawn.final_action)):
+            total = float(multistage_bits(s.coeffs, s.d2, plan.stages, plan.final_action)[0])
+            tree = _BranchTree(s.coeffs, plan)
+            assert tree.info_bits(s.d2) == total, (s.coeffs, plan)
+            joint = dense.analytic_joint(s, DecodingStrategy.multistage(plan))
+            worst = max(worst, abs(dense.mutual_info_from_joint(joint) - total))
+            ranks.add(s.D)
+            finals.add(plan.final_action)
+            steps, _ = discrimination.walk_stages(s.coeffs, plan.stages)
+            holes |= any(bool(executed) and not family.all() for executed, family, _ in steps)
+            # A sure stage with a planned stage after it: P_s exactly 1, or just below.
+            sure = [sep.p_success for executed, _, sep in steps[:-1] if executed and sep.p_success >= SURE_SUCCESS]
+            cut.update(float(p_stage) == 1.0 for p_stage in sure)
     assert worst <= 1e-12, worst
     assert ranks == set(range(1, 9)) and finals == set(FINALS) and holes
+    assert cut == {True, False}
 
 
 _STATE = {"d1": 4, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True}
@@ -411,7 +421,7 @@ def test_one_sift_separation_per_qkd_command(monkeypatch, tmp_path, eve):
     per stage it executes."""
     s = SchmidtState.from_squared(4, 4, [0.1, 0.2, 0.3, 0.4])
     parsed = cli._parse_eve(eve)
-    stages = 0 if parsed.strategy is None else len(_BranchTree(s.coeffs, parsed.strategy.plan).stage_entries)
+    stages = 0 if parsed.strategy is None else len(_BranchTree(s.coeffs, parsed.strategy.plan).probs)
     separations = count_everywhere(monkeypatch, discrimination._separate)
     _run_command(tmp_path, "qkd", {"eve": eve})
     assert len(separations) == 1 + stages
@@ -427,15 +437,11 @@ def test_runs_of_one_configuration_share_a_read_only_tree(qutrit_state):
     for first, second in pairs:
         tree = first.tree
         assert second.tree is tree
-        assert isinstance(tree.stage_entries, tuple) and tree.final_table is not None
-        tables = [table for _, table, _ in tree.stage_entries]
-        for array in (tree._q, tree.inferred, tree.final_table, *tables):
+        assert isinstance(tree.probs, tuple) and len(tree._q) > len(tree.probs)
+        for array in (tree._q, tree.inferred, tree.dist):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
-        # distribution() is the caller's own array.
-        dist = tree.distribution()
-        dist[...] = 0.0
-        assert np.allclose(tree.distribution().sum(axis=1), 1.0)
+        assert np.allclose(tree.dist.sum(axis=1), 1.0)
 
 
 def test_memo_is_keyed_by_value(qubit_state):
@@ -483,7 +489,8 @@ def test_memos_stay_within_their_bound():
         (lambda: analytic_sift_rate([0.6, 0.6]), ValueError, "sum to 1"),
         (lambda: analytic_sift_rate([]), ValueError, "nonempty"),
         (lambda: analytic_sift_rate(0.5), ValueError, "nonempty"),
-        (lambda: analytic_sift_rate([[0.6, 0.8], [0.8, 0.6]]), TypeError, None),
+        (lambda: analytic_sift_rate([[0.6, 0.8], [0.8, 0.6]]), ValueError, "1D"),
+        (lambda: analytic_qkd_error([[0.6, 0.8], [0.8, 0.6]], EveStrategy.intercept(DecodingStrategy.me())), ValueError, "1D vector"),
         (
             lambda: run_simulation(
                 SchmidtState.from_squared(2, 2, [0.2, 0.8]),
@@ -524,4 +531,4 @@ def test_warm_runs_equal_cold_runs():
             assert counts[0].tobytes() == counts[1].tobytes()
             assert cli._report_json(cold) == cli._report_json(warm)
         fresh = _BranchTree(s.coeffs, plan)
-        assert run_simulation(s, strat, 10, seed).tree.distribution().tobytes() == fresh.distribution().tobytes()
+        assert run_simulation(s, strat, 10, seed).tree.dist.tobytes() == fresh.dist.tobytes()

@@ -12,7 +12,7 @@ from densecode import (
     mutual_info_multistage,
 )
 from densecode.channel import COEFF_TOL, GROUP_TOL_SQ, SchmidtState
-from densecode.discrimination import separate, walk_stages
+from densecode.discrimination import SURE_SUCCESS, separate, walk_stages
 from densecode.tensor_core import Ket, apply, born_probabilities, project_subsystem, tensor
 
 from conftest import random_schmidt, random_support_coeffs
@@ -240,10 +240,24 @@ class TestStageSuccessProbability:
 
     def test_matches_separation_of_failure_family(self):
         second = separate(separate(QUTRIT, 1.0).failure_coeffs, 1.0)
-        steps, _, _ = walk_stages(QUTRIT, (1.0, 1.0))
+        steps, _ = walk_stages(QUTRIT, (1.0, 1.0))
         executed, _, walked = steps[1]
         assert executed
         assert abs(walked.p_success - second.p_success) < 1e-12
+
+    def test_a_sure_stage_ends_the_walk(self):
+        """One batch: a uniform row, rows whose first stage has xi = 0 and
+        xi = 1e-13, and an ordinary row. The first three are sure after that
+        stage, execute no later one, and keep its input as their rest; the
+        ordinary row goes on to the second stage's failure family."""
+        coeffs = np.array([np.sqrt([1 / 3] * 3), QUTRIT, QUTRIT, QUTRIT])
+        steps, rest = walk_stages(coeffs, (np.array([1.0, 0.0, 1e-13, 1.0]), 1.0))
+        (first_executed, first_family, first), (second_executed, _, second) = steps
+        assert first_executed.tolist() == [True] * 4
+        assert first.p_success[2] < 1.0 and (first.p_success[:3] >= SURE_SUCCESS).all()
+        assert second_executed.tolist() == [False, False, False, True]
+        assert np.array_equal(rest[:3], first_family[:3])
+        assert np.array_equal(rest[3], second.failure_coeffs[3])
 
     def test_first_stage_consistency(self):
         # the same stage construction applied to the original coefficients

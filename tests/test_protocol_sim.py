@@ -161,7 +161,7 @@ class TestRunSimulation:
         n = 100000
         strat = DecodingStrategy.sep_me(1.0)
         report = run_simulation(qubit_state, strat, n, seed=40 + seed)
-        dist = _BranchTree(qubit_state.coeffs, strat.plan).distribution()
+        dist = _BranchTree(qubit_state.coeffs, strat.plan).dist
         for j in range(2):
             for k in range(2):
                 for r in range(dist.shape[1]):

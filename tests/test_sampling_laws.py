@@ -3,7 +3,7 @@
 Monte Carlo and the key-distribution run must draw their counts from the
 exact distributions of the branch tree, whatever order they consume their
 random streams in: record counts per (carrier, readout) against
-`distribution()`, stage successes against their binomial laws, uniform
+the tree's `dist`, stage successes against their binomial laws, uniform
 carrier and readout marginals, and the sift and error counts against their
 closed forms.
 """
@@ -61,7 +61,7 @@ def _mc_run(rank: int, kind: str):
 def test_record_counts_follow_distribution(rank, kind):
     s, strat, report = _mc_run(rank, kind)
     tree = _BranchTree(s.coeffs, strat.plan)
-    labels, dist = tree.records, tree.distribution()
+    labels, dist = tree.records, tree.dist
     assert report.outcome_labels == labels
     assert report.joint_counts.shape == (s.D, s.d2, len(labels))
     assert int(report.joint_counts.sum()) == MC_TRIALS
@@ -129,7 +129,7 @@ def test_qkd_eve_counts_follow_distribution(rank, kind, fallback):
     assert int(report.eve_counts.sum()) == report.kept
     wrong = tree.inferred != np.arange(s.D)[:, None]
     assert int(report.eve_counts[wrong].sum()) == report.errors
-    assert_counts_follow(report.eve_counts, tree.distribution() / s.D)
+    assert_counts_follow(report.eve_counts, tree.dist / s.D)
     assert_counts_follow(report.eve_counts.sum(axis=1), np.full(s.D, 1.0 / s.D))
 
 
@@ -165,10 +165,10 @@ EDGE_TRIALS = (20_000, 10**9)
 @pytest.mark.parametrize("state,kind", EDGE_CASES)
 def test_samplers_take_rows_at_float_edges(state, kind):
     """Monte Carlo and the key-distribution run take these resources and
-    draw from distribution()."""
+    draw from the tree's dist."""
     d1, d2, squared = EDGE_STATES[state]
     s, strat = SchmidtState.from_squared(d1, d2, squared), EDGE_STRATEGIES[kind]
-    dist = _BranchTree(s.coeffs, strat.plan).distribution()
+    dist = _BranchTree(s.coeffs, strat.plan).dist
     seed = 1100 + EDGE_CASES.index((state, kind))
     for n in EDGE_TRIALS:
         report = run_simulation(s, strat, n, seed=seed)
@@ -180,7 +180,7 @@ def test_samplers_take_rows_at_float_edges(state, kind):
             qkd = simulate_qkd(s, eve, n, seed=seed)
             assert_binomial(qkd.kept, n, analytic_sift_rate(s.coeffs))
             tree = _BranchTree(s.coeffs, strat.plan, fallback)
-            assert_counts_follow(qkd.eve_counts, tree.distribution() / s.D)
+            assert_counts_follow(qkd.eve_counts, tree.dist / s.D)
 
 
 def test_runs_of_10_to_the_12_trials_add_up():
