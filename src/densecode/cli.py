@@ -14,8 +14,10 @@ Floats are printed with 9 significant digits and row order is deterministic.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import numbers
@@ -40,8 +42,6 @@ MAX_SWEEP_COEFFS = 10**6
 _FLOAT = "%.9g"
 #: Rows _write_table renders at a time; each block holds its cells' text.
 _BLOCK_ROWS = 8192
-#: Characters for which csv.writer's default (excel, minimal) quoting quotes a field.
-_NEEDS_QUOTES = frozenset(',"\r\n')
 #: Per config object that names a kind: the noun its errors use, and the keys
 #: each kind reads besides "kind".
 _KINDS = {
@@ -50,22 +50,15 @@ _KINDS = {
 }
 
 
-def _field(value) -> str:
-    """One cell: a float with 9 significant digits, anything else as str(),
-    quoted as csv.writer quotes it."""
-    text = _FLOAT % value if isinstance(value, float) else str(value)
-    if _NEEDS_QUOTES.isdisjoint(text):
-        return text
-    return '"' + text.replace('"', '""') + '"'
-
-
-def _line(row) -> str:
-    """One CSV line with csv.writer's bytes."""
-    return ",".join(map(_field, row)) + "\r\n"
+def _csv_text(rows) -> str:
+    """`rows` as csv.writer writes them, each float cell with 9 significant digits."""
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows([_FLOAT % cell if isinstance(cell, float) else str(cell) for cell in row] for row in rows)
+    return fh.getvalue()
 
 
 def _write_csv(path: str, header, rows) -> None:
-    _write_text(path, _line(header) + "".join([_line(row) for row in rows]))
+    _write_text(path, _csv_text([header, *rows]))
 
 
 def _write_table(path: str, header, table: np.ndarray) -> None:
@@ -73,7 +66,7 @@ def _write_table(path: str, header, table: np.ndarray) -> None:
     each distinct bit pattern of a column (so -0.0 is not 0.0) is formatted once."""
 
     def blocks():
-        yield _line(header)
+        yield _csv_text([header])
         for start in range(0, len(table), _BLOCK_ROWS):
             columns = []
             for column in table[start : start + _BLOCK_ROWS].T:
@@ -227,7 +220,7 @@ def _report_json(report) -> str:
     """A run report as indented JSON with sorted keys: its fields but the
     branch tree, with the count table as its nonzero cells keyed by message
     and record label. A Monte Carlo report adds the per-stage success rates;
-    a key-distribution report's record labels appear only in those keys."""
+    a key-distribution report keys Eve's counts by her tree's record labels."""
     obj = {field.name: getattr(report, field.name) for field in dataclasses.fields(report) if field.name != "tree"}
     if isinstance(report, SimulationReport):
         labels = obj["outcome_labels"]
@@ -235,9 +228,8 @@ def _report_json(report) -> str:
         obj["counts"] = _nonzero_cells(obj.pop("joint_counts"), lambda j, k, r: f"{j},{k}|{labels[r]}:{k}")
         obj["empirical_success_rate"] = report.empirical_success_rate
     else:
-        labels = obj.pop("eve_record_labels")
-        counts = obj["eve_counts"]
-        obj["eve_counts"] = {} if counts is None else _nonzero_cells(counts, lambda j, r: f"{j}|{labels[r]}")
+        counts, tree = obj["eve_counts"], report.tree
+        obj["eve_counts"] = {} if tree is None else _nonzero_cells(counts, lambda j, r: f"{j}|{tree.records[r]}")
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -474,7 +466,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RuntimeError, ValueError, KeyError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -173,6 +173,11 @@ def _shared_tree(coeff_bytes: bytes, plan: StagePlan, guess) -> _BranchTree:
     return _BranchTree(np.frombuffer(coeff_bytes).copy(), plan, guess)
 
 
+#: Most terms D * records * d2**2 (D records per planned stage and final action)
+#: a run's information estimate may sum; the deepest plan at rank 64, d2 = 64 takes 2**30.
+MAX_RUN_TERMS = 2**30
+
+
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream); bit-reproducible."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
@@ -239,8 +244,10 @@ def run_simulation(
     seed: int,
     threads: int | None = None,
 ) -> SimulationReport:
-    """Seed-deterministic Monte Carlo run: one count table, in O(D * records)
-    whatever n_trials is. `threads` is ignored (perfbench/ still passes it)."""
+    """Seed-deterministic Monte Carlo run: one count table whatever n_trials is,
+    refused past MAX_RUN_TERMS. `threads` is ignored (perfbench/ still passes it)."""
+    if (terms := s.D**2 * (len(strat.plan.stages) + 1) * s.d2**2) > MAX_RUN_TERMS:
+        raise ValueError(f"run of {terms} information terms exceeds the limit of {MAX_RUN_TERMS}")
     fam = _shared_tree(s.coeffs.tobytes(), strat.plan, None)
     _, by_carrier = count_table(seed, n_trials, fam.dist)
     # Stream 1 splits each (carrier, record) count over k.

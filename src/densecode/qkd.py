@@ -69,7 +69,6 @@ class QkdReport:
     sift_rate: float
     sifted_error_rate: float
     eve_info_bits: float
-    eve_record_labels: tuple
     eve_counts: np.ndarray | None
     #: The eavesdropper's branch tree the run sampled, None when she is
     #: absent; shared read-only by every run of its configuration, and left
@@ -115,7 +114,6 @@ def simulate_qkd(
         sift_rate=kept / n_rounds,
         sifted_error_rate=errors / kept if kept else 0.0,
         eve_info_bits=eve_info,
-        eve_record_labels=() if fam is None else fam.records,
         eve_counts=counts,
         tree=fam,
     )
@@ -123,19 +121,19 @@ def simulate_qkd(
 
 def analytic_sift_rate(coeffs) -> float:
     """Receiver keep probability: the full-separation success probability,
-    computed once per coefficient array (shape and values) and then reused."""
+    computed once per coefficient vector (its values) and then reused."""
     coeffs = np.asarray(coeffs, dtype=float)
-    return _sift_rate(coeffs.shape, coeffs.tobytes())
-
-
-# Bounded as the tree memo is, for the same reason: a seed ensemble revisits one state.
-@functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
-def _sift_rate(shape: tuple, coeff_bytes: bytes) -> float:
-    # An input that separate refuses raises here on every call: lru_cache keeps no exception.
-    p_keep = separate(np.frombuffer(coeff_bytes).reshape(shape), 1.0).p_success
-    if p_keep.ndim:
+    if coeffs.ndim != 1:
         raise ValueError("coeffs must be a nonempty 1D vector")
-    return float(p_keep)
+    return _sift_rate(coeffs.tobytes())
+
+
+# Keyed as the tree memo is, by a float64 vector's bytes, and bounded as it
+# is, for the same reason: a seed ensemble revisits one state.
+@functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
+def _sift_rate(coeff_bytes: bytes) -> float:
+    # An input that separate refuses raises here on every call: lru_cache keeps no exception.
+    return float(separate(np.frombuffer(coeff_bytes), 1.0).p_success)
 
 
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:

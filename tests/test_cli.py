@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,16 @@ import densecode
 from densecode import (
     DecodingStrategy,
     EveStrategy,
+    FINAL_ME,
     QkdReport,
     SchmidtState,
     SimulationReport,
+    StagePlan,
     cli,
     mutual_info_me,
+    run_simulation,
 )
+from densecode.protocol_sim import MAX_RUN_TERMS
 
 
 def run_cli(argv, cwd):
@@ -259,6 +264,7 @@ def test_cli_alone_reads_and_writes_file_formats():
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
         assert "json" not in imported, name
+        assert "csv" not in imported, name
         assert not {"_is_real", "config_number", "check_keys"} & set(vars(module)), name
     for cls in (SchmidtState, DecodingStrategy, EveStrategy, SimulationReport, QkdReport):
         for method in ("from_dict", "to_json", "counts_dict"):
@@ -285,6 +291,42 @@ def test_oversized_sweep_fails_before_allocating(argv, rows, tmp_path, capsys):
     assert f"sweep of {rows} x " in err
     assert f"coefficients exceeds the limit of {cli.MAX_SWEEP_COEFFS}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d2", [10**5, 10**13])
+def test_oversized_run_fails_before_allocating(d2, tmp_path, capsys):
+    # Unchecked, d2 = 10**5 ran for 19 s on a 2-core VM and d2 = 10**13 ended in
+    # numpy's _ArrayMemoryError traceback.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"state": {"d1": 2, "d2": d2, "coeffs": [0.6, 0.8]}}))
+    start = time.perf_counter()
+    assert cli.main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "never.csv")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: run of {4 * d2**2} information terms exceeds the limit of {MAX_RUN_TERMS}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_run_limit_is_inclusive():
+    # The deepest plan at rank 64 and d2 = 64 takes 64 * 64 * 64 * 64**2 terms;
+    # the maximally entangled state ends its walk at the first, sure stage.
+    deep = DecodingStrategy.multistage(StagePlan((1.0,) * 63, FINAL_ME))
+    squared = np.full(64, 1 / 64)
+    assert 64**5 == MAX_RUN_TERMS
+    assert run_simulation(SchmidtState.from_squared(64, 64, squared), deep, 1, seed=0).n_trials == 1
+    with pytest.raises(ValueError, match=f"run of {64**3 * 65**2} information terms exceeds"):
+        run_simulation(SchmidtState.from_squared(64, 65, squared), deep, 1, seed=0)
+
+
+def test_program_errors_are_not_caught(tmp_path, monkeypatch):
+    # Every config error raises ValueError or RuntimeError; a KeyError is a bug.
+    def broken(*args, **kwargs):
+        raise KeyError("name")
+
+    monkeypatch.setattr(cli, "run_simulation", broken)
+    with pytest.raises(KeyError, match="name"):
+        cli.main(["montecarlo", "--out", str(tmp_path / "never.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_row_limit_is_inclusive():
@@ -602,7 +644,8 @@ def _awkward_table(rows: int, seed: int = 5) -> np.ndarray:
 @pytest.mark.parametrize("rows", [1, 8191, 8192, 8193, 20000])
 def test_write_table_matches_csv_writer(rows, tmp_path):
     table = _awkward_table(rows)
-    header = ["a0", "awkward", "I_bits", "negative"]
+    # The header goes through csv.writer; this one needs quoting.
+    header = ["a0", 'awkward, "quoted"', "I_bits", "negative"]
     path = tmp_path / "table.csv"
     cli._write_table(str(path), header, table)
     assert path.read_bytes() == _csv_writer_bytes(header, table.tolist())

@@ -96,7 +96,7 @@ class TestEveStrategy:
         assert eve == EveStrategy.intercept(DecodingStrategy.me())
         report = simulate_qkd(qubit_state, eve, 20000, seed=2)
         assert report.eve == "intercept(me, fallback=uniform)"
-        assert report.errors > 0 and report.eve_record_labels == ("f:0", "f:1")
+        assert report.errors > 0 and report.tree.records == ("f:0", "f:1")
 
 
 class TestSimulateQkd:
@@ -129,7 +129,7 @@ class TestSimulateQkd:
         # maximum-confidence successes identify the dit with certainty
         eve = EveStrategy.intercept(DecodingStrategy.sep_me(1.0), GUESS_UNIFORM)
         report = simulate_qkd(qubit_state, eve, 50000, seed=6)
-        labels = report.eve_record_labels
+        labels = report.tree.records
         for j in range(2):
             for l in range(2):
                 if j != l:

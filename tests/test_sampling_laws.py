@@ -125,7 +125,7 @@ def test_qkd_sift_and_errors_follow_closed_form(rank, kind, fallback):
 def test_qkd_eve_counts_follow_distribution(rank, kind, fallback):
     s, eve, report = _qkd_run(rank, kind, fallback)
     tree = _BranchTree(s.coeffs, eve.strategy.plan, eve.fallback)
-    assert report.eve_record_labels == tree.records
+    assert report.tree.records == tree.records
     assert int(report.eve_counts.sum()) == report.kept
     wrong = tree.inferred != np.arange(s.D)[:, None]
     assert int(report.eve_counts[wrong].sum()) == report.errors
