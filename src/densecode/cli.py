@@ -247,11 +247,12 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _setting(args, config: dict, key: str, default, integral: bool):
+def _setting(args, config: dict, key: str, default):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    return _config_number(config, key, default, integral)
+    # The config key takes its flag's type, so the two cannot disagree.
+    return _config_number(config, key, default, integral=_FLAGS["--" + key.replace("_", "-")][0]["type"] is int)
 
 
 def _out_path(args, config: dict, default: str) -> str:
@@ -279,17 +280,13 @@ def _sidecar(args, out: str) -> str:
 
 def _simplex_coeffs(args, config: dict, grid: int, min_rank: int = 1):
     """(d2, Schmidt coefficients of a simplex sweep, one state per row)."""
-    d1 = _setting(args, config, "d1", 3, integral=True)
-    d2 = _setting(args, config, "d2", 4, integral=True)
+    d1 = _setting(args, config, "d1", 3)
+    d2 = _setting(args, config, "d2", 4)
     rank = min(d1, d2)
     if rank < min_rank:
         raise RuntimeError(f"this sweep needs Schmidt rank >= {min_rank}")
-    points = simplex_grid(
-        rank,
-        _setting(args, config, "grid", grid, integral=True),
-        _setting(args, config, "margin", _DEFAULT_MARGIN, integral=False),
-    )
-    return d2, check_coeffs(d1, d2, np.sqrt(points))
+    grid, margin = _setting(args, config, "grid", grid), _setting(args, config, "margin", _DEFAULT_MARGIN)
+    return d2, check_coeffs(d1, d2, np.sqrt(simplex_grid(rank, grid, margin)))
 
 
 def _cmd_sweep_me(args) -> int:
@@ -305,7 +302,7 @@ def _cmd_sweep_me(args) -> int:
 def _cmd_sweep_sep(args) -> int:
     config = _load_config(args.config)
     state = _parse_state(config.get("state", _DEFAULT_STATE))
-    steps = _setting(args, config, "xi_steps", 50, integral=True)
+    steps = _setting(args, config, "xi_steps", 50)
     out = _out_path(args, config, "sweep_sep.csv")
     if steps < 1:
         raise RuntimeError("xi_steps must be >= 1")
@@ -372,8 +369,8 @@ def _cmd_montecarlo(args) -> int:
     config = _load_config(args.config)
     state = _parse_state(config.get("state", _DEFAULT_STATE))
     strat = _parse_strategy(config.get("strategy", {"kind": "me"}))
-    trials = _setting(args, config, "trials", 100000, integral=True)
-    seed = _setting(args, config, "seed", 0, integral=True)
+    trials = _setting(args, config, "trials", 100000)
+    seed = _setting(args, config, "seed", 0)
     out = _out_path(args, config, "montecarlo.csv")
     sidecar = _sidecar(args, out)
     report = run_simulation(state, strat, trials, seed)
@@ -389,8 +386,8 @@ def _cmd_qkd(args) -> int:
     config = _load_config(args.config)
     state = _parse_state(config.get("state", _DEFAULT_STATE))
     eve = _parse_eve(config.get("eve", {"kind": "absent"}))
-    rounds = _setting(args, config, "trials", 100000, integral=True)
-    seed = _setting(args, config, "seed", 0, integral=True)
+    rounds = _setting(args, config, "trials", 100000)
+    seed = _setting(args, config, "seed", 0)
     out = _out_path(args, config, "qkd.csv")
     sidecar = _sidecar(args, out)
     report = simulate_qkd(state, eve, rounds, seed)

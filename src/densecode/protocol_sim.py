@@ -11,11 +11,11 @@ exact information, error rate) are read from that one tree. The test suite
 checks the tree against the actual circuit (encoding, GXOR split, dilation
 couplings, POVMs).
 
-A tree is a pure function of (coefficients, plan, guess), so runs take it
-from a small memo keyed by those values (_shared_tree): seeded runs of one
-configuration build it, its exact distribution included, once per process
-and share that one read-only tree. _BranchTree(...) itself always builds a
-fresh one.
+A tree is a pure function of (coefficients, plan, guess), so runs and the
+QKD keep probability take it from one small memo keyed by those values
+(_shared_tree): seeded runs of one configuration build it, its exact
+distribution included, once per process and share that one read-only tree.
+_BranchTree(...) itself always builds a fresh one.
 
 Randomness contract: a run of n trials draws one count table, whatever n
 is. The generator derived from (seed, 0) draws one multinomial of n over the
@@ -81,6 +81,11 @@ class DecodingStrategy:
         return f"multistage([{listed}], final={final})"
 
 
+#: Most cells D * records a branch tree may hold, D records per planned stage; a run keeps a
+#: few arrays that size. A qkd run at the largest full-depth plan (rank 203) peaks near 370 MiB.
+MAX_TREE_CELLS = 2**23
+
+
 class _BranchTree:
     """Closed-form branch tree of a decoding strategy over one symmetric
     family, the one source of a run's closed forms, built once with its exact
@@ -100,15 +105,20 @@ class _BranchTree:
     """
 
     def __init__(self, coeffs, plan: StagePlan, guess=None):
-        steps, rest = walk_stages(coeffs, plan.stages)
-        if rest.ndim != 1:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 1:
             raise ValueError("coeffs must be a nonempty 1D vector")
-        self.rank = rank = len(rest)
+        self.rank = rank = len(coeffs)
+        final = plan.final_action
+        # D records per planned stage, then D for an ME final or a guess, plus "inc" after abstention.
+        n_final = rank if final == FINAL_ME else 1 + (0 if guess is None else rank)
+        if (cells := rank * (rank * len(plan.stages) + n_final)) > MAX_TREE_CELLS:
+            raise ValueError(f"branch tree of {cells} cells exceeds the limit of {MAX_TREE_CELLS}")
+        steps, rest = walk_stages(coeffs, plan.stages)
         # The executed steps are a prefix of the walk.
         executed = [sep for live, _, sep in steps if live]
         self.probs = tuple(float(sep.p_success) for sep in executed)
         records = [f"s{n + 1}:{l}" for n in range(len(executed)) for l in range(rank)]
-        final = plan.final_action
         if final == FINAL_ME:
             records += [f"f:{l}" for l in range(rank)]
         else:
@@ -159,8 +169,9 @@ class _BranchTree:
 
 #: Trees _shared_tree keeps, least recently used dropped first. A seed
 #: ensemble revisits one configuration, so a few entries serve it; at 16 a
-#: full memo of rank-16 two-stage trees holds about 100 KB, and of the
-#: largest trees (rank 64, 63 stages, about 2 MiB each) about 32 MiB.
+#: full memo of rank-16 two-stage trees holds about 100 KB, of the deepest
+#: montecarlo trees (rank 64, 63 stages, 2 MiB each) 32 MiB, and of trees at
+#: MAX_TREE_CELLS (64 MiB of dist each) 1 GiB.
 _TREE_MEMO_SIZE = 16
 
 
@@ -250,9 +261,9 @@ def run_simulation(
         raise ValueError(f"run of {terms} information terms exceeds the limit of {MAX_RUN_TERMS}")
     fam = _shared_tree(s.coeffs.tobytes(), strat.plan, None)
     _, by_carrier = count_table(seed, n_trials, fam.dist)
-    # Stream 1 splits each (carrier, record) count over k.
-    readout = derived_rng(seed, 1).multinomial(by_carrier, np.full(s.d2, 1.0 / s.d2))
-    counts = np.ascontiguousarray(readout.transpose(0, 2, 1))
+    # Stream 1 splits each (carrier, record) count over k; no name holds the draw, so it is freed once copied.
+    k_probs = np.full(s.d2, 1.0 / s.d2)
+    counts = np.ascontiguousarray(derived_rng(seed, 1).multinomial(by_carrier, k_probs).transpose(0, 2, 1))
     per_record = by_carrier.sum(axis=0)
     successes = [int(per_record[n * fam.rank : (n + 1) * fam.rank].sum()) for n in range(len(fam.probs))]
     attempts = [n_trials - sum(successes[:i]) for i in range(len(successes))]

@@ -7,23 +7,18 @@ inference. All errors in the sifted key are eavesdropper-induced.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import SchmidtState
-from .discrimination import separate
+from .discrimination import FINAL_ABSTAIN, StagePlan
 from .infometrics import counts_mutual_info
-from .protocol_sim import (
-    GUESS_ME,
-    GUESS_UNIFORM,
-    _TREE_MEMO_SIZE,
-    DecodingStrategy,
-    _BranchTree,
-    _shared_tree,
-    count_table,
-)
+from .protocol_sim import GUESS_ME, GUESS_UNIFORM, DecodingStrategy, _BranchTree, _shared_tree, count_table
+
+
+#: The receiver's sift: unambiguous discrimination, separation at xi = 1.
+_SIFT = StagePlan((1.0,), FINAL_ABSTAIN)
 
 
 @dataclass(frozen=True)
@@ -120,20 +115,14 @@ def simulate_qkd(
 
 
 def analytic_sift_rate(coeffs) -> float:
-    """Receiver keep probability: the full-separation success probability,
-    computed once per coefficient vector (its values) and then reused."""
+    """Receiver keep probability: the P_s of the one stage of the xi = 1
+    separation tree, taken from the runs' memo; 1 where no stage executes
+    (fewer than two support levels)."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1:
         raise ValueError("coeffs must be a nonempty 1D vector")
-    return _sift_rate(coeffs.tobytes())
-
-
-# Keyed as the tree memo is, by a float64 vector's bytes, and bounded as it
-# is, for the same reason: a seed ensemble revisits one state.
-@functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
-def _sift_rate(coeff_bytes: bytes) -> float:
-    # An input that separate refuses raises here on every call: lru_cache keeps no exception.
-    return float(separate(np.frombuffer(coeff_bytes), 1.0).p_success)
+    probs = _shared_tree(coeffs.tobytes(), _SIFT, None).probs
+    return probs[0] if probs else 1.0
 
 
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:

@@ -31,7 +31,7 @@ from densecode import (
     run_simulation,
     simulate_qkd,
 )
-from densecode import discrimination, protocol_sim, qkd
+from densecode import discrimination, protocol_sim
 from densecode.channel import GROUP_TOL_SQ
 from densecode.discrimination import SURE_SUCCESS
 from densecode.infometrics import multistage_bits
@@ -381,13 +381,14 @@ def _run_command(tmp_path, command, entries, name="run"):
     "command, entries, trees",
     [
         ("montecarlo", _MULTISTAGE, 1),
-        ("qkd", _INTERCEPT, 1),
-        ("qkd", {"eve": {"kind": "absent"}}, 0),
+        ("qkd", _INTERCEPT, 2),
+        ("qkd", {"eve": {"kind": "absent"}}, 1),
     ],
 )
 def test_one_branch_tree_per_run(monkeypatch, tmp_path, command, entries, trees):
     """A run builds the tree it samples once, walking the stages once, and
-    reads every closed form of its output from that tree."""
+    reads every closed form of its output from that tree. A qkd command adds
+    the receiver's sift tree, whose one stage gives the keep probability."""
     built = count_everywhere(monkeypatch, _BranchTree)
     walks = count_everywhere(monkeypatch, discrimination.walk_stages)
     _run_command(tmp_path, command, entries)
@@ -427,6 +428,38 @@ def test_one_sift_separation_per_qkd_command(monkeypatch, tmp_path, eve):
     assert len(separations) == 1 + stages
 
 
+def test_sift_rate_is_the_separation_at_xi_one(tmp_path):
+    """The keep probability, the one stage of the xi = 1 separation tree, is
+    separate(c, 1.0).p_success bit for bit, 1 where no stage executes (rank 1,
+    one support level); the qkd command's sift tree lives in the one memo."""
+    rng = np.random.default_rng(20261019)
+    kinds = set()
+    for case in range(2000):
+        rank = int(rng.integers(1, 9))
+        sq = rng.dirichlet(np.ones(rank))
+        kind = ("random", "uniform", "tied", "zeros")[case % 4]
+        if kind == "uniform":
+            sq = np.full(rank, 1.0 / rank)
+        elif kind == "tied" and rank > 2:
+            low = np.argsort(sq)[:2]
+            sq[low[1]] = sq[low[0]]
+        elif kind == "zeros":
+            sq[rng.random(rank) < 0.4] = 0.0
+            sq[rng.integers(rank)] += 0.1
+        coeffs = np.sqrt(sq / sq.sum())
+        rate = analytic_sift_rate(coeffs)
+        assert rate == float(discrimination.separate(coeffs, 1.0).p_success), coeffs
+        kinds.add((kind, rate == 1.0))
+    assert {("random", True), ("random", False), ("uniform", True), ("tied", False), ("zeros", True)} <= kinds
+    # A cold intercepted command leaves Eve's tree and the sift tree; a second one adds none.
+    _shared_tree.cache_clear()
+    _run_command(tmp_path, "qkd", _INTERCEPT, "cold")
+    assert _shared_tree.cache_info().currsize == 2
+    _run_command(tmp_path, "qkd", _INTERCEPT, "warm")
+    info = _shared_tree.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+
+
 def test_runs_of_one_configuration_share_a_read_only_tree(qutrit_state):
     strat = DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))
     eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
@@ -462,12 +495,13 @@ def test_memo_is_keyed_by_value(qubit_state):
         simulate_qkd(qubit_state, EveStrategy.intercept(strat, GUESS_ME), 100, seed=1).tree,
     ]
     assert len({id(t) for t in [tree, *misses]}) == 5
+    # The receiver's sift tree is the sep_me(1) tree of the first run, so both
+    # qkd runs find it: three hits, and a miss for each of Eve's two trees.
     info = _shared_tree.cache_info()
-    assert (info.hits, info.misses) == (1, 5)
-    # The keep probability of a list equal in value is the memoised one.
-    hits = qkd._sift_rate.cache_info().hits
-    assert analytic_sift_rate(list(qubit_state.coeffs)) == analytic_sift_rate(qubit_state.coeffs)
-    assert qkd._sift_rate.cache_info().hits == hits + 2
+    assert (info.hits, info.misses) == (3, 5)
+    # The keep probability of a list equal in value is read from the memoised tree.
+    assert analytic_sift_rate(list(qubit_state.coeffs)) == analytic_sift_rate(qubit_state.coeffs) == tree.probs[0]
+    assert _shared_tree.cache_info().hits == info.hits + 2
 
 
 def test_memos_stay_within_their_bound():
@@ -476,10 +510,10 @@ def test_memos_stay_within_their_bound():
     for s in states:
         run_simulation(s, DecodingStrategy.me(), 10, seed=0)
         analytic_sift_rate(s.coeffs)
-    for memo in (_shared_tree, qkd._sift_rate):
-        info = memo.cache_info()
-        assert info.maxsize == info.currsize == protocol_sim._TREE_MEMO_SIZE
-        assert info.misses == len(states)
+    # Each state misses twice: its ME tree and its sift tree.
+    info = _shared_tree.cache_info()
+    assert info.maxsize == info.currsize == protocol_sim._TREE_MEMO_SIZE
+    assert info.misses == 2 * len(states)
 
 
 @pytest.mark.parametrize(
@@ -507,7 +541,7 @@ def test_bad_input_raises_on_every_call(call, error, message):
     for _ in range(3):
         with pytest.raises(error, match=message):
             call()
-    assert _shared_tree.cache_info().currsize == 0 and qkd._sift_rate.cache_info().currsize == 0
+    assert _shared_tree.cache_info().currsize == 0
 
 
 def test_warm_runs_equal_cold_runs():
@@ -523,7 +557,6 @@ def test_warm_runs_equal_cold_runs():
         runs += [lambda: simulate_qkd(s, eve, 5000, seed)] if s.D > 1 else []
         for run in runs:
             _shared_tree.cache_clear()
-            qkd._sift_rate.cache_clear()
             cold = run()
             warm = run()
             assert warm.tree is cold.tree

@@ -25,11 +25,13 @@ from densecode import (
     SchmidtState,
     SimulationReport,
     StagePlan,
+    analytic_qkd_error,
     cli,
     mutual_info_me,
     run_simulation,
 )
-from densecode.protocol_sim import MAX_RUN_TERMS
+from densecode import protocol_sim
+from densecode.protocol_sim import MAX_RUN_TERMS, MAX_TREE_CELLS
 
 
 def run_cli(argv, cwd):
@@ -185,6 +187,12 @@ def test_unwritable_path_fails_cleanly(tmp_path, capsys):
             for command in ("montecarlo", "qkd", "sweep-sep")
             for coeffs in ({"a": 1}, [0.6, "x"], [0.6, True], "abc", None)
         ),
+        # Every integer setting takes its flag's type.
+        ("sweep-sep", {"xi_steps": 2.5}, "'xi_steps' must be an integer"),
+        ("montecarlo", {"trials": 10.5}, "'trials' must be an integer"),
+        ("qkd", {"seed": 1.5}, "'seed' must be an integer"),
+        ("sweep-me", {"d1": 2.5}, "'d1' must be an integer"),
+        ("sweep-multistage", {"d2": 3.5}, "'d2' must be an integer"),
     ],
 )
 def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
@@ -316,6 +324,40 @@ def test_run_limit_is_inclusive():
     assert run_simulation(SchmidtState.from_squared(64, 64, squared), deep, 1, seed=0).n_trials == 1
     with pytest.raises(ValueError, match=f"run of {64**3 * 65**2} information terms exceeds"):
         run_simulation(SchmidtState.from_squared(64, 65, squared), deep, 1, seed=0)
+
+
+def test_oversized_tree_fails_before_allocating(tmp_path, capsys):
+    # Unchecked, this tree of 256 * (256 * 255 + 257) cells peaked near 700 MiB.
+    squared = np.arange(1, 257) / (256 * 257 / 2)
+    plan = {"kind": "multistage", "stages": [{"xi": 1.0}] * 255, "final": "abstain"}
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps(
+            {
+                "state": {"d1": 256, "d2": 256, "coeffs": squared.tolist(), "squared": True},
+                "eve": {"kind": "intercept", "strategy": plan, "fallback": "uniform"},
+                "trials": 1000,
+            }
+        )
+    )
+    start = time.perf_counter()
+    assert cli.main(["qkd", "--config", str(path), "--out", str(tmp_path / "never.csv")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: branch tree of {256 * (256 * 255 + 257)} cells exceeds the limit of {MAX_TREE_CELLS}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_tree_limit_is_inclusive(monkeypatch, qubit_state):
+    # A qubit sep_me tree with a uniform guess: 2 rows by 2 stage records, "inc" and 2 guesses.
+    eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.5))
+    monkeypatch.setattr(protocol_sim, "MAX_TREE_CELLS", 10)
+    assert analytic_qkd_error(qubit_state.coeffs, eve) >= 0.0
+    monkeypatch.setattr(protocol_sim, "MAX_TREE_CELLS", 9)
+    with pytest.raises(ValueError, match="branch tree of 10 cells exceeds the limit of 9"):
+        analytic_qkd_error(qubit_state.coeffs, eve)
+    # The largest run MAX_RUN_TERMS admits builds a tree well inside the limit.
+    assert 64 * 64 * 64 < MAX_TREE_CELLS
 
 
 def test_program_errors_are_not_caught(tmp_path, monkeypatch):
