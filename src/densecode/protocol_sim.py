@@ -11,11 +11,11 @@ exact information, error rate) are read from that one tree. The test suite
 checks the tree against the actual circuit (encoding, GXOR split, dilation
 couplings, POVMs).
 
-A tree is a pure function of (coefficients, plan, guess), so runs and the
-QKD keep probability take it from one small memo keyed by those values
-(_shared_tree): seeded runs of one configuration build it, its exact
-distribution included, once per process and share that one read-only tree.
-_BranchTree(...) itself always builds a fresh one.
+A tree is a pure function of (coefficients, plan, guess), so runs take it
+from a small memo keyed by those values (_shared_tree): seeded runs of one
+configuration build it, its exact distribution included, once per process
+and share that one read-only tree. _BranchTree(...) itself always builds a
+fresh one.
 
 Randomness contract: a run of n trials draws one count table, whatever n
 is. The generator derived from (seed, 0) draws one multinomial of n over the
@@ -81,8 +81,9 @@ class DecodingStrategy:
         return f"multistage([{listed}], final={final})"
 
 
-#: Most cells D * records a branch tree may hold, D records per planned stage; a run keeps a
-#: few arrays that size. A qkd run at the largest full-depth plan (rank 203) peaks near 370 MiB.
+#: Most cells D * records a branch tree may hold, D records per planned stage; a run keeps a few
+#: arrays that size. The full-depth intercept at rank 203 peaks near 370 MiB; the deepest run
+#: MAX_RUN_TERMS admits (rank 64, 63 stages, ME final) holds 64**3 cells.
 MAX_TREE_CELLS = 2**23
 
 

@@ -7,18 +7,15 @@ inference. All errors in the sifted key are eavesdropper-induced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import SchmidtState
-from .discrimination import FINAL_ABSTAIN, StagePlan
+from .discrimination import separate
 from .infometrics import counts_mutual_info
-from .protocol_sim import GUESS_ME, GUESS_UNIFORM, DecodingStrategy, _BranchTree, _shared_tree, count_table
-
-
-#: The receiver's sift: unambiguous discrimination, separation at xi = 1.
-_SIFT = StagePlan((1.0,), FINAL_ABSTAIN)
+from .protocol_sim import GUESS_ME, GUESS_UNIFORM, _TREE_MEMO_SIZE, DecodingStrategy, _BranchTree, _shared_tree, count_table
 
 
 @dataclass(frozen=True)
@@ -115,14 +112,19 @@ def simulate_qkd(
 
 
 def analytic_sift_rate(coeffs) -> float:
-    """Receiver keep probability: the P_s of the one stage of the xi = 1
-    separation tree, taken from the runs' memo; 1 where no stage executes
-    (fewer than two support levels)."""
+    """Receiver keep probability, separate(coeffs, 1.0).p_success, memoised by the values."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1:
         raise ValueError("coeffs must be a nonempty 1D vector")
-    probs = _shared_tree(coeffs.tobytes(), _SIFT, None).probs
-    return probs[0] if probs else 1.0
+    return _sift_rate(coeffs.tobytes())
+
+
+# Keyed and bounded as the tree memo is (a seed ensemble revisits one state), but one
+# float per entry: the O(D) separation needs no branch tree and no MAX_TREE_CELLS.
+@functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
+def _sift_rate(coeff_bytes: bytes) -> float:
+    # An input that separate refuses raises here on every call: lru_cache keeps no exception.
+    return float(separate(np.frombuffer(coeff_bytes), 1.0).p_success)
 
 
 def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:

@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from densecode import SchmidtState, protocol_sim
+from densecode import SchmidtState, protocol_sim, qkd
 
 
 def random_schmidt(rng, rank=None, d2=None, d1=None, floor=0.03):
@@ -32,10 +32,10 @@ def random_support_coeffs(rng, period=None, floor=0.02):
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Clear the memo of branch trees, the receiver's sift tree included,
-    before each test, so a test that counts builds sees a cold memo whatever
-    ran before."""
+    """Clear the memo of branch trees and of keep probabilities before each
+    test, so a test that counts builds sees a cold memo whatever ran before."""
     protocol_sim._shared_tree.cache_clear()
+    qkd._sift_rate.cache_clear()
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from densecode import (
     run_simulation,
     simulate_qkd,
 )
-from densecode import discrimination, protocol_sim
+from densecode import discrimination, protocol_sim, qkd
 from densecode.channel import GROUP_TOL_SQ
 from densecode.discrimination import SURE_SUCCESS
 from densecode.infometrics import multistage_bits
@@ -381,14 +381,13 @@ def _run_command(tmp_path, command, entries, name="run"):
     "command, entries, trees",
     [
         ("montecarlo", _MULTISTAGE, 1),
-        ("qkd", _INTERCEPT, 2),
-        ("qkd", {"eve": {"kind": "absent"}}, 1),
+        ("qkd", _INTERCEPT, 1),
+        ("qkd", {"eve": {"kind": "absent"}}, 0),
     ],
 )
 def test_one_branch_tree_per_run(monkeypatch, tmp_path, command, entries, trees):
     """A run builds the tree it samples once, walking the stages once, and
-    reads every closed form of its output from that tree. A qkd command adds
-    the receiver's sift tree, whose one stage gives the keep probability."""
+    reads every closed form of its output from that tree."""
     built = count_everywhere(monkeypatch, _BranchTree)
     walks = count_everywhere(monkeypatch, discrimination.walk_stages)
     _run_command(tmp_path, command, entries)
@@ -429,9 +428,10 @@ def test_one_sift_separation_per_qkd_command(monkeypatch, tmp_path, eve):
 
 
 def test_sift_rate_is_the_separation_at_xi_one(tmp_path):
-    """The keep probability, the one stage of the xi = 1 separation tree, is
-    separate(c, 1.0).p_success bit for bit, 1 where no stage executes (rank 1,
-    one support level); the qkd command's sift tree lives in the one memo."""
+    """The keep probability is separate(c, 1.0).p_success bit for bit, 1 where
+    fewer than two support levels remain (rank 1 included), and builds no
+    branch tree; a qkd command memoises Eve's tree and one keep probability,
+    and a second identical command adds neither."""
     rng = np.random.default_rng(20261019)
     kinds = set()
     for case in range(2000):
@@ -451,13 +451,16 @@ def test_sift_rate_is_the_separation_at_xi_one(tmp_path):
         assert rate == float(discrimination.separate(coeffs, 1.0).p_success), coeffs
         kinds.add((kind, rate == 1.0))
     assert {("random", True), ("random", False), ("uniform", True), ("tied", False), ("zeros", True)} <= kinds
-    # A cold intercepted command leaves Eve's tree and the sift tree; a second one adds none.
-    _shared_tree.cache_clear()
+    # A rank whose xi = 1 tree would exceed MAX_TREE_CELLS: the O(D) sift takes it.
+    ramp = np.sqrt(np.arange(1, 4097) / (4096 * 4097 / 2))
+    assert 4096 * 4097 > protocol_sim.MAX_TREE_CELLS and 0.0 < analytic_sift_rate(ramp) < 1.0
+    assert _shared_tree.cache_info().currsize == 0
+    qkd._sift_rate.cache_clear()
     _run_command(tmp_path, "qkd", _INTERCEPT, "cold")
-    assert _shared_tree.cache_info().currsize == 2
     _run_command(tmp_path, "qkd", _INTERCEPT, "warm")
-    info = _shared_tree.cache_info()
-    assert (info.currsize, info.misses) == (2, 2)
+    for memo in (_shared_tree, qkd._sift_rate):
+        info = memo.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
 
 
 def test_runs_of_one_configuration_share_a_read_only_tree(qutrit_state):
@@ -495,13 +498,12 @@ def test_memo_is_keyed_by_value(qubit_state):
         simulate_qkd(qubit_state, EveStrategy.intercept(strat, GUESS_ME), 100, seed=1).tree,
     ]
     assert len({id(t) for t in [tree, *misses]}) == 5
-    # The receiver's sift tree is the sep_me(1) tree of the first run, so both
-    # qkd runs find it: three hits, and a miss for each of Eve's two trees.
     info = _shared_tree.cache_info()
-    assert (info.hits, info.misses) == (3, 5)
-    # The keep probability of a list equal in value is read from the memoised tree.
-    assert analytic_sift_rate(list(qubit_state.coeffs)) == analytic_sift_rate(qubit_state.coeffs) == tree.probs[0]
-    assert _shared_tree.cache_info().hits == info.hits + 2
+    assert (info.hits, info.misses) == (1, 5)
+    # The keep probability of a list equal in value is the memoised one.
+    hits = qkd._sift_rate.cache_info().hits
+    assert analytic_sift_rate(list(qubit_state.coeffs)) == analytic_sift_rate(qubit_state.coeffs)
+    assert qkd._sift_rate.cache_info().hits == hits + 2
 
 
 def test_memos_stay_within_their_bound():
@@ -510,10 +512,10 @@ def test_memos_stay_within_their_bound():
     for s in states:
         run_simulation(s, DecodingStrategy.me(), 10, seed=0)
         analytic_sift_rate(s.coeffs)
-    # Each state misses twice: its ME tree and its sift tree.
-    info = _shared_tree.cache_info()
-    assert info.maxsize == info.currsize == protocol_sim._TREE_MEMO_SIZE
-    assert info.misses == 2 * len(states)
+    for memo in (_shared_tree, qkd._sift_rate):
+        info = memo.cache_info()
+        assert info.maxsize == info.currsize == protocol_sim._TREE_MEMO_SIZE
+        assert info.misses == len(states)
 
 
 @pytest.mark.parametrize(
@@ -541,7 +543,7 @@ def test_bad_input_raises_on_every_call(call, error, message):
     for _ in range(3):
         with pytest.raises(error, match=message):
             call()
-    assert _shared_tree.cache_info().currsize == 0
+    assert _shared_tree.cache_info().currsize == 0 and qkd._sift_rate.cache_info().currsize == 0
 
 
 def test_warm_runs_equal_cold_runs():
@@ -557,6 +559,7 @@ def test_warm_runs_equal_cold_runs():
         runs += [lambda: simulate_qkd(s, eve, 5000, seed)] if s.D > 1 else []
         for run in runs:
             _shared_tree.cache_clear()
+            qkd._sift_rate.cache_clear()
             cold = run()
             warm = run()
             assert warm.tree is cold.tree
