@@ -6,8 +6,11 @@ config objects that name a state, a decoding strategy and an eavesdropper,
 and renders the run reports as JSON. The domain modules hold the physics.
 
 Configuration precedence: command-line flags override config-file entries,
-which override built-in defaults. Output files are written only after a
-command has computed all of its rows, so a failure leaves no partial file.
+which override built-in defaults. `main` loads the config, names the output
+files (by default the command's name with "-" as "_" and extension .csv,
+plus a .json report beside a run's CSV) and writes them; a command only
+computes. Files are written after every one is rendered, and a failed write
+removes those already written, so a failing command leaves no output file.
 Floats are printed with 9 significant digits and row order is deterministic.
 """
 
@@ -40,7 +43,7 @@ MAX_SWEEP_COEFFS = 10**6
 
 #: Every float cell: 9 significant digits.
 _FLOAT = "%.9g"
-#: Rows _write_table renders at a time; each block holds its cells' text.
+#: Rows _table_text renders at a time; each block holds its cells' text.
 _BLOCK_ROWS = 8192
 #: Per config object that names a kind: the noun its errors use, and the keys
 #: each kind reads besides "kind".
@@ -57,13 +60,9 @@ def _csv_text(rows) -> str:
     return fh.getvalue()
 
 
-def _write_csv(path: str, header, rows) -> None:
-    _write_text(path, _csv_text([header, *rows]))
-
-
-def _write_table(path: str, header, table: np.ndarray) -> None:
-    """Write an (N, C) float64 table with _write_csv's bytes. Per block of rows,
-    each distinct bit pattern of a column (so -0.0 is not 0.0) is formatted once."""
+def _table_text(header, table: np.ndarray) -> str:
+    """An (N, C) float64 table under `header`, as _csv_text renders it. Per block
+    of rows, each distinct bit pattern of a column (so -0.0 is not 0.0) is formatted once."""
 
     def blocks():
         yield _csv_text([header])
@@ -77,16 +76,22 @@ def _write_table(path: str, header, table: np.ndarray) -> None:
                 columns.append(text[inverse].tolist())
             yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
-    _write_text(path, "".join(blocks()))
+    return "".join(blocks())
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write `text` as is, without newline translation, so CSV lines keep
-    the CRLF ends that csv.writer writes."""
+def _write_files(texts: dict) -> None:
+    """Write each text to its path as is, without newline translation, so CSV
+    lines keep the CRLF ends that csv.writer writes. If a write fails, the
+    files opened so far are removed: every file is written or none."""
+    opened = []
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        for path, text in texts.items():
+            with open(path, "w", newline="") as fh:
+                opened.append(path)
+                fh.write(text)
     except OSError as exc:
+        for done in opened:
+            os.remove(done)
         raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
 
 
@@ -289,48 +294,35 @@ def _simplex_coeffs(args, config: dict, grid: int, min_rank: int = 1):
     return d2, check_coeffs(d1, d2, np.sqrt(simplex_grid(rank, grid, margin)))
 
 
-def _cmd_sweep_me(args) -> int:
-    config = _load_config(args.config)
-    out = _out_path(args, config, "sweep_me.csv")
+def _sweep(coeffs: np.ndarray, columns: dict):
+    """A simplex sweep's header and table: the free coefficients a0..a_{D-2}, then `columns`."""
+    header = [f"a{i}" for i in range(coeffs.shape[1] - 1)] + list(columns)
+    return header, np.column_stack([coeffs[:, :-1], *columns.values()])
+
+
+def _cmd_sweep_me(args, config: dict):
     d2, coeffs = _simplex_coeffs(args, config, 60)
-    rows = np.column_stack([coeffs[:, :-1], me_bits(coeffs, d2)])
-    _write_table(out, [f"a{i}" for i in range(coeffs.shape[1] - 1)] + ["I_bits"], rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _sweep(coeffs, {"I_bits": me_bits(coeffs, d2)})
 
 
-def _cmd_sweep_sep(args) -> int:
-    config = _load_config(args.config)
+def _cmd_sweep_sep(args, config: dict):
     state = _parse_state(config.get("state", _DEFAULT_STATE))
     steps = _setting(args, config, "xi_steps", 50)
-    out = _out_path(args, config, "sweep_sep.csv")
     if steps < 1:
         raise RuntimeError("xi_steps must be >= 1")
     _check_size(steps + 1, state.D)
     xi = np.arange(steps + 1) / steps
     total, (p_s,), (success,) = multistage_bits(state.coeffs, state.d2, (xi,), FINAL_ABSTAIN)
     i_me = np.full(xi.size, me_bits(state.coeffs, state.d2))
-    rows = np.column_stack([xi, p_s, total, success, i_me])
-    _write_table(out, ["xi", "P_s", "I_total", "I_success", "I_ME"], rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return ["xi", "P_s", "I_total", "I_success", "I_ME"], np.column_stack([xi, p_s, total, success, i_me])
 
 
-def _cmd_sweep_multistage(args) -> int:
-    config = _load_config(args.config)
-    out = _out_path(args, config, "sweep_multistage.csv")
+def _cmd_sweep_multistage(args, config: dict):
     d2, coeffs = _simplex_coeffs(args, config, 30, min_rank=3)
-    columns = multistage_columns(coeffs, d2)
-    rows = np.column_stack([coeffs[:, :-1], *columns.values()])
-    header = [f"a{i}" for i in range(coeffs.shape[1] - 1)] + list(columns)
-    _write_table(out, header, rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _sweep(coeffs, multistage_columns(coeffs, d2))
 
 
 def _sigma3(p: float, n: int) -> float:
-    if n <= 0:
-        return 0.0
     return 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
@@ -365,31 +357,23 @@ def montecarlo_summary(report: SimulationReport, d2: int):
     return rows
 
 
-def _cmd_montecarlo(args) -> int:
-    config = _load_config(args.config)
+def _run_inputs(args, config: dict, key: str, parse, default):
+    """A run's state, its config object `key` read by `parse`, trial count and seed."""
     state = _parse_state(config.get("state", _DEFAULT_STATE))
-    strat = _parse_strategy(config.get("strategy", {"kind": "me"}))
-    trials = _setting(args, config, "trials", 100000)
-    seed = _setting(args, config, "seed", 0)
-    out = _out_path(args, config, "montecarlo.csv")
-    sidecar = _sidecar(args, out)
+    parsed = parse(config.get(key, default))
+    return state, parsed, _setting(args, config, "trials", 100000), _setting(args, config, "seed", 0)
+
+
+def _cmd_montecarlo(args, config: dict):
+    state, strat, trials, seed = _run_inputs(args, config, "strategy", _parse_strategy, {"kind": "me"})
     report = run_simulation(state, strat, trials, seed)
     rows = montecarlo_summary(report, state.d2)
-    rendered = [[q, float(e), float(a), abs(float(e) - float(a)), float(b)] for q, e, a, b in rows]
-    _write_csv(out, ["quantity", "empirical", "analytic", "abs_delta", "bound"], rendered)
-    _write_text(sidecar, _report_json(report))
-    print(f"wrote {out} and {sidecar}")
-    return 0
+    rows = [[q, float(e), float(a), abs(float(e) - float(a)), float(b)] for q, e, a, b in rows]
+    return ["quantity", "empirical", "analytic", "abs_delta", "bound"], rows, report
 
 
-def _cmd_qkd(args) -> int:
-    config = _load_config(args.config)
-    state = _parse_state(config.get("state", _DEFAULT_STATE))
-    eve = _parse_eve(config.get("eve", {"kind": "absent"}))
-    rounds = _setting(args, config, "trials", 100000)
-    seed = _setting(args, config, "seed", 0)
-    out = _out_path(args, config, "qkd.csv")
-    sidecar = _sidecar(args, out)
+def _cmd_qkd(args, config: dict):
+    state, eve, rounds, seed = _run_inputs(args, config, "eve", _parse_eve, {"kind": "absent"})
     report = simulate_qkd(state, eve, rounds, seed)
     sift_analytic = analytic_sift_rate(state.coeffs)
     error_analytic = 0.0 if report.tree is None else report.tree.error_rate()
@@ -405,10 +389,7 @@ def _cmd_qkd(args) -> int:
         "error_rate_3sigma": _sigma3(error_analytic, max(report.kept, 1)),
         "eve_info_bits": report.eve_info_bits,
     }
-    _write_csv(out, columns, [columns.values()])
-    _write_text(sidecar, _report_json(report))
-    print(f"wrote {out} and {sidecar}")
-    return 0
+    return columns, [columns.values()], report
 
 
 _COMMANDS = {
@@ -459,10 +440,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args.config)
+        out = _out_path(args, config, args.command.replace("-", "_") + ".csv")
+        if args.command in _RUNS:
+            sidecar = _sidecar(args, out)
+            header, rows, report = args.func(args, config)
+            _write_files({out: _csv_text([header, *rows]), sidecar: _report_json(report)})
+            print(f"wrote {out} and {sidecar}")
+        else:
+            header, table = args.func(args, config)
+            _write_files({out: _table_text(header, table)})
+            print(f"wrote {len(table)} rows to {out}")
+        return 0
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

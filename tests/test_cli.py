@@ -646,7 +646,7 @@ def _csv_writer_bytes(header, rows) -> bytes:
         return fh.getvalue().encode()
 
 
-def test_write_csv_matches_csv_writer(tmp_path):
+def test_write_csv_matches_csv_writer():
     rng = np.random.default_rng(3)
     rows = np.column_stack([rng.random((50, 3)), 10.0 ** rng.integers(-20, 20, 50)]).tolist()
     rows += [
@@ -657,9 +657,7 @@ def test_write_csv_matches_csv_writer(tmp_path):
         ["", ""],
     ]
     header = ["a0", "label, with comma", "I_bits"]
-    path = tmp_path / "out.csv"
-    cli._write_csv(str(path), header, rows)
-    assert path.read_bytes() == _csv_writer_bytes(header, rows)
+    assert cli._csv_text([header, *rows]).encode() == _csv_writer_bytes(header, rows)
 
 
 #: Cells whose text is easy to get wrong: signed zeros, NaN, infinities, the
@@ -682,24 +680,20 @@ def _awkward_table(rows: int, seed: int = 5) -> np.ndarray:
 
 
 @pytest.mark.parametrize("rows", [1, 8191, 8192, 8193, 20000])
-def test_write_table_matches_csv_writer(rows, tmp_path):
+def test_write_table_matches_csv_writer(rows):
     table = _awkward_table(rows)
     # The header goes through csv.writer; this one needs quoting.
     header = ["a0", 'awkward, "quoted"', "I_bits", "negative"]
-    path = tmp_path / "table.csv"
-    cli._write_table(str(path), header, table)
-    assert path.read_bytes() == _csv_writer_bytes(header, table.tolist())
+    assert cli._table_text(header, table).encode() == _csv_writer_bytes(header, table.tolist())
 
 
-def test_write_table_keeps_signed_zeros_and_strided_views_apart(tmp_path):
+def test_write_table_keeps_signed_zeros_and_strided_views_apart():
     table = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [math.nan, -math.nan, 2.0]] * 3)
-    path = tmp_path / "zeros.csv"
-    cli._write_table(str(path), ["x", "y", "z"], table)
-    assert path.read_bytes().splitlines()[1:4] == [b"0,-0,1", b"-0,0,1", b"nan,nan,2"]
+    text = cli._table_text(["x", "y", "z"], table).encode()
+    assert text.splitlines()[1:4] == [b"0,-0,1", b"-0,0,1", b"nan,nan,2"]
     for view in (table[:, ::2], table.T.copy().T, table[::-1]):
         header = ["x", "y", "z"][: view.shape[1]]
-        cli._write_table(str(path), header, view)
-        assert path.read_bytes() == _csv_writer_bytes(header, view.tolist())
+        assert cli._table_text(header, view).encode() == _csv_writer_bytes(header, view.tolist())
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -711,27 +705,59 @@ def test_write_table_keeps_signed_zeros_and_strided_views_apart(tmp_path):
     ),
     block=st.integers(1, 5),
 )
-def test_write_table_matches_csv_writer_on_any_table(table, block, tmp_path_factory):
+def test_write_table_matches_csv_writer_on_any_table(table, block):
     # Small blocks, so most examples join several blocks.
-    path = tmp_path_factory.mktemp("table") / "table.csv"
     header = [f"c{i}" for i in range(table.shape[1])]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_BLOCK_ROWS", block)
-        cli._write_table(str(path), header, table)
-    assert path.read_bytes() == _csv_writer_bytes(header, table.tolist())
+        text = cli._table_text(header, table)
+    assert text.encode() == _csv_writer_bytes(header, table.tolist())
 
 
 def test_sweep_sep_across_blocks_matches_csv_writer(tmp_path, monkeypatch):
     written = []
-    write_table = cli._write_table
+    table_text = cli._table_text
 
-    def capture(path, header, table):
+    def capture(header, table):
         written.append((header, table.copy()))
-        write_table(path, header, table)
+        return table_text(header, table)
 
-    monkeypatch.setattr(cli, "_write_table", capture)
+    monkeypatch.setattr(cli, "_table_text", capture)
     out = tmp_path / "sep.csv"
     assert cli.main(["sweep-sep", "--xi-steps", "20000", "--out", str(out)]) == 0
     (header, table), = written
     assert table.shape == (20001, 5) and len(table) > 2 * cli._BLOCK_ROWS
     assert out.read_bytes() == _csv_writer_bytes(header, table.tolist())
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "qkd"])
+def test_failed_report_write_leaves_no_csv(command, tmp_path, capsys):
+    # The JSON report is written after the CSV; when it cannot be, the CSV goes too.
+    report = tmp_path / "x.json"
+    (report / "inside").mkdir(parents=True)
+    assert cli.main([command, "--trials", "100", "--out", str(tmp_path / "x.csv")]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write output file {report}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+    assert [p.name for p in report.iterdir()] == ["inside"]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["sweep-me", "--grid", "4"], ["sweep_me.csv"]),
+        (["sweep-sep", "--xi-steps", "2"], ["sweep_sep.csv"]),
+        (["sweep-multistage", "--grid", "3"], ["sweep_multistage.csv"]),
+        (["montecarlo", "--trials", "100"], ["montecarlo.csv", "montecarlo.json"]),
+        (["qkd", "--trials", "100"], ["qkd.csv", "qkd.json"]),
+    ],
+)
+def test_default_outputs_are_named_after_the_command(argv, names, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    if len(names) == 2:
+        expected = f"wrote {names[0]} and {names[1]}\n"
+    else:
+        expected = f"wrote {len(read_csv(names[0])[1])} rows to {names[0]}\n"
+    assert capsys.readouterr().out == expected
