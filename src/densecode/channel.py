@@ -58,10 +58,6 @@ class SchmidtState:
         """Schmidt rank."""
         return self.coeffs.size
 
-    @property
-    def n_messages(self) -> int:
-        return self.d2 * self.D
-
     @classmethod
     def from_squared(cls, d1: int, d2: int, squared) -> "SchmidtState":
         sq = np.asarray(squared, dtype=float)

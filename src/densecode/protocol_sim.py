@@ -95,14 +95,13 @@ class _BranchTree:
     _BranchTree(...) builds a fresh tree.
 
     probs[n] is the P_s of the n-th stage that walk_stages executes; records
-    n*D:(n+1)*D are its successes "s{n+1}:l", then come those of the final
-    action: "f:l" for ME, "inc" for abstention. An eavesdropper (`guess` set)
-    never abstains: she follows the empty "inc" column with an ME guess "g:l"
-    or a uniform guess "u:l". dist is the exact P(record | hypothesis), shape
-    (D, n_records), rows summing to 1: each stage's reach weight times its
-    confusion table, the circulant q[(j - l) mod D] of q = me_outcome_probs,
-    then the final action's rows; a uniform guess spreads the remaining
-    weight evenly.
+    n*D:(n+1)*D are its successes "s{n+1}:l", then comes the final block:
+    "f:l" for ME, "inc" for abstention, and for an eavesdropper (`guess` set),
+    who never abstains, an ME guess "g:l" or a uniform guess "u:l". dist is
+    the exact P(record | hypothesis), shape (D, n_records), rows summing to 1:
+    each stage's reach weight times its confusion table, the circulant
+    q[(j - l) mod D] of q = me_outcome_probs, then the final block's: the
+    remaining weight times the ME table, or spread evenly over the block.
     """
 
     def __init__(self, coeffs, plan: StagePlan, guess=None):
@@ -110,41 +109,29 @@ class _BranchTree:
         if coeffs.ndim != 1:
             raise ValueError("coeffs must be a nonempty 1D vector")
         self.rank = rank = len(coeffs)
-        final = plan.final_action
-        # D records per planned stage, then D for an ME final or a guess, plus "inc" after abstention.
-        n_final = rank if final == FINAL_ME else 1 + (0 if guess is None else rank)
-        if (cells := rank * (rank * len(plan.stages) + n_final)) > MAX_TREE_CELLS:
+        # The final block's kind, from the final action and the guess that replaces abstention.
+        kind = "f" if plan.final_action == FINAL_ME else "inc" if guess is None else "g" if guess == GUESS_ME else "u"
+        finals = ["inc"] if kind == "inc" else [f"{kind}:{l}" for l in range(rank)]
+        if (cells := rank * (rank * len(plan.stages) + len(finals))) > MAX_TREE_CELLS:
             raise ValueError(f"branch tree of {cells} cells exceeds the limit of {MAX_TREE_CELLS}")
         steps, rest = walk_stages(coeffs, plan.stages)
         # The executed steps are a prefix of the walk.
         executed = [sep for live, _, sep in steps if live]
         self.probs = tuple(float(sep.p_success) for sep in executed)
-        records = [f"s{n + 1}:{l}" for n in range(len(executed)) for l in range(rank)]
-        if final == FINAL_ME:
-            records += [f"f:{l}" for l in range(rank)]
-        else:
-            records.append("inc")
-            if guess is not None:
-                records += [f"{'g' if guess == GUESS_ME else 'u'}:{l}" for l in range(rank)]
-        self.records = tuple(records)
+        self.records = tuple([f"s{n + 1}:{l}" for n in range(len(executed)) for l in range(rank)] + finals)
         #: Hypothesis each record infers; INCONCLUSIVE for "inc".
-        self.inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in records])
-        finals = [rest] if final == FINAL_ME or guess == GUESS_ME else []
+        self.inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in self.records])
+        me_final = [rest] if kind in ("f", "g") else []
         # One ME transform, row-independent; its rows (stages, then final) serve info_bits.
-        self._q = me_outcome_probs(np.reshape([sep.b_coeffs for sep in executed] + finals, (-1, rank)))
+        self._q = me_outcome_probs(np.reshape([sep.b_coeffs for sep in executed] + me_final, (-1, rank)))
         tables = self._q[:, (np.arange(rank)[:, None] - np.arange(rank)) % rank]
-        self.dist = np.zeros((rank, len(records)))
+        self.dist = np.zeros((rank, len(self.records)))
         weight = 1.0
         for n, p_stage in enumerate(self.probs):
             self.dist[:, n * rank : (n + 1) * rank] = weight * p_stage * tables[n]
             weight *= 1.0 - p_stage
-        # The final action's records are the last ones.
-        if finals:
-            self.dist[:, -rank:] = weight * tables[-1]
-        elif guess == GUESS_UNIFORM:
-            self.dist[:, -rank:] = weight / rank
-        else:
-            self.dist[:, -1] = weight
+        # The final block's records are the last ones.
+        self.dist[:, -len(finals) :] = weight * tables[-1] if me_final else weight / len(finals)
         for array in (self.inferred, self._q, self.dist):
             array.setflags(write=False)
 
@@ -226,12 +213,10 @@ def count_table(seed: int, n: int, dist: np.ndarray | None = None):
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """Tallies of one seeded run; a fixed seed reproduces them bit for bit."""
+    """Tallies of one seeded run; a fixed seed reproduces them bit for bit.
+    Its inputs (seed, state, strategy) are the caller's."""
 
     n_trials: int
-    seed: int
-    strategy: str
-    state: dict
     outcome_labels: tuple
     joint_counts: np.ndarray
     stage_attempts: tuple
@@ -272,9 +257,6 @@ def run_simulation(
     info_bits = counts_mutual_info(counts, n_trials)
     return SimulationReport(
         n_trials=n_trials,
-        seed=int(seed),
-        strategy=strat.describe(),
-        state=s.to_dict(),
         outcome_labels=fam.records,
         joint_counts=counts,
         stage_attempts=tuple(attempts),

@@ -50,12 +50,9 @@ class EveStrategy:
 
 @dataclass(frozen=True, eq=False)
 class QkdReport:
-    """Tallies of one seeded key-distribution run."""
+    """Tallies of one seeded key-distribution run; its inputs are the caller's."""
 
     n_rounds: int
-    seed: int
-    eve: str
-    state: dict
     kept: int
     errors: int
     sift_rate: float
@@ -98,9 +95,6 @@ def simulate_qkd(
             eve_info = counts_mutual_info(counts[:, None, :], kept)
     return QkdReport(
         n_rounds=n_rounds,
-        seed=int(seed),
-        eve=eve.describe(),
-        state=s.to_dict(),
         kept=kept,
         errors=errors,
         sift_rate=kept / n_rounds,

@@ -120,15 +120,14 @@ class CircuitTree:
                 break
             current = failed
         self.final_offset = len(records)
-        self.guess = None
+        # A guess replaces abstention; after an ME final it never fires.
+        self.guess = None if final == FINAL_ME else guess
         if final == FINAL_ME:
             records += [f"f:{l}" for l in range(rank)]
-        else:
+        elif guess is None:
             records.append("inc")
-            if guess is not None:
-                self.final_offset += 1
-                self.guess = guess
-                records += [f"{'g' if guess == GUESS_ME else 'u'}:{l}" for l in range(rank)]
+        else:
+            records += [f"{'g' if guess == GUESS_ME else 'u'}:{l}" for l in range(rank)]
         self.records = tuple(records)
         self.final_table = None
         if final == FINAL_ME or self.guess == GUESS_ME:
@@ -160,8 +159,8 @@ def circuit_joint(s, strat) -> np.ndarray:
     distribution. Row j*d2 + k, column record*d2 + m."""
     readout = verify_channel(s)
     dist = CircuitTree(s, strat.plan.stages, strat.plan.final_action).distribution()
-    joint = np.einsum("jkm,jr->jkrm", readout, dist) / s.n_messages
-    return joint.reshape(s.n_messages, dist.shape[1] * s.d2)
+    joint = np.einsum("jkm,jr->jkrm", readout, dist) / (s.d2 * s.D)
+    return joint.reshape(s.d2 * s.D, dist.shape[1] * s.d2)
 
 
 def circuit_sift_rate(s) -> float:

@@ -272,7 +272,7 @@ def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
     """
     dist = _BranchTree(s.coeffs, strat.plan).dist
     per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))
-    return _expand_joint(per_message, s.n_messages, s.d2)
+    return _expand_joint(per_message, s.d2 * s.D, s.d2)
 
 
 def mutual_info_from_joint(joint) -> float:

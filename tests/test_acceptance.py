@@ -243,7 +243,7 @@ def test_criterion_6_monte_carlo_consistency():
         # each of its ~60 cells would fail on about 15% of seeds of a sampler
         # drawing from the right law.
         dist = _BranchTree(state.coeffs, strat.plan).dist
-        probs = np.broadcast_to(dist[:, None, :] / state.n_messages, report.joint_counts.shape)
+        probs = np.broadcast_to(dist[:, None, :] / (state.d2 * state.D), report.joint_counts.shape)
         assert_counts_follow(report.joint_counts, probs)
         cells_checked += report.joint_counts.size
     elapsed = time.perf_counter() - started

@@ -250,6 +250,17 @@ def test_public_api_is_pinned():
     assert [f.name for f in dataclasses.fields(EveStrategy)] == ["strategy", "fallback"]
 
 
+def test_reports_hold_only_what_the_run_produced():
+    # The seed, state and policy are the caller's inputs; cli writes them into the JSON report.
+    assert [f.name for f in dataclasses.fields(densecode.SimulationReport)] == [
+        "n_trials", "outcome_labels", "joint_counts", "stage_attempts", "stage_successes",
+        "empirical_mutual_info_bits", "tree",
+    ]
+    assert [f.name for f in dataclasses.fields(densecode.QkdReport)] == [
+        "n_rounds", "kept", "errors", "sift_rate", "sifted_error_rate", "eve_info_bits", "eve_counts", "tree",
+    ]
+
+
 def test_sweeps_and_runs_build_no_operator(monkeypatch, tmp_path):
     def refuse(self):
         raise AssertionError("dense Operator built on the runtime path")
@@ -314,6 +325,36 @@ def test_sweep_multistage_walks_the_hierarchy_once(monkeypatch, tmp_path):
     assert cli.main(argv) == 0
     assert len(walks) == 1 and len(checks) == 1 and len(separations) == 2
     assert len(transforms) <= 4
+
+
+class _Admitted(Exception):
+    """Raised in place of the stage walk: the tree passed its size rule."""
+
+
+def test_a_guess_replaces_the_inconclusive_record(monkeypatch):
+    """An eavesdropper never abstains, so her tree holds no "inc" record: D
+    records per executed stage and D for the final block. The size rule
+    counts those records, so the full-depth intercept at rank 203 is the
+    largest it admits: 203**3 <= 2**23 < 204**3."""
+    rng = np.random.default_rng(22)
+    for (s, plan), guess in zip(_tree_cases(rng, 64), itertools.cycle(GUESSES[1:])):
+        tree = _BranchTree(s.coeffs, plan, guess)
+        assert "inc" not in tree.records and not (tree.inferred == densecode.INCONCLUSIVE).any()
+        assert len(tree.records) == tree.dist.shape[1] == s.D * len(tree.probs) + s.D
+
+    def admitted(*args):
+        raise _Admitted
+
+    def ramp(rank):
+        return np.sqrt(np.arange(1, rank + 1) / (rank * (rank + 1) / 2))
+
+    monkeypatch.setattr(protocol_sim, "walk_stages", admitted)
+    assert 203**3 <= protocol_sim.MAX_TREE_CELLS < 204**3
+    for guess in GUESSES[1:]:
+        with pytest.raises(_Admitted):
+            _BranchTree(ramp(203), StagePlan((1.0,) * 202, FINAL_ABSTAIN), guess)
+        with pytest.raises(ValueError, match=f"branch tree of {204**3} cells exceeds"):
+            _BranchTree(ramp(204), StagePlan((1.0,) * 203, FINAL_ABSTAIN), guess)
 
 
 def _tree_cases(rng, n_cases):
@@ -565,6 +606,6 @@ def test_warm_runs_equal_cold_runs():
             assert warm.tree is cold.tree
             counts = [r.joint_counts if hasattr(r, "joint_counts") else r.eve_counts for r in (cold, warm)]
             assert counts[0].tobytes() == counts[1].tobytes()
-            assert cli._report_json(cold) == cli._report_json(warm)
+            assert cli._report_json(cold, {"seed": seed}) == cli._report_json(warm, {"seed": seed})
         fresh = _BranchTree(s.coeffs, plan)
         assert run_simulation(s, strat, 10, seed).tree.dist.tobytes() == fresh.dist.tobytes()

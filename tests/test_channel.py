@@ -16,7 +16,7 @@ class TestSchmidtState:
     def test_basic_fields(self, qutrit_state):
         assert qutrit_state.D == 3
         assert abs(qutrit_state.coeffs.min() - np.sqrt(0.2)) < 1e-12
-        assert qutrit_state.n_messages == 12
+        assert qutrit_state.d2 * qutrit_state.D == 12
 
     def test_uniform_multiplicity(self):
         s = SchmidtState.from_squared(3, 3, [1 / 3, 1 / 3, 1 / 3])

@@ -207,6 +207,37 @@ def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
     assert json.loads(path.read_text()) == config
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["sweep-me", "--margin", "0.5"], None, "margin too large for this rank"),
+        (["sweep-sep", "--config", "missing.json"], None, "cannot read config missing.json: "),
+        (["sweep-sep"], [], "config file must hold a JSON object"),
+        (["sweep-sep"], {"out": 3}, "'out' must be a file path, not 3"),
+        (["sweep-multistage", "--d1", "2", "--d2", "2"], None, "this sweep needs Schmidt rank >= 3"),
+        (["sweep-sep", "--xi-steps", "0"], None, "xi_steps must be >= 1"),
+        (["montecarlo"], {"strategy": {"kind": "multistage", "final": "x"}}, "final_action must be 'me' or 'abstain'"),
+        (["qkd"], {"state": {"d1": 2, "d2": 2, "coeffs": [1.0]}}, "sifting requires channel rank >= 2"),
+        (["montecarlo"], {"state": {"d1": 0, "d2": 2, "coeffs": [1.0]}}, "subsystem dimensions must be positive"),
+        (
+            ["sweep-sep"],
+            {"state": {"d1": 2, "d2": 2, "coeffs": [-0.2, 1.2], "squared": True}},
+            "squared coefficients must be nonnegative",
+        ),
+    ],
+)
+def test_error_paths_print_one_line_and_write_nothing(argv, config, message, tmp_path, monkeypatch, capsys):
+    # No --out: each command would write its default files into the working directory.
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "config.json"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["config.json"])
+
+
 @pytest.mark.parametrize("command", ["montecarlo", "qkd"])
 @pytest.mark.parametrize("seed", [2**64, -1])
 def test_seed_flag_outside_u64_fails_cleanly(command, seed, tmp_path, capsys):
@@ -327,7 +358,7 @@ def test_run_limit_is_inclusive():
 
 
 def test_oversized_tree_fails_before_allocating(tmp_path, capsys):
-    # Unchecked, this tree of 256 * (256 * 255 + 257) cells peaked near 700 MiB.
+    # Unchecked, a tree of this size (256**3 cells) peaked near 700 MiB.
     squared = np.arange(1, 257) / (256 * 257 / 2)
     plan = {"kind": "multistage", "stages": [{"xi": 1.0}] * 255, "final": "abstain"}
     path = tmp_path / "config.json"
@@ -344,17 +375,17 @@ def test_oversized_tree_fails_before_allocating(tmp_path, capsys):
     assert cli.main(["qkd", "--config", str(path), "--out", str(tmp_path / "never.csv")]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err == f"error: branch tree of {256 * (256 * 255 + 257)} cells exceeds the limit of {MAX_TREE_CELLS}\n"
+    assert err == f"error: branch tree of {256**3} cells exceeds the limit of {MAX_TREE_CELLS}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_tree_limit_is_inclusive(monkeypatch, qubit_state):
-    # A qubit sep_me tree with a uniform guess: 2 rows by 2 stage records, "inc" and 2 guesses.
+    # A qubit sep_me tree with a uniform guess: 2 rows by 2 stage records and 2 guesses.
     eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.5))
-    monkeypatch.setattr(protocol_sim, "MAX_TREE_CELLS", 10)
+    monkeypatch.setattr(protocol_sim, "MAX_TREE_CELLS", 8)
     assert analytic_qkd_error(qubit_state.coeffs, eve) >= 0.0
-    monkeypatch.setattr(protocol_sim, "MAX_TREE_CELLS", 9)
-    with pytest.raises(ValueError, match="branch tree of 10 cells exceeds the limit of 9"):
+    monkeypatch.setattr(protocol_sim, "MAX_TREE_CELLS", 7)
+    with pytest.raises(ValueError, match="branch tree of 8 cells exceeds the limit of 7"):
         analytic_qkd_error(qubit_state.coeffs, eve)
 
 

@@ -143,9 +143,14 @@ def test_seed_outside_u64_is_rejected(seed, qubit_state):
         simulate_qkd(qubit_state, EveStrategy.absent(), 10, seed)
 
 
-def test_largest_u64_seed_runs(qubit_state):
-    assert run_simulation(qubit_state, DecodingStrategy.me(), 10, 2**64 - 1).seed == 2**64 - 1
-    assert simulate_qkd(qubit_state, EveStrategy.absent(), 10, 2**64 - 1).seed == 2**64 - 1
+def test_largest_u64_seed_runs(qubit_state, tmp_path):
+    assert run_simulation(qubit_state, DecodingStrategy.me(), 10, 2**64 - 1).n_trials == 10
+    assert simulate_qkd(qubit_state, EveStrategy.absent(), 10, 2**64 - 1).n_rounds == 10
+    # The JSON report carries the seed as parsed, every digit kept.
+    for command in ("montecarlo", "qkd"):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--seed", str(2**64 - 1), "--trials", "10", "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["seed"] == 2**64 - 1
 
 
 def _runs(state, n):

@@ -70,7 +70,7 @@ class TestDecodingStrategy:
         assert strat.describe() == name
         assert DecodingStrategy(strat.plan) == strat
 
-    def test_kind_is_not_a_field(self):
+    def test_kind_is_not_a_field(self, tmp_path):
         # A name and a plan of another shape cannot be paired: the plan alone
         # names the strategy, so no run can report a policy it did not run.
         plan = StagePlan((1.0,), FINAL_ABSTAIN)
@@ -81,7 +81,14 @@ class TestDecodingStrategy:
         strat = DecodingStrategy(plan)
         report = run_simulation(SchmidtState.from_squared(2, 2, [0.2, 0.8]), strat, 100, seed=1)
         assert report.outcome_labels == ("s1:0", "s1:1", "inc")
-        assert report.strategy == strat.describe() == "sep_me(xi=1)"
+        assert strat.describe() == "sep_me(xi=1)"
+        # The JSON report names the strategy that the labels come from.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strategy": {"kind": "multistage", "stages": [{"xi": 1}]}, "trials": 100}))
+        assert cli.main(["montecarlo", "--config", str(config), "--out", str(tmp_path / "run.csv")]) == 0
+        payload = json.loads((tmp_path / "run.json").read_text())
+        assert payload["strategy"] == "sep_me(xi=1)"
+        assert payload["outcome_labels"] == ["s1:0", "s1:1", "inc"]
 
 
 class TestRunSimulation:
@@ -114,9 +121,9 @@ class TestRunSimulation:
         a = run_simulation(qubit_state, strat, 20000, seed=9)
         b = run_simulation(qubit_state, strat, 20000, seed=9)
         c = run_simulation(qubit_state, strat, 20000, seed=9, threads=3)
-        assert cli._report_json(a) == cli._report_json(b) == cli._report_json(c)
+        assert cli._report_json(a, {}) == cli._report_json(b, {}) == cli._report_json(c, {})
         d = run_simulation(qubit_state, strat, 20000, seed=10)
-        assert cli._report_json(a) != cli._report_json(d)
+        assert cli._report_json(a, {}) != cli._report_json(d, {})
 
     def test_empirical_mutual_info_close_to_analytic(self, qubit_state):
         report = run_simulation(qubit_state, DecodingStrategy.me(), 100000, seed=4)
@@ -175,7 +182,7 @@ class TestRunSimulation:
 class TestSerialization:
     def test_json_round_trip(self, qubit_state):
         report = run_simulation(qubit_state, DecodingStrategy.sep_me(1.0), 5000, seed=7)
-        payload = json.loads(cli._report_json(report))
+        payload = json.loads(cli._report_json(report, {"seed": 7}))
         assert payload["n_trials"] == 5000
         assert payload["seed"] == 7
         assert sum(payload["counts"].values()) == 5000

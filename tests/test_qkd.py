@@ -85,7 +85,7 @@ class TestEveStrategy:
         assert absent == EveStrategy.absent() and absent.strategy is None
         assert absent.describe() == "absent"
 
-    def test_absence_is_a_missing_strategy(self, qubit_state):
+    def test_absence_is_a_missing_strategy(self, qubit_state, tmp_path):
         # An absent eavesdropper cannot carry a strategy: one with a strategy
         # intercepts, and is named and run as intercepting.
         with pytest.raises(ValueError, match="must be a DecodingStrategy, not 'absent'"):
@@ -95,8 +95,14 @@ class TestEveStrategy:
         eve = EveStrategy(DecodingStrategy.me())
         assert eve == EveStrategy.intercept(DecodingStrategy.me())
         report = simulate_qkd(qubit_state, eve, 20000, seed=2)
-        assert report.eve == "intercept(me, fallback=uniform)"
+        assert eve.describe() == "intercept(me, fallback=uniform)"
         assert report.errors > 0 and report.tree.records == ("f:0", "f:1")
+        # The CSV and the JSON report name the eavesdropper that ran.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"eve": {"kind": "intercept", "strategy": {"kind": "me"}}, "trials": 20000}))
+        assert cli.main(["qkd", "--config", str(config), "--out", str(tmp_path / "run.csv")]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["eve"] == "intercept(me, fallback=uniform)"
+        assert (tmp_path / "run.csv").read_text().splitlines()[1].startswith('"intercept(me, fallback=uniform)",')
 
 
 class TestSimulateQkd:
@@ -123,7 +129,7 @@ class TestSimulateQkd:
         a = simulate_qkd(qubit_state, eve, 20000, seed=5)
         b = simulate_qkd(qubit_state, eve, 20000, seed=5)
         c = simulate_qkd(qubit_state, eve, 20000, seed=5, threads=3)
-        assert cli._report_json(a) == cli._report_json(b) == cli._report_json(c)
+        assert cli._report_json(a, {}) == cli._report_json(b, {}) == cli._report_json(c, {})
 
     def test_succeeded_rounds_are_exact(self, qubit_state):
         # maximum-confidence successes identify the dit with certainty
@@ -145,8 +151,8 @@ class TestSimulateQkd:
     def test_json_payload(self, qubit_state):
         eve = EveStrategy.intercept(DecodingStrategy.me())
         report = simulate_qkd(qubit_state, eve, 4096, seed=7)
-        payload = json.loads(cli._report_json(report))
-        assert payload["n_rounds"] == 4096
+        payload = json.loads(cli._report_json(report, {"seed": 7}))
+        assert payload["n_rounds"] == 4096 and payload["seed"] == 7
         assert sum(payload["eve_counts"].values()) == payload["kept"]
 
 

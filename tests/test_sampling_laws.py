@@ -65,7 +65,7 @@ def test_record_counts_follow_distribution(rank, kind):
     assert report.outcome_labels == labels
     assert report.joint_counts.shape == (s.D, s.d2, len(labels))
     assert int(report.joint_counts.sum()) == MC_TRIALS
-    probs = np.broadcast_to(dist[:, None, :] / s.n_messages, report.joint_counts.shape)
+    probs = np.broadcast_to(dist[:, None, :] / (s.d2 * s.D), report.joint_counts.shape)
     assert_counts_follow(report.joint_counts, probs)
 
 
@@ -172,7 +172,7 @@ def test_samplers_take_rows_at_float_edges(state, kind):
     seed = 1100 + EDGE_CASES.index((state, kind))
     for n in EDGE_TRIALS:
         report = run_simulation(s, strat, n, seed=seed)
-        probs = np.broadcast_to(dist[:, None, :] / s.n_messages, report.joint_counts.shape)
+        probs = np.broadcast_to(dist[:, None, :] / (s.d2 * s.D), report.joint_counts.shape)
         assert_counts_follow(report.joint_counts, probs)
 
         for fallback in (GUESS_UNIFORM, GUESS_ME):
