@@ -146,30 +146,26 @@ def mutual_info_multistage(s: SchmidtState, plan: StagePlan) -> InfoReport:
 
 
 def counts_mutual_info(counts, n: int) -> float:
-    """Plug-in mutual information of `counts`, shape (D, d2, records): trials
-    with message (j, k) and record r, read out as m = k, over `n` trials.
+    """Plug-in mutual information of the integer `counts`, shape (D, d2,
+    records): trials with message (j, k) and record r, read out as m = k,
+    over `n` trials.
 
-    Works from the counts alone and gives the bits of the textbook mutual
-    information of the dense block-diagonal (D*d2) x (records*d2) table
-    (the tests' oracle, tests/dense.py:mutual_info_from_joint), with every
-    floating-point operation kept in order: rows are summed pairwise at the
-    table's row length (zeros add exactly), columns sequentially over j, and
-    terms, taken in the table's row-major order with math.log2, sequentially.
+    That is the information of the block-diagonal (D*d2) x (records*d2) count
+    table, read from the counts alone: each marginal is an integer sum divided
+    once by n, and the terms, in the table's row-major order (the flat order
+    of `counts`), are summed sequentially with math.log2, as the tests' oracle
+    tests/dense.py:counts_table_mutual_info sums them.
     """
     counts = np.asarray(counts)
-    if counts.ndim != 3 or n < 1 or counts.min() < 0 or counts.sum() != n:
-        raise ValueError(f"counts must be a nonnegative (D, d2, records) array summing to n = {n}")
-    rank, d2, n_records = counts.shape
-    probs = counts / n
-    rows = np.empty((rank, d2))
-    buf = np.zeros((rank, n_records * d2))
-    for k in range(d2):
-        buf[:, k::d2] = probs[:, k, :]
-        rows[:, k] = buf.sum(axis=1)
-        buf[:, k::d2] = 0.0
-    cols = probs.sum(axis=0)
-    j, k, r = np.nonzero(probs > _ZERO_PROB)
-    p = probs[j, k, r]
+    if counts.dtype.kind not in "iu" or counts.ndim != 3 or n < 1 or counts.min() < 0 or counts.sum() != n:
+        raise ValueError(f"counts must be a nonnegative integer (D, d2, records) array summing to n = {n}")
+    rows = counts.sum(axis=2) / n
+    cols = counts.sum(axis=0) / n
+    cells = np.flatnonzero(counts)
+    p = counts.ravel()[cells] / n
+    live = p > _ZERO_PROB
+    j, k, r = np.unravel_index(cells[live], counts.shape)
+    p = p[live]
     ratio = p / (rows[j, k] * cols[k, r])
     terms = p * np.fromiter(map(math.log2, ratio.tolist()), float, count=ratio.size)
     # Sequential like the oracle's loop; np.sum would sum pairwise.

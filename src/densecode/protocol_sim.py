@@ -172,8 +172,9 @@ def _shared_tree(coeff_bytes: bytes, plan: StagePlan, guess) -> _BranchTree:
     return _BranchTree(np.frombuffer(coeff_bytes).copy(), plan, guess)
 
 
-#: Most terms D * records * d2**2 (D records per planned stage and final action)
-#: a run's information estimate may sum; the deepest plan at rank 64, d2 = 64 takes 2**30.
+#: Most cells D * records * d2**2 (D records per planned stage and final action) of the joint
+#: table a run's information describes; the run reads its D * records * d2 block-diagonal counts.
+#: The deepest plan at rank 64, d2 = 64 takes 2**30.
 MAX_RUN_TERMS = 2**30
 
 

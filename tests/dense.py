@@ -8,9 +8,10 @@ as dense kets, operators and POVMs from `densecode.tensor_core` and
 family, a separation's Kraus pair and dilation unitary on an ambient space,
 the ME measurement, Bayes confidence and conditional entropy. They serve
 `circuit_oracle.py` and the tests that check the closed form against the
-circuit. The textbook joint-table oracle lives here too: `analytic_joint`
-expands the branch tree into the dense (message) x (record, m) table, and
-`mutual_info_from_joint` is the mutual information of any joint table.
+circuit. The textbook joint-table oracles live here too: `analytic_joint`
+expands the branch tree into the dense (message) x (record, m) table,
+`mutual_info_from_joint` is the mutual information of any joint table, and
+`counts_table_mutual_info` the plug-in information of a dense count table.
 
 The Kraus pair is not part of the runtime: `kraus_diagonals` derives it here
 from the Chefles-Barnett formula, without calling `separate`. Its diagonals
@@ -253,13 +254,14 @@ def conditional_entropy(states, m: Measurement) -> float:
     return -acc / n_states
 
 
-def _expand_joint(counts: np.ndarray, normalizer: float, d2: int) -> np.ndarray:
-    """Full (message) x (record, m) table; m is the deterministic k readout."""
-    rank, _, n_records = counts.shape
-    joint = np.zeros((rank * d2, n_records * d2))
+def _expand_joint(counts: np.ndarray) -> np.ndarray:
+    """Full (message) x (record, m) table of `counts`, shape (D, d2, records),
+    in their dtype; m is the deterministic k readout."""
+    rank, d2, n_records = counts.shape
+    joint = np.zeros((rank * d2, n_records * d2), dtype=counts.dtype)
     for j in range(rank):
         for k in range(d2):
-            joint[j * d2 + k, k::d2] = counts[j, k, :] / normalizer
+            joint[j * d2 + k, k::d2] = counts[j, k, :]
     return joint
 
 
@@ -272,7 +274,7 @@ def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
     """
     dist = _BranchTree(s.coeffs, strat.plan).dist
     per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))
-    return _expand_joint(per_message, s.d2 * s.D, s.d2)
+    return _expand_joint(per_message) / (s.d2 * s.D)
 
 
 def mutual_info_from_joint(joint) -> float:
@@ -296,4 +298,27 @@ def mutual_info_from_joint(joint) -> float:
     for i, j in zip(*np.nonzero(table > _ZERO_PROB)):
         p = table[i, j]
         acc += p * math.log2(p / (row[i] * col[j]))
+    return float(acc)
+
+
+def counts_table_mutual_info(table, n: int) -> float:
+    """Plug-in mutual information of a dense integer count table over `n`
+    trials: each marginal an integer sum divided by n, the terms summed in a
+    row-major loop.
+
+    Serves as the oracle of infometrics.counts_mutual_info, which reads the
+    same figures from the compact counts of a block-diagonal table.
+    """
+    table = np.asarray(table)
+    if table.dtype.kind not in "iu" or table.ndim != 2:
+        raise ValueError("table must be a 2D integer array")
+    if n < 1 or table.min() < 0 or table.sum() != n:
+        raise ValueError(f"table must be nonnegative and sum to n = {n}")
+    row = table.sum(axis=1) / n
+    col = table.sum(axis=0) / n
+    acc = 0.0
+    for i, j in zip(*np.nonzero(table)):
+        p = table[i, j] / n
+        if p > _ZERO_PROB:
+            acc += p * math.log2(p / (row[i] * col[j]))
     return float(acc)

@@ -1,5 +1,6 @@
 """Plug-in mutual information straight from the counts: bit for bit the
-textbook value of the dense joint table, at a fraction of its memory."""
+value of the dense integer count table (tests/dense.py:counts_table_mutual_info),
+at a fraction of its memory."""
 
 import itertools
 import json
@@ -26,12 +27,12 @@ from densecode import (
 )
 import dense
 from conftest import random_schmidt, refuse_everywhere
-from dense import _expand_joint, mutual_info_from_joint
+from dense import _expand_joint, counts_table_mutual_info
 
 
 def dense_mi(counts, n: int) -> float:
-    """The oracle: textbook MI of the dense (D*d2) x (records*d2) table."""
-    return mutual_info_from_joint(_expand_joint(counts.astype(float), n, counts.shape[1]))
+    """The oracle: plug-in MI of the dense integer (D*d2) x (records*d2) table."""
+    return counts_table_mutual_info(_expand_joint(counts), n)
 
 
 def _strategy(rng, rank: int, kind: int) -> DecodingStrategy:
@@ -66,7 +67,7 @@ def test_simulate_qkd_bits_equal_dense_oracle(rank, kind, fallback):
     s = random_schmidt(rng, rank=rank, d2=rank + 1, d1=rank)
     eve = EveStrategy.intercept(_strategy(rng, rank, kind), fallback)
     report = simulate_qkd(s, eve, 20001, seed=int(rng.integers(2**63)))
-    oracle = mutual_info_from_joint(report.eve_counts.astype(float) / report.kept)
+    oracle = counts_table_mutual_info(report.eve_counts, report.kept)
     assert counts_mutual_info(report.eve_counts[:, None, :], report.kept) == oracle
     assert report.eve_info_bits == oracle
 
@@ -92,9 +93,12 @@ def test_random_counts_bits_equal_dense_oracle(rank, d2, n_records, density, n, 
 
 def test_rejects_counts_that_do_not_sum_to_n():
     counts = np.ones((2, 2, 3), dtype=np.int64)
-    for bad in (np.ones((4, 3)), -counts):
+    for bad in (np.ones((4, 3), dtype=np.int64), -counts):
         with pytest.raises(ValueError):
             counts_mutual_info(bad, 12)
+    # Integer marginals are exact only for integer counts.
+    with pytest.raises(ValueError, match="integer"):
+        counts_mutual_info(np.ones((2, 2, 3)), 12)
     with pytest.raises(ValueError, match="n = 11"):
         counts_mutual_info(counts, 11)
     assert counts_mutual_info(counts, 12) == dense_mi(counts, 12)
@@ -113,8 +117,25 @@ def test_rank64_run_stays_small():
     assert peak < 60 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_sparse_wide_table_peaks_below_a_quarter_of_it():
+    """No float copy of the counts: 4096 trials over a 32 MiB table."""
+    rng = np.random.default_rng(23)
+    counts = np.zeros((16, 64, 4096), dtype=np.int64)
+    np.add.at(counts.ravel(), rng.integers(counts.size, size=4096), 1)
+    tracemalloc.start()
+    try:
+        bits = counts_mutual_info(counts, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bits > 0.0
+    assert peak < counts.nbytes / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_runtime_path_builds_no_dense_joint(monkeypatch, tmp_path):
-    refuse_everywhere(monkeypatch, [dense._expand_joint, dense.mutual_info_from_joint])
+    refuse_everywhere(
+        monkeypatch, [dense._expand_joint, dense.mutual_info_from_joint, dense.counts_table_mutual_info]
+    )
     with pytest.raises(AssertionError):
         dense.mutual_info_from_joint(np.eye(2) / 2)
     s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
