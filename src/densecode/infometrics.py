@@ -163,9 +163,11 @@ def counts_mutual_info(counts, n: int) -> float:
     cols = counts.sum(axis=0) / n
     cells = np.flatnonzero(counts)
     p = counts.ravel()[cells] / n
-    live = p > _ZERO_PROB
-    j, k, r = np.unravel_index(cells[live], counts.shape)
-    p = p[live]
+    # A count of 1 or more gives p >= 1/n, so the zero rule can drop a cell only from 1e15 trials on.
+    if 1 / n <= _ZERO_PROB:
+        live = p > _ZERO_PROB
+        cells, p = cells[live], p[live]
+    j, k, r = np.unravel_index(cells, counts.shape)
     ratio = p / (rows[j, k] * cols[k, r])
     terms = p * np.fromiter(map(math.log2, ratio.tolist()), float, count=ratio.size)
     # Sequential like the oracle's loop; np.sum would sum pairwise.

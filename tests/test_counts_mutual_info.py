@@ -22,6 +22,7 @@ from densecode import (
     StagePlan,
     cli,
     counts_mutual_info,
+    infometrics,
     run_simulation,
     simulate_qkd,
 )
@@ -89,6 +90,17 @@ def test_random_counts_bits_equal_dense_oracle(rank, d2, n_records, density, n, 
     cells = rng.choice(np.flatnonzero(live), size=n)
     counts = np.bincount(cells, minlength=live.size).reshape(rank, d2, n_records)
     assert counts_mutual_info(counts, n) == dense_mi(counts, n)
+
+
+@pytest.mark.parametrize("n, dropped", [(10**15 - 1, False), (10**15, True), (2 * 10**15, True)])
+def test_zero_rule_at_large_trial_counts(monkeypatch, n, dropped):
+    """A count of 1 is p = 1/n, which the zero rule drops from n = 1e15 on, as the oracle does."""
+    half = n // 2
+    counts = np.array([[[half - 1, 1]], [[1, n - half - 1]]], dtype=np.int64)
+    bits = counts_mutual_info(counts, n)
+    assert bits == dense_mi(counts, n)
+    monkeypatch.setattr(infometrics, "_ZERO_PROB", 0.0)
+    assert (counts_mutual_info(counts, n) != bits) == dropped
 
 
 def test_rejects_counts_that_do_not_sum_to_n():
