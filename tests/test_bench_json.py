@@ -1,6 +1,7 @@
-"""tools/bench_json.py on fake run files: paired runs are summarised, and a
-run without its pair, or runs of one side from two source digests, stop the
-tool with a message naming their files."""
+"""tools/bench_json.py on fake run files: paired runs are summarised, traced
+pairs apart from the timed ones, and a run without its pair, or runs of one
+side from two source digests, stop the tool with a message naming their
+files."""
 
 import json
 import subprocess
@@ -14,19 +15,22 @@ TOOL = ROOT / "tools" / "bench_json.py"
 METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
-def _write_run(run_dir: Path, side: str, workload: str, seed: int, value: float, sha: str = "") -> str:
-    """One run's standard output: a provenance line, then the result line."""
+def _write_run(run_dir: Path, side: str, workload: str, seed: int, value: float, sha: str = "", trace: int = 0) -> str:
+    """One run's standard output: a provenance line, then the result line.
+    A traced run reports one per-layer metric in place of the end-to-end ones."""
     provenance = {
         "workload": workload,
         "seed": seed,
+        "trace": trace,
         "src_sha256": sha or f"{side}-sha",
         "python": "3.x",
         "numpy": "2.x",
         "cpu_count": 2,
         "blas_threads": {},
     }
-    result = {"failed": 0, "attempted": 10, "metrics": {m: {"value": value} for m in METRICS}}
-    name = f"{side}_{workload}_{seed}.txt"
+    names = ["infometrics.self_share"] if trace else METRICS
+    result = {"failed": 0, "attempted": 10, "metrics": {m: {"value": value} for m in names}}
+    name = f"{side}_{workload}_{seed}{'_traced' if trace else ''}.txt"
     lines = ["warm-up chatter", json.dumps({"provenance": provenance}), json.dumps(result)]
     (run_dir / name).write_text("\n".join(lines) + "\n")
     return name
@@ -62,6 +66,26 @@ def test_paired_runs_are_summarised(tmp_path, run_dir):
     # Lower setup_s is better: only seed 1 (2.0 against 2.0) is a tie, seed 2 and 3 lose.
     assert summary["change_wins"]["setup_s"] == 0
     assert summary["change_wins"]["units_per_ref_s"] == 2
+
+
+def test_traced_pairs_are_summarised_apart(tmp_path, run_dir):
+    _write_run(run_dir, "parent", "compile_wide", 1, 2.0)
+    _write_run(run_dir, "change", "compile_wide", 1, 1.0)
+    _write_run(run_dir, "parent", "compile_wide", 1, 0.3, trace=1)
+    _write_run(run_dir, "change", "compile_wide", 1, 0.1, trace=1)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["compile_wide"]["pairs"] == 1
+    assert doc["workloads"]["compile_wide"]["change"]["setup_s"]["median"] == 1.0
+    assert doc["traced"] == {
+        "compile_wide": {
+            "pairs": 1,
+            "seeds": [1],
+            "parent": {"infometrics.self_share": 0.3},
+            "change": {"infometrics.self_share": 0.1},
+        }
+    }
 
 
 @pytest.mark.parametrize("complete_pairs", [0, 2])

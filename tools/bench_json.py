@@ -3,15 +3,17 @@ BENCH_<n>.json.
 
     python3 tools/bench_json.py RUN_DIR PARENT_SHA CHANGE_SHA OUT
 
-RUN_DIR holds the standard output of each `perfbench/run.py --trace 0` run,
-one file per run, named `parent_<workload>_<seed>.txt` or
-`change_<workload>_<seed>.txt`; runs of both sides with the same workload and
-seed form a pair. A run without its pair stops the tool with a message that
-names its file, and so do the runs of a side whose runs come from more than
-one source digest (`src_sha256`): their medians would mix two programs. Per
-workload and side the summary gives every end-to-end metric of
-BENCHMARK.json as median and quartiles over the runs, and per metric the
-number of pairs the change won (ties count for neither side).
+RUN_DIR holds the standard output of each `perfbench/run.py` run, one file
+per run, named `parent_<...>.txt` or `change_<...>.txt` (for example
+`parent_<workload>_<seed>.txt`); runs of both sides with the same workload,
+seed and `--trace` value form a pair. A run without its pair stops the tool
+with a message that names its file, and so do the runs of a side whose runs
+come from more than one source digest (`src_sha256`): their medians would mix
+two programs. Per workload and side the summary gives every end-to-end metric
+of BENCHMARK.json as median and quartiles over the `--trace 0` runs, and per
+metric the number of pairs the change won (ties count for neither side).
+Pairs of `--trace 1` runs go under `traced`: per workload and side the median
+of each per-layer metric, which shows the layer a change of time comes from.
 """
 
 from __future__ import annotations
@@ -32,9 +34,18 @@ def _quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _by_workload(runs: dict, traced: bool) -> list:
+    """(workload, seeds, pairs) per workload, in order, of the pairs with this `--trace` value."""
+    grouped = defaultdict(list)
+    for (workload, seed, is_traced), sides in sorted(runs.items()):
+        if is_traced == traced:
+            grouped[workload].append((seed, sides))
+    return [(w, [seed for seed, _ in pairs], [sides for _, sides in pairs]) for w, pairs in grouped.items()]
+
+
 def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = defaultdict(dict)  # (workload, seed) -> side -> (provenance, result, file name)
+    runs = defaultdict(dict)  # (workload, seed, traced) -> side -> (provenance, result, file name)
     for path in sorted(Path(run_dir).glob("*.txt")):
         side = path.name.split("_", 1)[0]
         if side not in ("parent", "change"):
@@ -44,7 +55,7 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
             sys.exit(f"{path}: no result lines; the run did not finish")
         head, result = lines[-2:]
         provenance = json.loads(head)["provenance"]
-        sides = runs[(provenance["workload"], provenance["seed"])]
+        sides = runs[(provenance["workload"], provenance["seed"], bool(provenance.get("trace")))]
         if side in sides:
             sys.exit(f"{path}: a second {side} run of {provenance['workload']} seed {provenance['seed']}")
         sides[side] = (provenance, json.loads(result), path.name)
@@ -60,9 +71,8 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
             sys.exit(f"{side} runs come from more than one source digest, so they measure different programs: {listed}")
     workloads = {}
     env = {}
-    for workload in sorted({w for w, _ in runs}):
-        pairs = [sides for (w, _), sides in sorted(runs.items()) if w == workload]
-        summary = {"pairs": len(pairs), "seeds": sorted(s for w, s in runs if w == workload)}
+    for workload, seeds, pairs in _by_workload(runs, traced=False):
+        summary = {"pairs": len(pairs), "seeds": seeds}
         for side in ("parent", "change"):
             results = [sides[side][1] for sides in pairs]
             summary[side] = {
@@ -79,6 +89,12 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
             wins[m["name"]] = sum(sign * (p - c) > 0 for p, c in values)
         summary["change_wins"] = wins
         workloads[workload] = summary
+    traced = {}
+    for workload, seeds, pairs in _by_workload(runs, traced=True):
+        traced[workload] = {"pairs": len(pairs), "seeds": seeds}
+        for side in ("parent", "change"):
+            results = [sides[side][1]["metrics"] for sides in pairs]
+            traced[workload][side] = {name: statistics.median(r[name]["value"] for r in results) for name in results[0]}
     doc = {
         "parent_sha": parent_sha,
         "change_sha": change_sha,
@@ -86,6 +102,7 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
         "run_seconds": json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
         "units": {m["name"]: m["unit"] for m in metrics},
         "workloads": workloads,
+        **({"traced": traced} if traced else {}),
     }
     Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
