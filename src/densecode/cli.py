@@ -10,7 +10,7 @@ which override built-in defaults. `main` loads the config, names the output
 files (by default the command's name with "-" as "_" and extension .csv,
 plus a .json report beside a run's CSV) and writes them; a command only
 computes. Files are written after every one is rendered, and a failed write
-removes those already written, so a failing command leaves no output file.
+removes the regular files already written, so it leaves no output file.
 Floats are printed with 9 significant digits and row order is deterministic.
 """
 
@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 import os
+import stat
 import sys
 
 import numpy as np
@@ -81,14 +82,21 @@ def _table_text(header, table: np.ndarray) -> str:
 
 def _write_files(texts: dict) -> None:
     """Write each text to its path as is, without newline translation, so CSV
-    lines keep the CRLF ends that csv.writer writes. If a write fails, the
+    lines keep the CRLF ends that csv.writer writes. A regular file is rewritten
+    in place and then cut to the new length, because truncating it first makes
+    the file system free its blocks and allocate them again. Other files (FIFOs,
+    devices) are written as streams, never cut. If a write fails, the regular
     files opened so far are removed: every file is written or none."""
     opened = []
     try:
         for path, text in texts.items():
-            with open(path, "w", newline="") as fh:
-                opened.append(path)
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+                regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                if regular:
+                    opened.append(path)
                 fh.write(text)
+                if regular:
+                    fh.truncate()
     except OSError as exc:
         for done in opened:
             os.remove(done)

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -792,3 +794,82 @@ def test_default_outputs_are_named_after_the_command(argv, names, tmp_path, monk
     else:
         expected = f"wrote {len(read_csv(names[0])[1])} rows to {names[0]}\n"
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-me", "--grid", "4"],
+        ["sweep-sep", "--xi-steps", "3"],
+        ["sweep-multistage", "--grid", "3"],
+        ["montecarlo", "--trials", "100"],
+        ["qkd", "--trials", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_overwritten_output_keeps_no_stale_tail(argv, tmp_path, capsys):
+    # Outputs are rewritten in place; each must then be cut to the new length.
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    assert cli.main([*argv, "--out", str(fresh / "x.csv")]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    for name in names:
+        (old / name).write_bytes(b"stale\r\n" * (len((fresh / name).read_bytes()) // 7 + 100))
+    assert cli.main([*argv, "--out", str(old / "x.csv")]) == 0
+    assert sorted(p.name for p in old.iterdir()) == names
+    for name in names:
+        assert (old / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_new_output_mode_follows_the_umask(tmp_path, capsys):
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(["sweep-sep", "--xi-steps", "2", "--out", str(tmp_path / "x.csv")]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "x.csv").stat().st_mode) == 0o644
+
+
+def test_outputs_are_opened_without_truncation(tmp_path, monkeypatch, capsys):
+    # Truncating an existing output before writing it makes the file system
+    # free its blocks and allocate them again; the write cuts it afterwards.
+    calls = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        calls.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    out = tmp_path / "x.csv"
+    for _ in range(2):  # a new output, then one that exists
+        assert cli.main(["montecarlo", "--trials", "100", "--out", str(out)]) == 0
+    outputs = [(path, flags) for path, flags in calls if path.startswith(str(tmp_path))]
+    assert [path for path, _ in outputs] == [str(out), str(tmp_path / "x.json")] * 2
+    assert all(flags & os.O_TRUNC == 0 for _, flags in outputs)
+
+
+def test_failed_report_write_keeps_a_fifo_output(tmp_path, capsys):
+    # A FIFO output is written as a stream; when a later output fails, it stays.
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    assert cli.main(["montecarlo", "--trials", "100", "--out", str(fresh / "x.csv")]) == 0
+    capsys.readouterr()
+    fifo, report = tmp_path / "x.csv", tmp_path / "x.json"
+    os.mkfifo(fifo)
+    report.mkdir()
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert cli.main(["montecarlo", "--trials", "100", "--out", str(fifo)]) == 1
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive() and fifo.exists():  # the FIFO was never opened for writing
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert not reader.is_alive()
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write output file {report}:")
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received == [(fresh / "x.csv").read_bytes()]
