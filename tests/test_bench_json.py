@@ -1,7 +1,7 @@
 """tools/bench_json.py on fake run files: paired runs are summarised, traced
-pairs apart from the timed ones, and a run without its pair, or runs of one
-side from two source digests, stop the tool with a message naming their
-files."""
+pairs apart from the timed ones, the run length is taken from the runs, and
+a run without its pair, runs of one side from two source digests, or runs of
+two lengths stop the tool with a message naming their files."""
 
 import json
 import subprocess
@@ -15,13 +15,16 @@ TOOL = ROOT / "tools" / "bench_json.py"
 METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
-def _write_run(run_dir: Path, side: str, workload: str, seed: int, value: float, sha: str = "", trace: int = 0) -> str:
+def _write_run(
+    run_dir: Path, side: str, workload: str, seed: int, value: float, sha: str = "", trace: int = 0, seconds: float = 25.0
+) -> str:
     """One run's standard output: a provenance line, then the result line.
     A traced run reports one per-layer metric in place of the end-to-end ones."""
     provenance = {
         "workload": workload,
         "seed": seed,
         "trace": trace,
+        "seconds": seconds,
         "src_sha256": sha or f"{side}-sha",
         "python": "3.x",
         "numpy": "2.x",
@@ -123,4 +126,27 @@ def test_mixed_source_digests_are_refused(tmp_path, run_dir):
     assert "change runs come from more than one source digest" in result.stderr
     assert "edited-sha: change_qkd_intercept_1.txt" in result.stderr
     assert "change-sha: change_mc_multistage_1.txt, change_mc_multistage_2.txt" in result.stderr
+    assert not out.exists()
+
+
+def test_run_length_comes_from_the_runs(tmp_path, run_dir):
+    for seed in (1, 2):
+        _write_run(run_dir, "parent", "sweep_analytic", seed, 1.0, seconds=8.0)
+        _write_run(run_dir, "change", "sweep_analytic", seed, 1.0, seconds=8.0)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(out.read_text())["run_seconds"] == 8
+
+
+def test_mixed_run_lengths_are_refused(tmp_path, run_dir):
+    _write_run(run_dir, "parent", "sweep_analytic", 1, 1.0, seconds=8.0)
+    _write_run(run_dir, "change", "sweep_analytic", 1, 1.0, seconds=8.0)
+    _write_run(run_dir, "parent", "compile_wide", 1, 1.0, seconds=10.0)
+    _write_run(run_dir, "change", "compile_wide", 1, 1.0, seconds=8.0)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "runs of more than one length" in result.stderr
+    assert "10.0 s: parent_compile_wide_1.txt" in result.stderr
+    assert "8.0 s: change_compile_wide_1.txt, change_sweep_analytic_1.txt, parent_sweep_analytic_1.txt" in result.stderr
     assert not out.exists()

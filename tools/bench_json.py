@@ -9,7 +9,9 @@ per run, named `parent_<...>.txt` or `change_<...>.txt` (for example
 seed and `--trace` value form a pair. A run without its pair stops the tool
 with a message that names its file, and so do the runs of a side whose runs
 come from more than one source digest (`src_sha256`): their medians would mix
-two programs. Per workload and side the summary gives every end-to-end metric
+two programs. The record's `run_seconds` is the `--seconds` that every run
+states in its provenance; runs of more than one length stop the tool, naming
+their files. Per workload and side the summary gives every end-to-end metric
 of BENCHMARK.json as median and quartiles over the `--trace 0` runs, and per
 metric the number of pairs the change won (ties count for neither side).
 Pairs of `--trace 1` runs go under `traced`: per workload and side the median
@@ -59,6 +61,8 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
         if side in sides:
             sys.exit(f"{path}: a second {side} run of {provenance['workload']} seed {provenance['seed']}")
         sides[side] = (provenance, json.loads(result), path.name)
+    if not runs:
+        sys.exit(f"{run_dir}: no run files")
     unpaired = sorted(run[2] for sides in runs.values() if len(sides) < 2 for run in sides.values())
     if unpaired:
         sys.exit(f"unpaired run files, each needs the other side's run of its workload and seed: {', '.join(unpaired)}")
@@ -69,6 +73,13 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
         if len(digests) > 1:
             listed = "; ".join(f"{sha}: {', '.join(names)}" for sha, names in sorted(digests.items()))
             sys.exit(f"{side} runs come from more than one source digest, so they measure different programs: {listed}")
+    lengths = defaultdict(list)
+    for sides in runs.values():
+        for provenance, _, name in sides.values():
+            lengths[provenance["seconds"]].append(name)
+    if len(lengths) > 1:
+        listed = "; ".join(f"{seconds} s: {', '.join(sorted(names))}" for seconds, names in sorted(lengths.items()))
+        sys.exit(f"runs of more than one length cannot be summarised as one record: {listed}")
     workloads = {}
     env = {}
     for workload, seeds, pairs in _by_workload(runs, traced=False):
@@ -99,7 +110,7 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
         "parent_sha": parent_sha,
         "change_sha": change_sha,
         **env,
-        "run_seconds": json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
+        "run_seconds": next(iter(lengths)),
         "units": {m["name"]: m["unit"] for m in metrics},
         "workloads": workloads,
         **({"traced": traced} if traced else {}),
