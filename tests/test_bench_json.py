@@ -150,3 +150,10 @@ def test_mixed_run_lengths_are_refused(tmp_path, run_dir):
     assert "10.0 s: parent_compile_wide_1.txt" in result.stderr
     assert "8.0 s: change_compile_wide_1.txt, change_sweep_analytic_1.txt, parent_sweep_analytic_1.txt" in result.stderr
     assert not out.exists()
+
+
+def test_empty_run_directory_is_refused(tmp_path, run_dir):
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr and "no run files" in result.stderr
+    assert not out.exists()
