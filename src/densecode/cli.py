@@ -61,21 +61,29 @@ def _csv_text(rows) -> str:
     return fh.getvalue()
 
 
-def _table_text(header, table: np.ndarray) -> str:
-    """An (N, C) float64 table under `header`, as _csv_text renders it. Per block
-    of rows, each distinct bit pattern of a column (so -0.0 is not 0.0) is formatted once."""
+def _cell_text(values: np.ndarray) -> np.ndarray:
+    """The text of each float in `values` by one format call ("%.9g" writes no comma)."""
+    values = values.tolist()
+    return np.array(((_FLOAT + ",") * len(values) % tuple(values)).split(",")[:-1], dtype=object)
+
+
+def _table_text(header, columns) -> str:
+    """Float64 columns under `header`, as _csv_text renders them. Each levels array of a lattice column
+    (levels, codes) is formatted once; any other column's distinct bit patterns (-0.0 is not 0.0) once per block."""
+    texts = {id(c[0]): _cell_text(c[0]) for c in columns if isinstance(c, tuple)}
+    cells = [(texts[id(c[0])], c[1]) if isinstance(c, tuple) else (None, c) for c in columns]
 
     def blocks():
         yield _csv_text([header])
-        for start in range(0, len(table), _BLOCK_ROWS):
-            columns = []
-            for column in table[start : start + _BLOCK_ROWS].T:
-                bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-                values = bits.view(np.float64).tolist()
-                # One format call for the block's values; "%.9g" never writes a comma.
-                text = np.array(((_FLOAT + ",") * len(values) % tuple(values)).split(",")[:-1], dtype=object)
-                columns.append(text[inverse].tolist())
-            yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+        for start in range(0, len(cells[0][1]), _BLOCK_ROWS):
+            block = []
+            for text, column in cells:
+                column = column[start : start + _BLOCK_ROWS]
+                if text is None:
+                    bits, column = np.unique(column.view(np.int64), return_inverse=True)
+                    text = _cell_text(bits.view(np.float64))
+                block.append(text[column].tolist())
+            yield "\r\n".join(map(",".join, zip(*block))) + "\r\n"
 
     return "".join(blocks())
 
@@ -110,15 +118,11 @@ def _check_size(rows: int, rank: int) -> None:
         raise ValueError(f"sweep of {rows} x {rank} coefficients exceeds the limit of {MAX_SWEEP_COEFFS}")
 
 
-def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
-    """Uniform lattice over squared coefficients, affinely shrunk so every
-    coordinate stays at least `margin` from the simplex boundary (a boundary
-    point would change the Schmidt rank). The centroid is on the grid whenever
-    `rank` divides `resolution`.
-
-    Rows are the nonnegative integer compositions of `resolution` into `rank`
-    parts, in lexicographic order, each scaled as margin + (k / resolution) *
-    (1 - rank * margin)."""
+def _lattice(rank: int, resolution: int, margin: float):
+    """(levels, codes): rows of codes, in the smallest unsigned dtype that holds `resolution`, are its
+    compositions into `rank` parts in lexicographic order; part k stands for the squared coefficient
+    levels[k] = margin + (k / resolution) * (1 - rank * margin). The margin keeps each point off the simplex
+    boundary, where the Schmidt rank would change; the centroid is on it whenever `rank` divides `resolution`."""
     if rank < 1:
         raise ValueError("grid rank must be >= 1")
     if resolution < 2:
@@ -127,19 +131,31 @@ def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
         raise ValueError(f"boundary margin must be positive and finite, not {margin!r}")
     if rank * margin >= 1.0:
         raise ValueError("margin too large for this rank")
-    _check_size(math.comb(resolution + rank - 1, rank - 1), rank)
+    # C(resolution + rank - 1, rank - 1) rows, counted a factor at a time up to 10^40 (math.comb may take a minute).
+    rows, (k, n) = 1, sorted((rank - 1, resolution))
+    for i in range(1, k + 1):
+        if (rows := rows * (n + i) // i) > 10**40:
+            raise ValueError(f"sweep of more than 10^40 x {rank} coefficients exceeds the limit of {MAX_SWEEP_COEFFS}")
+    _check_size(rows, rank)
+    resolution = resolution if rank > 1 else 1  # a rank-1 lattice is one point, of share 1 at any resolution
     # Grow the compositions one part at a time: each prefix with `left` still
     # to place is followed by heads 0..left, which keeps lexicographic order.
-    combos = np.zeros((1, 0), dtype=np.int64)
+    codes = np.zeros((1, 0), dtype=np.min_scalar_type(resolution))
     left = np.array([resolution])
     for _ in range(rank - 1):
         counts = left + 1
         prefix = np.repeat(np.arange(left.size), counts)
         heads = np.arange(prefix.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        combos = np.column_stack([combos[prefix], heads])
+        codes = np.column_stack([codes[prefix], heads.astype(codes.dtype)])
         left = left[prefix] - heads
-    combos = np.column_stack([combos, left])
-    return margin + (combos / resolution) * (1.0 - rank * margin)
+    codes = np.column_stack([codes, left.astype(codes.dtype)])
+    return margin + (np.arange(resolution + 1) / resolution) * (1.0 - rank * margin), codes
+
+
+def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
+    """The squared coefficients levels[codes] of a _lattice, one state per row."""
+    levels, codes = _lattice(rank, resolution, margin)
+    return levels[codes]
 
 
 def _is_real(value) -> bool:
@@ -294,26 +310,21 @@ def _sidecar(args, out: str) -> str:
     return _unless_config(args, sidecar)
 
 
-def _simplex_coeffs(args, config: dict, grid: int, min_rank: int = 1):
-    """(d2, Schmidt coefficients of a simplex sweep, one state per row)."""
-    d1 = _setting(args, config, "d1", 3)
-    d2 = _setting(args, config, "d2", 4)
-    rank = min(d1, d2)
-    if rank < min_rank:
+def _simplex_sweep(args, config: dict, grid: int, figures, min_rank: int = 1):
+    """A simplex sweep's header and columns: a0..a_{D-2} as lattice columns, then figures(coeffs, d2)."""
+    d1, d2 = _setting(args, config, "d1", 3), _setting(args, config, "d2", 4)
+    if min(d1, d2) < min_rank:
         raise RuntimeError(f"this sweep needs Schmidt rank >= {min_rank}")
     grid, margin = _setting(args, config, "grid", grid), _setting(args, config, "margin", _DEFAULT_MARGIN)
-    return d2, check_coeffs(d1, d2, np.sqrt(simplex_grid(rank, grid, margin)))
-
-
-def _sweep(coeffs: np.ndarray, columns: dict):
-    """A simplex sweep's header and table: the free coefficients a0..a_{D-2}, then `columns`."""
-    header = [f"a{i}" for i in range(coeffs.shape[1] - 1)] + list(columns)
-    return header, np.column_stack([coeffs[:, :-1], *columns.values()])
+    levels, codes = _lattice(min(d1, d2), grid, margin)
+    levels = np.sqrt(levels)  # levels[codes] is np.sqrt(simplex_grid(...)), bit for bit
+    columns = figures(check_coeffs(d1, d2, levels[codes]), d2)
+    header = [f"a{i}" for i in range(codes.shape[1] - 1)] + list(columns)
+    return header, [(levels, part) for part in codes.T[:-1]] + list(columns.values())
 
 
 def _cmd_sweep_me(args, config: dict):
-    d2, coeffs = _simplex_coeffs(args, config, 60)
-    return _sweep(coeffs, {"I_bits": me_bits(coeffs, d2)})
+    return _simplex_sweep(args, config, 60, lambda coeffs, d2: {"I_bits": me_bits(coeffs, d2)})
 
 
 def _cmd_sweep_sep(args, config: dict):
@@ -325,12 +336,11 @@ def _cmd_sweep_sep(args, config: dict):
     xi = np.arange(steps + 1) / steps
     total, (p_s,), (success,) = multistage_bits(state.coeffs, state.d2, (xi,), FINAL_ABSTAIN)
     i_me = np.full(xi.size, me_bits(state.coeffs, state.d2))
-    return ["xi", "P_s", "I_total", "I_success", "I_ME"], np.column_stack([xi, p_s, total, success, i_me])
+    return ["xi", "P_s", "I_total", "I_success", "I_ME"], [xi, p_s, total, success, i_me]
 
 
 def _cmd_sweep_multistage(args, config: dict):
-    d2, coeffs = _simplex_coeffs(args, config, 30, min_rank=3)
-    return _sweep(coeffs, multistage_columns(coeffs, d2))
+    return _simplex_sweep(args, config, 30, multistage_columns, min_rank=3)
 
 
 #: The montecarlo CSV's bound on |empirical - analytic| mutual information, in
@@ -470,9 +480,9 @@ def main(argv=None) -> int:
             _write_files({out: _csv_text([header, *rows]), sidecar: report_json})
             print(f"wrote {out} and {sidecar}")
         else:
-            header, table = args.func(args, config)
-            _write_files({out: _table_text(header, table)})
-            print(f"wrote {len(table)} rows to {out}")
+            header, columns = args.func(args, config)
+            _write_files({out: _table_text(header, columns)})
+            print(f"wrote {len(columns[-1])} rows to {out}")  # a figure column, not a lattice one
         return 0
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

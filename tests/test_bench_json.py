@@ -1,7 +1,8 @@
-"""tools/bench_json.py on fake run files: paired runs are summarised, traced
-pairs apart from the timed ones, the run length is taken from the runs, and
-a run without its pair, runs of one side from two source digests, or runs of
-two lengths stop the tool with a message naming their files."""
+"""tools/bench_json.py on fake run files: paired runs are summarised with the
+relative change of their medians, traced pairs apart from the timed ones, the
+run length is taken from the runs, and a run without its pair, runs of one
+side from two source digests, or runs of two lengths stop the tool with a
+message naming their files."""
 
 import json
 import subprocess
@@ -69,6 +70,21 @@ def test_paired_runs_are_summarised(tmp_path, run_dir):
     # Lower setup_s is better: only seed 1 (2.0 against 2.0) is a tie, seed 2 and 3 lose.
     assert summary["change_wins"]["setup_s"] == 0
     assert summary["change_wins"]["units_per_ref_s"] == 2
+
+
+def test_relative_change_of_the_medians(tmp_path, run_dir):
+    for seed, (parent, change) in enumerate([(2.0, 1.0), (4.0, 3.0), (8.0, 5.0)]):
+        _write_run(run_dir, "parent", "sweep_analytic", seed, parent)
+        _write_run(run_dir, "change", "sweep_analytic", seed, change)
+    _write_run(run_dir, "parent", "compile_wide", 1, 0.0)
+    _write_run(run_dir, "change", "compile_wide", 1, 1.0)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 0, result.stderr
+    workloads = json.loads(out.read_text())["workloads"]
+    # Medians 4.0 and 3.0, whatever the metric.
+    assert workloads["sweep_analytic"]["rel_change"] == {m: -0.25 for m in METRICS}
+    # A parent median of 0 has no relative change.
+    assert workloads["compile_wide"]["rel_change"] == {m: None for m in METRICS}
 
 
 def test_traced_pairs_are_summarised_apart(tmp_path, run_dir):

@@ -402,6 +402,28 @@ def test_program_errors_are_not_caught(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("rank", [20000, 300000])
+def test_oversized_lattice_is_refused_quickly(rank, tmp_path, capsys):
+    # math.comb of the row count took 4.4 s at rank 300,000, and at rank 20,000
+    # its 12,000 digits could not be printed, which ended in another error.
+    out = tmp_path / "never.csv"
+    argv = ["sweep-multistage", "--d1", str(rank), "--d2", str(rank), "--grid", str(rank), "--margin", "1e-9"]
+    start = time.perf_counter()
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    limit = cli.MAX_SWEEP_COEFFS
+    assert capsys.readouterr().err == f"error: sweep of more than 10^40 x {rank} coefficients exceeds the limit of {limit}\n"
+    assert not out.exists()
+
+
+def test_lattice_rows_are_counted_exactly_up_to_10_to_the_40():
+    # A rank-2 lattice has resolution + 1 rows.
+    with pytest.raises(ValueError, match=f"^sweep of {10**40} x 2 coefficients exceeds"):
+        cli.simplex_grid(2, 10**40 - 1, 1e-3)
+    with pytest.raises(ValueError, match=r"^sweep of more than 10\^40 x 2 coefficients exceeds"):
+        cli.simplex_grid(2, 10**40, 1e-3)
+
+
 def test_sweep_row_limit_is_inclusive():
     cli._check_size(cli.MAX_SWEEP_COEFFS // 8, 8)
     with pytest.raises(ValueError, match=f"sweep of {cli.MAX_SWEEP_COEFFS // 8 + 1} x 8 coefficients"):
@@ -624,6 +646,32 @@ def test_simplex_grid_matches_recursive_compositions(rank, resolution, margin):
     assert grid.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("rank", range(1, 7))
+@pytest.mark.parametrize("resolution, margin", [(2, 1e-3), (5, 0.01), (12, 1e-3), (13, 0.05)])
+def test_lattice_levels_by_code_match_the_reference(rank, resolution, margin):
+    levels, codes = cli._lattice(rank, resolution, margin)
+    assert codes.dtype == np.uint8
+    assert np.sqrt(levels)[codes].tobytes() == np.sqrt(_reference_grid(rank, resolution, margin)).tobytes()
+
+
+@pytest.mark.parametrize("resolution, dtype", [(255, np.uint8), (256, np.uint16), (65536, np.uint32)])
+def test_lattice_codes_take_the_smallest_unsigned_dtype(resolution, dtype):
+    levels, codes = cli._lattice(2, resolution, 1e-6)
+    assert codes.dtype == dtype and levels.shape == (resolution + 1,)
+    assert codes[:, 0].tolist() == list(range(resolution + 1)) and (codes.sum(axis=1) == resolution).all()
+
+
+def test_rank1_sweep_is_one_point_at_any_grid(tmp_path):
+    # The one point has share 1, so its lattice needs two levels, not grid + 1:
+    # a 31-digit grid ended in a traceback when the levels were built for it.
+    texts = []
+    for grid in (2, 10**30):
+        out = tmp_path / f"rank1_{grid}.csv"
+        assert cli.main(["sweep-me", "--d1", "1", "--d2", "3", "--grid", str(grid), "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts == [f"I_bits\r\n{math.log2(3):.9g}\r\n".encode()] * 2
+
+
 def test_rank8_sweep_me(tmp_path):
     # Batched sweeps make a rank-8 lattice practical: 50,388 points.
     out = tmp_path / "rank8.csv"
@@ -717,16 +765,16 @@ def test_write_table_matches_csv_writer(rows):
     table = _awkward_table(rows)
     # The header goes through csv.writer; this one needs quoting.
     header = ["a0", 'awkward, "quoted"', "I_bits", "negative"]
-    assert cli._table_text(header, table).encode() == _csv_writer_bytes(header, table.tolist())
+    assert cli._table_text(header, list(table.T)).encode() == _csv_writer_bytes(header, table.tolist())
 
 
 def test_write_table_keeps_signed_zeros_and_strided_views_apart():
     table = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [math.nan, -math.nan, 2.0]] * 3)
-    text = cli._table_text(["x", "y", "z"], table).encode()
+    text = cli._table_text(["x", "y", "z"], list(table.T)).encode()
     assert text.splitlines()[1:4] == [b"0,-0,1", b"-0,0,1", b"nan,nan,2"]
     for view in (table[:, ::2], table.T.copy().T, table[::-1]):
         header = ["x", "y", "z"][: view.shape[1]]
-        assert cli._table_text(header, view).encode() == _csv_writer_bytes(header, view.tolist())
+        assert cli._table_text(header, list(view.T)).encode() == _csv_writer_bytes(header, view.tolist())
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -743,7 +791,7 @@ def test_write_table_matches_csv_writer_on_any_table(table, block):
     header = [f"c{i}" for i in range(table.shape[1])]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_BLOCK_ROWS", block)
-        text = cli._table_text(header, table)
+        text = cli._table_text(header, list(table.T))
     assert text.encode() == _csv_writer_bytes(header, table.tolist())
 
 
@@ -751,9 +799,9 @@ def test_sweep_sep_across_blocks_matches_csv_writer(tmp_path, monkeypatch):
     written = []
     table_text = cli._table_text
 
-    def capture(header, table):
-        written.append((header, table.copy()))
-        return table_text(header, table)
+    def capture(header, columns):
+        written.append((header, np.column_stack(columns)))
+        return table_text(header, columns)
 
     monkeypatch.setattr(cli, "_table_text", capture)
     out = tmp_path / "sep.csv"
@@ -761,6 +809,42 @@ def test_sweep_sep_across_blocks_matches_csv_writer(tmp_path, monkeypatch):
     (header, table), = written
     assert table.shape == (20001, 5) and len(table) > 2 * cli._BLOCK_ROWS
     assert out.read_bytes() == _csv_writer_bytes(header, table.tolist())
+
+
+def test_lattice_columns_across_blocks_match_csv_writer(tmp_path, monkeypatch):
+    written = []
+    table_text = cli._table_text
+
+    def capture(header, columns):
+        written.append((header, columns))
+        return table_text(header, columns)
+
+    monkeypatch.setattr(cli, "_table_text", capture)
+    out = tmp_path / "rank8.csv"
+    assert cli.main(["sweep-me", "--d1", "8", "--d2", "8", "--grid", "12", "--out", str(out)]) == 0
+    (header, columns), = written
+    assert [isinstance(column, tuple) for column in columns] == [True] * 7 + [False]
+    table = np.column_stack([c[0][c[1]] if isinstance(c, tuple) else c for c in columns])
+    assert table.shape == (50388, 8) and len(table) > 6 * cli._BLOCK_ROWS
+    assert table[:, :7].tobytes() == np.sqrt(cli.simplex_grid(8, 12, 1e-3))[:, :7].copy().tobytes()
+    assert out.read_bytes() == _csv_writer_bytes(header, table.tolist())
+
+
+def test_lattice_columns_are_not_deduplicated(tmp_path, monkeypatch):
+    # One sweep-me block of 2,380 rows: np.unique sees its figure column I_bits
+    # only, never a lattice column a0..a3.
+    seen = []
+    unique = np.unique
+
+    def spy(values, *args, **kwargs):
+        seen.append(np.array(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    assert cli.main(["sweep-me", "--d1", "5", "--d2", "5", "--grid", "13", "--out", str(tmp_path / "me.csv")]) == 0
+    coeffs = np.sqrt(cli.simplex_grid(5, 13, 1e-3))
+    assert not any(np.array_equal(values.view(np.float64), column) for values in seen for column in coeffs.T)
+    assert len(seen) == 1 and np.array_equal(seen[0].view(np.float64), cli.me_bits(coeffs, 5))
 
 
 @pytest.mark.parametrize("command", ["montecarlo", "qkd"])

@@ -12,8 +12,10 @@ come from more than one source digest (`src_sha256`): their medians would mix
 two programs. The record's `run_seconds` is the `--seconds` that every run
 states in its provenance; runs of more than one length stop the tool, naming
 their files. Per workload and side the summary gives every end-to-end metric
-of BENCHMARK.json as median and quartiles over the `--trace 0` runs, and per
-metric the number of pairs the change won (ties count for neither side).
+of BENCHMARK.json as median and quartiles over the `--trace 0` runs; per
+metric, the number of pairs the change won (ties count for neither side) and
+`rel_change`, the change's median over the parent's less 1 (null when the
+parent's median is 0).
 Pairs of `--trace 1` runs go under `traced`: per workload and side the median
 of each per-layer metric, which shows the layer a change of time comes from.
 """
@@ -99,6 +101,8 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
             values = [(s["parent"][1]["metrics"][m["name"]]["value"], s["change"][1]["metrics"][m["name"]]["value"]) for s in pairs]
             wins[m["name"]] = sum(sign * (p - c) > 0 for p, c in values)
         summary["change_wins"] = wins
+        medians = [(summary["parent"][m["name"]]["median"], summary["change"][m["name"]]["median"]) for m in metrics]
+        summary["rel_change"] = {m["name"]: c / p - 1 if p else None for m, (p, c) in zip(metrics, medians)}
         workloads[workload] = summary
     traced = {}
     for workload, seeds, pairs in _by_workload(runs, traced=True):
