@@ -39,7 +39,7 @@ from .qkd import EveStrategy, analytic_sift_rate, simulate_qkd
 _DEFAULT_MARGIN = 1e-3
 _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
 #: Most coefficients (rows times rank) one sweep may hold; peak memory grows with
-#: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 130 MiB.
+#: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 128 MiB.
 MAX_SWEEP_COEFFS = 10**6
 
 #: Every float cell: 9 significant digits.
