@@ -152,12 +152,6 @@ def _lattice(rank: int, resolution: int, margin: float):
     return margin + (np.arange(resolution + 1) / resolution) * (1.0 - rank * margin), codes
 
 
-def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
-    """The squared coefficients levels[codes] of a _lattice, one state per row."""
-    levels, codes = _lattice(rank, resolution, margin)
-    return levels[codes]
-
-
 def _is_real(value) -> bool:
     """A real number, but not a bool (JSON true/false)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -271,7 +265,8 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers json.JSONDecodeError and an integer past the str-to-int digit limit.
+    except (OSError, ValueError) as exc:
         raise RuntimeError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise RuntimeError("config file must hold a JSON object")
@@ -317,7 +312,7 @@ def _simplex_sweep(args, config: dict, grid: int, figures, min_rank: int = 1):
         raise RuntimeError(f"this sweep needs Schmidt rank >= {min_rank}")
     grid, margin = _setting(args, config, "grid", grid), _setting(args, config, "margin", _DEFAULT_MARGIN)
     levels, codes = _lattice(min(d1, d2), grid, margin)
-    levels = np.sqrt(levels)  # levels[codes] is np.sqrt(simplex_grid(...)), bit for bit
+    levels = np.sqrt(levels)  # np.sqrt(levels)[codes] is np.sqrt(levels[codes]), bit for bit
     columns = figures(check_coeffs(d1, d2, levels[codes]), d2)
     header = [f"a{i}" for i in range(codes.shape[1] - 1)] + list(columns)
     return header, [(levels, part) for part in codes.T[:-1]] + list(columns.values())

@@ -60,11 +60,21 @@ def me_bits(coeffs, d2: int) -> np.ndarray:
     return _outcome_bits(me_outcome_probs(coeffs), d2)
 
 
-def _stage_bits(step, d2: int):
-    """(P_s, success-branch bits) per row of one walk_stages step: 0 and the
-    target-system floor on rows that do not execute the stage."""
-    executed, _, sep = step
-    return np.where(executed, sep.p_success, 0.0), np.where(executed, me_bits(sep.b_coeffs, d2), math.log2(d2))
+def _prefix_plans(coeffs, d2: int, stages):
+    """One walk of `stages` down the failure-state hierarchy of each
+    coefficient row of `coeffs` (shape (..., D)), read as its prefix plans,
+    every plan the paper compares. Returns (probs, bits, families): per
+    planned stage, P_s and the success-branch bits, 0 and the target-system
+    floor on rows that do not execute it; per depth 0 to len(stages), the
+    families a final action after that many stages acts on."""
+    steps, rest = walk_stages(coeffs, stages)
+    families = (*(family for _, family, _ in steps), rest)
+    # Each Separation is dropped here, once its P_s and success family are read.
+    reached = [(executed, sep.p_success, sep.b_coeffs) for executed, _, sep in steps]
+    del steps
+    probs = tuple(np.where(executed, p_stage, 0.0) for executed, p_stage, _ in reached)
+    bits = tuple(np.where(executed, me_bits(b_coeffs, d2), math.log2(d2)) for executed, _, b_coeffs in reached)
+    return probs, bits, families
 
 
 def _fold_stages(total, probs, bits, d2: int, rank: int) -> np.ndarray:
@@ -83,15 +93,10 @@ def multistage_bits(coeffs, d2: int, stages, final: str):
     `final` action. Each stage's distinguishability is one value for all
     rows or one per row (shape (...)), as walk_stages takes it.
 
-    Returns (total, probabilities, bits): the total per row and, per planned
-    stage, the success probability and the success-branch bits, which are 0
-    and the target-system floor for a stage the walk does not execute, as
-    after a sure stage."""
-    steps, rest = walk_stages(coeffs, stages)
-    read = [_stage_bits(step, d2) for step in steps]
-    del steps
-    probs = tuple(p_stage for p_stage, _ in read)
-    bits = tuple(suc_bits for _, suc_bits in read)
+    Returns (total, probabilities, bits): the total per row, the deepest
+    fold of _prefix_plans, and the per-stage P_s and bits it reads."""
+    probs, bits, families = _prefix_plans(coeffs, d2, stages)
+    rest = families[-1]
     total = me_bits(rest, d2) if final == FINAL_ME else np.full(rest.shape[:-1], math.log2(d2))
     return _fold_stages(total, probs, bits, d2, rest.shape[-1]), probs, bits
 
@@ -106,26 +111,19 @@ def multistage_columns(coeffs, d2: int) -> dict:
     of its plan bit for bit. I_suc and P_s are the stages' success-branch bits
     and probabilities, I_ME is plain ME, and P_overall adds the second stage's
     success mass where its bits beat I_ME."""
-    floor_bits = math.log2(d2)
-    rank = coeffs.shape[-1]
-    first, second = walk_stages(coeffs, (1.0, 1.0))[0]
-    # Each stage's Separation is dropped once read, so its arrays are freed.
-    p_s1, i_suc1 = _stage_bits(first, d2)
-    del first
-    p_s2, i_suc2 = _stage_bits(second, d2)
-    # Stage 2's input is stage 1's failure family, or its own input on a row it ended.
-    after_first = me_bits(second[1], d2)
-    del second
-    i_me = me_bits(coeffs, d2)
+    probs, bits, families = _prefix_plans(coeffs, d2, (1.0, 1.0))
+    floor_bits, rank = math.log2(d2), families[0].shape[-1]
+    # The ME-final totals at depths 0 and 1, the abstain totals at depths 1 and 2.
+    i_me, after_first = (me_bits(family, d2) for family in families[:2])
     return {
-        "I_MC": _fold_stages(floor_bits, (p_s1,), (i_suc1,), d2, rank),
-        "I_MC_ME": _fold_stages(after_first, (p_s1,), (i_suc1,), d2, rank),
-        "I_MC_MC": _fold_stages(floor_bits, (p_s1, p_s2), (i_suc1, i_suc2), d2, rank),
-        "I_suc1": i_suc1,
-        "I_suc2": i_suc2,
+        "I_MC": _fold_stages(floor_bits, probs[:1], bits[:1], d2, rank),
+        "I_MC_ME": _fold_stages(after_first, probs[:1], bits[:1], d2, rank),
+        "I_MC_MC": _fold_stages(floor_bits, probs, bits, d2, rank),
+        "I_suc1": bits[0],
+        "I_suc2": bits[1],
         "I_ME": i_me,
-        "P_s1": p_s1,
-        "P_overall": p_s1 + (1.0 - p_s1) * p_s2 * np.where(i_suc2 > i_me, 1.0, 0.0),
+        "P_s1": probs[0],
+        "P_overall": probs[0] + (1.0 - probs[0]) * probs[1] * np.where(bits[1] > i_me, 1.0, 0.0),
     }
 
 

@@ -5,7 +5,13 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from densecode import SchmidtState, protocol_sim, qkd
+from densecode import SchmidtState, cli, protocol_sim, qkd
+
+
+def simplex_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
+    """The squared coefficients levels[codes] of a sweep's lattice, cli._lattice, one state per row."""
+    levels, codes = cli._lattice(rank, resolution, margin)
+    return levels[codes]
 
 
 def random_schmidt(rng, rank=None, d2=None, d1=None, floor=0.03):

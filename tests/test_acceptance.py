@@ -32,7 +32,7 @@ from densecode.protocol_sim import _BranchTree, run_simulation
 from densecode.tensor_core import Ket, born_probabilities
 
 from circuit_oracle import circuit_joint
-from conftest import LAW_ALPHA, assert_counts_follow, random_schmidt, random_support_coeffs
+from conftest import LAW_ALPHA, assert_counts_follow, random_schmidt, random_support_coeffs, simplex_grid
 from dense import (
     analytic_joint,
     conditional_entropy,
@@ -134,7 +134,7 @@ def test_criterion_4_multistage_improvement():
     plan_two = StagePlan((1.0, 1.0), FINAL_ABSTAIN)
     worst = 0.0
     strict_ok = True
-    for squared in cli.simplex_grid(3, 21, 1e-3):
+    for squared in simplex_grid(3, 21, 1e-3):
         s = SchmidtState.from_squared(3, 4, squared)
         base = mutual_info_multistage(s, plan_abstain)
         follow_me = mutual_info_multistage(s, plan_me)

@@ -22,6 +22,7 @@ from densecode.discrimination import separate, walk_stages
 from densecode.infometrics import me_bits, multistage_bits, multistage_columns
 
 from circuit_oracle import circuit_joint
+from conftest import simplex_grid
 from dense import mutual_info_from_joint
 
 
@@ -150,7 +151,7 @@ def _check_multistage_columns(coeffs, d2):
 def test_multistage_columns_match_separate_walks(rank, grid, margin):
     """Each sweep-multistage column from the one shared walk equals, bit for
     bit, the plan it reports walked and folded on its own."""
-    coeffs = np.sqrt(cli.simplex_grid(rank, grid, margin))
+    coeffs = np.sqrt(simplex_grid(rank, grid, margin))
     for d2 in (rank, rank + 2):
         _check_multistage_columns(coeffs, d2)
 

@@ -22,6 +22,7 @@ import densecode
 from densecode import (
     DecodingStrategy,
     EveStrategy,
+    FINAL_ABSTAIN,
     FINAL_ME,
     QkdReport,
     SchmidtState,
@@ -33,7 +34,10 @@ from densecode import (
     run_simulation,
 )
 from densecode import protocol_sim
+from densecode.infometrics import multistage_bits
 from densecode.protocol_sim import MAX_RUN_TERMS, MAX_TREE_CELLS
+
+from conftest import simplex_grid
 
 
 def run_cli(argv, cwd):
@@ -226,13 +230,20 @@ def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
             {"state": {"d1": 2, "d2": 2, "coeffs": [-0.2, 1.2], "squared": True}},
             "squared coefficients must be nonnegative",
         ),
+        # Raw text: an integer past the str-to-int digit limit, which json.dumps cannot render.
+        pytest.param(
+            ["sweep-me"],
+            '{"grid": 1' + "0" * 5000 + "}",
+            "cannot read config config.json: Exceeds the limit",
+            id="integer-past-the-digit-limit",
+        ),
     ],
 )
 def test_error_paths_print_one_line_and_write_nothing(argv, config, message, tmp_path, monkeypatch, capsys):
     # No --out: each command would write its default files into the working directory.
     monkeypatch.chdir(tmp_path)
     if config is not None:
-        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "config.json").write_text(config if isinstance(config, str) else json.dumps(config))
         argv = [*argv, "--config", "config.json"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
@@ -419,9 +430,9 @@ def test_oversized_lattice_is_refused_quickly(rank, tmp_path, capsys):
 def test_lattice_rows_are_counted_exactly_up_to_10_to_the_40():
     # A rank-2 lattice has resolution + 1 rows.
     with pytest.raises(ValueError, match=f"^sweep of {10**40} x 2 coefficients exceeds"):
-        cli.simplex_grid(2, 10**40 - 1, 1e-3)
+        simplex_grid(2, 10**40 - 1, 1e-3)
     with pytest.raises(ValueError, match=r"^sweep of more than 10\^40 x 2 coefficients exceeds"):
-        cli.simplex_grid(2, 10**40, 1e-3)
+        simplex_grid(2, 10**40, 1e-3)
 
 
 def test_sweep_row_limit_is_inclusive():
@@ -640,7 +651,7 @@ def _reference_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
 @pytest.mark.parametrize("rank", range(1, 7))
 @pytest.mark.parametrize("resolution, margin", [(2, 1e-3), (5, 0.01), (12, 1e-3), (13, 0.05)])
 def test_simplex_grid_matches_recursive_compositions(rank, resolution, margin):
-    grid = cli.simplex_grid(rank, resolution, margin)
+    grid = simplex_grid(rank, resolution, margin)
     reference = _reference_grid(rank, resolution, margin)
     assert grid.shape == reference.shape == (math.comb(resolution + rank - 1, rank - 1), rank)
     assert grid.tobytes() == reference.tobytes()
@@ -679,7 +690,7 @@ def test_rank8_sweep_me(tmp_path):
     header, rows = read_csv(out)
     assert header == [f"a{i}" for i in range(7)] + ["I_bits"]
     assert len(rows) == math.comb(12 + 7, 7) == 50388
-    grid = cli.simplex_grid(8, 12, 1e-3)
+    grid = simplex_grid(8, 12, 1e-3)
     for r in (0, 20151, len(rows) - 1):
         state = SchmidtState.from_squared(8, 8, grid[r])
         expected = [float(c) for c in state.coeffs[:7]] + [mutual_info_me(state).total_bits]
@@ -689,7 +700,7 @@ def test_rank8_sweep_me(tmp_path):
 @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
 def test_simplex_grid_rejects_non_finite_margin(margin):
     with pytest.raises(ValueError, match=f"boundary margin must be positive and finite, not {margin!r}"):
-        cli.simplex_grid(3, 12, margin)
+        simplex_grid(3, 12, margin)
 
 
 @pytest.mark.parametrize("command", ["sweep-me", "sweep-multistage"])
@@ -701,17 +712,17 @@ def test_nan_margin_flag_fails_naming_the_margin(command, tmp_path, capsys):
 
 
 def test_simplex_grid_properties():
-    grid = cli.simplex_grid(3, 12, 1e-3)
+    grid = simplex_grid(3, 12, 1e-3)
     assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-12)
     assert grid.min() >= 1e-3 - 1e-15
     centroid = np.full(3, 1 / 3)
     assert np.min(np.abs(grid - centroid).sum(axis=1)) < 1e-12
     with pytest.raises(ValueError):
-        cli.simplex_grid(3, 1, 1e-3)
+        simplex_grid(3, 1, 1e-3)
     with pytest.raises(ValueError):
-        cli.simplex_grid(3, 12, 0.0)
+        simplex_grid(3, 12, 0.0)
     with pytest.raises(ValueError):
-        cli.simplex_grid(0, 12, 1e-3)
+        simplex_grid(0, 12, 1e-3)
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
@@ -811,6 +822,32 @@ def test_sweep_sep_across_blocks_matches_csv_writer(tmp_path, monkeypatch):
     assert out.read_bytes() == _csv_writer_bytes(header, table.tolist())
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        cli._DEFAULT_STATE,
+        {"d1": 4, "d2": 5, "coeffs": [0.1, 0.1, 0.3, 0.5], "squared": True},  # a tied minimum
+        {"d1": 1, "d2": 3, "coeffs": [1.0]},  # rank 1: the stage never runs
+    ],
+)
+def test_sweep_sep_columns_match_the_scalar_plan(state):
+    """Each sweep-sep row equals, bit for bit, multistage_bits of its one-stage
+    plan at that row's xi and me_bits of the state."""
+    args = cli._build_parser().parse_args(["sweep-sep", "--xi-steps", "40"])
+    header, columns = cli._cmd_sweep_sep(args, {"state": state})
+    assert header == ["xi", "P_s", "I_total", "I_success", "I_ME"]
+    xi, p_s, total, success, i_me = columns
+    s = cli._parse_state(state)
+    assert xi.tobytes() == (np.arange(41) / 40).tobytes()
+    assert i_me.tobytes() == np.full(41, cli.me_bits(s.coeffs, s.d2)).tobytes()
+    for r, x in enumerate(xi.tolist()):
+        expected_total, (expected_p,), (expected_success,) = multistage_bits(s.coeffs, s.d2, (x,), FINAL_ABSTAIN)
+        row = np.array([p_s[r], total[r], success[r]])
+        assert row.tobytes() == np.array([expected_p, expected_total, expected_success]).tobytes(), x
+    if s.D == 1:
+        assert (p_s == 0.0).all() and (total == math.log2(3)).all() and (success == math.log2(3)).all()
+
+
 def test_lattice_columns_across_blocks_match_csv_writer(tmp_path, monkeypatch):
     written = []
     table_text = cli._table_text
@@ -826,7 +863,7 @@ def test_lattice_columns_across_blocks_match_csv_writer(tmp_path, monkeypatch):
     assert [isinstance(column, tuple) for column in columns] == [True] * 7 + [False]
     table = np.column_stack([c[0][c[1]] if isinstance(c, tuple) else c for c in columns])
     assert table.shape == (50388, 8) and len(table) > 6 * cli._BLOCK_ROWS
-    assert table[:, :7].tobytes() == np.sqrt(cli.simplex_grid(8, 12, 1e-3))[:, :7].copy().tobytes()
+    assert table[:, :7].tobytes() == np.sqrt(simplex_grid(8, 12, 1e-3))[:, :7].copy().tobytes()
     assert out.read_bytes() == _csv_writer_bytes(header, table.tolist())
 
 
@@ -842,7 +879,7 @@ def test_lattice_columns_are_not_deduplicated(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "unique", spy)
     assert cli.main(["sweep-me", "--d1", "5", "--d2", "5", "--grid", "13", "--out", str(tmp_path / "me.csv")]) == 0
-    coeffs = np.sqrt(cli.simplex_grid(5, 13, 1e-3))
+    coeffs = np.sqrt(simplex_grid(5, 13, 1e-3))
     assert not any(np.array_equal(values.view(np.float64), column) for values in seen for column in coeffs.T)
     assert len(seen) == 1 and np.array_equal(seen[0].view(np.float64), cli.me_bits(coeffs, 5))
 

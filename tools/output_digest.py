@@ -1,0 +1,68 @@
+"""Print one sha256 per output file of a fixed list of large CLI runs, to check
+that a change keeps every output byte-identical.
+
+    python3 tools/output_digest.py
+
+Each run goes through `densecode.cli.main` in this process, against the `src/`
+of the checkout that holds this tool, and writes into a fresh temporary
+directory. Run the tool in two checkouts (copy it into one that lacks it) and
+compare what they print: one `<sha256>  <file name>` line per output file, in
+name order. The runs take a few seconds and peak near 130 MiB.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The RAMP state and the "ms_me" plan of tests/test_golden.py: distinct
+#: squared coefficients, three stages and an ME final.
+RAMP = {"d1": 4, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True}
+MS_ME = {"kind": "multistage", "stages": [{"xi": 1.0}, {"xi": 0.7}, {"xi": 1.0}], "final": "me"}
+MILLION = ["--trials", "1000000", "--seed", "1"]
+
+#: Output name -> (argv without --config and --out, config object or None).
+RUNS = {
+    "sweep_multistage_rank8": (["sweep-multistage", "--d1", "8", "--d2", "8", "--grid", "14"], None),
+    "sweep_me_rank8": (["sweep-me", "--d1", "8", "--d2", "8", "--grid", "12"], None),
+    "sweep_sep": (["sweep-sep", "--xi-steps", "100000"], None),
+    "sweep_multistage_margin": (
+        ["sweep-multistage", "--d1", "5", "--d2", "6", "--grid", "20", "--margin", "1e-6"],
+        None,
+    ),
+    "montecarlo_ms_me": (["montecarlo", *MILLION], {"state": RAMP, "strategy": MS_ME}),
+    "qkd_ms_me": (["qkd", *MILLION], {"state": RAMP, "eve": {"kind": "intercept", "strategy": MS_ME}}),
+}
+
+
+def main() -> None:
+    sys.path.insert(0, str(ROOT / "src"))
+    from densecode import cli
+
+    if Path(cli.__file__).resolve().parent.parent != ROOT / "src":
+        sys.exit(f"densecode came from {cli.__file__}, not from {ROOT / 'src'}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir, config_dir = Path(tmp, "out"), Path(tmp, "config")
+        out_dir.mkdir()
+        config_dir.mkdir()
+        for name, (argv, config) in RUNS.items():
+            if config is not None:
+                path = config_dir / f"{name}.json"
+                path.write_text(json.dumps(config))
+                argv = [*argv, "--config", str(path)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main([*argv, "--out", str(out_dir / f"{name}.csv")]):
+                    sys.exit(f"{name}: the run failed")
+        for path in sorted(out_dir.iterdir()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+
+
+if __name__ == "__main__":
+    main()
