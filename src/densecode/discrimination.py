@@ -5,6 +5,7 @@ minimum-error outcome rows."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,25 +56,31 @@ class Separation(NamedTuple):
 
 
 def _checked(coeffs, *xis):
-    """(coeffs, *xis) as float arrays, after the checks of separate."""
+    """(coeffs, *xis) as float arrays, after the checks of separate. Each check
+    is a ufunc reduction, not its np.min or .all() wrapper, which costs more at
+    run sizes. A minimum or maximum carries NaN through, and NaN fails every
+    comparison; the initial values keep zero-row input valid."""
     xis = [np.asarray(xi, dtype=float) for xi in xis]
     if xis:
         joined = np.concatenate([xi.ravel() for xi in xis])
-        if not ((0.0 <= joined) & (joined <= 1.0)).all():
+        if not (np.minimum.reduce(joined, initial=0.0) >= 0.0 and np.maximum.reduce(joined, initial=1.0) <= 1.0):
             raise ValueError("distinguishability must lie in [0, 1]")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
         raise ValueError("coeffs must be a nonempty 1D vector")
-    # NaN fails every comparison below, so it would pass as a level outside the support.
-    if not np.isfinite(coeffs).all():
+    lowest = np.minimum.reduce(coeffs, axis=None, initial=0.0)
+    highest = np.maximum.reduce(coeffs, axis=None, initial=0.0)
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise ValueError("coefficients must be finite")
-    if (coeffs < -COEFF_TOL).any():
+    if lowest < -COEFF_TOL:
         raise ValueError("coefficients must be nonnegative")
     support = coeffs > COEFF_TOL
-    if not support.any(axis=-1).all():
+    if not np.logical_and.reduce(np.logical_or.reduce(support, axis=-1), axis=None):
         raise ValueError("empty support")
     # A coefficient above 1 is refused before it is squared, which could overflow.
-    if (coeffs > 1.0 + NORM_TOL).any() or (abs((coeffs**2).sum(axis=-1, where=support) - 1.0) > NORM_TOL).any():
+    if highest > 1.0 + NORM_TOL or np.logical_or.reduce(
+        abs(np.add.reduce(coeffs**2, axis=-1, where=support) - 1.0) > NORM_TOL, axis=None
+    ):
         raise ValueError("squared coefficients must sum to 1 on the support")
     return (coeffs, *xis)
 
@@ -96,14 +103,15 @@ def _separate(coeffs: np.ndarray, xi: np.ndarray) -> Separation:
     support = coeffs > COEFF_TOL
     d_sup = support.sum(axis=-1)
     sq = coeffs**2
-    m2 = np.min(sq, axis=-1, where=support, initial=np.inf)
-    uniform = np.max(sq, axis=-1, where=support, initial=0.0) - m2 <= GROUP_TOL_SQ
-    minimal = support & (sq - m2[..., None] <= GROUP_TOL_SQ)
+    m2 = np.minimum.reduce(sq, axis=-1, where=support, initial=np.inf)
+    uniform = np.maximum.reduce(sq, axis=-1, where=support, initial=0.0) - m2 <= GROUP_TOL_SQ
+    gap = sq - m2[..., None]
+    minimal = support & (gap <= GROUP_TOL_SQ)
     denom = (1.0 - xi) + xi / (d_sup * m2)
     separated = np.sqrt((1.0 - xi)[..., None] * sq + (xi / d_sup)[..., None])
     # Normalised over what is left: a near-tied level in the minimal class
     # drops its excess over m2 as well, so 1 - d*m2 would overcount.
-    excess = np.where(support & ~minimal, sq - m2[..., None], 0.0)
+    excess = np.where(support & ~minimal, gap, 0.0)
     norm = np.where(uniform, 1.0, excess.sum(axis=-1))
     return Separation(
         support=support,

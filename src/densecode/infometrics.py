@@ -150,8 +150,9 @@ def counts_mutual_info(counts, n: int) -> float:
 
     That is the information of the block-diagonal (D*d2) x (records*d2) count
     table, read from the counts alone: each marginal is an integer sum divided
-    once by n, and the terms, in the table's row-major order (the flat order
-    of `counts`), are summed sequentially with math.log2, as the tests' oracle
+    once by n, and the terms, in the table's row-major order (the logical
+    (j, k, r) order of `counts`, whatever its strides), are summed
+    sequentially with math.log2, as the tests' oracle
     tests/dense.py:counts_table_mutual_info sums them.
     """
     counts = np.asarray(counts)
@@ -159,13 +160,13 @@ def counts_mutual_info(counts, n: int) -> float:
         raise ValueError(f"counts must be a nonnegative integer (D, d2, records) array summing to n = {n}")
     rows = counts.sum(axis=2) / n
     cols = counts.sum(axis=0) / n
-    cells = np.flatnonzero(counts)
-    p = counts.ravel()[cells] / n
+    # Occupied cells in row-major order; a strided view is read in place, not copied by ravel.
+    j, k, r = np.unravel_index(np.flatnonzero(counts != 0), counts.shape)
+    p = counts[j, k, r] / n
     # A count of 1 or more gives p >= 1/n, so the zero rule can drop a cell only from 1e15 trials on.
     if 1 / n <= _ZERO_PROB:
         live = p > _ZERO_PROB
-        cells, p = cells[live], p[live]
-    j, k, r = np.unravel_index(cells, counts.shape)
+        j, k, r, p = j[live], k[live], r[live], p[live]
     ratio = p / (rows[j, k] * cols[k, r])
     terms = p * np.fromiter(map(math.log2, ratio.tolist()), float, count=ratio.size)
     # Sequential like the oracle's loop; np.sum would sum pairwise.

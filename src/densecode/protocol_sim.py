@@ -15,7 +15,9 @@ A tree is a pure function of (coefficients, plan, guess), so runs take it
 from a small memo keyed by those values (_shared_tree): seeded runs of one
 configuration build it, its exact distribution included, once per process
 and share that one read-only tree. _BranchTree(...) itself always builds a
-fresh one.
+fresh one, but its record labels and the hypotheses they infer depend only on
+its shape (rank, executed stages, final block), so every tree of one shape
+shares them (_layout).
 
 Randomness contract: a run of n trials draws one count table, whatever n
 is. The generator derived from (seed, 0) draws one multinomial of n over the
@@ -82,9 +84,31 @@ class DecodingStrategy:
 
 
 #: Most cells D * records a branch tree may hold, D records per planned stage; a run keeps a few
-#: arrays that size. The full-depth intercept at rank 203 peaks near 370 MiB; the deepest run
-#: MAX_RUN_TERMS admits (rank 64, 63 stages, ME final) holds 64**3 cells.
+#: arrays that size. The full-depth intercept at rank 203 peaks at 304 MiB of process RSS; the
+#: deepest run MAX_RUN_TERMS admits (rank 64, 63 stages, ME final) holds 64**3 cells.
 MAX_TREE_CELLS = 2**23
+
+
+#: Entries of each tree memo, least recently used dropped first. A seed
+#: ensemble revisits one configuration, so a few entries serve it. At 16 a
+#: full _shared_tree of rank-16 two-stage trees holds about 100 KB, of the
+#: deepest montecarlo trees (rank 64, 63 stages, 2 MiB each) 32 MiB, and of
+#: trees at MAX_TREE_CELLS (64 MiB of dist each) 1 GiB. A full _layout holds
+#: at most about 45 MiB: its largest entry, rank 203 at full depth, is 41,209
+#: labels and their inferred hypotheses, 2.8 MiB.
+_TREE_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
+def _layout(rank: int, executed: int, kind: str):
+    """(records, inferred) of a tree over `rank` hypotheses that executes
+    `executed` stages and ends in a final block of this kind, shared by every
+    tree of that shape; inferred is read-only."""
+    finals = ["inc"] if kind == "inc" else [f"{kind}:{l}" for l in range(rank)]
+    records = tuple([f"s{n + 1}:{l}" for n in range(executed) for l in range(rank)] + finals)
+    inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in records])
+    inferred.setflags(write=False)
+    return records, inferred
 
 
 class _BranchTree:
@@ -111,16 +135,15 @@ class _BranchTree:
         self.rank = rank = len(coeffs)
         # The final block's kind, from the final action and the guess that replaces abstention.
         kind = "f" if plan.final_action == FINAL_ME else "inc" if guess is None else "g" if guess == GUESS_ME else "u"
-        finals = ["inc"] if kind == "inc" else [f"{kind}:{l}" for l in range(rank)]
-        if (cells := rank * (rank * len(plan.stages) + len(finals))) > MAX_TREE_CELLS:
+        n_finals = 1 if kind == "inc" else rank
+        if (cells := rank * (rank * len(plan.stages) + n_finals)) > MAX_TREE_CELLS:
             raise ValueError(f"branch tree of {cells} cells exceeds the limit of {MAX_TREE_CELLS}")
         steps, rest = walk_stages(coeffs, plan.stages)
         # The executed steps are a prefix of the walk.
         executed = [sep for live, _, sep in steps if live]
         self.probs = tuple(float(sep.p_success) for sep in executed)
-        self.records = tuple([f"s{n + 1}:{l}" for n in range(len(executed)) for l in range(rank)] + finals)
-        #: Hypothesis each record infers; INCONCLUSIVE for "inc".
-        self.inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in self.records])
+        #: Record labels, and the hypothesis each infers (INCONCLUSIVE for "inc").
+        self.records, self.inferred = _layout(rank, len(executed), kind)
         me_final = [rest] if kind in ("f", "g") else []
         # One ME transform, row-independent; its rows (stages, then final) serve info_bits.
         self._q = me_outcome_probs(np.reshape([sep.b_coeffs for sep in executed] + me_final, (-1, rank)))
@@ -131,8 +154,8 @@ class _BranchTree:
             self.dist[:, n * rank : (n + 1) * rank] = weight * p_stage * tables[n]
             weight *= 1.0 - p_stage
         # The final block's records are the last ones.
-        self.dist[:, -len(finals) :] = weight * tables[-1] if me_final else weight / len(finals)
-        for array in (self.inferred, self._q, self.dist):
+        self.dist[:, -n_finals:] = weight * tables[-1] if me_final else weight / n_finals
+        for array in (self._q, self.dist):
             array.setflags(write=False)
 
     @property
@@ -153,14 +176,6 @@ class _BranchTree:
         """Weight on records inferring a wrong hypothesis, over equally likely
         hypotheses: for an eavesdropper, the sifted-key error rate."""
         return float(self.dist[~self.correct].sum() / self.rank)
-
-
-#: Trees _shared_tree keeps, least recently used dropped first. A seed
-#: ensemble revisits one configuration, so a few entries serve it; at 16 a
-#: full memo of rank-16 two-stage trees holds about 100 KB, of the deepest
-#: montecarlo trees (rank 64, 63 stages, 2 MiB each) 32 MiB, and of trees at
-#: MAX_TREE_CELLS (64 MiB of dist each) 1 GiB.
-_TREE_MEMO_SIZE = 16
 
 
 @functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
@@ -248,9 +263,10 @@ def run_simulation(
         raise ValueError(f"run of {terms} information terms exceeds the limit of {MAX_RUN_TERMS}")
     fam = _shared_tree(s.coeffs.tobytes(), strat.plan, None)
     _, by_carrier = count_table(seed, n_trials, fam.dist)
-    # Stream 1 splits each (carrier, record) count over k; no name holds the draw, so it is freed once copied.
+    # Stream 1 splits each (carrier, record) count over k; the counts are its readout, held once
+    # as a (D, d2, records) transposed view.
     k_probs = np.full(s.d2, 1.0 / s.d2)
-    counts = np.ascontiguousarray(derived_rng(seed, 1).multinomial(by_carrier, k_probs).transpose(0, 2, 1))
+    counts = derived_rng(seed, 1).multinomial(by_carrier, k_probs).transpose(0, 2, 1)
     per_record = by_carrier.sum(axis=0)
     successes = [int(per_record[n * fam.rank : (n + 1) * fam.rank].sum()) for n in range(len(fam.probs))]
     attempts = [n_trials - sum(successes[:i]) for i in range(len(successes))]

@@ -559,6 +559,55 @@ def test_memos_stay_within_their_bound():
         assert info.misses == len(states)
 
 
+def test_trees_of_one_shape_share_their_record_layout():
+    """Fresh trees of one rank, executed depth and final kind share one
+    records tuple and one read-only inferred array; any other shape gets its own."""
+    rng = np.random.default_rng(31)
+    plan = StagePlan((1.0, 0.5), FINAL_ME)
+    first, second = (_BranchTree(random_schmidt(rng, rank=4, d2=4).coeffs, plan) for _ in range(2))
+    assert len(first.probs) == len(second.probs) == 2
+    assert second.records is first.records and second.inferred is first.inferred
+    others = [
+        _BranchTree(random_schmidt(rng, rank=5, d2=5).coeffs, plan),
+        _BranchTree(random_schmidt(rng, rank=4, d2=4).coeffs, StagePlan((1.0,), FINAL_ME)),
+        _BranchTree(random_schmidt(rng, rank=4, d2=4).coeffs, StagePlan((1.0, 0.5), FINAL_ABSTAIN)),
+        _BranchTree(random_schmidt(rng, rank=4, d2=4).coeffs, StagePlan((1.0, 0.5), FINAL_ABSTAIN), GUESS_ME),
+    ]
+    assert all(tree.records is not first.records and tree.inferred is not first.inferred for tree in others)
+    for tree in (first, *others):
+        with pytest.raises(ValueError, match="read-only"):
+            tree.inferred[...] = 0
+
+
+def test_a_cold_layout_memo_builds_the_warm_tree():
+    """A tree built on a cleared layout memo is bit for bit the tree built on a warm one."""
+    rng = np.random.default_rng(37)
+    for case, (s, plan) in enumerate(_tree_cases(rng, 48)):
+        guess = GUESSES[case % 3]
+        protocol_sim._layout.cache_clear()
+        cold = _BranchTree(s.coeffs, plan, guess)
+        warm = _BranchTree(s.coeffs, plan, guess)
+        assert warm.records is cold.records
+        protocol_sim._layout.cache_clear()
+        fresh = _BranchTree(s.coeffs, plan, guess)
+        assert fresh.records is not cold.records
+        assert fresh.records == warm.records and fresh.probs == warm.probs
+        for name in ("inferred", "dist", "_q"):
+            ours, theirs = getattr(fresh, name), getattr(warm, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+
+
+def test_layout_memo_stays_within_its_bound():
+    memo = protocol_sim._layout
+    assert memo.cache_info().maxsize == protocol_sim._TREE_MEMO_SIZE
+    rng = np.random.default_rng(41)
+    for rank in range(2, protocol_sim._TREE_MEMO_SIZE + 7):
+        _BranchTree(random_schmidt(rng, rank=rank, d2=rank).coeffs, StagePlan((), FINAL_ME))
+    info = memo.cache_info()
+    assert info.currsize == protocol_sim._TREE_MEMO_SIZE and info.misses == protocol_sim._TREE_MEMO_SIZE + 5
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from densecode import (
@@ -92,6 +92,35 @@ def test_random_counts_bits_equal_dense_oracle(rank, d2, n_records, density, n, 
     assert counts_mutual_info(counts, n) == dense_mi(counts, n)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 40),
+    st.floats(0.0, 1.0),
+    st.integers(1, 30000),
+    st.integers(0, 2**32 - 1),
+)
+def test_strided_counts_read_as_their_contiguous_copy(rank, d2, n_records, density, n, seed):
+    """A strided view of a count table, every other record of a (D, records,
+    d2) readout transposed as a run holds it, gives its contiguous copy's
+    information bit for bit, also with all-zero rows (j, k) and columns (k, r)
+    of the block table: the terms are summed in logical row-major order."""
+    rng = np.random.default_rng(seed)
+    live = rng.random((rank, 2 * n_records, d2)) < density
+    live[rng.integers(rank), rng.integers(2 * n_records), rng.integers(d2)] = True
+    readout = np.bincount(rng.choice(np.flatnonzero(live), size=n), minlength=live.size).reshape(live.shape)
+    # Empty one carrier, one record and one value of k wherever another is left.
+    for axis, size in enumerate(readout.shape):
+        if size > 1:
+            np.moveaxis(readout, axis, 0)[rng.integers(size)] = 0
+    view = readout[:, ::2, :].transpose(0, 2, 1)
+    assume(view.any())
+    copy = np.ascontiguousarray(view)
+    n = int(copy.sum())
+    assert counts_mutual_info(view, n) == counts_mutual_info(copy, n) == dense_mi(copy, n)
+
+
 @pytest.mark.parametrize("n, dropped", [(10**15 - 1, False), (10**15, True), (2 * 10**15, True)])
 def test_zero_rule_at_large_trial_counts(monkeypatch, n, dropped):
     """A count of 1 is p = 1/n, which the zero rule drops from n = 1e15 on, as the oracle does."""
@@ -114,6 +143,20 @@ def test_rejects_counts_that_do_not_sum_to_n():
     with pytest.raises(ValueError, match="n = 11"):
         counts_mutual_info(counts, 11)
     assert counts_mutual_info(counts, 12) == dense_mi(counts, 12)
+
+
+def test_run_counts_are_one_read_only_view_of_the_readout(qutrit_state):
+    """The counts a run reports are its (D, records, d2) readout transposed,
+    not a copy of it, and refuse writes."""
+    strat = DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ME))
+    report = run_simulation(qutrit_state, strat, 5000, seed=3)
+    counts = report.joint_counts
+    records = len(report.tree.records)
+    assert counts.shape == (qutrit_state.D, qutrit_state.d2, records)
+    assert counts.base is not None and counts.base.shape == (qutrit_state.D, records, qutrit_state.d2)
+    assert not counts.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        counts[...] = 0
 
 
 def test_rank64_run_stays_small():

@@ -7,7 +7,11 @@ Each run goes through `densecode.cli.main` in this process, against the `src/`
 of the checkout that holds this tool, and writes into a fresh temporary
 directory. Run the tool in two checkouts (copy it into one that lacks it) and
 compare what they print: one `<sha256>  <file name>` line per output file, in
-name order. The runs take a few seconds and peak near 130 MiB.
+name order. The runs include the deepest Monte Carlo run and the largest
+eavesdropper's tree the CLI admits. They take a few seconds, and the process
+peaks near 370 MiB of RSS (330-367 MiB measured, 2-core VM): the rank-203
+intercept alone peaks at 304 MiB, and how much the runs before it add depends
+on the heap layout they leave.
 """
 
 from __future__ import annotations
@@ -28,6 +32,18 @@ RAMP = {"d1": 4, "d2": 4, "coeffs": [0.1, 0.2, 0.3, 0.4], "squared": True}
 MS_ME = {"kind": "multistage", "stages": [{"xi": 1.0}, {"xi": 0.7}, {"xi": 1.0}], "final": "me"}
 MILLION = ["--trials", "1000000", "--seed", "1"]
 
+
+def ramp(rank: int) -> dict:
+    """A rank-`rank` state, d1 = d2 = rank, with squared coefficients proportional to 1..rank."""
+    squared = [k / (rank * (rank + 1) / 2) for k in range(1, rank + 1)]
+    return {"d1": rank, "d2": rank, "coeffs": squared, "squared": True}
+
+
+def full_depth(rank: int, final: str) -> dict:
+    """The deepest plan at this rank: rank - 1 stages at xi = 1, then `final`."""
+    return {"kind": "multistage", "stages": [{"xi": 1.0}] * (rank - 1), "final": final}
+
+
 #: Output name -> (argv without --config and --out, config object or None).
 RUNS = {
     "sweep_multistage_rank8": (["sweep-multistage", "--d1", "8", "--d2", "8", "--grid", "14"], None),
@@ -39,6 +55,19 @@ RUNS = {
     ),
     "montecarlo_ms_me": (["montecarlo", *MILLION], {"state": RAMP, "strategy": MS_ME}),
     "qkd_ms_me": (["qkd", *MILLION], {"state": RAMP, "eve": {"kind": "intercept", "strategy": MS_ME}}),
+    # The deepest Monte Carlo run admitted: 2**30 information terms, 2**24 counts.
+    "montecarlo_deep": (
+        ["montecarlo", "--trials", "4096", "--seed", "1"],
+        {"state": ramp(64), "strategy": full_depth(64, "me")},
+    ),
+    # The largest eavesdropper's tree admitted: 203**3 cells.
+    "qkd_intercept_rank203": (
+        ["qkd", "--trials", "100000", "--seed", "1"],
+        {
+            "state": ramp(203),
+            "eve": {"kind": "intercept", "strategy": full_depth(203, "abstain"), "fallback": "uniform"},
+        },
+    ),
 }
 
 
