@@ -57,9 +57,10 @@ class Separation(NamedTuple):
 
 def _checked(coeffs, *xis):
     """(coeffs, *xis) as float arrays, after the checks of separate. Each check
-    is a ufunc reduction, not its np.min or .all() wrapper, which costs more at
-    run sizes. A minimum or maximum carries NaN through, and NaN fails every
-    comparison; the initial values keep zero-row input valid."""
+    is a ufunc reduction, not an np.min or .all() wrapper, whose overhead is a
+    large share of a check on a run's few coefficients. A minimum or maximum
+    carries NaN through, and NaN fails every comparison; the initial values
+    keep zero-row input valid."""
     xis = [np.asarray(xi, dtype=float) for xi in xis]
     if xis:
         joined = np.concatenate([xi.ravel() for xi in xis])

@@ -156,12 +156,15 @@ def counts_mutual_info(counts, n: int) -> float:
     tests/dense.py:counts_table_mutual_info sums them.
     """
     counts = np.asarray(counts)
-    if counts.dtype.kind not in "iu" or counts.ndim != 3 or n < 1 or counts.min() < 0 or counts.sum() != n:
+    # Reductions go through the ufuncs, not the .min()/.sum() wrappers, which take
+    # about a sixth of a call on the small tables of a seed ensemble.
+    valid = counts.dtype.kind in "iu" and counts.ndim == 3 and n >= 1
+    if not (valid and np.minimum.reduce(counts, axis=None) >= 0 and np.add.reduce(counts, axis=None) == n):
         raise ValueError(f"counts must be a nonnegative integer (D, d2, records) array summing to n = {n}")
-    rows = counts.sum(axis=2) / n
-    cols = counts.sum(axis=0) / n
+    rows = np.add.reduce(counts, axis=2) / n
+    cols = np.add.reduce(counts, axis=0) / n
     # Occupied cells in row-major order; a strided view is read in place, not copied by ravel.
-    j, k, r = np.unravel_index(np.flatnonzero(counts != 0), counts.shape)
+    j, k, r = np.unravel_index((counts != 0).ravel().nonzero()[0], counts.shape)
     p = counts[j, k, r] / n
     # A count of 1 or more gives p >= 1/n, so the zero rule can drop a cell only from 1e15 trials on.
     if 1 / n <= _ZERO_PROB:
@@ -170,4 +173,4 @@ def counts_mutual_info(counts, n: int) -> float:
     ratio = p / (rows[j, k] * cols[k, r])
     terms = p * np.fromiter(map(math.log2, ratio.tolist()), float, count=ratio.size)
     # Sequential like the oracle's loop; np.sum would sum pairwise.
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
