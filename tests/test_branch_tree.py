@@ -585,15 +585,15 @@ def test_a_cold_layout_memo_builds_the_warm_tree():
     for case, (s, plan) in enumerate(_tree_cases(rng, 48)):
         guess = GUESSES[case % 3]
         protocol_sim._layout.cache_clear()
-        cold = _BranchTree(s.coeffs, plan, guess)
+        first = _BranchTree(s.coeffs, plan, guess)
         warm = _BranchTree(s.coeffs, plan, guess)
-        assert warm.records is cold.records
+        assert warm.records is first.records
         protocol_sim._layout.cache_clear()
-        fresh = _BranchTree(s.coeffs, plan, guess)
-        assert fresh.records is not cold.records
-        assert fresh.records == warm.records and fresh.probs == warm.probs
+        cold = _BranchTree(s.coeffs, plan, guess)
+        assert cold.records is not warm.records
+        assert cold.records == warm.records and cold.probs == warm.probs
         for name in ("inferred", "dist", "_q"):
-            ours, theirs = getattr(fresh, name), getattr(warm, name)
+            ours, theirs = getattr(cold, name), getattr(warm, name)
             assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
             assert ours.tobytes() == theirs.tobytes()
 
