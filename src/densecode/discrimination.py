@@ -130,16 +130,17 @@ def walk_stages(coeffs, stages):
     row of `coeffs` (shape (..., P)).
 
     Returns (steps, rest). steps holds per planned stage a tuple (rows that
-    execute it, the families it acts on, their Separation); rest the families
-    left for the final action. A row's walk ends after a stage whose P_s
-    reaches SURE_SUCCESS (xi = 0, a uniform family), and its rest is that
-    stage's input, which the final action reaches with weight 1 - P_s; a row
-    also stops once its support drops below two levels. An ended row executes
-    no later stage and its families stay as they were, so every row stays
-    valid input. A plan may hold rank - 1 stages, and one on a rank-1 family,
-    which that stage leaves unexecuted. The input passes the checks of
-    separate once, `coeffs` and every stage's xi; failure families are valid
-    by construction, so the stages run the unchecked kernel.
+    execute it, the families it acts on, its P_s, its separated families);
+    rest the families left for the final action. A stage's Separation is
+    dropped once its failure families are taken. A row's walk ends after a
+    stage whose P_s reaches SURE_SUCCESS (xi = 0, a uniform family), and its
+    rest is that stage's input, which the final action reaches with weight
+    1 - P_s; a row also stops once its support drops below two levels. An
+    ended row executes no later stage and its families stay as they were, so
+    every row stays valid input. A plan may hold rank - 1 stages, and one on a
+    rank-1 family, which that stage leaves unexecuted. The input passes the
+    checks of separate once, `coeffs` and every stage's xi; failure families
+    are valid by construction, so the stages run the unchecked kernel.
     """
     current, *stages = _checked(coeffs, *stages)
     if len(stages) > max(current.shape[-1] - 1, 1):
@@ -149,9 +150,10 @@ def walk_stages(coeffs, stages):
     for xi in stages:
         sep = _separate(current, xi)
         live = live & ~sep.collapsed
-        steps.append((live, current, sep))
+        steps.append((live, current, sep.p_success, sep.b_coeffs))
         live = live & (sep.p_success < SURE_SUCCESS)
         current = np.where(live[..., None], sep.failure_coeffs, current)
+        del sep
     return steps, current
 
 

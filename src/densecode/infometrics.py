@@ -64,16 +64,13 @@ def _prefix_plans(coeffs, d2: int, stages):
     """One walk of `stages` down the failure-state hierarchy of each
     coefficient row of `coeffs` (shape (..., D)), read as its prefix plans,
     every plan the paper compares. Returns (probs, bits, families): per
-    planned stage, P_s and the success-branch bits, 0 and the target-system
-    floor on rows that do not execute it; per depth 0 to len(stages), the
-    families a final action after that many stages acts on."""
+    planned stage, P_s and the ME bits of its separated families, 0 and the
+    target-system floor on rows that do not execute it; per depth 0 to
+    len(stages), the families a final action after that many stages acts on."""
     steps, rest = walk_stages(coeffs, stages)
-    families = (*(family for _, family, _ in steps), rest)
-    # Each Separation is dropped here, once its P_s and success family are read.
-    reached = [(executed, sep.p_success, sep.b_coeffs) for executed, _, sep in steps]
-    del steps
-    probs = tuple(np.where(executed, p_stage, 0.0) for executed, p_stage, _ in reached)
-    bits = tuple(np.where(executed, me_bits(b_coeffs, d2), math.log2(d2)) for executed, _, b_coeffs in reached)
+    families = (*(family for _, family, _, _ in steps), rest)
+    probs = tuple(np.where(executed, p_stage, 0.0) for executed, _, p_stage, _ in steps)
+    bits = tuple(np.where(executed, me_bits(b_coeffs, d2), math.log2(d2)) for executed, _, _, b_coeffs in steps)
     return probs, bits, families
 
 

@@ -140,13 +140,13 @@ class _BranchTree:
             raise ValueError(f"branch tree of {cells} cells exceeds the limit of {MAX_TREE_CELLS}")
         steps, rest = walk_stages(coeffs, plan.stages)
         # The executed steps are a prefix of the walk.
-        executed = [sep for live, _, sep in steps if live]
-        self.probs = tuple(float(sep.p_success) for sep in executed)
+        executed = [(p_stage, b_coeffs) for live, _, p_stage, b_coeffs in steps if live]
+        self.probs = tuple(float(p_stage) for p_stage, _ in executed)
         #: Record labels, and the hypothesis each infers (INCONCLUSIVE for "inc").
         self.records, self.inferred = _layout(rank, len(executed), kind)
         me_final = [rest] if kind in ("f", "g") else []
         # One ME transform, row-independent; its rows (stages, then final) serve info_bits.
-        self._q = me_outcome_probs(np.reshape([sep.b_coeffs for sep in executed] + me_final, (-1, rank)))
+        self._q = me_outcome_probs(np.reshape([b_coeffs for _, b_coeffs in executed] + me_final, (-1, rank)))
         tables = self._q[:, (np.arange(rank)[:, None] - np.arange(rank)) % rank]
         self.dist = np.zeros((rank, len(self.records)))
         weight = 1.0

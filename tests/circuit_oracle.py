@@ -99,7 +99,7 @@ class CircuitTree:
         self.stages: list = []
         records: list = []
         current = [symmetric_state(s, j) for j in range(rank)]
-        for xi, (executed, family, _) in zip(stages, walk_stages(s.coeffs, stages)[0]):
+        for xi, (executed, family, _, _) in zip(stages, walk_stages(s.coeffs, stages)[0]):
             if not executed:
                 break
             coupling = dilation_unitary(family, xi, dim)

@@ -2,6 +2,7 @@
 were alone, and batched multistage totals agree with the circuit oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from densecode import (
     mutual_info_multistage,
 )
 from densecode.channel import GROUP_TOL_SQ
-from densecode.discrimination import separate, walk_stages
+from densecode.discrimination import Separation, separate, walk_stages
 from densecode.infometrics import me_bits, multistage_bits, multistage_columns
 
 from circuit_oracle import circuit_joint
@@ -114,8 +115,8 @@ def _separate_walk_bits(coeffs, d2, stages, final):
     here rather than by the shared fold."""
     floor_bits = math.log2(d2)
     steps, rest = walk_stages(coeffs, stages)
-    probs = [np.where(executed, sep.p_success, 0.0) for executed, _, sep in steps]
-    bits = [np.where(executed, me_bits(sep.b_coeffs, d2), floor_bits) for executed, _, sep in steps]
+    probs = [np.where(executed, p_stage, 0.0) for executed, _, p_stage, _ in steps]
+    bits = [np.where(executed, me_bits(b_coeffs, d2), floor_bits) for executed, _, _, b_coeffs in steps]
     total = me_bits(rest, d2) if final == FINAL_ME else np.full(rest.shape[:-1], floor_bits)
     for p_stage, suc_bits in zip(reversed(probs), reversed(bits)):
         total = p_stage * suc_bits + (1.0 - p_stage) * total
@@ -159,6 +160,26 @@ def test_multistage_columns_match_separate_walks(rank, grid, margin):
 def test_multistage_columns_on_mixed_rows():
     # Uniform (stage 1 is sure), an exact tie, near ties and a support hole.
     _check_multistage_columns(MIXED, 5)
+
+
+@pytest.mark.parametrize("rank, grid, n_stages", [(8, 8, 2), (6, 10, 3), (5, 12, 1)])
+def test_walk_holds_only_what_its_readers_read(rank, grid, n_stages):
+    """Per stage a walk keeps its rows, input families, P_s and separated
+    families: at most two coefficient arrays and 9 bytes a row. A step that
+    kept its whole Separation would hold about half as much again."""
+    coeffs = np.sqrt(simplex_grid(rank, grid, 1e-3))
+    tracemalloc.start()
+    try:
+        steps, rest = walk_stages(coeffs, (1.0,) * n_stages)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 2 * n_stages * coeffs.nbytes + n_stages * len(coeffs) * 9 + 64 * 2**10
+    assert held <= bound, f"held {held / coeffs.nbytes:.2f} x the input, bound {bound / coeffs.nbytes:.2f} x"
+    assert rest.shape == coeffs.shape
+    for step in steps:
+        assert isinstance(step, tuple) and len(step) == 4 and not isinstance(step, Separation)
+        assert all(isinstance(part, np.ndarray) for part in step)
 
 
 @st.composite

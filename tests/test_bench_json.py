@@ -1,8 +1,10 @@
 """tools/bench_json.py on fake run files: paired runs are summarised with the
-relative change of their medians, traced pairs apart from the timed ones, the
-run length is taken from the runs, and a run without its pair, runs of one
-side from two source digests, or runs of two lengths stop the tool with a
-message naming their files."""
+relative change of their medians, a metric is marked unresolved when the
+parent's spread exceeds its bound and the two sides' runs overlap, traced
+pairs are summarised apart from the timed ones, the run length is taken from
+the runs, and a run without its pair, runs of one side from two source
+digests, or runs of two lengths stop the tool with a message naming their
+files."""
 
 import json
 import subprocess
@@ -85,6 +87,34 @@ def test_relative_change_of_the_medians(tmp_path, run_dir):
     assert workloads["sweep_analytic"]["rel_change"] == {m: -0.25 for m in METRICS}
     # A parent median of 0 has no relative change.
     assert workloads["compile_wide"]["rel_change"] == {m: None for m in METRICS}
+
+
+def _resolved(tmp_path, run_dir, parent_values, change_values) -> dict:
+    """The `resolved` map of one workload whose runs give every metric these values."""
+    for seed, (parent, change) in enumerate(zip(parent_values, change_values)):
+        _write_run(run_dir, "parent", "qkd_intercept", seed, parent)
+        _write_run(run_dir, "change", "qkd_intercept", seed, change)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 0, result.stderr
+    return json.loads(out.read_text())["workloads"]["qkd_intercept"]["resolved"]
+
+
+def test_wide_interleaved_spread_is_unresolved(tmp_path, run_dir):
+    # Parent quartiles 2 and 4 about a median of 3: a spread of 67%, past every bound.
+    resolved = _resolved(tmp_path, run_dir, [1.0, 2.0, 3.0, 4.0, 5.0], [1.5, 2.5, 3.5, 4.5, 5.5])
+    assert resolved == {m: False for m in METRICS}
+
+
+def test_wide_spread_is_resolved_when_every_change_run_is_better(tmp_path, run_dir):
+    # Every change run is lower than every parent run: better unless higher is better.
+    resolved = _resolved(tmp_path, run_dir, [10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert resolved == {m: m != "units_per_ref_s" for m in METRICS}
+
+
+def test_narrow_spread_is_resolved(tmp_path, run_dir):
+    # Parent quartiles 10.0 and 10.1 about a median of 10.1: a spread of 1%, inside every bound.
+    resolved = _resolved(tmp_path, run_dir, [10.0, 10.1, 10.2, 10.1, 10.0], [10.05, 10.15, 9.95, 10.1, 10.2])
+    assert resolved == {m: True for m in METRICS}
 
 
 def test_traced_pairs_are_summarised_apart(tmp_path, run_dir):

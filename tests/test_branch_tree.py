@@ -397,9 +397,9 @@ def test_tree_information_is_the_closed_form():
             ranks.add(s.D)
             finals.add(plan.final_action)
             steps, _ = discrimination.walk_stages(s.coeffs, plan.stages)
-            holes |= any(bool(executed) and not family.all() for executed, family, _ in steps)
+            holes |= any(bool(executed) and not family.all() for executed, family, _, _ in steps)
             # A sure stage with a planned stage after it: P_s exactly 1, or just below.
-            sure = [sep.p_success for executed, _, sep in steps[:-1] if executed and sep.p_success >= SURE_SUCCESS]
+            sure = [p_stage for executed, _, p_stage, _ in steps[:-1] if executed and p_stage >= SURE_SUCCESS]
             cut.update(float(p_stage) == 1.0 for p_stage in sure)
     assert worst <= 1e-12, worst
     assert ranks == set(range(1, 9)) and finals == set(FINALS) and holes

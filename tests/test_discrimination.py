@@ -241,9 +241,9 @@ class TestStageSuccessProbability:
     def test_matches_separation_of_failure_family(self):
         second = separate(separate(QUTRIT, 1.0).failure_coeffs, 1.0)
         steps, _ = walk_stages(QUTRIT, (1.0, 1.0))
-        executed, _, walked = steps[1]
+        executed, _, p_stage, _ = steps[1]
         assert executed
-        assert abs(walked.p_success - second.p_success) < 1e-12
+        assert abs(p_stage - second.p_success) < 1e-12
 
     def test_a_sure_stage_ends_the_walk(self):
         """One batch: a uniform row, rows whose first stage has xi = 0 and
@@ -252,12 +252,12 @@ class TestStageSuccessProbability:
         ordinary row goes on to the second stage's failure family."""
         coeffs = np.array([np.sqrt([1 / 3] * 3), QUTRIT, QUTRIT, QUTRIT])
         steps, rest = walk_stages(coeffs, (np.array([1.0, 0.0, 1e-13, 1.0]), 1.0))
-        (first_executed, first_family, first), (second_executed, _, second) = steps
+        (first_executed, first_family, first_p, _), (second_executed, second_family, _, _) = steps
         assert first_executed.tolist() == [True] * 4
-        assert first.p_success[2] < 1.0 and (first.p_success[:3] >= SURE_SUCCESS).all()
+        assert first_p[2] < 1.0 and (first_p[:3] >= SURE_SUCCESS).all()
         assert second_executed.tolist() == [False, False, False, True]
         assert np.array_equal(rest[:3], first_family[:3])
-        assert np.array_equal(rest[3], second.failure_coeffs[3])
+        assert np.array_equal(rest[3], separate(second_family[3], 1.0).failure_coeffs)
 
     def test_first_stage_consistency(self):
         # the same stage construction applied to the original coefficients
