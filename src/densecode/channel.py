@@ -18,16 +18,19 @@ GROUP_TOL_SQ = 1e-9
 def check_coeffs(d1: int, d2: int, coeffs) -> np.ndarray:
     """Schmidt coefficients of a d1 x d2 channel as a read-only float array:
     one state (D,) or one state per row (N, D). Raises ValueError unless every
-    row is finite, strictly positive, normalised and of rank <= min(d1, d2)."""
+    row is finite, strictly positive, normalised and of rank <= min(d1, d2).
+    Each check is a ufunc reduction; NaN fails positivity and inf normalisation."""
     if d1 < 1 or d2 < 1:
         raise ValueError("subsystem dimensions must be positive")
     coeffs = np.array(coeffs, dtype=float)
     if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
         raise ValueError("coeffs must be a nonempty 1D vector")
-    if not np.all(coeffs >= COEFF_TOL):
+    if not np.logical_and.reduce(coeffs >= COEFF_TOL, axis=None):
         raise ValueError("all Schmidt coefficients must be finite and strictly positive")
     # A coefficient above 1 cannot be normalised; rejecting it first keeps its square finite.
-    if np.any(coeffs > 1.0 + NORM_TOL) or np.any(np.abs(np.sum(coeffs**2, axis=-1) - 1.0) > NORM_TOL):
+    if np.maximum.reduce(coeffs, axis=None, initial=0.0) > 1.0 + NORM_TOL or np.logical_or.reduce(
+        abs(np.add.reduce(coeffs**2, axis=-1) - 1.0) > NORM_TOL, axis=None
+    ):
         raise ValueError("squared Schmidt coefficients must sum to 1")
     if coeffs.shape[-1] > min(d1, d2):
         raise ValueError("Schmidt rank exceeds min(d1, d2)")

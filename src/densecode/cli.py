@@ -61,29 +61,34 @@ def _csv_text(rows) -> str:
     return fh.getvalue()
 
 
-def _cell_text(values: np.ndarray) -> np.ndarray:
-    """The text of each float in `values` by one format call ("%.9g" writes no comma)."""
-    values = values.tolist()
-    return np.array(((_FLOAT + ",") * len(values) % tuple(values)).split(",")[:-1], dtype=object)
+def _cell_text(values: np.ndarray, sep: str) -> np.ndarray:
+    """The text of each float in `values`, then `sep`, by one format call ("%.9g" writes no NUL)."""
+    return np.array(((_FLOAT + sep + "\0") * values.size % tuple(values.tolist())).split("\0")[:-1], dtype=object)
 
 
 def _table_text(header, columns) -> str:
-    """Float64 columns under `header`, as _csv_text renders them. Each levels array of a lattice column
-    (levels, codes) is formatted once; any other column's distinct bit patterns (-0.0 is not 0.0) once per block."""
-    texts = {id(c[0]): _cell_text(c[0]) for c in columns if isinstance(c, tuple)}
-    cells = [(texts[id(c[0])], c[1]) if isinstance(c, tuple) else (None, c) for c in columns]
+    """Float64 columns under `header`, as _csv_text renders them, a block of rows by one join of its cells, each
+    cell's text with its separator ("\r\n" in the last column). Each levels array of a lattice column (levels, codes)
+    is formatted once; per block, the other columns of one separator share one format of their distinct bit patterns."""
+    seps = [","] * (len(columns) - 1) + ["\r\n"]
+    texts = {(id(c[0]), sep): _cell_text(c[0], sep) for c, sep in zip(columns, seps) if isinstance(c, tuple)}
+    plain = [i for i, c in enumerate(columns) if not isinstance(c, tuple)]
+    figures = {sep: group for sep in (",", "\r\n") if (group := [i for i in plain if seps[i] == sep])}
+    rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
 
     def blocks():
         yield _csv_text([header])
-        for start in range(0, len(cells[0][1]), _BLOCK_ROWS):
-            block = []
-            for text, column in cells:
-                column = column[start : start + _BLOCK_ROWS]
-                if text is None:
-                    bits, column = np.unique(column.view(np.int64), return_inverse=True)
-                    text = _cell_text(bits.view(np.float64))
-                block.append(text[column].tolist())
-            yield "\r\n".join(map(",".join, zip(*block))) + "\r\n"
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = slice(start, min(start + _BLOCK_ROWS, rows))
+            grid = np.empty((block.stop - start, len(columns)), dtype=object)
+            for i, (column, sep) in enumerate(zip(columns, seps)):
+                if isinstance(column, tuple):
+                    grid[:, i] = texts[id(column[0]), sep][column[1][block]]
+            for sep, group in figures.items():
+                patterns = np.concatenate([columns[i][block] for i in group]).view(np.int64)
+                bits, inverse = np.unique(patterns, return_inverse=True)
+                grid[:, group] = _cell_text(bits.view(np.float64), sep)[inverse.reshape(len(group), -1).T]
+            yield "".join(grid.ravel().tolist())
 
     return "".join(blocks())
 
@@ -138,17 +143,19 @@ def _lattice(rank: int, resolution: int, margin: float):
             raise ValueError(f"sweep of more than 10^40 x {rank} coefficients exceeds the limit of {MAX_SWEEP_COEFFS}")
     _check_size(rows, rank)
     resolution = resolution if rank > 1 else 1  # a rank-1 lattice is one point, of share 1 at any resolution
-    # Grow the compositions one part at a time: each prefix with `left` still
-    # to place is followed by heads 0..left, which keeps lexicographic order.
-    codes = np.zeros((1, 0), dtype=np.min_scalar_type(resolution))
-    left = np.array([resolution])
+    # Grow the compositions one part at a time: each prefix with `left` still to place is followed by heads 0..left,
+    # in lexicographic order. Then fill the codes from the last part back: a head repeats once per row under it.
+    left, steps = np.array([resolution]), []
     for _ in range(rank - 1):
         counts = left + 1
-        prefix = np.repeat(np.arange(left.size), counts)
-        heads = np.arange(prefix.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        codes = np.column_stack([codes[prefix], heads.astype(codes.dtype)])
-        left = left[prefix] - heads
-    codes = np.column_stack([codes, left.astype(codes.dtype)])
+        starts = np.cumsum(counts) - counts
+        heads = np.arange(counts.sum()) - np.repeat(starts, counts)
+        steps.append((starts, heads))
+        left = np.repeat(left, counts) - heads
+    codes = np.empty((left.size, rank), dtype=np.min_scalar_type(resolution))
+    codes[:, -1], under = left, np.ones(left.size, dtype=np.intp)
+    for column, (starts, heads) in zip(codes.T[-2::-1], reversed(steps)):
+        column[:], under = np.repeat(heads, under), np.add.reduceat(under, starts)
     return margin + (np.arange(resolution + 1) / resolution) * (1.0 - rank * margin), codes
 
 

@@ -106,20 +106,24 @@ def _separate(coeffs: np.ndarray, xi: np.ndarray) -> Separation:
     sq = coeffs**2
     m2 = np.minimum.reduce(sq, axis=-1, where=support, initial=np.inf)
     uniform = np.maximum.reduce(sq, axis=-1, where=support, initial=0.0) - m2 <= GROUP_TOL_SQ
-    gap = sq - m2[..., None]
-    minimal = support & (gap <= GROUP_TOL_SQ)
     denom = (1.0 - xi) + xi / (d_sup * m2)
-    separated = np.sqrt((1.0 - xi)[..., None] * sq + (xi / d_sup)[..., None])
-    # Normalised over what is left: a near-tied level in the minimal class
-    # drops its excess over m2 as well, so 1 - d*m2 would overcount.
-    excess = np.where(support & ~minimal, gap, 0.0)
+    # Full-size results reuse buffers, so a call holds about two coefficient arrays.
+    b_coeffs = np.multiply((1.0 - xi)[..., None], sq)
+    np.sqrt(np.add(b_coeffs, (xi / d_sup)[..., None], out=b_coeffs), out=b_coeffs)
+    np.copyto(b_coeffs, coeffs, where=uniform[..., None])
+    np.copyto(b_coeffs, 0.0, where=~support)
+    # The excess over m2, normalised over what is left: a near-tied level in the
+    # minimal class drops its excess as well, so 1 - d*m2 would overcount.
+    excess = np.subtract(sq, m2[..., None], out=sq)
+    minimal = support & (excess <= GROUP_TOL_SQ)
+    np.copyto(excess, 0.0, where=minimal | ~support)
     norm = np.where(uniform, 1.0, excess.sum(axis=-1))
     return Separation(
         support=support,
         minimal=minimal,
-        b_coeffs=np.where(support, np.where(uniform[..., None], coeffs, separated), 0.0),
+        b_coeffs=b_coeffs,
         p_success=np.where(uniform, 1.0, 1.0 / denom),
-        failure_coeffs=np.sqrt(excess / norm[..., None]),
+        failure_coeffs=np.sqrt(np.divide(excess, norm[..., None], out=excess), out=excess),
         uniform=uniform,
         collapsed=d_sup < 2,
     )

@@ -18,8 +18,8 @@ from densecode import (
     cli,
     mutual_info_multistage,
 )
-from densecode.channel import GROUP_TOL_SQ
-from densecode.discrimination import Separation, separate, walk_stages
+from densecode.channel import COEFF_TOL, GROUP_TOL_SQ
+from densecode.discrimination import Separation, _checked, _separate, separate, walk_stages
 from densecode.infometrics import me_bits, multistage_bits, multistage_columns
 
 from circuit_oracle import circuit_joint
@@ -180,6 +180,58 @@ def test_walk_holds_only_what_its_readers_read(rank, grid, n_stages):
     for step in steps:
         assert isinstance(step, tuple) and len(step) == 4 and not isinstance(step, Separation)
         assert all(isinstance(part, np.ndarray) for part in step)
+
+
+def _separation_by_fresh_arrays(coeffs, xi) -> Separation:
+    """The separation kernel with a new array for every intermediate: the
+    arithmetic _separate does in reused buffers, in the same order."""
+    support = coeffs > COEFF_TOL
+    d_sup = support.sum(axis=-1)
+    sq = coeffs**2
+    m2 = np.minimum.reduce(sq, axis=-1, where=support, initial=np.inf)
+    uniform = np.maximum.reduce(sq, axis=-1, where=support, initial=0.0) - m2 <= GROUP_TOL_SQ
+    gap = sq - m2[..., None]
+    minimal = support & (gap <= GROUP_TOL_SQ)
+    separated = np.sqrt((1.0 - xi)[..., None] * sq + (xi / d_sup)[..., None])
+    excess = np.where(support & ~minimal, gap, 0.0)
+    norm = np.where(uniform, 1.0, excess.sum(axis=-1))
+    return Separation(
+        support=support,
+        minimal=minimal,
+        b_coeffs=np.where(support, np.where(uniform[..., None], coeffs, separated), 0.0),
+        p_success=np.where(uniform, 1.0, 1.0 / ((1.0 - xi) + xi / (d_sup * m2))),
+        failure_coeffs=np.sqrt(excess / norm[..., None]),
+        uniform=uniform,
+        collapsed=d_sup < 2,
+    )
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.3, 0.7, 1.0, "per row"])
+@pytest.mark.parametrize("coeffs", [MIXED, np.sqrt(simplex_grid(5, 6, 1e-3)), MIXED[6]], ids=["mixed", "lattice", "one"])
+def test_separation_in_reused_buffers_matches_fresh_arrays(coeffs, xi):
+    xi = np.linspace(0.0, 1.0, len(coeffs)) if xi == "per row" else xi
+    coeffs, xi = _checked(coeffs, xi)
+    got, expected = _separate(coeffs, xi), _separation_by_fresh_arrays(coeffs, xi)
+    for name in Separation._fields:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("rank, grid", [(8, 8), (6, 10), (5, 12)])
+def test_separation_peaks_near_two_coefficient_arrays(rank, grid):
+    """One separation reuses its full-size buffers: it peaks near three times
+    its input (tracemalloc), where a new array per intermediate peaked near
+    eight times."""
+    coeffs, xi = _checked(np.sqrt(simplex_grid(rank, grid, 1e-3)), 1.0)
+    tracemalloc.start()
+    try:
+        sep = _separate(coeffs, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 4.5 * coeffs.nbytes + 64 * 2**10
+    assert peak <= bound, f"peak {peak / coeffs.nbytes:.2f} x the input, bound {bound / coeffs.nbytes:.2f} x"
+    assert sep.b_coeffs.shape == sep.failure_coeffs.shape == coeffs.shape
 
 
 @st.composite

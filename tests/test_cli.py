@@ -648,8 +648,15 @@ def _reference_grid(rank: int, resolution: int, margin: float) -> np.ndarray:
     )
 
 
-@pytest.mark.parametrize("rank", range(1, 7))
-@pytest.mark.parametrize("resolution, margin", [(2, 1e-3), (5, 0.01), (12, 1e-3), (13, 0.05)])
+#: (resolution, margin, rank): ranks 1-6 at four grids, and ranks 7 and 8, the
+#: largest sweeps, at the grids whose reference stays small.
+_LATTICES = [
+    (res, margin, rank) for res, margin in [(2, 1e-3), (5, 0.01), (12, 1e-3), (13, 0.05)] for rank in range(1, 7)
+]
+_LATTICES += [(res, margin, rank) for res, margin in [(2, 1e-3), (5, 0.01)] for rank in (7, 8)]
+
+
+@pytest.mark.parametrize("resolution, margin, rank", _LATTICES)
 def test_simplex_grid_matches_recursive_compositions(rank, resolution, margin):
     grid = simplex_grid(rank, resolution, margin)
     reference = _reference_grid(rank, resolution, margin)
@@ -657,8 +664,7 @@ def test_simplex_grid_matches_recursive_compositions(rank, resolution, margin):
     assert grid.tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("rank", range(1, 7))
-@pytest.mark.parametrize("resolution, margin", [(2, 1e-3), (5, 0.01), (12, 1e-3), (13, 0.05)])
+@pytest.mark.parametrize("resolution, margin, rank", _LATTICES)
 def test_lattice_levels_by_code_match_the_reference(rank, resolution, margin):
     levels, codes = cli._lattice(rank, resolution, margin)
     assert codes.dtype == np.uint8
@@ -804,6 +810,39 @@ def test_write_table_matches_csv_writer_on_any_table(table, block):
         patch.setattr(cli, "_BLOCK_ROWS", block)
         text = cli._table_text(header, list(table.T))
     assert text.encode() == _csv_writer_bytes(header, table.tolist())
+
+
+@st.composite
+def mixed_columns(draw):
+    """(rows, columns): 1-6 columns in any order, each a lattice column
+    (levels, codes), some sharing one levels array, or a float column whose
+    cells come from a pool shared by all float columns, so that columns share
+    bit patterns (signed zeros, NaN, repeats)."""
+    rows = draw(st.integers(1, 12))
+    floats = st.floats(width=64) | st.sampled_from(_AWKWARD)
+    pool = draw(st.lists(floats, min_size=1, max_size=8))
+    shared = np.array(draw(st.lists(floats, min_size=1, max_size=6)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["figure", "lattice", "shared levels"]), min_size=1, max_size=6)):
+        if kind == "figure":
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))))
+            continue
+        levels = shared if kind == "shared levels" else np.array(draw(st.lists(floats, min_size=1, max_size=6)))
+        codes = draw(st.lists(st.integers(0, levels.size - 1), min_size=rows, max_size=rows))
+        columns.append((levels, np.array(codes, dtype=np.uint8)))
+    return rows, columns
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(table=mixed_columns(), block=st.integers(1, 5))
+def test_mixed_lattice_and_float_columns_match_csv_writer(table, block):
+    rows, columns = table
+    header = [f"c{i}" for i in range(len(columns))]
+    cells = [c[0][c[1]] if isinstance(c, tuple) else c for c in columns]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_ROWS", block)
+        text = cli._table_text(header, columns)
+    assert text.encode() == _csv_writer_bytes(header, np.column_stack(cells).reshape(rows, -1).tolist())
 
 
 def test_sweep_sep_across_blocks_matches_csv_writer(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ def _tool():
 
 def test_every_digest_run_parses():
     runs = _tool().RUNS
-    assert len(runs) == 8
+    assert len(runs) == 10
     for name, (argv, config) in runs.items():
         args = cli._build_parser().parse_args([*argv, "--out", f"{name}.csv"])
         assert args.command == argv[0]

@@ -46,6 +46,9 @@ def full_depth(rank: int, final: str) -> dict:
 
 #: Output name -> (argv without --config and --out, config object or None).
 RUNS = {
+    # The two sweeps of one `sweep_analytic` benchmark op (perfbench/workloads.py).
+    "sweep_analytic_me": (["sweep-me", "--d1", "5", "--d2", "5", "--grid", "13"], None),
+    "sweep_analytic_multistage": (["sweep-multistage", "--d1", "4", "--d2", "4", "--grid", "9"], None),
     "sweep_multistage_rank8": (["sweep-multistage", "--d1", "8", "--d2", "8", "--grid", "14"], None),
     "sweep_me_rank8": (["sweep-me", "--d1", "8", "--d2", "8", "--grid", "12"], None),
     "sweep_sep": (["sweep-sep", "--xi-steps", "100000"], None),
