@@ -39,7 +39,7 @@ from .qkd import EveStrategy, analytic_sift_rate, simulate_qkd
 _DEFAULT_MARGIN = 1e-3
 _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
 #: Most coefficients (rows times rank) one sweep may hold; peak memory grows with
-#: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 128 MiB.
+#: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 111 MiB.
 MAX_SWEEP_COEFFS = 10**6
 
 #: Every float cell: 9 significant digits.
@@ -67,9 +67,9 @@ def _cell_text(values: np.ndarray, sep: str) -> np.ndarray:
 
 
 def _table_text(header, columns) -> str:
-    """Float64 columns under `header`, as _csv_text renders them, a block of rows by one join of its cells, each
-    cell's text with its separator ("\r\n" in the last column). Each levels array of a lattice column (levels, codes)
-    is formatted once; per block, the other columns of one separator share one format of their distinct bit patterns."""
+    """Float64 columns under `header`, as _csv_text renders them. Each cell's text ends with its separator (CRLF in
+    the last column) and a block of rows is one join of its cells. Each levels array of a lattice column (levels,
+    codes) is formatted once; per block, the other columns of one separator format their distinct bit patterns once."""
     seps = [","] * (len(columns) - 1) + ["\r\n"]
     texts = {(id(c[0]), sep): _cell_text(c[0], sep) for c, sep in zip(columns, seps) if isinstance(c, tuple)}
     plain = [i for i, c in enumerate(columns) if not isinstance(c, tuple)]
