@@ -1,8 +1,10 @@
-"""The shared entangled resource: a Schmidt state and its validation. The
-config format that names a state is read in `densecode.cli`."""
+"""The shared entangled resource: a Schmidt state, and the one coefficient
+check that the state and the stage walk share. The config format that names a
+state is read in `densecode.cli`."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,26 +17,28 @@ NORM_TOL = 1e-10
 GROUP_TOL_SQ = 1e-9
 
 
-def check_coeffs(d1: int, d2: int, coeffs) -> np.ndarray:
-    """Schmidt coefficients of a d1 x d2 channel as a read-only float array:
-    one state (D,) or one state per row (N, D). Raises ValueError unless every
-    row is finite, strictly positive, normalised and of rank <= min(d1, d2).
-    Each check is a ufunc reduction; NaN fails positivity and inf normalisation."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("subsystem dimensions must be positive")
-    coeffs = np.array(coeffs, dtype=float)
+def check_coeffs(coeffs) -> np.ndarray:
+    """`coeffs`, one row (P,) or a stack of rows (..., P) with zeros outside a row's support, as a float array
+    without a copy. Raises ValueError unless each row is finite, nonnegative and normalised on a nonempty support.
+    Each check is a ufunc reduction, cheaper than np.min or .all() on a run's few coefficients; a minimum or
+    maximum carries NaN through, and the initial values keep zero-row input valid."""
+    coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
         raise ValueError("coeffs must be a nonempty 1D vector")
-    if not np.logical_and.reduce(coeffs >= COEFF_TOL, axis=None):
-        raise ValueError("all Schmidt coefficients must be finite and strictly positive")
-    # A coefficient above 1 cannot be normalised; rejecting it first keeps its square finite.
-    if np.maximum.reduce(coeffs, axis=None, initial=0.0) > 1.0 + NORM_TOL or np.logical_or.reduce(
-        abs(np.add.reduce(coeffs**2, axis=-1) - 1.0) > NORM_TOL, axis=None
+    lowest = np.minimum.reduce(coeffs, axis=None, initial=0.0)
+    highest = np.maximum.reduce(coeffs, axis=None, initial=0.0)
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
+        raise ValueError("coefficients must be finite")
+    if lowest < -COEFF_TOL:
+        raise ValueError("coefficients must be nonnegative")
+    support = coeffs > COEFF_TOL
+    if not np.logical_and.reduce(np.logical_or.reduce(support, axis=-1), axis=None):
+        raise ValueError("empty support")
+    # A coefficient above 1 is refused before it is squared, which could overflow.
+    if highest > 1.0 + NORM_TOL or np.logical_or.reduce(
+        abs(np.add.reduce(coeffs**2, axis=-1, where=support) - 1.0) > NORM_TOL, axis=None
     ):
         raise ValueError("squared Schmidt coefficients must sum to 1")
-    if coeffs.shape[-1] > min(d1, d2):
-        raise ValueError("Schmidt rank exceeds min(d1, d2)")
-    coeffs.setflags(write=False)
     return coeffs
 
 
@@ -51,9 +55,16 @@ class SchmidtState:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = check_coeffs(self.d1, self.d2, self.coeffs)
+        if self.d1 < 1 or self.d2 < 1:
+            raise ValueError("subsystem dimensions must be positive")
+        coeffs = check_coeffs(np.array(self.coeffs, dtype=float))
         if coeffs.ndim != 1:
             raise ValueError("coeffs must be a nonempty 1D vector")
+        if not np.logical_and.reduce(coeffs >= COEFF_TOL):
+            raise ValueError(f"all Schmidt coefficients must be at least {COEFF_TOL:g}")
+        if coeffs.size > min(self.d1, self.d2):
+            raise ValueError("Schmidt rank exceeds min(d1, d2)")
+        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

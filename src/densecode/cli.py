@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .channel import SchmidtState, check_coeffs
+from .channel import COEFF_TOL, SchmidtState
 from .discrimination import FINAL_ABSTAIN, StagePlan
 from .infometrics import me_bits, multistage_bits, multistage_columns
 from .protocol_sim import GUESS_UNIFORM, INCONCLUSIVE, DecodingStrategy, SimulationReport, run_simulation
@@ -38,8 +38,8 @@ from .qkd import EveStrategy, analytic_sift_rate, simulate_qkd
 
 _DEFAULT_MARGIN = 1e-3
 _DEFAULT_STATE = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
-#: Most coefficients (rows times rank) one sweep may hold; peak memory grows with
-#: them. A rank-8 grid-14 sweep-multistage holds 930,240 and peaks near 111 MiB.
+#: Most coefficients (rows times rank) one sweep may hold, 8 MB of float64. A sweep's
+#: lattice, walk families, figure columns and text are each a fixed multiple of them.
 MAX_SWEEP_COEFFS = 10**6
 
 #: Every float cell: 9 significant digits.
@@ -134,6 +134,9 @@ def _lattice(rank: int, resolution: int, margin: float):
         raise ValueError("grid resolution must be >= 2")
     if not 0 < margin < math.inf:
         raise ValueError(f"boundary margin must be positive and finite, not {margin!r}")
+    # Every row is normalised by construction; its smallest coefficient, sqrt(levels[0]), must pass the state's floor.
+    if rank > 1 and math.sqrt(margin) < COEFF_TOL:
+        raise ValueError(f"boundary margin must be at least {COEFF_TOL**2:g} at rank {rank}, not {margin!r}")
     if rank * margin >= 1.0:
         raise ValueError("margin too large for this rank")
     # C(resolution + rank - 1, rank - 1) rows, counted a factor at a time up to 10^40 (math.comb may take a minute).
@@ -320,7 +323,7 @@ def _simplex_sweep(args, config: dict, grid: int, figures, min_rank: int = 1):
     grid, margin = _setting(args, config, "grid", grid), _setting(args, config, "margin", _DEFAULT_MARGIN)
     levels, codes = _lattice(min(d1, d2), grid, margin)
     levels = np.sqrt(levels)  # np.sqrt(levels)[codes] is np.sqrt(levels[codes]), bit for bit
-    columns = figures(check_coeffs(d1, d2, levels[codes]), d2)
+    columns = figures(levels[codes], d2)
     header = [f"a{i}" for i in range(codes.shape[1] - 1)] + list(columns)
     return header, [(levels, part) for part in codes.T[:-1]] + list(columns.values())
 
@@ -347,8 +350,9 @@ def _cmd_sweep_multistage(args, config: dict):
 
 #: The montecarlo CSV's bound on |empirical - analytic| mutual information, in
 #: bits. A fixed tolerance, not a calibrated bound: the plug-in estimate misses
-#: it on about 2% of seeds for a rank-4 three-stage plan at 20,001 trials. A
-#: calibrated Miller-Madow row is planned to replace it (ROADMAP item 4).
+#: it on about 2% of seeds for a rank-4 three-stage plan at 20,001 trials.
+#: ROADMAP item 4 plans a calibrated row beside it: the central interval of
+#: plug-in estimates drawn from the run's own tree at its trial count.
 _MI_BOUND_BITS = 0.02
 
 

@@ -5,13 +5,12 @@ minimum-error outcome rows."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import COEFF_TOL, GROUP_TOL_SQ, NORM_TOL
+from .channel import COEFF_TOL, GROUP_TOL_SQ, check_coeffs
 
 #: Final actions for a stage plan.
 FINAL_ME = "me"
@@ -56,34 +55,14 @@ class Separation(NamedTuple):
 
 
 def _checked(coeffs, *xis):
-    """(coeffs, *xis) as float arrays, after the checks of separate. Each check
-    is a ufunc reduction, not an np.min or .all() wrapper, whose overhead is a
-    large share of a check on a run's few coefficients. A minimum or maximum
-    carries NaN through, and NaN fails every comparison; the initial values
-    keep zero-row input valid."""
+    """(coeffs, *xis) as float arrays, after the checks of separate: every xi in [0, 1] (NaN fails both
+    comparisons), then channel.check_coeffs."""
     xis = [np.asarray(xi, dtype=float) for xi in xis]
     if xis:
         joined = np.concatenate([xi.ravel() for xi in xis])
         if not (np.minimum.reduce(joined, initial=0.0) >= 0.0 and np.maximum.reduce(joined, initial=1.0) <= 1.0):
             raise ValueError("distinguishability must lie in [0, 1]")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
-        raise ValueError("coeffs must be a nonempty 1D vector")
-    lowest = np.minimum.reduce(coeffs, axis=None, initial=0.0)
-    highest = np.maximum.reduce(coeffs, axis=None, initial=0.0)
-    if not (math.isfinite(lowest) and math.isfinite(highest)):
-        raise ValueError("coefficients must be finite")
-    if lowest < -COEFF_TOL:
-        raise ValueError("coefficients must be nonnegative")
-    support = coeffs > COEFF_TOL
-    if not np.logical_and.reduce(np.logical_or.reduce(support, axis=-1), axis=None):
-        raise ValueError("empty support")
-    # A coefficient above 1 is refused before it is squared, which could overflow.
-    if highest > 1.0 + NORM_TOL or np.logical_or.reduce(
-        abs(np.add.reduce(coeffs**2, axis=-1, where=support) - 1.0) > NORM_TOL, axis=None
-    ):
-        raise ValueError("squared coefficients must sum to 1 on the support")
-    return (coeffs, *xis)
+    return (check_coeffs(coeffs), *xis)
 
 
 def separate(coeffs, xi) -> Separation:

@@ -84,8 +84,8 @@ class DecodingStrategy:
 
 
 #: Most cells D * records a branch tree may hold, D records per planned stage; a run keeps a few
-#: arrays that size. The full-depth intercept at rank 203 peaks at 304 MiB of process RSS; the
-#: deepest run MAX_RUN_TERMS admits (rank 64, 63 stages, ME final) holds 64**3 cells.
+#: arrays that size, each at most 64 MiB of float64. The full-depth intercept at rank 203 holds
+#: 203**3 cells; the deepest run MAX_RUN_TERMS admits (rank 64, 63 stages, ME final) 64**3.
 MAX_TREE_CELLS = 2**23
 
 

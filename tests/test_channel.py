@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from densecode import SchmidtState, cli
+from densecode.channel import check_coeffs
 from densecode.discrimination import separate
 from densecode.gates import fourier, gxor, pauli_z
 from densecode.tensor_core import Ket, apply, tensor
@@ -47,9 +48,26 @@ class TestSchmidtState:
         t = cli._parse_state({"d1": 2, "d2": 2, "coeffs": list(s.coeffs)})
         assert np.allclose(t.coeffs, s.coeffs)
 
+    def test_holds_a_read_only_copy_of_the_callers_array(self):
+        coeffs = np.sqrt([0.2, 0.8])
+        s = SchmidtState(2, 2, coeffs)
+        coeffs[0] = 0.5
+        assert s.coeffs.tolist() == np.sqrt([0.2, 0.8]).tolist()
+        assert not np.shares_memory(s.coeffs, coeffs) and not s.coeffs.flags.writeable
+        assert coeffs.flags.writeable
+
     def test_order_preserved(self):
         s = SchmidtState.from_squared(3, 3, [0.5, 0.2, 0.3])
         assert np.allclose(s.coeffs**2, [0.5, 0.2, 0.3])
+
+
+def test_check_coeffs_returns_its_float_input_without_a_copy():
+    coeffs = np.sqrt([[0.2, 0.8, 0.0], [0.5, 0.25, 0.25]])
+    checked = check_coeffs(coeffs)
+    assert checked is coeffs and checked.flags.writeable
+    frozen = np.sqrt([0.5, 0.5])
+    frozen.setflags(write=False)
+    assert np.shares_memory(check_coeffs(frozen), frozen) and not frozen.flags.writeable
 
 
 class TestResourceState:

@@ -34,6 +34,7 @@ from densecode import (
     run_simulation,
 )
 from densecode import protocol_sim
+from densecode.channel import COEFF_TOL, check_coeffs
 from densecode.infometrics import multistage_bits
 from densecode.protocol_sim import MAX_RUN_TERMS, MAX_TREE_CELLS
 
@@ -217,6 +218,13 @@ def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
     "argv, config, message",
     [
         (["sweep-me", "--margin", "0.5"], None, "margin too large for this rank"),
+        # The smallest coefficient of a rank-3 lattice, sqrt(1e-30), lies below COEFF_TOL.
+        (["sweep-me", "--margin", "1e-30"], None, "boundary margin must be at least 1e-24 at rank 3, not 1e-30\n"),
+        (
+            ["sweep-multistage", "--margin", "1e-30"],
+            None,
+            "boundary margin must be at least 1e-24 at rank 3, not 1e-30\n",
+        ),
         (["sweep-sep", "--config", "missing.json"], None, "cannot read config missing.json: "),
         (["sweep-sep"], [], "config file must hold a JSON object"),
         (["sweep-sep"], {"out": 3}, "'out' must be a file path, not 3"),
@@ -664,11 +672,30 @@ def test_simplex_grid_matches_recursive_compositions(rank, resolution, margin):
     assert grid.tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("resolution, margin, rank", _LATTICES)
+@pytest.mark.parametrize("resolution, margin, rank", [*_LATTICES, (12, 1e-24, 4)])
 def test_lattice_levels_by_code_match_the_reference(rank, resolution, margin):
     levels, codes = cli._lattice(rank, resolution, margin)
     assert codes.dtype == np.uint8
     assert np.sqrt(levels)[codes].tobytes() == np.sqrt(_reference_grid(rank, resolution, margin)).tobytes()
+    # A sweep hands its lattice to the figures unchecked: every row is a valid state by construction.
+    coeffs = check_coeffs(np.sqrt(levels)[codes])
+    assert coeffs.min() >= COEFF_TOL
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-me", "--margin", "1e-24", "--grid", "4"],
+        ["sweep-multistage", "--margin", "1e-24", "--grid", "4"],
+        ["sweep-me", "--d1", "1", "--d2", "1", "--margin", "1e-30"],
+    ],
+)
+def test_sweeps_at_the_margin_floor_still_run(argv, tmp_path):
+    # Rank 3 at the floor itself, and rank 1, whose one point never uses the margin's level.
+    out = tmp_path / "sweep.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 @pytest.mark.parametrize("resolution, dtype", [(255, np.uint8), (256, np.uint16), (65536, np.uint32)])

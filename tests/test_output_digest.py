@@ -1,8 +1,14 @@
 """tools/output_digest.py names only runs the CLI accepts: every argv parses and
-every config passes the CLI's own checks, without running anything."""
+every config passes the CLI's own checks, without running anything. Its
+digests are pinned, and must not move with the BLAS thread count."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from densecode import cli
 
@@ -29,3 +35,18 @@ def test_every_digest_run_parses():
                 cli._parse_strategy(config["strategy"])
             else:
                 cli._parse_eve(config["eve"])
+
+
+#: What the tool printed when the digests were pinned, on numpy 2.4.6 with OpenBLAS 0.3.31. They change only
+#: with a declared output change, in a commit that touches nothing else, as the goldens do.
+PINNED = ROOT / "tests" / "golden" / "output_digest.txt"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_digests_match_the_pinned_file_at_any_blas_thread_count(threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digest.py")], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == PINNED.read_text()

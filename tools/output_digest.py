@@ -8,10 +8,14 @@ of the checkout that holds this tool, and writes into a fresh temporary
 directory. Run the tool in two checkouts (copy it into one that lacks it) and
 compare what they print: one `<sha256>  <file name>` line per output file, in
 name order. The runs include the deepest Monte Carlo run and the largest
-eavesdropper's tree the CLI admits. They take a few seconds, and the process
-peaks near 370 MiB of RSS (330-367 MiB measured, 2-core VM): the rank-203
-intercept alone peaks at 304 MiB, and how much the runs before it add depends
-on the heap layout they leave.
+eavesdropper's tree the CLI admits. They take a few seconds. Their largest
+arrays are the limits the CLI enforces: the deepest run's 2**24 int64 counts
+(128 MiB) and the intercept's tree arrays of 203**3 float64 cells (64 MiB
+each); the process peak also depends on the heap layout earlier runs leave.
+
+tests/golden/output_digest.txt pins what the tool prints, and
+tests/test_output_digest.py runs it at BLAS thread counts of 1 and 2 against
+that file.
 """
 
 from __future__ import annotations
