@@ -218,13 +218,6 @@ def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
     "argv, config, message",
     [
         (["sweep-me", "--margin", "0.5"], None, "margin too large for this rank"),
-        # The smallest coefficient of a rank-3 lattice, sqrt(1e-30), lies below COEFF_TOL.
-        (["sweep-me", "--margin", "1e-30"], None, "boundary margin must be at least 1e-24 at rank 3, not 1e-30\n"),
-        (
-            ["sweep-multistage", "--margin", "1e-30"],
-            None,
-            "boundary margin must be at least 1e-24 at rank 3, not 1e-30\n",
-        ),
         (["sweep-sep", "--config", "missing.json"], None, "cannot read config missing.json: "),
         (["sweep-sep"], [], "config file must hold a JSON object"),
         (["sweep-sep"], {"out": 3}, "'out' must be a file path, not 3"),
@@ -244,6 +237,19 @@ def test_bad_config_fails_cleanly(command, config, key, tmp_path, capsys):
             '{"grid": 1' + "0" * 5000 + "}",
             "cannot read config config.json: Exceeds the limit",
             id="integer-past-the-digit-limit",
+        ),
+        # The smallest coefficient of a rank-3 lattice, sqrt(1e-30), lies below COEFF_TOL.
+        pytest.param(
+            ["sweep-me", "--margin", "1e-30"],
+            None,
+            "boundary margin must be at least 1e-24 at rank 3, not 1e-30\n",
+            id="sweep-me-margin-below-the-floor",
+        ),
+        pytest.param(
+            ["sweep-multistage", "--margin", "1e-30"],
+            None,
+            "boundary margin must be at least 1e-24 at rank 3, not 1e-30\n",
+            id="sweep-multistage-margin-below-the-floor",
         ),
     ],
 )
