@@ -153,8 +153,8 @@ def counts_mutual_info(counts, n: int) -> float:
     tests/dense.py:counts_table_mutual_info sums them.
     """
     counts = np.asarray(counts)
-    # Reductions go through the ufuncs, not the .min()/.sum() wrappers, which take
-    # about a sixth of a call on the small tables of a seed ensemble.
+    # Reductions go through the ufuncs, not the .min()/.sum() wrappers, whose dispatch
+    # costs more than the reduction itself on the small tables of a seed ensemble.
     valid = counts.dtype.kind in "iu" and counts.ndim == 3 and n >= 1
     if not (valid and np.minimum.reduce(counts, axis=None) >= 0 and np.add.reduce(counts, axis=None) == n):
         raise ValueError(f"counts must be a nonnegative integer (D, d2, records) array summing to n = {n}")

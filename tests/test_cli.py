@@ -78,6 +78,7 @@ def test_invalid_flag_exits_nonzero_without_output(tmp_path, capsys):
     for argv in (
         ["sweep-me", "--bogus-flag"],
         ["sweep-me", "--xi-steps", "4"],
+        ["sweep-me", "--grid", "abc"],
         ["sweep-sep", "--d1", "5"],
         ["sweep-sep", "--grid", "7"],
         ["sweep-multistage", "--trials", "10"],
@@ -94,7 +95,8 @@ def test_invalid_flag_exits_nonzero_without_output(tmp_path, capsys):
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(out)])
-        assert exc.value.code != 0, argv
+        # argparse refuses the flag: exit code 2, after its usage line.
+        assert exc.value.code == 2, argv
         assert not out.exists()
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1, argv

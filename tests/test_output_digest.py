@@ -50,3 +50,37 @@ def test_digests_match_the_pinned_file_at_any_blas_thread_count(threads):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == PINNED.read_text(), "pinned on numpy 2.4.6 with OpenBLAS 0.3.31"
+
+
+#: The sha256 of raw float64 figures: every multistage_columns column and me_bits on the rank-8 grid-12 lattice
+#: of sweep-multistage and sweep-me, then the dist of the deepest montecarlo tree (rank 64, 63 stages at xi = 1,
+#: ME final). Text keeps 9 significant digits, so a drift of a few ulps passes the digests above; it fails here.
+RAW_FIGURES = """
+import hashlib
+import numpy as np
+from densecode import SchmidtState, cli
+from densecode.discrimination import FINAL_ME, StagePlan
+from densecode.infometrics import me_bits, multistage_columns
+from densecode.protocol_sim import _BranchTree
+
+levels, codes = cli._lattice(8, 12, cli._DEFAULT_MARGIN)
+coeffs = np.sqrt(levels)[codes]
+figures = [*multistage_columns(coeffs, 8).values(), me_bits(coeffs, 8)]
+state = SchmidtState.from_squared(64, 64, np.arange(1, 65) / (64 * 65 / 2))
+figures.append(_BranchTree(state.coeffs, StagePlan((1.0,) * 63, FINAL_ME)).dist)
+digest = hashlib.sha256()
+for figure in figures:
+    digest.update(np.ascontiguousarray(figure, dtype=np.float64).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_raw_figures_are_bit_identical_at_any_blas_thread_count():
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        result = subprocess.run([sys.executable, "-c", RAW_FIGURES], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
