@@ -75,7 +75,8 @@ class SchmidtState:
     @classmethod
     def from_squared(cls, d1: int, d2: int, squared) -> "SchmidtState":
         sq = np.asarray(squared, dtype=float)
-        if np.min(sq) < 0:
+        # With an initial value an empty input reaches check_coeffs and its message.
+        if np.minimum.reduce(sq, axis=None, initial=0.0) < 0:
             raise ValueError("squared coefficients must be nonnegative")
         return cls(d1, d2, np.sqrt(sq))
 

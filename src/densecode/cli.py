@@ -254,12 +254,12 @@ def _report_json(report, inputs: dict) -> str:
     (seed, state, and the strategy or eavesdropper as named in the CSV), then
     the report's fields but the branch tree, with the count table as its
     nonzero cells keyed by message and record label. A Monte Carlo report
-    adds the per-stage success rates; a key-distribution report keys Eve's
-    counts by her tree's record labels."""
+    adds its tree's record labels and per-stage success rates; a
+    key-distribution report keys Eve's counts by her tree's record labels."""
     fields = dataclasses.fields(report)
     obj = inputs | {field.name: getattr(report, field.name) for field in fields if field.name != "tree"}
     if isinstance(report, SimulationReport):
-        labels = obj["outcome_labels"]
+        labels = obj["outcome_labels"] = report.outcome_labels
         # The system-2 outcome m, the last part of a key, always equals k.
         obj["counts"] = _nonzero_cells(obj.pop("joint_counts"), lambda j, k, r: f"{j},{k}|{labels[r]}:{k}")
         obj["empirical_success_rate"] = report.empirical_success_rate
@@ -349,10 +349,7 @@ def _cmd_sweep_multistage(args, config: dict):
 
 
 #: The montecarlo CSV's bound on |empirical - analytic| mutual information, in
-#: bits. A fixed tolerance, not a calibrated bound: the plug-in estimate misses
-#: it on about 2% of seeds for a rank-4 three-stage plan at 20,001 trials.
-#: ROADMAP item 4 plans a calibrated row beside it: the central interval of
-#: plug-in estimates drawn from the run's own tree at its trial count.
+#: bits: a fixed tolerance, not a calibrated bound.
 _MI_BOUND_BITS = 0.02
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtState
-from .discrimination import FINAL_ME, StagePlan, me_outcome_probs, walk_stages
+from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 
 #: Probabilities at or below this count as zero in p*log2(p) and in the plug-in estimate.
 _ZERO_PROB = 1e-15
@@ -92,6 +92,8 @@ def multistage_bits(coeffs, d2: int, stages, final: str):
 
     Returns (total, probabilities, bits): the total per row, the deepest
     fold of _prefix_plans, and the per-stage P_s and bits it reads."""
+    if final not in (FINAL_ME, FINAL_ABSTAIN):
+        raise ValueError("final_action must be 'me' or 'abstain'")
     probs, bits, families = _prefix_plans(coeffs, d2, stages)
     rest = families[-1]
     total = me_bits(rest, d2) if final == FINAL_ME else np.full(rest.shape[:-1], math.log2(d2))

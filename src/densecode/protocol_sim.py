@@ -15,9 +15,7 @@ A tree is a pure function of (coefficients, plan, guess), so runs take it
 from a small memo keyed by those values (_shared_tree): seeded runs of one
 configuration build it, its exact distribution included, once per process
 and share that one read-only tree. _BranchTree(...) itself always builds a
-fresh one, but its record labels and the hypotheses they infer depend only on
-its shape (rank, executed stages, final block), so every tree of one shape
-shares them (_layout).
+fresh one.
 
 Randomness contract: a run of n trials draws one count table, whatever n
 is. The generator derived from (seed, 0) draws one multinomial of n over the
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,22 +92,8 @@ MAX_TREE_CELLS = 2**23
 #: ensemble revisits one configuration, so a few entries serve it. At 16 a
 #: full _shared_tree of rank-16 two-stage trees holds about 100 KB, of the
 #: deepest montecarlo trees (rank 64, 63 stages, 2 MiB each) 32 MiB, and of
-#: trees at MAX_TREE_CELLS (64 MiB of dist each) 1 GiB. A full _layout holds
-#: at most about 45 MiB: its largest entry, rank 203 at full depth, is 41,209
-#: labels and their inferred hypotheses, 2.8 MiB.
+#: trees at MAX_TREE_CELLS (64 MiB of dist each) 1 GiB.
 _TREE_MEMO_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_TREE_MEMO_SIZE)
-def _layout(rank: int, executed: int, kind: str):
-    """(records, inferred) of a tree over `rank` hypotheses that executes
-    `executed` stages and ends in a final block of this kind, shared by every
-    tree of that shape; inferred is read-only."""
-    finals = ["inc"] if kind == "inc" else [f"{kind}:{l}" for l in range(rank)]
-    records = tuple([f"s{n + 1}:{l}" for n in range(executed) for l in range(rank)] + finals)
-    inferred = np.array([INCONCLUSIVE if r == "inc" else int(r.split(":")[1]) for r in records])
-    inferred.setflags(write=False)
-    return records, inferred
 
 
 class _BranchTree:
@@ -142,21 +127,30 @@ class _BranchTree:
         # The executed steps are a prefix of the walk.
         executed = [(p_stage, b_coeffs) for live, _, p_stage, b_coeffs in steps if live]
         self.probs = tuple(float(p_stage) for p_stage, _ in executed)
-        #: Record labels, and the hypothesis each infers (INCONCLUSIVE for "inc").
-        self.records, self.inferred = _layout(rank, len(executed), kind)
+        self._kind = kind
+        #: The hypothesis each record infers: l for a record ending ":l", INCONCLUSIVE for "inc".
+        self.inferred = np.arange(rank * len(executed) + n_finals) % rank
+        if kind == "inc":
+            self.inferred[-1] = INCONCLUSIVE
         me_final = [rest] if kind in ("f", "g") else []
         # One ME transform, row-independent; its rows (stages, then final) serve info_bits.
         self._q = me_outcome_probs(np.reshape([b_coeffs for _, b_coeffs in executed] + me_final, (-1, rank)))
         tables = self._q[:, (np.arange(rank)[:, None] - np.arange(rank)) % rank]
-        self.dist = np.zeros((rank, len(self.records)))
+        self.dist = np.zeros((rank, len(self.inferred)))
         weight = 1.0
         for n, p_stage in enumerate(self.probs):
             self.dist[:, n * rank : (n + 1) * rank] = weight * p_stage * tables[n]
             weight *= 1.0 - p_stage
         # The final block's records are the last ones.
         self.dist[:, -n_finals:] = weight * tables[-1] if me_final else weight / n_finals
-        for array in (self._q, self.dist):
+        for array in (self._q, self.dist, self.inferred):
             array.setflags(write=False)
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        """Record labels, as the class docstring names them, built on first read."""
+        finals = ["inc"] if self._kind == "inc" else [f"{self._kind}:{l}" for l in range(self.rank)]
+        return tuple([f"s{n + 1}:{l}" for n in range(len(self.probs)) for l in range(self.rank)] + finals)
 
     @property
     def correct(self) -> np.ndarray:
@@ -215,7 +209,10 @@ def count_table(seed: int, n: int, dist: np.ndarray | None = None):
     multinomial_rows on each call, since keeping those rows in a tree would
     double its size. Without `dist` the counts are None and the caller draws
     its own. Before any draw the seed must be an unsigned 64-bit integer and
-    n lie in [1, 2**63), the range of numpy's signed 64-bit counts."""
+    n an integer in [1, 2**63), the range of numpy's signed 64-bit counts."""
+    for name, value in (("seed", seed), ("trial count", n)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} {value} must be an integer")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
     if not 1 <= n < 2**63:
@@ -233,7 +230,6 @@ class SimulationReport:
     Its inputs (seed, state, strategy) are the caller's."""
 
     n_trials: int
-    outcome_labels: tuple
     joint_counts: np.ndarray
     stage_attempts: tuple
     stage_successes: tuple
@@ -241,6 +237,11 @@ class SimulationReport:
     #: The branch tree the run sampled, shared read-only by every run of its
     #: configuration; the JSON report leaves it out.
     tree: _BranchTree
+
+    @property
+    def outcome_labels(self) -> tuple:
+        """The record labels of the run's tree, tree.records."""
+        return self.tree.records
 
     @property
     def empirical_success_rate(self) -> tuple:
@@ -274,7 +275,6 @@ def run_simulation(
     info_bits = counts_mutual_info(counts, n_trials)
     return SimulationReport(
         n_trials=n_trials,
-        outcome_labels=fam.records,
         joint_counts=counts,
         stage_attempts=tuple(attempts),
         stage_successes=tuple(successes),

@@ -38,11 +38,9 @@ def random_support_coeffs(rng, period=None, floor=0.02):
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Clear the memos of branch trees, of their record layouts and of keep
-    probabilities before each test, so a test that counts builds sees a cold
-    memo whatever ran before."""
+    """Clear the memos of branch trees and of keep probabilities before each
+    test, so a test that counts builds sees a cold memo whatever ran before."""
     protocol_sim._shared_tree.cache_clear()
-    protocol_sim._layout.cache_clear()
     qkd._sift_rate.cache_clear()
 
 

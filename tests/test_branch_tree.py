@@ -250,12 +250,13 @@ def test_public_api_is_pinned():
     assert [f.name for f in dataclasses.fields(EveStrategy)] == ["strategy", "fallback"]
 
 
-def test_reports_hold_only_what_the_run_produced():
+def test_reports_hold_only_what_the_run_produced(qubit_state):
     # The seed, state and policy are the caller's inputs; cli writes them into the JSON report.
     assert [f.name for f in dataclasses.fields(densecode.SimulationReport)] == [
-        "n_trials", "outcome_labels", "joint_counts", "stage_attempts", "stage_successes",
-        "empirical_mutual_info_bits", "tree",
+        "n_trials", "joint_counts", "stage_attempts", "stage_successes", "empirical_mutual_info_bits", "tree",
     ]
+    report = run_simulation(qubit_state, DecodingStrategy.me(), 10, seed=0)
+    assert report.outcome_labels is report.tree.records
     assert [f.name for f in dataclasses.fields(densecode.QkdReport)] == [
         "n_rounds", "kept", "errors", "sift_rate", "sifted_error_rate", "eve_info_bits", "eve_counts", "tree",
     ]
@@ -559,53 +560,32 @@ def test_memos_stay_within_their_bound():
         assert info.misses == len(states)
 
 
-def test_trees_of_one_shape_share_their_record_layout():
-    """Fresh trees of one rank, executed depth and final kind share one
-    records tuple and one read-only inferred array; any other shape gets its own."""
-    rng = np.random.default_rng(31)
-    plan = StagePlan((1.0, 0.5), FINAL_ME)
-    first, second = (_BranchTree(random_schmidt(rng, rank=4, d2=4).coeffs, plan) for _ in range(2))
-    assert len(first.probs) == len(second.probs) == 2
-    assert second.records is first.records and second.inferred is first.inferred
-    others = [
-        _BranchTree(random_schmidt(rng, rank=5, d2=5).coeffs, plan),
-        _BranchTree(random_schmidt(rng, rank=4, d2=4).coeffs, StagePlan((1.0,), FINAL_ME)),
-        _BranchTree(random_schmidt(rng, rank=4, d2=4).coeffs, StagePlan((1.0, 0.5), FINAL_ABSTAIN)),
-        _BranchTree(random_schmidt(rng, rank=4, d2=4).coeffs, StagePlan((1.0, 0.5), FINAL_ABSTAIN), GUESS_ME),
-    ]
-    assert all(tree.records is not first.records and tree.inferred is not first.inferred for tree in others)
-    for tree in (first, *others):
+#: Final blocks of a tree by (final action, guess), with the label prefix each writes.
+FINAL_BLOCKS = [
+    (FINAL_ME, None, "f"), (FINAL_ABSTAIN, None, "inc"), (FINAL_ABSTAIN, GUESS_ME, "g"), (FINAL_ABSTAIN, GUESS_UNIFORM, "u")
+]
+
+
+@pytest.mark.parametrize("final, guess, kind", FINAL_BLOCKS)
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_record_labels_and_inferred_hypotheses_follow_the_shape(rank, final, guess, kind):
+    """At every depth a tree's labels are D per executed stage, then its final
+    block; `inferred` names each label's hypothesis in a read-only int64 array,
+    and a run builds no labels until they are read."""
+    s = SchmidtState.from_squared(rank, rank, np.arange(1, rank + 1) / (rank * (rank + 1) / 2))
+    for depth in range(rank):
+        plan = StagePlan((1.0,) * depth, final)
+        tree = _BranchTree(s.coeffs, plan, guess)
+        assert len(tree.probs) == depth
+        finals = ["inc"] if kind == "inc" else [f"{kind}:{l}" for l in range(rank)]
+        assert tree.records == tuple([f"s{n}:{l}" for n in range(1, depth + 1) for l in range(rank)] + finals)
+        assert tree.inferred.dtype == np.int64 and tree.inferred.tolist() == inferred(tree.records).tolist()
         with pytest.raises(ValueError, match="read-only"):
             tree.inferred[...] = 0
-
-
-def test_a_cold_layout_memo_builds_the_warm_tree():
-    """A tree built on a cleared layout memo is bit for bit the tree built on a warm one."""
-    rng = np.random.default_rng(37)
-    for case, (s, plan) in enumerate(_tree_cases(rng, 48)):
-        guess = GUESSES[case % 3]
-        protocol_sim._layout.cache_clear()
-        first = _BranchTree(s.coeffs, plan, guess)
-        warm = _BranchTree(s.coeffs, plan, guess)
-        assert warm.records is first.records
-        protocol_sim._layout.cache_clear()
-        cold = _BranchTree(s.coeffs, plan, guess)
-        assert cold.records is not warm.records
-        assert cold.records == warm.records and cold.probs == warm.probs
-        for name in ("inferred", "dist", "_q"):
-            ours, theirs = getattr(cold, name), getattr(warm, name)
-            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-            assert ours.tobytes() == theirs.tobytes()
-
-
-def test_layout_memo_stays_within_its_bound():
-    memo = protocol_sim._layout
-    assert memo.cache_info().maxsize == protocol_sim._TREE_MEMO_SIZE
-    rng = np.random.default_rng(41)
-    for rank in range(2, protocol_sim._TREE_MEMO_SIZE + 7):
-        _BranchTree(random_schmidt(rng, rank=rank, d2=rank).coeffs, StagePlan((), FINAL_ME))
-    info = memo.cache_info()
-    assert info.currsize == protocol_sim._TREE_MEMO_SIZE and info.misses == protocol_sim._TREE_MEMO_SIZE + 5
+        if guess is None:
+            report = run_simulation(s, DecodingStrategy(plan), 10, seed=depth)
+            assert "records" not in vars(report.tree)
+            assert report.outcome_labels == tree.records and "records" in vars(report.tree)
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,10 @@ class TestSchmidtState:
         with pytest.raises(ValueError):
             SchmidtState.from_squared(2, 3, [0.2, 0.3, 0.5])
 
+    def test_rejects_empty_squared_coefficients(self):
+        with pytest.raises(ValueError, match="^coeffs must be a nonempty 1D vector$"):
+            SchmidtState.from_squared(2, 2, [])
+
     def test_json_round_trip(self):
         obj = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
         s = cli._parse_state(json.loads(json.dumps(obj)))

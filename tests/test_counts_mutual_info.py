@@ -211,7 +211,7 @@ def test_runtime_path_builds_no_dense_joint(monkeypatch, tmp_path):
         assert cli.main([command, "--config", str(config), "--out", str(tmp_path / f"{command}.csv")]) == 0
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
 def test_seed_outside_u64_is_rejected(seed, qubit_state):
     with pytest.raises(ValueError, match=f"seed {seed} "):
         run_simulation(qubit_state, DecodingStrategy.me(), 10, seed)
@@ -240,11 +240,17 @@ def _runs(state, n):
     )
 
 
-@pytest.mark.parametrize("n", [0, -1, 2**63, 2**70])
+@pytest.mark.parametrize("n", [0, -1, 2**63, 2**70, 10.5])
 def test_count_outside_signed_64_bits_is_rejected(n, qubit_state):
     for run in _runs(qubit_state, n):
         with pytest.raises(ValueError, match=f"trial count {n} "):
             run()
+
+
+def test_numpy_integer_seed_and_count_run(qubit_state):
+    mc, plain, intercepted = (run() for run in _runs(qubit_state, np.int64(10)))
+    assert int(mc.joint_counts.sum()) == 10 and plain.n_rounds == intercepted.n_rounds == 10
+    assert run_simulation(qubit_state, DecodingStrategy.me(), 10, np.uint64(3)).n_trials == 10
 
 
 def test_largest_signed_64_bit_count_runs(qubit_state):

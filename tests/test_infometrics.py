@@ -210,6 +210,10 @@ class TestInfoReportInvariants:
         with pytest.raises(ValueError, match="outside"):
             _check_bits(np.array([2.5, 5.0]), 4, 3)
 
+    def test_unknown_final_action_is_refused(self, qubit_state):
+        with pytest.raises(ValueError, match="^final_action must be 'me' or 'abstain'$"):
+            multistage_bits(qubit_state.coeffs, qubit_state.d2, (1.0,), "bogus")
+
     @pytest.mark.parametrize("seed", range(10))
     def test_all_reports_within_bounds(self, seed):
         rng = np.random.default_rng(900 + seed)
