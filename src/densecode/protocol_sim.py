@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,9 +209,10 @@ def count_table(seed: int, n: int, dist: np.ndarray | None = None):
     double its size. Without `dist` the counts are None and the caller draws
     its own. Before any draw the seed must be an unsigned 64-bit integer and
     n an integer in [1, 2**63), the range of numpy's signed 64-bit counts."""
-    for name, value in (("seed", seed), ("trial count", n)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} {value} must be an integer")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed {seed} must be an integer")
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"trial count {n} must be an integer")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
     if not 1 <= n < 2**63:
