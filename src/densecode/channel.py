@@ -1,6 +1,7 @@
-"""The shared entangled resource: a Schmidt state, and the one coefficient
-check that the state and the stage walk share. The config format that names a
-state is read in `densecode.cli`."""
+"""The shared entangled resource: a Schmidt state, the one coefficient check
+that the state and the stage walk share, and the one integer test of
+dimensions, seeds and trial counts. The config format that names a state is
+read in `densecode.cli`."""
 
 from __future__ import annotations
 
@@ -15,6 +16,11 @@ COEFF_TOL = 1e-12
 NORM_TOL = 1e-10
 #: Squared-coefficient spread below which values share a multiplicity class.
 GROUP_TOL_SQ = 1e-9
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer. A bool is not one, though Python counts it as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_coeffs(coeffs) -> np.ndarray:
@@ -55,6 +61,12 @@ class SchmidtState:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("d1", "d2"):
+            dim = getattr(self, name)
+            if not _is_integer(dim):
+                raise ValueError(f"subsystem dimension {name} = {dim!r} must be an integer")
+            # Python ints, so that to_dict() serialises a numpy integer too.
+            object.__setattr__(self, name, int(dim))
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("subsystem dimensions must be positive")
         coeffs = check_coeffs(np.array(self.coeffs, dtype=float))

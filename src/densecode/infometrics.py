@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtState
+from .channel import SchmidtState, _is_integer
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 
 #: Probabilities at or below this count as zero in p*log2(p) and in the plug-in estimate.
@@ -151,13 +151,14 @@ def counts_mutual_info(counts, n: int) -> float:
     table, read from the counts alone: each marginal is an integer sum divided
     once by n, and the terms, in the table's row-major order (the logical
     (j, k, r) order of `counts`, whatever its strides), are summed
-    sequentially with math.log2, as the tests' oracle
-    tests/dense.py:counts_table_mutual_info sums them.
+    sequentially with numpy's log2, as the tests' oracle
+    tests/dense.py:counts_table_mutual_info sums them. `n` is an integer
+    (a bool is not).
     """
     counts = np.asarray(counts)
     # Reductions go through the ufuncs, not the .min()/.sum() wrappers, whose dispatch
     # costs more than the reduction itself on the small tables of a seed ensemble.
-    valid = counts.dtype.kind in "iu" and counts.ndim == 3 and n >= 1
+    valid = counts.dtype.kind in "iu" and counts.ndim == 3 and _is_integer(n) and n >= 1
     if not (valid and np.minimum.reduce(counts, axis=None) >= 0 and np.add.reduce(counts, axis=None) == n):
         raise ValueError(f"counts must be a nonnegative integer (D, d2, records) array summing to n = {n}")
     rows = np.add.reduce(counts, axis=2) / n
@@ -170,6 +171,6 @@ def counts_mutual_info(counts, n: int) -> float:
         live = p > _ZERO_PROB
         j, k, r, p = j[live], k[live], r[live], p[live]
     ratio = p / (rows[j, k] * cols[k, r])
-    terms = p * np.fromiter(map(math.log2, ratio.tolist()), float, count=ratio.size)
+    terms = p * np.log2(ratio)
     # Sequential like the oracle's loop; np.sum would sum pairwise.
     return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0

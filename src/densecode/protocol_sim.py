@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtState
+from .channel import SchmidtState, _is_integer
 from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 from .infometrics import _fold_stages, _outcome_bits, counts_mutual_info
 
@@ -208,10 +208,11 @@ def count_table(seed: int, n: int, dist: np.ndarray | None = None):
     multinomial_rows on each call, since keeping those rows in a tree would
     double its size. Without `dist` the counts are None and the caller draws
     its own. Before any draw the seed must be an unsigned 64-bit integer and
-    n an integer in [1, 2**63), the range of numpy's signed 64-bit counts."""
-    if not isinstance(seed, (int, np.integer)):
+    n an integer in [1, 2**63), the range of numpy's signed 64-bit counts;
+    a bool is neither."""
+    if not _is_integer(seed):
         raise ValueError(f"seed {seed} must be an integer")
-    if not isinstance(n, (int, np.integer)):
+    if not _is_integer(n):
         raise ValueError(f"trial count {n} must be an integer")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")

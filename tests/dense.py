@@ -303,8 +303,8 @@ def mutual_info_from_joint(joint) -> float:
 
 def counts_table_mutual_info(table, n: int) -> float:
     """Plug-in mutual information of a dense integer count table over `n`
-    trials: each marginal an integer sum divided by n, the terms summed in a
-    row-major loop.
+    trials: each marginal an integer sum divided by n, each term's logarithm
+    numpy's log2, the terms summed in a row-major loop.
 
     Serves as the oracle of infometrics.counts_mutual_info, which reads the
     same figures from the compact counts of a block-diagonal table.
@@ -320,5 +320,5 @@ def counts_table_mutual_info(table, n: int) -> float:
     for i, j in zip(*np.nonzero(table)):
         p = table[i, j] / n
         if p > _ZERO_PROB:
-            acc += p * math.log2(p / (row[i] * col[j]))
+            acc += p * np.log2(p / (row[i] * col[j]))
     return float(acc)

@@ -45,6 +45,16 @@ class TestSchmidtState:
         with pytest.raises(ValueError, match="^coeffs must be a nonempty 1D vector$"):
             SchmidtState.from_squared(2, 2, [])
 
+    @pytest.mark.parametrize("d1, d2, name", [(2.5, 2, "d1"), (True, 2, "d1"), (2, 2.5, "d2"), (2, 2.0, "d2")])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, d1, d2, name):
+        with pytest.raises(ValueError, match=f"^subsystem dimension {name} = .* must be an integer$"):
+            SchmidtState.from_squared(d1, d2, [0.5, 0.5])
+
+    def test_numpy_integer_dimensions_are_stored_as_ints(self):
+        s = SchmidtState.from_squared(np.int64(3), np.uint8(2), [0.5, 0.5])
+        assert type(s.d1) is int and type(s.d2) is int
+        assert json.loads(json.dumps(s.to_dict())) == {"d1": 3, "d2": 2, "coeffs": s.coeffs.tolist()}
+
     def test_json_round_trip(self):
         obj = {"d1": 2, "d2": 2, "coeffs": [0.2, 0.8], "squared": True}
         s = cli._parse_state(json.loads(json.dumps(obj)))

@@ -4,6 +4,7 @@ at a fraction of its memory."""
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,40 @@ def test_run_simulation_bits_equal_dense_oracle(rank, kind, n):
     oracle = dense_mi(report.joint_counts, n)
     assert counts_mutual_info(report.joint_counts, n) == oracle
     assert report.empirical_mutual_info_bits == oracle
+
+
+#: The benchmark's Monte Carlo shapes (d, stages, trials, seed): a ramp state
+#: of d1 = d2 = d with squared coefficients proportional to 1..d and a
+#: multistage plan ending in ME, as compile_wide (rank 16) and mc_multistage
+#: (rank 4) run it.
+BENCHMARK_SHAPES = [(16, (1.0, 1.0), 4096, 7), (4, (1.0, 1.0, 1.0), 10**6, 1083)]
+
+
+def _ramp_run(d, stages, n, seed):
+    state = SchmidtState.from_squared(d, d, np.arange(1, d + 1) / (d * (d + 1) / 2))
+    return run_simulation(state, DecodingStrategy.multistage(StagePlan(stages, FINAL_ME)), n, seed)
+
+
+@pytest.mark.parametrize("d, stages, n, seed", BENCHMARK_SHAPES)
+def test_benchmark_shapes_equal_dense_oracle(d, stages, n, seed):
+    report = _ramp_run(d, stages, n, seed)
+    oracle = dense_mi(report.joint_counts, n)
+    assert counts_mutual_info(report.joint_counts, n) == oracle
+    assert report.empirical_mutual_info_bits == oracle
+
+
+def test_terms_take_numpys_log2():
+    """The rank-4 benchmark run whose estimate tells numpy's log2 from libm's:
+    summed with math.log2, the same terms give 3.1384260076353203."""
+    report = _ramp_run(*BENCHMARK_SHAPES[1])
+    assert report.empirical_mutual_info_bits == 3.1384260076353208
+    table = _expand_joint(report.joint_counts)
+    row, col = table.sum(axis=1) / 10**6, table.sum(axis=0) / 10**6
+    libm = 0.0
+    for i, j in zip(*np.nonzero(table)):
+        p = table[i, j] / 10**6
+        libm += p * math.log2(p / (row[i] * col[j]))
+    assert libm == 3.1384260076353203
 
 
 @pytest.mark.parametrize("fallback", [GUESS_UNIFORM, GUESS_ME])
@@ -142,6 +177,12 @@ def test_rejects_counts_that_do_not_sum_to_n():
         counts_mutual_info(np.ones((2, 2, 3)), 12)
     with pytest.raises(ValueError, match="n = 11"):
         counts_mutual_info(counts, 11)
+    # n is an integer like a run's trial count: neither a float nor a bool passes.
+    for wrong_type in (12.0, np.float64(12.0)):
+        with pytest.raises(ValueError, match=f"n = {wrong_type}$"):
+            counts_mutual_info(counts, wrong_type)
+    with pytest.raises(ValueError, match="n = True$"):
+        counts_mutual_info(np.ones((1, 1, 1), dtype=np.int64), True)
     assert counts_mutual_info(counts, 12) == dense_mi(counts, 12)
 
 
@@ -211,7 +252,7 @@ def test_runtime_path_builds_no_dense_joint(monkeypatch, tmp_path):
         assert cli.main([command, "--config", str(config), "--out", str(tmp_path / f"{command}.csv")]) == 0
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, True, False])
 def test_seed_outside_u64_is_rejected(seed, qubit_state):
     with pytest.raises(ValueError, match=f"seed {seed} "):
         run_simulation(qubit_state, DecodingStrategy.me(), 10, seed)
@@ -240,7 +281,7 @@ def _runs(state, n):
     )
 
 
-@pytest.mark.parametrize("n", [0, -1, 2**63, 2**70, 10.5])
+@pytest.mark.parametrize("n", [0, -1, 2**63, 2**70, 10.5, True])
 def test_count_outside_signed_64_bits_is_rejected(n, qubit_state):
     for run in _runs(qubit_state, n):
         with pytest.raises(ValueError, match=f"trial count {n} "):
