@@ -1,5 +1,5 @@
 """tools/bench_json.py on fake run files: paired runs are summarised with the
-relative change of their medians, a metric is marked unresolved when the
+relative change of their medians and of each pair, a metric is marked unresolved when the
 parent's spread exceeds its bound and the two sides' runs overlap, traced
 pairs are summarised apart from the timed ones, the run length is taken from
 the runs, and a run without its pair, runs of one side from two source
@@ -87,6 +87,18 @@ def test_relative_change_of_the_medians(tmp_path, run_dir):
     assert workloads["sweep_analytic"]["rel_change"] == {m: -0.25 for m in METRICS}
     # A parent median of 0 has no relative change.
     assert workloads["compile_wide"]["rel_change"] == {m: None for m in METRICS}
+
+
+def test_relative_change_of_each_pair_in_seed_order(tmp_path, run_dir):
+    # Written out of seed order; seed 3's parent run is 0 and has no relative change.
+    for seed, (parent, change) in [(10, (4.0, 5.0)), (2, (2.0, 1.0)), (3, (0.0, 1.0)), (1, (8.0, 6.0))]:
+        _write_run(run_dir, "parent", "mc_multistage", seed, parent)
+        _write_run(run_dir, "change", "mc_multistage", seed, change)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(out.read_text())["workloads"]["mc_multistage"]
+    assert summary["seeds"] == [1, 2, 3, 10]
+    assert summary["pair_rel_change"] == {m: [-0.25, -0.5, None, 0.25] for m in METRICS}
 
 
 def _resolved(tmp_path, run_dir, parent_values, change_values) -> dict:

@@ -15,10 +15,12 @@ their files. Per workload and side the summary gives every end-to-end metric
 of BENCHMARK.json as median and quartiles over the `--trace 0` runs; per
 metric, the number of pairs the change won (ties count for neither side),
 `rel_change`, the change's median over the parent's less 1 (null when the
-parent's median is 0), and `resolved`: false when the parent's quartile
-spread exceeds the metric's bound times the parent's median and not every
-change run beats every parent run, so that neither a gain nor a regression
-within that spread can be told from noise.
+parent's median is 0), `pair_rel_change`, each pair's change run over its
+parent run less 1, in seed order (null where the parent run is 0), which
+shows how consistent a change was from pair to pair, and `resolved`: false
+when the parent's quartile spread exceeds the metric's bound times the
+parent's median and not every change run beats every parent run, so that
+neither a gain nor a regression within that spread can be told from noise.
 Pairs of `--trace 1` runs go under `traced`: per workload and side the median
 of each per-layer metric, which shows the layer a change of time comes from.
 """
@@ -98,11 +100,12 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
                 **{m["name"]: _quartiles([r["metrics"][m["name"]]["value"] for r in results]) for m in metrics},
             }
             env = {k: pairs[0][side][0][k] for k in ("python", "numpy", "cpu_count", "blas_threads")}
-        wins, resolved = {}, {}
+        wins, resolved, pair_rel = {}, {}, {}
         for m in metrics:
             sign = 1 if m["better"] == "lower" else -1
             values = [(s["parent"][1]["metrics"][m["name"]]["value"], s["change"][1]["metrics"][m["name"]]["value"]) for s in pairs]
             wins[m["name"]] = sum(sign * (p - c) > 0 for p, c in values)
+            pair_rel[m["name"]] = [c / p - 1 if p else None for p, c in values]
             parent = summary["parent"][m["name"]]
             wide = parent["q3"] - parent["q1"] > m["bound"] * abs(parent["median"])
             resolved[m["name"]] = not wide or min(sign * p for p, _ in values) > max(sign * c for _, c in values)
@@ -110,6 +113,7 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
         summary["resolved"] = resolved
         medians = [(summary["parent"][m["name"]]["median"], summary["change"][m["name"]]["median"]) for m in metrics]
         summary["rel_change"] = {m["name"]: c / p - 1 if p else None for m, (p, c) in zip(metrics, medians)}
+        summary["pair_rel_change"] = pair_rel
         workloads[workload] = summary
     traced = {}
     for workload, seeds, pairs in _by_workload(runs, traced=True):
