@@ -33,7 +33,7 @@ import numpy as np
 from .channel import COEFF_TOL, SchmidtState
 from .discrimination import FINAL_ABSTAIN, StagePlan
 from .infometrics import me_bits, multistage_bits, multistage_columns
-from .protocol_sim import GUESS_UNIFORM, INCONCLUSIVE, DecodingStrategy, SimulationReport, run_simulation
+from .protocol_sim import GUESS_UNIFORM, INCONCLUSIVE, SimulationReport, run_simulation
 from .qkd import EveStrategy, analytic_sift_rate, simulate_qkd
 
 _DEFAULT_MARGIN = 1e-3
@@ -216,28 +216,28 @@ def _kind(obj, key: str) -> str:
     return kind
 
 
-def _parse_strategy(obj) -> DecodingStrategy:
-    """A decoding strategy from {"kind": "me"}, {"kind": "sep_me", "xi": ...}
+def _parse_strategy(obj) -> StagePlan:
+    """A decoding strategy, the plan it runs, from {"kind": "me"}, {"kind": "sep_me", "xi": ...}
     or {"kind": "multistage", "stages": [{"xi": ...}, ...], "final": ...}."""
     kind = _kind(obj, "strategy")
     if kind == "me":
-        return DecodingStrategy.me()
+        return StagePlan.me()
     if kind == "sep_me":
-        return DecodingStrategy.sep_me(_config_number(obj, "xi", 1.0))
+        return StagePlan.sep_me(_config_number(obj, "xi", 1.0))
     stages = obj.get("stages", [])
     if not isinstance(stages, list) or not all(isinstance(st, dict) for st in stages):
         raise ValueError("'stages' must be a list of objects such as {\"xi\": 1.0}")
     for st in stages:
         _check_keys(st, ("xi",), "stage")
     xis = tuple(_config_number(st, "xi", 1.0) for st in stages)
-    return DecodingStrategy.multistage(StagePlan(xis, obj.get("final", FINAL_ABSTAIN)))
+    return StagePlan(xis, obj.get("final", FINAL_ABSTAIN))
 
 
 def _parse_eve(obj) -> EveStrategy:
     """An eavesdropper from {"kind": "absent"} or {"kind": "intercept",
     "strategy": {...}, "fallback": ...}."""
     if _kind(obj, "eve") == "absent":
-        return EveStrategy.absent()
+        return EveStrategy()
     if "strategy" not in obj:
         raise ValueError("an intercepting 'eve' needs key 'strategy'")
     return EveStrategy.intercept(_parse_strategy(obj["strategy"]), obj.get("fallback", GUESS_UNIFORM))

@@ -22,8 +22,9 @@ SURE_SUCCESS = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Ordered separation stages (one distinguishability value each) plus the
-    action taken after the last failure."""
+    """A decoding strategy: ordered separation stages (one distinguishability value each) plus the action
+    taken after the last failure. Plain ME, me(), has no stage and ends in ME; separation-then-ME,
+    sep_me(xi), one stage that abstains. describe() names a plan by that shape."""
 
     stages: tuple
     final_action: str = FINAL_ABSTAIN
@@ -35,6 +36,31 @@ class StagePlan:
         if self.final_action not in (FINAL_ME, FINAL_ABSTAIN):
             raise ValueError("final_action must be 'me' or 'abstain'")
         object.__setattr__(self, "stages", stages)
+
+    @classmethod
+    def me(cls) -> "StagePlan":
+        return cls((), FINAL_ME)
+
+    @classmethod
+    def sep_me(cls, xi: float) -> "StagePlan":
+        return cls((xi,), FINAL_ABSTAIN)
+
+    # Identities for perfbench/workloads.py's DecodingStrategy.multistage(plan).plan (ROADMAP item 1).
+    @staticmethod
+    def multistage(plan: "StagePlan") -> "StagePlan":
+        return plan
+
+    @property
+    def plan(self) -> "StagePlan":
+        return self
+
+    def describe(self) -> str:
+        if not self.stages and self.final_action == FINAL_ME:
+            return "me"
+        if len(self.stages) == 1 and self.final_action == FINAL_ABSTAIN:
+            return f"sep_me(xi={self.stages[0]:g})"
+        listed = ",".join(f"{xi:g}" for xi in self.stages)
+        return f"multistage([{listed}], final={self.final_action})"
 
 
 class Separation(NamedTuple):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtState, _is_integer
-from .discrimination import FINAL_ABSTAIN, FINAL_ME, StagePlan, me_outcome_probs, walk_stages
+from .discrimination import FINAL_ME, StagePlan, me_outcome_probs, walk_stages
 from .infometrics import _fold_stages, _outcome_bits, counts_mutual_info
 
 #: Inferred hypothesis of a record that abstains.
@@ -47,38 +47,8 @@ GUESS_UNIFORM = "uniform"
 GUESS_ME = "me"
 
 
-@dataclass(frozen=True)
-class DecodingStrategy:
-    """Receiver policy, held as the StagePlan it runs: plain ME has no stage
-    and ends in ME, separation-then-ME one stage that abstains, and a
-    multistage strategy is its plan. describe() names it by that shape."""
-
-    plan: StagePlan
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.plan, StagePlan):
-            raise ValueError(f"a strategy requires a StagePlan, not {self.plan!r}")
-
-    @classmethod
-    def me(cls) -> "DecodingStrategy":
-        return cls(StagePlan((), FINAL_ME))
-
-    @classmethod
-    def sep_me(cls, xi: float) -> "DecodingStrategy":
-        return cls(StagePlan((xi,), FINAL_ABSTAIN))
-
-    @classmethod
-    def multistage(cls, plan: StagePlan) -> "DecodingStrategy":
-        return cls(plan)
-
-    def describe(self) -> str:
-        stages, final = self.plan.stages, self.plan.final_action
-        if not stages and final == FINAL_ME:
-            return "me"
-        if len(stages) == 1 and final == FINAL_ABSTAIN:
-            return f"sep_me(xi={stages[0]:g})"
-        listed = ",".join(f"{xi:g}" for xi in stages)
-        return f"multistage([{listed}], final={final})"
+#: A strategy's old name: a strategy is its StagePlan. perfbench/workloads.py imports it (ROADMAP item 1).
+DecodingStrategy = StagePlan
 
 
 #: Most cells D * records a branch tree may hold, D records per planned stage; a run keeps a few
@@ -254,16 +224,16 @@ class SimulationReport:
 
 def run_simulation(
     s: SchmidtState,
-    strat: DecodingStrategy,
+    plan: StagePlan,
     n_trials: int,
     seed: int,
     threads: int | None = None,
 ) -> SimulationReport:
     """Seed-deterministic Monte Carlo run: one count table whatever n_trials is,
     refused past MAX_RUN_TERMS. `threads` is ignored (perfbench/ still passes it)."""
-    if (terms := s.D**2 * (len(strat.plan.stages) + 1) * s.d2**2) > MAX_RUN_TERMS:
+    if (terms := s.D**2 * (len(plan.stages) + 1) * s.d2**2) > MAX_RUN_TERMS:
         raise ValueError(f"run of {terms} information terms exceeds the limit of {MAX_RUN_TERMS}")
-    fam = _shared_tree(s.coeffs.tobytes(), strat.plan, None)
+    fam = _shared_tree(s.coeffs.tobytes(), plan, None)
     _, by_carrier = count_table(seed, n_trials, fam.dist)
     # Stream 1 splits each (carrier, record) count over k; the counts are its readout, held once
     # as a (D, d2, records) transposed view.

@@ -13,31 +13,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtState
-from .discrimination import separate
+from .discrimination import StagePlan, separate
 from .infometrics import counts_mutual_info
-from .protocol_sim import GUESS_ME, GUESS_UNIFORM, _TREE_MEMO_SIZE, DecodingStrategy, _BranchTree, _shared_tree, count_table
+from .protocol_sim import GUESS_ME, GUESS_UNIFORM, _TREE_MEMO_SIZE, _BranchTree, _shared_tree, count_table
 
 
 @dataclass(frozen=True)
 class EveStrategy:
-    """Eavesdropper policy: the decoding strategy she intercepts with, None
-    when she is absent; the fallback fires only on an inconclusive record."""
+    """Eavesdropper policy: the plan she intercepts with, None when she is absent
+    (EveStrategy()); the fallback fires only on an inconclusive record."""
 
-    strategy: DecodingStrategy | None = None
+    strategy: StagePlan | None = None
     fallback: str = GUESS_UNIFORM
 
     def __post_init__(self) -> None:
-        if not isinstance(self.strategy, (DecodingStrategy, type(None))):
-            raise ValueError(f"eavesdropper strategy must be a DecodingStrategy, not {self.strategy!r}")
+        if not isinstance(self.strategy, (StagePlan, type(None))):
+            raise ValueError(f"eavesdropper strategy must be a StagePlan, not {self.strategy!r}")
         if self.fallback not in (GUESS_UNIFORM, GUESS_ME):
             raise ValueError("fallback must be 'uniform' or 'me'")
 
     @classmethod
-    def absent(cls) -> "EveStrategy":
-        return cls()
-
-    @classmethod
-    def intercept(cls, strategy: DecodingStrategy, fallback: str = GUESS_UNIFORM) -> "EveStrategy":
+    def intercept(cls, strategy: StagePlan, fallback: str = GUESS_UNIFORM) -> "EveStrategy":
         if strategy is None:
             raise ValueError("intercepting eavesdropper requires a strategy")
         return cls(strategy, fallback)
@@ -85,7 +81,7 @@ def simulate_qkd(
         rng, _ = count_table(seed, n_rounds)
         kept = int(rng.binomial(n_rounds, p_keep))
     else:
-        fam = _shared_tree(s.coeffs.tobytes(), eve.strategy.plan, eve.fallback)
+        fam = _shared_tree(s.coeffs.tobytes(), eve.strategy, eve.fallback)
         rng, table = count_table(seed, n_rounds, fam.dist)
         counts = rng.binomial(table, p_keep)
         counts.setflags(write=False)
@@ -126,4 +122,4 @@ def analytic_qkd_error(coeffs, eve: EveStrategy) -> float:
     branch tree, 0 without her; the receiver's sift is error-free. The tree
     is built fresh, not taken from the runs' memo, so a check of a run
     against this closed form never reads what the run read."""
-    return 0.0 if eve.strategy is None else _BranchTree(coeffs, eve.strategy.plan, eve.fallback).error_rate()
+    return 0.0 if eve.strategy is None else _BranchTree(coeffs, eve.strategy, eve.fallback).error_rate()

@@ -153,12 +153,12 @@ class CircuitTree:
         return dist
 
 
-def circuit_joint(s, strat) -> np.ndarray:
+def circuit_joint(s, plan) -> np.ndarray:
     """Joint over (message) x (record, m) with uniform message priors: the
     circuit's system-2 readout P(m | j, k) times the carrier's record
     distribution. Row j*d2 + k, column record*d2 + m."""
     readout = verify_channel(s)
-    dist = CircuitTree(s, strat.plan.stages, strat.plan.final_action).distribution()
+    dist = CircuitTree(s, plan.stages, plan.final_action).distribution()
     joint = np.einsum("jkm,jr->jkrm", readout, dist) / (s.d2 * s.D)
     return joint.reshape(s.d2 * s.D, dist.shape[1] * s.d2)
 

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from densecode.channel import COEFF_TOL, GROUP_TOL_SQ, SchmidtState
+from densecode.discrimination import StagePlan
 from densecode.gates import fourier, gxor, pauli_x, pauli_z
 from densecode.infometrics import _ZERO_PROB, _plogp
-from densecode.protocol_sim import INCONCLUSIVE, DecodingStrategy, _BranchTree
+from densecode.protocol_sim import INCONCLUSIVE, _BranchTree
 from densecode.tensor_core import Ket, Measurement, Operator, apply, born_probabilities
 
 
@@ -265,14 +266,14 @@ def _expand_joint(counts: np.ndarray) -> np.ndarray:
     return joint
 
 
-def analytic_joint(s: SchmidtState, strat: DecodingStrategy) -> np.ndarray:
+def analytic_joint(s: SchmidtState, plan: StagePlan) -> np.ndarray:
     """Exact joint distribution over (message) x (record, m) of the branch tree.
 
     Row index is j*d2 + k, column index record*d2 + m, with uniform message
     priors folded in. The readout m always equals k. The textbook mutual
     information of this table must equal the strategy's closed-form total.
     """
-    dist = _BranchTree(s.coeffs, strat.plan).dist
+    dist = _BranchTree(s.coeffs, plan).dist
     per_message = np.broadcast_to(dist[:, None, :], (s.D, s.d2, dist.shape[1]))
     return _expand_joint(per_message) / (s.d2 * s.D)
 

@@ -13,7 +13,6 @@ import numpy as np
 from densecode import (
     FINAL_ABSTAIN,
     FINAL_ME,
-    DecodingStrategy,
     EveStrategy,
     GUESS_ME,
     GUESS_UNIFORM,
@@ -187,7 +186,7 @@ def test_criterion_5_appendix_identity():
         s = random_schmidt(rng, rank=rank, d2=d2)
         kind = case % 3
         if kind == 0:
-            strat = DecodingStrategy.me()
+            plan = StagePlan.me()
             total = mutual_info_me(s).total_bits
             family = [symmetric_state(s, j) for j in range(s.D)]
             reduction = math.log2(s.d2 * s.D) - conditional_entropy(
@@ -196,7 +195,7 @@ def test_criterion_5_appendix_identity():
             worst = max(worst, abs(total - reduction))
         elif kind == 1:
             xi = float(rng.uniform(0, 1))
-            strat = DecodingStrategy.sep_me(xi)
+            plan = StagePlan.sep_me(xi)
             total = mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN)).total_bits
         else:
             depth = int(rng.integers(1, s.D))
@@ -204,10 +203,9 @@ def test_criterion_5_appendix_identity():
                 tuple(float(x) for x in rng.uniform(0.2, 1.0, size=depth)),
                 FINAL_ME if rng.random() < 0.5 else FINAL_ABSTAIN,
             )
-            strat = DecodingStrategy.multistage(plan)
             total = mutual_info_multistage(s, plan).total_bits
-        reference = circuit_joint(s, strat)
-        joint_gap = max(joint_gap, float(np.max(np.abs(analytic_joint(s, strat) - reference))))
+        reference = circuit_joint(s, plan)
+        joint_gap = max(joint_gap, float(np.max(np.abs(analytic_joint(s, plan) - reference))))
         oracle = mutual_info_from_joint(reference)
         worst = max(worst, abs(oracle - total))
     ok = worst <= 1e-9 and joint_gap <= 1e-12
@@ -224,9 +222,9 @@ def test_criterion_6_monte_carlo_consistency():
     started = time.perf_counter()
     n = 100000
     configs = [
-        (QUBIT, DecodingStrategy.me(), 101),
-        (QUBIT, DecodingStrategy.sep_me(1.0), 202),
-        (QUTRIT, DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ABSTAIN)), 303),
+        (QUBIT, StagePlan.me(), 101),
+        (QUBIT, StagePlan.sep_me(1.0), 202),
+        (QUTRIT, StagePlan((1.0, 1.0), FINAL_ABSTAIN), 303),
     ]
     worst_rate = 0.0
     worst_info = 0.0
@@ -242,7 +240,7 @@ def test_criterion_6_monte_carlo_consistency():
         # One calibrated law test of the whole joint table: a 3-sigma bound on
         # each of its ~60 cells would fail on about 15% of seeds of a sampler
         # drawing from the right law.
-        dist = _BranchTree(state.coeffs, strat.plan).dist
+        dist = _BranchTree(state.coeffs, strat).dist
         probs = np.broadcast_to(dist[:, None, :] / (state.d2 * state.D), report.joint_counts.shape)
         assert_counts_follow(report.joint_counts, probs)
         cells_checked += report.joint_counts.size
@@ -316,7 +314,7 @@ def test_criterion_7_structural_invariants():
 
 def _brute_force_error(s, eve):
     povm = me_measurement(s.D, s.d1)
-    stages, final = eve.strategy.plan.stages, eve.strategy.plan.final_action
+    stages, final = eve.strategy.stages, eve.strategy.final_action
     total = 0.0
     for j in range(s.D):
         weight = 1.0
@@ -348,9 +346,9 @@ def _brute_force_error(s, eve):
 
 def test_criterion_8_qkd_ordering():
     cases = [
-        (EveStrategy.intercept(DecodingStrategy.me()), 0.1),
-        (EveStrategy.intercept(DecodingStrategy.sep_me(0.5), GUESS_UNIFORM), 0.227445942),
-        (EveStrategy.intercept(DecodingStrategy.sep_me(1.0), GUESS_UNIFORM), 0.3),
+        (EveStrategy.intercept(StagePlan.me()), 0.1),
+        (EveStrategy.intercept(StagePlan.sep_me(0.5), GUESS_UNIFORM), 0.227445942),
+        (EveStrategy.intercept(StagePlan.sep_me(1.0), GUESS_UNIFORM), 0.3),
     ]
     worst_formula = 0.0
     worst_mc = True
@@ -361,9 +359,9 @@ def test_criterion_8_qkd_ordering():
         report = simulate_qkd(QUBIT, eve, 100000, seed=404)
         if abs(report.sifted_error_rate - analytic) > sigma3(analytic, report.kept):
             worst_mc = False
-    single = EveStrategy.intercept(DecodingStrategy.sep_me(1.0), GUESS_UNIFORM)
+    single = EveStrategy.intercept(StagePlan.sep_me(1.0), GUESS_UNIFORM)
     multi = EveStrategy.intercept(
-        DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ABSTAIN)), GUESS_UNIFORM
+        StagePlan((1.0, 1.0), FINAL_ABSTAIN), GUESS_UNIFORM
     )
     err_single = analytic_qkd_error(QUTRIT.coeffs, single)
     err_multi = analytic_qkd_error(QUTRIT.coeffs, multi)

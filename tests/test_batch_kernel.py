@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from densecode import (
     FINAL_ABSTAIN,
     FINAL_ME,
-    DecodingStrategy,
     SchmidtState,
     StagePlan,
     cli,
@@ -263,8 +262,7 @@ def test_batched_multistage_matches_circuit_oracle(case):
     states, plan = case
     stack = np.array([s.coeffs for s in states])
     totals = multistage_bits(stack, states[0].d2, plan.stages, plan.final_action)[0]
-    strat = DecodingStrategy.multistage(plan)
     for s, total in zip(states, totals):
-        oracle = mutual_info_from_joint(circuit_joint(s, strat))
+        oracle = mutual_info_from_joint(circuit_joint(s, plan))
         assert math.isclose(total, oracle, rel_tol=0.0, abs_tol=1e-9)
         assert total == mutual_info_multistage(s, plan).total_bits

@@ -21,7 +21,6 @@ from densecode import (
     FINAL_ME,
     GUESS_ME,
     GUESS_UNIFORM,
-    DecodingStrategy,
     EveStrategy,
     SchmidtState,
     StagePlan,
@@ -129,7 +128,7 @@ def test_tree_matches_circuit_oracle():
         assert np.max(np.abs(rows - dist)) <= PVALS_ATOL, case
         assert abs(analytic_sift_rate(s.coeffs) - circuit_sift_rate(s)) <= AGREE_ATOL
         if guess is not None:
-            eve = EveStrategy.intercept(DecodingStrategy.multistage(StagePlan(stages, final)), guess)
+            eve = EveStrategy.intercept(StagePlan(stages, final), guess)
             oracle = CircuitTree(s, stages, final, guess)
             assert abs(analytic_qkd_error(s.coeffs, eve) - _oracle_error(oracle)) <= AGREE_ATOL
         ranks.add(rank)
@@ -175,8 +174,8 @@ def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
     with pytest.raises(AssertionError):
         dense.encode(None, None)
     s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
-    strat = DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))
-    eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
+    strat = StagePlan((1.0, 0.5), FINAL_ME)
+    eve = EveStrategy.intercept(StagePlan.sep_me(0.6), GUESS_ME)
     run_simulation(s, strat, 5000, seed=1)
     simulate_qkd(s, eve, 5000, seed=3)
     dense.analytic_joint(s, strat)
@@ -196,9 +195,9 @@ def test_runtime_path_builds_no_dense_circuit(monkeypatch, tmp_path):
         assert cli.main([command, "--config", str(config), "--out", str(tmp_path / f"{command}.csv")]) == 0
     # Rank 64: one dense (d1*d2)^2 operator alone would be 268 MB.
     wide = SchmidtState.from_squared(64, 64, np.arange(1, 65) / (64 * 65 / 2))
-    report = run_simulation(wide, DecodingStrategy.sep_me(1.0), 4096, seed=4)
+    report = run_simulation(wide, StagePlan.sep_me(1.0), 4096, seed=4)
     assert report.joint_counts.sum() == 4096
-    plan = DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ABSTAIN))
+    plan = StagePlan((1.0, 1.0), FINAL_ABSTAIN)
     qkd = simulate_qkd(wide, EveStrategy.intercept(plan, GUESS_UNIFORM), 4096, seed=5)
     assert qkd.eve_counts.sum() == qkd.kept
 
@@ -246,8 +245,15 @@ def test_public_api_is_pinned():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == repr(PUBLIC_API)
     # A strategy is its plan, an eavesdropper her strategy: no separate kind to disagree with.
-    assert [f.name for f in dataclasses.fields(DecodingStrategy)] == ["plan"]
+    assert [f.name for f in dataclasses.fields(StagePlan)] == ["stages", "final_action"]
     assert [f.name for f in dataclasses.fields(EveStrategy)] == ["strategy", "fallback"]
+
+
+def test_old_strategy_names_are_identities():
+    # perfbench/workloads.py builds DecodingStrategy.multistage(plan) and reads its .plan.
+    p = StagePlan((1.0, 0.5), FINAL_ME)
+    assert densecode.DecodingStrategy is StagePlan
+    assert StagePlan.multistage(p) is p and p.plan is p
 
 
 def test_reports_hold_only_what_the_run_produced(qubit_state):
@@ -255,7 +261,7 @@ def test_reports_hold_only_what_the_run_produced(qubit_state):
     assert [f.name for f in dataclasses.fields(densecode.SimulationReport)] == [
         "n_trials", "joint_counts", "stage_attempts", "stage_successes", "empirical_mutual_info_bits", "tree",
     ]
-    report = run_simulation(qubit_state, DecodingStrategy.me(), 10, seed=0)
+    report = run_simulation(qubit_state, StagePlan.me(), 10, seed=0)
     assert report.outcome_labels is report.tree.records
     assert [f.name for f in dataclasses.fields(densecode.QkdReport)] == [
         "n_rounds", "kept", "errors", "sift_rate", "sifted_error_rate", "eve_info_bits", "eve_counts", "tree",
@@ -276,8 +282,8 @@ def test_sweeps_and_runs_build_no_operator(monkeypatch, tmp_path):
     ):
         assert cli.main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
     s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
-    run_simulation(s, DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME)), 5000, seed=1)
-    simulate_qkd(s, EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME), 5000, seed=3)
+    run_simulation(s, StagePlan((1.0, 0.5), FINAL_ME), 5000, seed=1)
+    simulate_qkd(s, EveStrategy.intercept(StagePlan.sep_me(0.6), GUESS_ME), 5000, seed=3)
 
 
 @pytest.mark.parametrize(
@@ -310,7 +316,7 @@ def test_branch_tree_makes_one_me_transform(monkeypatch, squared, stages, final,
     assert calls == [(len(tree.probs) + needs_final, s.D)]
     assert (len(tree._q) > len(tree.probs)) == needs_final
     calls.clear()
-    run_simulation(s, DecodingStrategy.multistage(StagePlan(stages, final)), 1000, seed=2)
+    run_simulation(s, StagePlan(stages, final), 1000, seed=2)
     assert len(calls) == 1
 
 
@@ -393,7 +399,7 @@ def test_tree_information_is_the_closed_form():
             total = float(multistage_bits(s.coeffs, s.d2, plan.stages, plan.final_action)[0])
             tree = _BranchTree(s.coeffs, plan)
             assert tree.info_bits(s.d2) == total, (s.coeffs, plan)
-            joint = dense.analytic_joint(s, DecodingStrategy.multistage(plan))
+            joint = dense.analytic_joint(s, plan)
             worst = max(worst, abs(dense.mutual_info_from_joint(joint) - total))
             ranks.add(s.D)
             finals.add(plan.final_action)
@@ -463,7 +469,7 @@ def test_one_sift_separation_per_qkd_command(monkeypatch, tmp_path, eve):
     per stage it executes."""
     s = SchmidtState.from_squared(4, 4, [0.1, 0.2, 0.3, 0.4])
     parsed = cli._parse_eve(eve)
-    stages = 0 if parsed.strategy is None else len(_BranchTree(s.coeffs, parsed.strategy.plan).probs)
+    stages = 0 if parsed.strategy is None else len(_BranchTree(s.coeffs, parsed.strategy).probs)
     separations = count_everywhere(monkeypatch, discrimination._separate)
     _run_command(tmp_path, "qkd", {"eve": eve})
     assert len(separations) == 1 + stages
@@ -506,8 +512,8 @@ def test_sift_rate_is_the_separation_at_xi_one(tmp_path):
 
 
 def test_runs_of_one_configuration_share_a_read_only_tree(qutrit_state):
-    strat = DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ME))
-    eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME)
+    strat = StagePlan((1.0, 0.5), FINAL_ME)
+    eve = EveStrategy.intercept(StagePlan.sep_me(0.6), GUESS_ME)
     pairs = [
         (run_simulation(qutrit_state, strat, 1000, seed=1), run_simulation(qutrit_state, strat, 1000, seed=2)),
         (simulate_qkd(qutrit_state, eve, 1000, seed=1), simulate_qkd(qutrit_state, eve, 1000, seed=2)),
@@ -523,7 +529,7 @@ def test_runs_of_one_configuration_share_a_read_only_tree(qutrit_state):
 
 
 def test_memo_is_keyed_by_value(qubit_state):
-    strat = DecodingStrategy.sep_me(1.0)
+    strat = StagePlan.sep_me(1.0)
     tree = run_simulation(qubit_state, strat, 100, seed=1).tree
     equal = SchmidtState(qubit_state.d1, qubit_state.d2, list(qubit_state.coeffs))
     assert equal.coeffs is not qubit_state.coeffs
@@ -532,7 +538,7 @@ def test_memo_is_keyed_by_value(qubit_state):
     ulp = qubit_state.coeffs.copy()
     ulp[0] = np.nextafter(ulp[0], 1.0)
     moved = SchmidtState(qubit_state.d1, qubit_state.d2, ulp)
-    plan = DecodingStrategy.sep_me(0.5)
+    plan = StagePlan.sep_me(0.5)
     misses = [
         run_simulation(moved, strat, 100, seed=1).tree,
         run_simulation(qubit_state, plan, 100, seed=1).tree,
@@ -552,7 +558,7 @@ def test_memos_stay_within_their_bound():
     rng = np.random.default_rng(17)
     states = [random_schmidt(rng) for _ in range(protocol_sim._TREE_MEMO_SIZE + 5)]
     for s in states:
-        run_simulation(s, DecodingStrategy.me(), 10, seed=0)
+        run_simulation(s, StagePlan.me(), 10, seed=0)
         analytic_sift_rate(s.coeffs)
     for memo in (_shared_tree, qkd._sift_rate):
         info = memo.cache_info()
@@ -583,7 +589,7 @@ def test_record_labels_and_inferred_hypotheses_follow_the_shape(rank, final, gue
         with pytest.raises(ValueError, match="read-only"):
             tree.inferred[...] = 0
         if guess is None:
-            report = run_simulation(s, DecodingStrategy(plan), 10, seed=depth)
+            report = run_simulation(s, plan, 10, seed=depth)
             assert "records" not in vars(report.tree)
             assert report.outcome_labels == tree.records and "records" in vars(report.tree)
 
@@ -596,11 +602,11 @@ def test_record_labels_and_inferred_hypotheses_follow_the_shape(rank, final, gue
         (lambda: analytic_sift_rate([]), ValueError, "nonempty"),
         (lambda: analytic_sift_rate(0.5), ValueError, "nonempty"),
         (lambda: analytic_sift_rate([[0.6, 0.8], [0.8, 0.6]]), ValueError, "1D"),
-        (lambda: analytic_qkd_error([[0.6, 0.8], [0.8, 0.6]], EveStrategy.intercept(DecodingStrategy.me())), ValueError, "1D vector"),
+        (lambda: analytic_qkd_error([[0.6, 0.8], [0.8, 0.6]], EveStrategy.intercept(StagePlan.me())), ValueError, "1D vector"),
         (
             lambda: run_simulation(
                 SchmidtState.from_squared(2, 2, [0.2, 0.8]),
-                DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ME)),
+                StagePlan((1.0, 1.0), FINAL_ME),
                 10,
                 seed=0,
             ),
@@ -621,10 +627,9 @@ def test_warm_runs_equal_cold_runs():
     and report text are a cold run's."""
     rng = np.random.default_rng(23)
     for case, (s, plan) in enumerate(_tree_cases(rng, 48)):
-        strat = DecodingStrategy.multistage(plan)
-        eve = EveStrategy.intercept(strat, GUESSES[1 + case % 2])
+        eve = EveStrategy.intercept(plan, GUESSES[1 + case % 2])
         seed = int(rng.integers(2**63))
-        runs = [lambda: run_simulation(s, strat, 5000, seed)]
+        runs = [lambda: run_simulation(s, plan, 5000, seed)]
         # Sifting needs rank >= 2.
         runs += [lambda: simulate_qkd(s, eve, 5000, seed)] if s.D > 1 else []
         for run in runs:
@@ -637,4 +642,4 @@ def test_warm_runs_equal_cold_runs():
             assert counts[0].tobytes() == counts[1].tobytes()
             assert cli._report_json(cold, {"seed": seed}) == cli._report_json(warm, {"seed": seed})
         fresh = _BranchTree(s.coeffs, plan)
-        assert run_simulation(s, strat, 10, seed).tree.dist.tobytes() == fresh.dist.tobytes()
+        assert run_simulation(s, plan, 10, seed).tree.dist.tobytes() == fresh.dist.tobytes()

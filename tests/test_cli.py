@@ -20,7 +20,6 @@ from hypothesis.extra import numpy as hnp
 
 import densecode
 from densecode import (
-    DecodingStrategy,
     EveStrategy,
     FINAL_ABSTAIN,
     FINAL_ME,
@@ -334,7 +333,7 @@ def test_cli_alone_reads_and_writes_file_formats():
         assert "json" not in imported, name
         assert "csv" not in imported, name
         assert not {"_is_real", "config_number", "check_keys"} & set(vars(module)), name
-    for cls in (SchmidtState, DecodingStrategy, EveStrategy, SimulationReport, QkdReport):
+    for cls in (SchmidtState, StagePlan, EveStrategy, SimulationReport, QkdReport):
         for method in ("from_dict", "to_json", "counts_dict"):
             assert not hasattr(cls, method), f"{cls.__name__}.{method}"
 
@@ -378,7 +377,7 @@ def test_oversized_run_fails_before_allocating(d2, tmp_path, capsys):
 def test_run_limit_is_inclusive():
     # The deepest plan at rank 64 and d2 = 64 takes 64 * 64 * 64 * 64**2 terms;
     # the maximally entangled state ends its walk at the first, sure stage.
-    deep = DecodingStrategy.multistage(StagePlan((1.0,) * 63, FINAL_ME))
+    deep = StagePlan((1.0,) * 63, FINAL_ME)
     squared = np.full(64, 1 / 64)
     assert 64**5 == MAX_RUN_TERMS
     assert run_simulation(SchmidtState.from_squared(64, 64, squared), deep, 1, seed=0).n_trials == 1
@@ -410,7 +409,7 @@ def test_oversized_tree_fails_before_allocating(tmp_path, capsys):
 
 def test_tree_limit_is_inclusive(monkeypatch, qubit_state):
     # A qubit sep_me tree with a uniform guess: 2 rows by 2 stage records and 2 guesses.
-    eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.5))
+    eve = EveStrategy.intercept(StagePlan.sep_me(0.5))
     monkeypatch.setattr(protocol_sim, "MAX_TREE_CELLS", 8)
     assert analytic_qkd_error(qubit_state.coeffs, eve) >= 0.0
     monkeypatch.setattr(protocol_sim, "MAX_TREE_CELLS", 7)

@@ -17,7 +17,6 @@ from densecode import (
     FINAL_ME,
     GUESS_ME,
     GUESS_UNIFORM,
-    DecodingStrategy,
     EveStrategy,
     SchmidtState,
     StagePlan,
@@ -37,14 +36,14 @@ def dense_mi(counts, n: int) -> float:
     return counts_table_mutual_info(_expand_joint(counts), n)
 
 
-def _strategy(rng, rank: int, kind: int) -> DecodingStrategy:
+def _strategy(rng, rank: int, kind: int) -> StagePlan:
     xi = float(rng.uniform(0.0, 1.0))
     if kind == 0:
-        return DecodingStrategy.me()
+        return StagePlan.me()
     if kind == 1:
-        return DecodingStrategy.sep_me(xi)
+        return StagePlan.sep_me(xi)
     stages = (1.0, xi)[: rank - 1] if rank > 2 else (xi,)
-    return DecodingStrategy.multistage(StagePlan(stages, FINAL_ME if kind == 2 else FINAL_ABSTAIN))
+    return StagePlan(stages, FINAL_ME if kind == 2 else FINAL_ABSTAIN)
 
 
 #: Ranks 2-6 x {me, sep_me, multistage ending me, ending abstain} x trial
@@ -71,7 +70,7 @@ BENCHMARK_SHAPES = [(16, (1.0, 1.0), 4096, 7), (4, (1.0, 1.0, 1.0), 10**6, 1083)
 
 def _ramp_run(d, stages, n, seed):
     state = SchmidtState.from_squared(d, d, np.arange(1, d + 1) / (d * (d + 1) / 2))
-    return run_simulation(state, DecodingStrategy.multistage(StagePlan(stages, FINAL_ME)), n, seed)
+    return run_simulation(state, StagePlan(stages, FINAL_ME), n, seed)
 
 
 @pytest.mark.parametrize("d, stages, n, seed", BENCHMARK_SHAPES)
@@ -189,7 +188,7 @@ def test_rejects_counts_that_do_not_sum_to_n():
 def test_run_counts_are_one_read_only_view_of_the_readout(qutrit_state):
     """The counts a run reports are its (D, records, d2) readout transposed,
     not a copy of it, and refuse writes."""
-    strat = DecodingStrategy.multistage(StagePlan((1.0, 1.0), FINAL_ME))
+    strat = StagePlan((1.0, 1.0), FINAL_ME)
     report = run_simulation(qutrit_state, strat, 5000, seed=3)
     counts = report.joint_counts
     records = len(report.tree.records)
@@ -205,7 +204,7 @@ def test_rank64_run_stays_small():
     wide = SchmidtState.from_squared(64, 64, np.arange(1, 65) / (64 * 65 / 2))
     tracemalloc.start()
     try:
-        report = run_simulation(wide, DecodingStrategy.sep_me(1.0), 4096, seed=4)
+        report = run_simulation(wide, StagePlan.sep_me(1.0), 4096, seed=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,8 +234,8 @@ def test_runtime_path_builds_no_dense_joint(monkeypatch, tmp_path):
     with pytest.raises(AssertionError):
         dense.mutual_info_from_joint(np.eye(2) / 2)
     s = SchmidtState.from_squared(5, 4, [0.1, 0.2, 0.3, 0.4])
-    run_simulation(s, DecodingStrategy.multistage(StagePlan((1.0, 0.5), FINAL_ABSTAIN)), 5000, seed=1)
-    simulate_qkd(s, EveStrategy.intercept(DecodingStrategy.sep_me(0.6), GUESS_ME), 5000, seed=3)
+    run_simulation(s, StagePlan((1.0, 0.5), FINAL_ABSTAIN), 5000, seed=1)
+    simulate_qkd(s, EveStrategy.intercept(StagePlan.sep_me(0.6), GUESS_ME), 5000, seed=3)
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -255,14 +254,14 @@ def test_runtime_path_builds_no_dense_joint(monkeypatch, tmp_path):
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, True, False])
 def test_seed_outside_u64_is_rejected(seed, qubit_state):
     with pytest.raises(ValueError, match=f"seed {seed} "):
-        run_simulation(qubit_state, DecodingStrategy.me(), 10, seed)
+        run_simulation(qubit_state, StagePlan.me(), 10, seed)
     with pytest.raises(ValueError, match=f"seed {seed} "):
-        simulate_qkd(qubit_state, EveStrategy.absent(), 10, seed)
+        simulate_qkd(qubit_state, EveStrategy(), 10, seed)
 
 
 def test_largest_u64_seed_runs(qubit_state, tmp_path):
-    assert run_simulation(qubit_state, DecodingStrategy.me(), 10, 2**64 - 1).n_trials == 10
-    assert simulate_qkd(qubit_state, EveStrategy.absent(), 10, 2**64 - 1).n_rounds == 10
+    assert run_simulation(qubit_state, StagePlan.me(), 10, 2**64 - 1).n_trials == 10
+    assert simulate_qkd(qubit_state, EveStrategy(), 10, 2**64 - 1).n_rounds == 10
     # The JSON report carries the seed as parsed, every digit kept.
     for command in ("montecarlo", "qkd"):
         out = tmp_path / f"{command}.csv"
@@ -272,11 +271,11 @@ def test_largest_u64_seed_runs(qubit_state, tmp_path):
 
 def _runs(state, n):
     """Monte Carlo and both kinds of key-distribution run of `n` trials."""
-    strat = DecodingStrategy.sep_me(1.0)
+    strat = StagePlan.sep_me(1.0)
     eve = EveStrategy.intercept(strat, GUESS_ME)
     return (
         lambda: run_simulation(state, strat, n, 3),
-        lambda: simulate_qkd(state, EveStrategy.absent(), n, 3),
+        lambda: simulate_qkd(state, EveStrategy(), n, 3),
         lambda: simulate_qkd(state, eve, n, 3),
     )
 
@@ -291,7 +290,7 @@ def test_count_outside_signed_64_bits_is_rejected(n, qubit_state):
 def test_numpy_integer_seed_and_count_run(qubit_state):
     mc, plain, intercepted = (run() for run in _runs(qubit_state, np.int64(10)))
     assert int(mc.joint_counts.sum()) == 10 and plain.n_rounds == intercepted.n_rounds == 10
-    assert run_simulation(qubit_state, DecodingStrategy.me(), 10, np.uint64(3)).n_trials == 10
+    assert run_simulation(qubit_state, StagePlan.me(), 10, np.uint64(3)).n_trials == 10
 
 
 def test_largest_signed_64_bit_count_runs(qubit_state):

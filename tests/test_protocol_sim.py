@@ -7,7 +7,6 @@ import pytest
 from densecode import (
     FINAL_ABSTAIN,
     FINAL_ME,
-    DecodingStrategy,
     SchmidtState,
     StagePlan,
     cli,
@@ -34,22 +33,18 @@ class TestDecodingStrategy:
         with pytest.raises(ValueError, match="unknown strategy kind None"):
             cli._parse_strategy({"xi": 0.5})
         with pytest.raises(ValueError):
-            DecodingStrategy.sep_me(1.5)
-        with pytest.raises(ValueError, match="requires a StagePlan"):
-            DecodingStrategy(None)
+            StagePlan.sep_me(1.5)
 
     def test_normal_forms(self):
-        assert DecodingStrategy.me().plan == StagePlan((), FINAL_ME)
-        assert DecodingStrategy.sep_me(0.25).plan == StagePlan((0.25,), FINAL_ABSTAIN)
-        plan = StagePlan((1.0, 0.5), FINAL_ME)
-        assert DecodingStrategy.multistage(plan).plan == plan
+        assert StagePlan.me() == StagePlan((), FINAL_ME)
+        assert StagePlan.sep_me(0.25) == StagePlan((0.25,), FINAL_ABSTAIN)
 
     def test_dict_round_trip(self):
         strat = cli._parse_strategy(
             {"kind": "multistage", "stages": [{"xi": 1.0}, {}], "final": "me"}
         )
-        assert strat.plan.stages == (1.0, 1.0)
-        assert strat.plan.final_action == FINAL_ME
+        assert strat.stages == (1.0, 1.0)
+        assert strat.final_action == FINAL_ME
         assert strat.describe() == "multistage([1,1], final=me)"
 
     @pytest.mark.parametrize(
@@ -68,20 +63,19 @@ class TestDecodingStrategy:
     def test_describe_reads_the_plan_shape(self, config, name):
         strat = cli._parse_strategy(config)
         assert strat.describe() == name
-        assert DecodingStrategy(strat.plan) == strat
+        assert strat == StagePlan(strat.stages, strat.final_action)
 
     def test_kind_is_not_a_field(self, tmp_path):
         # A name and a plan of another shape cannot be paired: the plan alone
         # names the strategy, so no run can report a policy it did not run.
         plan = StagePlan((1.0,), FINAL_ABSTAIN)
         with pytest.raises(TypeError):
-            DecodingStrategy("me", plan)
+            StagePlan((1.0,), FINAL_ABSTAIN, "me")
         with pytest.raises(TypeError):
-            DecodingStrategy(kind="me", plan=plan)
-        strat = DecodingStrategy(plan)
-        report = run_simulation(SchmidtState.from_squared(2, 2, [0.2, 0.8]), strat, 100, seed=1)
+            StagePlan(kind="me", stages=(1.0,))
+        report = run_simulation(SchmidtState.from_squared(2, 2, [0.2, 0.8]), plan, 100, seed=1)
         assert report.outcome_labels == ("s1:0", "s1:1", "inc")
-        assert strat.describe() == "sep_me(xi=1)"
+        assert plan.describe() == "sep_me(xi=1)"
         # The JSON report names the strategy that the labels come from.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"strategy": {"kind": "multistage", "stages": [{"xi": 1}]}, "trials": 100}))
@@ -94,7 +88,7 @@ class TestDecodingStrategy:
 class TestRunSimulation:
     def test_uniform_me_exact(self):
         s = SchmidtState.from_squared(3, 4, [1 / 3] * 3)
-        report = run_simulation(s, DecodingStrategy.me(), 1000, seed=1)
+        report = run_simulation(s, StagePlan.me(), 1000, seed=1)
         for j in range(3):
             for k in range(4):
                 for r, label in enumerate(report.outcome_labels):
@@ -103,12 +97,12 @@ class TestRunSimulation:
                         assert label == f"f:{j}"
 
     def test_ancilla_success_frequency(self, qubit_state):
-        report = run_simulation(qubit_state, DecodingStrategy.sep_me(1.0), 10000, seed=2)
+        report = run_simulation(qubit_state, StagePlan.sep_me(1.0), 10000, seed=2)
         rate = report.empirical_success_rate[0]
         assert abs(rate - 0.4) <= sigma3(0.4, 10000)
 
     def test_me_confusion_frequency(self, qubit_state):
-        report = run_simulation(qubit_state, DecodingStrategy.me(), 10000, seed=3)
+        report = run_simulation(qubit_state, StagePlan.me(), 10000, seed=3)
         correct = sum(
             int(report.joint_counts[j, k, report.outcome_labels.index(f"f:{j}")])
             for j in range(2)
@@ -117,7 +111,7 @@ class TestRunSimulation:
         assert abs(correct / 10000 - 0.9) <= sigma3(0.9, 10000)
 
     def test_deterministic_replay(self, qubit_state):
-        strat = DecodingStrategy.sep_me(0.5)
+        strat = StagePlan.sep_me(0.5)
         a = run_simulation(qubit_state, strat, 20000, seed=9)
         b = run_simulation(qubit_state, strat, 20000, seed=9)
         c = run_simulation(qubit_state, strat, 20000, seed=9, threads=3)
@@ -126,14 +120,14 @@ class TestRunSimulation:
         assert cli._report_json(a, {}) != cli._report_json(d, {})
 
     def test_empirical_mutual_info_close_to_analytic(self, qubit_state):
-        report = run_simulation(qubit_state, DecodingStrategy.me(), 100000, seed=4)
+        report = run_simulation(qubit_state, StagePlan.me(), 100000, seed=4)
         analytic = mutual_info_me(qubit_state).total_bits
         assert abs(report.empirical_mutual_info_bits - analytic) <= 0.02
 
     def test_multistage_second_stage_rate(self, qutrit_state):
         plan = StagePlan((1.0, 1.0), FINAL_ABSTAIN)
         report = run_simulation(
-            qutrit_state, DecodingStrategy.multistage(plan), 30000, seed=5
+            qutrit_state, plan, 30000, seed=5
         )
         attempts = report.stage_attempts[1]
         rate = report.stage_successes[1] / attempts
@@ -143,7 +137,7 @@ class TestRunSimulation:
     def test_inconclusive_rate_is_product_of_failures(self, qutrit_state):
         plan = StagePlan((1.0, 1.0), FINAL_ABSTAIN)
         report = run_simulation(
-            qutrit_state, DecodingStrategy.multistage(plan), 50000, seed=6
+            qutrit_state, plan, 50000, seed=6
         )
         inc = report.joint_counts[:, :, report.outcome_labels.index("inc")].sum()
         expected = (1 - 0.6) * (1 - 0.5)
@@ -152,13 +146,13 @@ class TestRunSimulation:
     def test_plan_depth_rejected(self, qubit_state):
         plan = StagePlan((1.0, 1.0), FINAL_ME)
         with pytest.raises(ValueError, match="plan exceeds channel stages"):
-            run_simulation(qubit_state, DecodingStrategy.multistage(plan), 10, seed=0)
+            run_simulation(qubit_state, plan, 10, seed=0)
 
     def test_rank1_separation_abstains_without_a_stage(self):
         # One stage is allowed on a rank-1 state, and the walk leaves it
         # unexecuted, as multistage_bits reports it.
         s = SchmidtState(4, 4, [1.0])
-        report = run_simulation(s, DecodingStrategy.sep_me(0.8), 20000, seed=3)
+        report = run_simulation(s, StagePlan.sep_me(0.8), 20000, seed=3)
         assert report.outcome_labels == ("inc",)
         assert report.stage_attempts == () and report.stage_successes == ()
         assert abs(report.empirical_mutual_info_bits - 2.0) <= 0.02
@@ -166,9 +160,9 @@ class TestRunSimulation:
     @pytest.mark.parametrize("seed", range(4))
     def test_joint_frequencies_within_three_sigma(self, seed, qubit_state):
         n = 100000
-        strat = DecodingStrategy.sep_me(1.0)
+        strat = StagePlan.sep_me(1.0)
         report = run_simulation(qubit_state, strat, n, seed=40 + seed)
-        dist = _BranchTree(qubit_state.coeffs, strat.plan).dist
+        dist = _BranchTree(qubit_state.coeffs, strat).dist
         for j in range(2):
             for k in range(2):
                 for r in range(dist.shape[1]):
@@ -181,7 +175,7 @@ class TestRunSimulation:
 
 class TestSerialization:
     def test_json_round_trip(self, qubit_state):
-        report = run_simulation(qubit_state, DecodingStrategy.sep_me(1.0), 5000, seed=7)
+        report = run_simulation(qubit_state, StagePlan.sep_me(1.0), 5000, seed=7)
         payload = json.loads(cli._report_json(report, {"seed": 7}))
         assert payload["n_trials"] == 5000
         assert payload["seed"] == 7
@@ -195,7 +189,7 @@ class TestSerialization:
 class TestEmpiricalMutualInfo:
     def test_all_correct_diagonal(self):
         s = SchmidtState.from_squared(3, 4, [1 / 3] * 3)
-        report = run_simulation(s, DecodingStrategy.me(), 2000, seed=11)
+        report = run_simulation(s, StagePlan.me(), 2000, seed=11)
         assert abs(report.empirical_mutual_info_bits - math.log2(12)) < 0.05
 
     def test_independent_counts_near_zero(self):
@@ -210,7 +204,7 @@ class TestEmpiricalMutualInfo:
     def test_shuffled_records_leave_only_target_bits(self, qubit_state):
         # records independent of the message: only the error-free target
         # readout survives in the plug-in estimate
-        base = run_simulation(qubit_state, DecodingStrategy.me(), 10, seed=12)
+        base = run_simulation(qubit_state, StagePlan.me(), 10, seed=12)
         rng = np.random.default_rng(0)
         n = 100000
         counts = np.zeros_like(base.joint_counts)
@@ -220,7 +214,7 @@ class TestEmpiricalMutualInfo:
         assert abs(counts_mutual_info(counts, n) - 1.0) <= 0.05
 
     def test_me_qubit_value(self, qubit_state):
-        report = run_simulation(qubit_state, DecodingStrategy.me(), 100000, seed=13)
+        report = run_simulation(qubit_state, StagePlan.me(), 100000, seed=13)
         assert abs(report.empirical_mutual_info_bits - 1.531) <= 0.02
 
 
@@ -230,10 +224,10 @@ def test_analytic_joint_matches_strategy_totals(seed):
     s = random_schmidt(rng)
     choice = seed % 3
     if choice == 0:
-        strat, total = DecodingStrategy.me(), mutual_info_me(s).total_bits
+        strat, total = StagePlan.me(), mutual_info_me(s).total_bits
     elif choice == 1:
         xi = float(rng.uniform(0, 1))
-        strat, total = DecodingStrategy.sep_me(xi), mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN)).total_bits
+        strat, total = StagePlan.sep_me(xi), mutual_info_multistage(s, StagePlan((xi,), FINAL_ABSTAIN)).total_bits
     else:
         depth = int(rng.integers(1, s.D))
         plan = StagePlan(
@@ -241,7 +235,7 @@ def test_analytic_joint_matches_strategy_totals(seed):
             FINAL_ME if rng.random() < 0.5 else FINAL_ABSTAIN,
         )
         strat, total = (
-            DecodingStrategy.multistage(plan),
+            plan,
             mutual_info_multistage(s, plan).total_bits,
         )
     reference = circuit_joint(s, strat)

@@ -6,7 +6,6 @@ import pytest
 
 from densecode import (
     FINAL_ABSTAIN,
-    DecodingStrategy,
     EveStrategy,
     GUESS_ME,
     GUESS_UNIFORM,
@@ -68,32 +67,32 @@ class TestEveStrategy:
             cli._parse_eve({"kind": "intercept"})
         with pytest.raises(ValueError, match="requires a strategy"):
             EveStrategy.intercept(None)
-        with pytest.raises(ValueError, match="must be a DecodingStrategy"):
+        with pytest.raises(ValueError, match="must be a StagePlan"):
             EveStrategy("absent")
         with pytest.raises(ValueError):
-            EveStrategy.intercept(DecodingStrategy.me(), fallback="coin")
+            EveStrategy.intercept(StagePlan.me(), fallback="coin")
 
     def test_dict_round_trip(self):
         eve = cli._parse_eve(
             {"kind": "intercept", "strategy": {"kind": "sep_me", "xi": 0.5}, "fallback": "me"}
         )
-        assert eve.strategy == DecodingStrategy.sep_me(0.5)
+        assert eve.strategy == StagePlan.sep_me(0.5)
         assert eve.strategy.describe() == "sep_me(xi=0.5)"
         assert eve.fallback == GUESS_ME
         assert eve.describe() == "intercept(sep_me(xi=0.5), fallback=me)"
         absent = cli._parse_eve({"kind": "absent"})
-        assert absent == EveStrategy.absent() and absent.strategy is None
+        assert absent == EveStrategy() and absent.strategy is None
         assert absent.describe() == "absent"
 
     def test_absence_is_a_missing_strategy(self, qubit_state, tmp_path):
         # An absent eavesdropper cannot carry a strategy: one with a strategy
         # intercepts, and is named and run as intercepting.
-        with pytest.raises(ValueError, match="must be a DecodingStrategy, not 'absent'"):
-            EveStrategy("absent", DecodingStrategy.me())
+        with pytest.raises(ValueError, match="must be a StagePlan, not 'absent'"):
+            EveStrategy("absent", StagePlan.me())
         with pytest.raises(TypeError):
-            EveStrategy(kind="absent", strategy=DecodingStrategy.me())
-        eve = EveStrategy(DecodingStrategy.me())
-        assert eve == EveStrategy.intercept(DecodingStrategy.me())
+            EveStrategy(kind="absent", strategy=StagePlan.me())
+        eve = EveStrategy(StagePlan.me())
+        assert eve == EveStrategy.intercept(StagePlan.me())
         report = simulate_qkd(qubit_state, eve, 20000, seed=2)
         assert eve.describe() == "intercept(me, fallback=uniform)"
         assert report.errors > 0 and report.tree.records == ("f:0", "f:1")
@@ -107,25 +106,25 @@ class TestEveStrategy:
 
 class TestSimulateQkd:
     def test_absent_eve(self, qubit_state):
-        report = simulate_qkd(qubit_state, EveStrategy.absent(), 100000, seed=1)
+        report = simulate_qkd(qubit_state, EveStrategy(), 100000, seed=1)
         assert report.sifted_error_rate == 0.0
         assert report.errors == 0
         assert abs(report.sift_rate - 0.4) <= sigma3(0.4, 100000)
         assert report.eve_info_bits == 0.0
 
     def test_me_eavesdropper(self, qubit_state):
-        eve = EveStrategy.intercept(DecodingStrategy.me())
+        eve = EveStrategy.intercept(StagePlan.me())
         report = simulate_qkd(qubit_state, eve, 100000, seed=2)
         assert abs(report.sifted_error_rate - 0.1) <= sigma3(0.1, report.kept)
         assert abs(report.sift_rate - 0.4) <= sigma3(0.4, 100000)
 
     def test_unambiguous_eavesdropper_with_uniform_guess(self, qubit_state):
-        eve = EveStrategy.intercept(DecodingStrategy.sep_me(1.0), GUESS_UNIFORM)
+        eve = EveStrategy.intercept(StagePlan.sep_me(1.0), GUESS_UNIFORM)
         report = simulate_qkd(qubit_state, eve, 100000, seed=3)
         assert abs(report.sifted_error_rate - 0.3) <= sigma3(0.3, report.kept)
 
     def test_deterministic_replay(self, qubit_state):
-        eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.5))
+        eve = EveStrategy.intercept(StagePlan.sep_me(0.5))
         a = simulate_qkd(qubit_state, eve, 20000, seed=5)
         b = simulate_qkd(qubit_state, eve, 20000, seed=5)
         c = simulate_qkd(qubit_state, eve, 20000, seed=5, threads=3)
@@ -133,7 +132,7 @@ class TestSimulateQkd:
 
     def test_succeeded_rounds_are_exact(self, qubit_state):
         # maximum-confidence successes identify the dit with certainty
-        eve = EveStrategy.intercept(DecodingStrategy.sep_me(1.0), GUESS_UNIFORM)
+        eve = EveStrategy.intercept(StagePlan.sep_me(1.0), GUESS_UNIFORM)
         report = simulate_qkd(qubit_state, eve, 50000, seed=6)
         labels = report.tree.records
         for j in range(2):
@@ -149,7 +148,7 @@ class TestSimulateQkd:
         assert abs(mutual_info_from_joint(sub) - 1.0) <= 0.01
 
     def test_json_payload(self, qubit_state):
-        eve = EveStrategy.intercept(DecodingStrategy.me())
+        eve = EveStrategy.intercept(StagePlan.me())
         report = simulate_qkd(qubit_state, eve, 4096, seed=7)
         payload = json.loads(cli._report_json(report, {"seed": 7}))
         assert payload["n_rounds"] == 4096 and payload["seed"] == 7
@@ -158,21 +157,21 @@ class TestSimulateQkd:
 
 class TestAnalyticError:
     def test_absent(self, qubit_state):
-        assert analytic_qkd_error(qubit_state.coeffs, EveStrategy.absent()) == 0.0
+        assert analytic_qkd_error(qubit_state.coeffs, EveStrategy()) == 0.0
 
     def test_me(self, qubit_state):
-        eve = EveStrategy.intercept(DecodingStrategy.me())
+        eve = EveStrategy.intercept(StagePlan.me())
         assert abs(analytic_qkd_error(qubit_state.coeffs, eve) - 0.1) < 1e-12
 
     def test_half_separation_brute_force(self, qubit_state):
-        eve = EveStrategy.intercept(DecodingStrategy.sep_me(0.5), GUESS_UNIFORM)
+        eve = EveStrategy.intercept(StagePlan.sep_me(0.5), GUESS_UNIFORM)
         value = analytic_qkd_error(qubit_state.coeffs, eve)
         oracle = brute_force_error(qubit_state, (0.5,), "abstain", GUESS_UNIFORM)
         assert abs(value - oracle) < 1e-12
         assert abs(value - 0.2274) < 5e-5
 
     def test_full_separation_uniform_guess(self, qubit_state):
-        eve = EveStrategy.intercept(DecodingStrategy.sep_me(1.0), GUESS_UNIFORM)
+        eve = EveStrategy.intercept(StagePlan.sep_me(1.0), GUESS_UNIFORM)
         assert abs(analytic_qkd_error(qubit_state.coeffs, eve) - 0.3) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
@@ -181,9 +180,9 @@ class TestAnalyticError:
         s = random_schmidt(rng)
         xi = float(rng.uniform(0, 1))
         for strat, stages, final, fallback in [
-            (DecodingStrategy.me(), (), "me", GUESS_UNIFORM),
-            (DecodingStrategy.sep_me(xi), (xi,), "abstain", GUESS_UNIFORM),
-            (DecodingStrategy.sep_me(xi), (xi,), "abstain", GUESS_ME),
+            (StagePlan.me(), (), "me", GUESS_UNIFORM),
+            (StagePlan.sep_me(xi), (xi,), "abstain", GUESS_UNIFORM),
+            (StagePlan.sep_me(xi), (xi,), "abstain", GUESS_ME),
         ]:
             eve = EveStrategy.intercept(strat, fallback)
             value = analytic_qkd_error(s.coeffs, eve)
@@ -198,20 +197,20 @@ class TestAnalyticError:
             errors = [
                 analytic_qkd_error(
                     s.coeffs,
-                    EveStrategy.intercept(DecodingStrategy.sep_me(float(xi)), GUESS_UNIFORM),
+                    EveStrategy.intercept(StagePlan.sep_me(float(xi)), GUESS_UNIFORM),
                 )
                 for xi in np.linspace(0, 1, 21)
             ]
-            me_err = analytic_qkd_error(s.coeffs, EveStrategy.intercept(DecodingStrategy.me()))
+            me_err = analytic_qkd_error(s.coeffs, EveStrategy.intercept(StagePlan.me()))
             assert abs(errors[0] - me_err) < 1e-12
             assert all(b >= a - 1e-12 for a, b in zip(errors, errors[1:]))
 
 
 class TestMultistageEavesdropper:
     def test_lower_error_than_single_stage(self, qutrit_state):
-        single = EveStrategy.intercept(DecodingStrategy.sep_me(1.0), GUESS_UNIFORM)
+        single = EveStrategy.intercept(StagePlan.sep_me(1.0), GUESS_UNIFORM)
         plan = StagePlan((1.0, 1.0), FINAL_ABSTAIN)
-        multi = EveStrategy.intercept(DecodingStrategy.multistage(plan), GUESS_UNIFORM)
+        multi = EveStrategy.intercept(plan, GUESS_UNIFORM)
         err_single = analytic_qkd_error(qutrit_state.coeffs, single)
         err_multi = analytic_qkd_error(qutrit_state.coeffs, multi)
         assert abs(err_single - 0.4 * 2 / 3) < 1e-12

@@ -18,7 +18,6 @@ from densecode import (
     FINAL_ME,
     GUESS_ME,
     GUESS_UNIFORM,
-    DecodingStrategy,
     EveStrategy,
     SchmidtState,
     StagePlan,
@@ -42,12 +41,12 @@ def _mc_case(rank: int, kind: str):
     rng = np.random.default_rng(8100 + 10 * rank + KINDS.index(kind))
     s = random_schmidt(rng, rank=rank, d2=rank + int(rng.integers(0, 3)))
     if kind == "me":
-        return s, DecodingStrategy.me()
+        return s, StagePlan.me()
     if kind == "sep_me":
-        return s, DecodingStrategy.sep_me(float(rng.uniform(0.2, 1.0)))
+        return s, StagePlan.sep_me(float(rng.uniform(0.2, 1.0)))
     stages = tuple(float(x) for x in rng.uniform(0.3, 1.0, size=rank - 1))
     final = FINAL_ME if kind == "ms_me" else FINAL_ABSTAIN
-    return s, DecodingStrategy.multistage(StagePlan(stages, final))
+    return s, StagePlan(stages, final)
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +59,7 @@ def _mc_run(rank: int, kind: str):
 @pytest.mark.parametrize("rank,kind", MC_CASES)
 def test_record_counts_follow_distribution(rank, kind):
     s, strat, report = _mc_run(rank, kind)
-    tree = _BranchTree(s.coeffs, strat.plan)
+    tree = _BranchTree(s.coeffs, strat)
     labels, dist = tree.records, tree.dist
     assert report.outcome_labels == labels
     assert report.joint_counts.shape == (s.D, s.d2, len(labels))
@@ -72,7 +71,7 @@ def test_record_counts_follow_distribution(rank, kind):
 @pytest.mark.parametrize("rank,kind", [c for c in MC_CASES if c[1] != "me"])
 def test_stage_successes_follow_binomial_laws(rank, kind):
     s, strat, report = _mc_run(rank, kind)
-    probs = mutual_info_multistage(s, strat.plan).branch_probabilities
+    probs = mutual_info_multistage(s, strat).branch_probabilities
     attempts, successes = report.stage_attempts, report.stage_successes
     assert 1 <= len(attempts) == len(successes) <= len(probs)
     assert attempts[0] == MC_TRIALS
@@ -124,7 +123,7 @@ def test_qkd_sift_and_errors_follow_closed_form(rank, kind, fallback):
 @pytest.mark.parametrize("rank,kind,fallback", QKD_CASES)
 def test_qkd_eve_counts_follow_distribution(rank, kind, fallback):
     s, eve, report = _qkd_run(rank, kind, fallback)
-    tree = _BranchTree(s.coeffs, eve.strategy.plan, eve.fallback)
+    tree = _BranchTree(s.coeffs, eve.strategy, eve.fallback)
     assert report.tree.records == tree.records
     assert int(report.eve_counts.sum()) == report.kept
     wrong = tree.inferred != np.arange(s.D)[:, None]
@@ -136,7 +135,7 @@ def test_qkd_eve_counts_follow_distribution(rank, kind, fallback):
 @pytest.mark.parametrize("rank", range(2, 6))
 def test_qkd_without_eve_keeps_binomially_and_errs_never(rank):
     s, _ = _mc_case(rank, "me")
-    report = simulate_qkd(s, EveStrategy.absent(), QKD_ROUNDS, seed=900 + rank)
+    report = simulate_qkd(s, EveStrategy(), QKD_ROUNDS, seed=900 + rank)
     assert report.errors == 0 and report.eve_counts is None
     assert_binomial(report.kept, QKD_ROUNDS, analytic_sift_rate(s.coeffs))
 
@@ -153,9 +152,9 @@ EDGE_STATES = {
     "slack_near_uniform3": (3, 3, [1 / 3, 1 / 3, 1 / 3 + 5e-11]),
 }
 EDGE_STRATEGIES = {
-    "me": DecodingStrategy.me(),
-    "sep_me": DecodingStrategy.sep_me(1.0),
-    "ms_me": DecodingStrategy.multistage(StagePlan((1.0,), FINAL_ME)),
+    "me": StagePlan.me(),
+    "sep_me": StagePlan.sep_me(1.0),
+    "ms_me": StagePlan((1.0,), FINAL_ME),
 }
 EDGE_CASES = [(state, kind) for state in EDGE_STATES for kind in EDGE_STRATEGIES]
 #: A small run, and one large enough that numpy draws its binomials by BTPE.
@@ -168,7 +167,7 @@ def test_samplers_take_rows_at_float_edges(state, kind):
     draw from the tree's dist."""
     d1, d2, squared = EDGE_STATES[state]
     s, strat = SchmidtState.from_squared(d1, d2, squared), EDGE_STRATEGIES[kind]
-    dist = _BranchTree(s.coeffs, strat.plan).dist
+    dist = _BranchTree(s.coeffs, strat).dist
     seed = 1100 + EDGE_CASES.index((state, kind))
     for n in EDGE_TRIALS:
         report = run_simulation(s, strat, n, seed=seed)
@@ -179,7 +178,7 @@ def test_samplers_take_rows_at_float_edges(state, kind):
             eve = EveStrategy.intercept(strat, fallback)
             qkd = simulate_qkd(s, eve, n, seed=seed)
             assert_binomial(qkd.kept, n, analytic_sift_rate(s.coeffs))
-            tree = _BranchTree(s.coeffs, strat.plan, fallback)
+            tree = _BranchTree(s.coeffs, strat, fallback)
             assert_counts_follow(qkd.eve_counts, tree.dist / s.D)
 
 
@@ -201,4 +200,4 @@ def test_runs_of_10_to_the_12_trials_add_up():
     eve = EveStrategy.intercept(strat, GUESS_UNIFORM)
     qkd = simulate_qkd(s, eve, n, seed=32)
     assert 0 < qkd.errors < qkd.kept == int(qkd.eve_counts.sum()) < n
-    assert 0 < simulate_qkd(s, EveStrategy.absent(), n, seed=33).kept < n
+    assert 0 < simulate_qkd(s, EveStrategy(), n, seed=33).kept < n
