@@ -5,6 +5,8 @@ minimum-error outcome rows."""
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +32,10 @@ class StagePlan:
     final_action: str = FINAL_ABSTAIN
 
     def __post_init__(self) -> None:
-        stages = tuple(float(x) for x in self.stages)
+        stages = tuple(self.stages) if isinstance(self.stages, Iterable) else None
+        if stages is None or not all(isinstance(xi, numbers.Real) and not isinstance(xi, bool) for xi in stages):
+            raise ValueError(f"stages must be real numbers, not {self.stages!r}")
+        stages = tuple(map(float, stages))
         if not all(0.0 <= xi <= 1.0 for xi in stages):
             raise ValueError("stage distinguishability must lie in [0, 1]")
         if self.final_action not in (FINAL_ME, FINAL_ABSTAIN):

@@ -235,6 +235,7 @@ def run_simulation(
         raise ValueError(f"run of {terms} information terms exceeds the limit of {MAX_RUN_TERMS}")
     fam = _shared_tree(s.coeffs.tobytes(), plan, None)
     _, by_carrier = count_table(seed, n_trials, fam.dist)
+    n_trials = int(n_trials)  # count_table refused a bool; the report holds a Python int.
     # Stream 1 splits each (carrier, record) count over k; the counts are its readout, held once
     # as a (D, d2, records) transposed view.
     k_probs = np.full(s.d2, 1.0 / s.d2)

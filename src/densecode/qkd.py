@@ -89,6 +89,7 @@ def simulate_qkd(
         errors = int(counts[~fam.correct].sum())
         if kept:
             eve_info = counts_mutual_info(counts[:, None, :], kept)
+    n_rounds = int(n_rounds)  # count_table refused a bool; the report holds a Python int.
     return QkdReport(
         n_rounds=n_rounds,
         kept=kept,

@@ -1,5 +1,6 @@
 """tools/bench_json.py on fake run files: paired runs are summarised with the
-relative change of their medians and of each pair, a metric is marked unresolved when the
+relative change of their medians and of each pair, a median worse than the parent's by more
+than its metric's bound is marked past the bound, a metric is marked unresolved when the
 parent's spread exceeds its bound and the two sides' runs overlap, traced
 pairs are summarised apart from the timed ones, the run length is taken from
 the runs, and a run without its pair, runs of one side from two source
@@ -99,6 +100,24 @@ def test_relative_change_of_each_pair_in_seed_order(tmp_path, run_dir):
     summary = json.loads(out.read_text())["workloads"]["mc_multistage"]
     assert summary["seeds"] == [1, 2, 3, 10]
     assert summary["pair_rel_change"] == {m: [-0.25, -0.5, None, 0.25] for m in METRICS}
+
+
+def test_past_bound_marks_a_median_worse_than_its_bound(tmp_path, run_dir):
+    # Medians 10 against 11.5 and 7.5: 15% up and 25% down.
+    for seed, (parent, rise, fall) in enumerate([(9.0, 11.0, 7.0), (10.0, 11.5, 7.5), (11.0, 12.0, 8.0)]):
+        _write_run(run_dir, "parent", "mc_multistage", seed, parent)
+        _write_run(run_dir, "change", "mc_multistage", seed, rise)
+        _write_run(run_dir, "parent", "qkd_intercept", seed, parent)
+        _write_run(run_dir, "change", "qkd_intercept", seed, fall)
+    result, out = _run_tool(tmp_path)
+    assert result.returncode == 0, result.stderr
+    workloads = json.loads(out.read_text())["workloads"]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    # 15% up is past a bound under 15% where lower is better; 25% down past one under 25% where higher is.
+    up = {m["name"]: m["better"] == "lower" and m["bound"] < 0.15 for m in metrics}
+    down = {m["name"]: m["better"] == "higher" and m["bound"] < 0.25 for m in metrics}
+    assert workloads["mc_multistage"]["past_bound"] == up and any(up.values())
+    assert workloads["qkd_intercept"]["past_bound"] == down and any(down.values())
 
 
 def _resolved(tmp_path, run_dir, parent_values, change_values) -> dict:

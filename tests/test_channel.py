@@ -45,6 +45,11 @@ class TestSchmidtState:
         with pytest.raises(ValueError, match="^coeffs must be a nonempty 1D vector$"):
             SchmidtState.from_squared(2, 2, [])
 
+    def test_rejects_a_stack_of_coefficient_rows(self):
+        # Each row passes check_coeffs, so only the state's own 1-D check refuses the stack.
+        with pytest.raises(ValueError, match="^coeffs must be a nonempty 1D vector$"):
+            SchmidtState(2, 2, [[1.0], [1.0]])
+
     @pytest.mark.parametrize("d1, d2, name", [(2.5, 2, "d1"), (True, 2, "d1"), (2, 2.5, "d2"), (2, 2.0, "d2")])
     def test_rejects_a_dimension_that_is_not_an_integer(self, d1, d2, name):
         with pytest.raises(ValueError, match=f"^subsystem dimension {name} = .* must be an integer$"):

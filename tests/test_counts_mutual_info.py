@@ -290,6 +290,12 @@ def test_count_outside_signed_64_bits_is_rejected(n, qubit_state):
 def test_numpy_integer_seed_and_count_run(qubit_state):
     mc, plain, intercepted = (run() for run in _runs(qubit_state, np.int64(10)))
     assert int(mc.joint_counts.sum()) == 10 and plain.n_rounds == intercepted.n_rounds == 10
+    # The reports hold Python numbers, so that the JSON writer takes them.
+    assert type(mc.n_trials) is int and {type(n) for n in mc.stage_attempts} == {int}
+    assert type(plain.n_rounds) is type(intercepted.n_rounds) is int
+    assert type(plain.sift_rate) is type(intercepted.sift_rate) is float
+    for report in (mc, plain, intercepted):
+        assert json.loads(cli._report_json(report, {}))["n_trials" if report is mc else "n_rounds"] == 10
     assert run_simulation(qubit_state, StagePlan.me(), 10, np.uint64(3)).n_trials == 10
 
 

@@ -35,6 +35,19 @@ class TestDecodingStrategy:
         with pytest.raises(ValueError):
             StagePlan.sep_me(1.5)
 
+    @pytest.mark.parametrize("stages", [(True,), (np.True_,), ("0.5",), "0.5", 0.5, [0.5, None], (np.array(0.5),)])
+    def test_a_stage_that_is_not_a_real_number_is_refused(self, stages):
+        with pytest.raises(ValueError, match=r"^stages must be real numbers, not "):
+            StagePlan(stages, FINAL_ME)
+        with pytest.raises(ValueError, match=r"^stages must be real numbers, not \(True,\)$"):
+            StagePlan.sep_me(True)
+
+    def test_numpy_reals_are_stages(self):
+        plan = StagePlan((np.float32(0.5), np.int64(1), np.float64(0.25)), FINAL_ME)
+        assert plan == StagePlan((0.5, 1.0, 0.25), FINAL_ME)
+        assert all(type(xi) is float for xi in plan.stages)
+        assert StagePlan(np.array([1.0, 0.5])) == StagePlan([1.0, 0.5])
+
     def test_normal_forms(self):
         assert StagePlan.me() == StagePlan((), FINAL_ME)
         assert StagePlan.sep_me(0.25) == StagePlan((0.25,), FINAL_ABSTAIN)

@@ -17,7 +17,10 @@ metric, the number of pairs the change won (ties count for neither side),
 `rel_change`, the change's median over the parent's less 1 (null when the
 parent's median is 0), `pair_rel_change`, each pair's change run over its
 parent run less 1, in seed order (null where the parent run is 0), which
-shows how consistent a change was from pair to pair, and `resolved`: false
+shows how consistent a change was from pair to pair, `past_bound`: true when
+the change's median is worse than the parent's by more than the metric's
+`bound` (above parent × (1 + bound) where lower is better, below parent ×
+(1 − bound) where higher is better), the no-regression rule, and `resolved`: false
 when the parent's quartile spread exceeds the metric's bound times the
 parent's median and not every change run beats every parent run, so that
 neither a gain nor a regression within that spread can be told from noise.
@@ -114,6 +117,10 @@ def main(run_dir: str, parent_sha: str, change_sha: str, out: str) -> None:
         medians = [(summary["parent"][m["name"]]["median"], summary["change"][m["name"]]["median"]) for m in metrics]
         summary["rel_change"] = {m["name"]: c / p - 1 if p else None for m, (p, c) in zip(metrics, medians)}
         summary["pair_rel_change"] = pair_rel
+        summary["past_bound"] = {
+            m["name"]: c > p * (1 + m["bound"]) if m["better"] == "lower" else c < p * (1 - m["bound"])
+            for m, (p, c) in zip(metrics, medians)
+        }
         workloads[workload] = summary
     traced = {}
     for workload, seeds, pairs in _by_workload(runs, traced=True):
