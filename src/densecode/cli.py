@@ -217,7 +217,7 @@ def _kind(obj, key: str) -> str:
 
 
 def _parse_strategy(obj) -> StagePlan:
-    """A decoding strategy, the plan it runs, from {"kind": "me"}, {"kind": "sep_me", "xi": ...}
+    """A decoding strategy, a StagePlan, from {"kind": "me"}, {"kind": "sep_me", "xi": ...}
     or {"kind": "multistage", "stages": [{"xi": ...}, ...], "final": ...}."""
     kind = _kind(obj, "strategy")
     if kind == "me":

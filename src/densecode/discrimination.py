@@ -32,15 +32,15 @@ class StagePlan:
     final_action: str = FINAL_ABSTAIN
 
     def __post_init__(self) -> None:
-        stages = tuple(self.stages) if isinstance(self.stages, Iterable) else None
+        # A 0-d array is an Iterable that cannot be iterated.
+        stages = tuple(self.stages) if isinstance(self.stages, Iterable) and getattr(self.stages, "ndim", 1) else None
         if stages is None or not all(isinstance(xi, numbers.Real) and not isinstance(xi, bool) for xi in stages):
             raise ValueError(f"stages must be real numbers, not {self.stages!r}")
-        stages = tuple(map(float, stages))
         if not all(0.0 <= xi <= 1.0 for xi in stages):
             raise ValueError("stage distinguishability must lie in [0, 1]")
         if self.final_action not in (FINAL_ME, FINAL_ABSTAIN):
             raise ValueError("final_action must be 'me' or 'abstain'")
-        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "stages", tuple(map(float, stages)))
 
     @classmethod
     def me(cls) -> "StagePlan":

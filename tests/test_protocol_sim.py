@@ -34,13 +34,15 @@ class TestDecodingStrategy:
             cli._parse_strategy({"xi": 0.5})
         with pytest.raises(ValueError):
             StagePlan.sep_me(1.5)
+        with pytest.raises(ValueError, match=r"^stages must be real numbers, not \(True,\)$"):
+            StagePlan.sep_me(True)
 
-    @pytest.mark.parametrize("stages", [(True,), (np.True_,), ("0.5",), "0.5", 0.5, [0.5, None], (np.array(0.5),)])
+    @pytest.mark.parametrize(
+        "stages", [(True,), (np.True_,), ("0.5",), "0.5", 0.5, [0.5, None], (np.array(0.5),), np.array(0.5)]
+    )
     def test_a_stage_that_is_not_a_real_number_is_refused(self, stages):
         with pytest.raises(ValueError, match=r"^stages must be real numbers, not "):
             StagePlan(stages, FINAL_ME)
-        with pytest.raises(ValueError, match=r"^stages must be real numbers, not \(True,\)$"):
-            StagePlan.sep_me(True)
 
     def test_numpy_reals_are_stages(self):
         plan = StagePlan((np.float32(0.5), np.int64(1), np.float64(0.25)), FINAL_ME)
