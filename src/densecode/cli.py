@@ -292,27 +292,24 @@ def _setting(args, config: dict, key: str, default):
     return _config_number(config, key, default, integral=_FLAGS["--" + key.replace("_", "-")][0]["type"] is int)
 
 
-def _out_path(args, config: dict, default: str) -> str:
-    out = args.out if args.out is not None else config.get("out", default)
+def _same_file(a: str, b: str) -> bool:
+    """Whether `a` and `b` resolve to one path (through links, dangling ones too) or are one existing file."""
+    return os.path.realpath(a) == os.path.realpath(b) or (all(map(os.path.exists, (a, b))) and os.path.samefile(a, b))
+
+
+def _out_paths(args, config: dict) -> list:
+    """The command's output paths: its CSV, then a run's JSON report beside it, unless one of them is the config
+    file, which an output written there would destroy, or the report is the CSV (say an `out` ending in .json)."""
+    out = args.out if args.out is not None else config.get("out", args.command.replace("-", "_") + ".csv")
     if not isinstance(out, str):
         raise ValueError(f"'out' must be a file path, not {out!r}")
-    return _unless_config(args, out)
-
-
-def _unless_config(args, path: str) -> str:
-    """`path`, unless it is the config file, which an output written there would destroy."""
-    if args.config and os.path.exists(path) and os.path.samefile(path, args.config):
-        raise ValueError(f"output {path} would overwrite the config file {args.config}")
-    return path
-
-
-def _sidecar(args, out: str) -> str:
-    """The JSON report path beside the CSV `out`, unless it is `out` itself
-    (an `out` ending in .json) or the config file."""
-    sidecar = os.path.splitext(out)[0] + ".json"
-    if os.path.abspath(sidecar) == os.path.abspath(out):
-        raise ValueError(f"JSON report {sidecar} would overwrite the CSV output {out}")
-    return _unless_config(args, sidecar)
+    paths = [out, os.path.splitext(out)[0] + ".json"] if args.command in _RUNS else [out]
+    for path in paths:
+        if args.config and _same_file(path, args.config):
+            raise ValueError(f"output {path} would overwrite the config file {args.config}")
+    if len(paths) == 2 and _same_file(*paths):
+        raise ValueError(f"JSON report {paths[1]} would overwrite the CSV output {out}")
+    return paths
 
 
 def _simplex_sweep(args, config: dict, grid: int, figures, min_rank: int = 1):
@@ -476,16 +473,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        out = _out_path(args, config, args.command.replace("-", "_") + ".csv")
+        paths = _out_paths(args, config)
         if args.command in _RUNS:
-            sidecar = _sidecar(args, out)
             header, rows, report_json = args.func(args, config)
-            _write_files({out: _csv_text([header, *rows]), sidecar: report_json})
-            print(f"wrote {out} and {sidecar}")
+            _write_files(dict(zip(paths, (_csv_text([header, *rows]), report_json))))
+            print(f"wrote {paths[0]} and {paths[1]}")
         else:
             header, columns = args.func(args, config)
-            _write_files({out: _table_text(header, columns)})
-            print(f"wrote {len(columns[-1])} rows to {out}")  # a figure column, not a lattice one
+            _write_files({paths[0]: _table_text(header, columns)})
+            print(f"wrote {len(columns[-1])} rows to {paths[0]}")  # a figure column, not a lattice one
         return 0
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -969,6 +969,36 @@ def test_failed_report_write_leaves_no_csv(command, tmp_path, capsys):
     assert [p.name for p in report.iterdir()] == ["inside"]
 
 
+@pytest.mark.parametrize("command", ["montecarlo", "qkd"])
+@pytest.mark.parametrize("alias", ["symlink", "dangling-symlink", "hard-link"])
+def test_report_that_is_the_csv_through_a_link_is_refused(command, alias, tmp_path, capsys):
+    # x.json names x.csv itself, so writing the report there would replace the CSV.
+    out, report = tmp_path / "x.csv", tmp_path / "x.json"
+    if alias != "dangling-symlink":
+        out.write_bytes(b"kept\r\n")
+    if alias == "hard-link":
+        os.link(out, report)
+    else:
+        report.symlink_to("x.csv")
+    assert cli.main([command, "--trials", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: JSON report {report} would overwrite the CSV output {out}\n"
+    if alias == "dangling-symlink":
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"] and not out.exists()
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+        assert out.read_bytes() == b"kept\r\n"
+
+
+@pytest.mark.parametrize("command", ["sweep-sep", "montecarlo", "qkd"])
+def test_output_that_is_the_config_through_a_link_is_refused(command, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    (tmp_path / "x.csv").symlink_to("config.json")
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: output {tmp_path / 'x.csv'} would overwrite the config file {config}\n"
+    assert config.read_text() == "{}" and sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "x.csv"]
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [
