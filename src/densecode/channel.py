@@ -1,11 +1,12 @@
 """The shared entangled resource: a Schmidt state, the one coefficient check
-that the state and the stage walk share, and the one integer test of
-dimensions, seeds and trial counts. The config format that names a state is
-read in `densecode.cli`."""
+that the state and the stage walk share, and the one integer test (dimensions,
+seeds, trial counts) and real-number test (stages, config numbers) of input.
+The config format that names a state is read in `densecode.cli`."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,11 @@ GROUP_TOL_SQ = 1e-9
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer. A bool is not one, though Python counts it as an int."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for a Python or numpy real number. A bool (JSON true/false) is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_coeffs(coeffs) -> np.ndarray:

@@ -23,14 +23,13 @@ import functools
 import io
 import json
 import math
-import numbers
 import os
 import stat
 import sys
 
 import numpy as np
 
-from .channel import COEFF_TOL, SchmidtState
+from .channel import COEFF_TOL, SchmidtState, _is_integer, _is_real
 from .discrimination import FINAL_ABSTAIN, StagePlan
 from .infometrics import me_bits, multistage_bits, multistage_columns
 from .protocol_sim import GUESS_UNIFORM, INCONCLUSIVE, SimulationReport, run_simulation
@@ -162,18 +161,13 @@ def _lattice(rank: int, resolution: int, margin: float):
     return margin + (np.arange(resolution + 1) / resolution) * (1.0 - rank * margin), codes
 
 
-def _is_real(value) -> bool:
-    """A real number, but not a bool (JSON true/false)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _config_number(obj: dict, key: str, default, integral: bool = False):
     """obj[key], or `default` when absent, as an int (`integral`) or a float;
     any other value raises ValueError naming the key."""
     value = obj.get(key, default)
     if not _is_real(value):
         raise ValueError(f"{key!r} must be a number, not {value!r}")
-    if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+    if integral and not (_is_integer(value) or float(value).is_integer()):
         raise ValueError(f"{key!r} must be an integer, not {value!r}")
     return int(value) if integral else float(value)
 
@@ -259,7 +253,7 @@ def _report_json(report, inputs: dict) -> str:
     fields = dataclasses.fields(report)
     obj = inputs | {field.name: getattr(report, field.name) for field in fields if field.name != "tree"}
     if isinstance(report, SimulationReport):
-        labels = obj["outcome_labels"] = report.outcome_labels
+        labels = obj["outcome_labels"] = report.tree.records
         # The system-2 outcome m, the last part of a key, always equals k.
         obj["counts"] = _nonzero_cells(obj.pop("joint_counts"), lambda j, k, r: f"{j},{k}|{labels[r]}:{k}")
         obj["empirical_success_rate"] = report.empirical_success_rate

@@ -5,14 +5,13 @@ minimum-error outcome rows."""
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import COEFF_TOL, GROUP_TOL_SQ, check_coeffs
+from .channel import COEFF_TOL, GROUP_TOL_SQ, _is_real, check_coeffs
 
 #: Final actions for a stage plan.
 FINAL_ME = "me"
@@ -34,13 +33,14 @@ class StagePlan:
     def __post_init__(self) -> None:
         # A 0-d array is an Iterable that cannot be iterated.
         stages = tuple(self.stages) if isinstance(self.stages, Iterable) and getattr(self.stages, "ndim", 1) else None
-        if stages is None or not all(isinstance(xi, numbers.Real) and not isinstance(xi, bool) for xi in stages):
+        if stages is None or not all(map(_is_real, stages)):
             raise ValueError(f"stages must be real numbers, not {self.stages!r}")
         if not all(0.0 <= xi <= 1.0 for xi in stages):
             raise ValueError("stage distinguishability must lie in [0, 1]")
         if self.final_action not in (FINAL_ME, FINAL_ABSTAIN):
             raise ValueError("final_action must be 'me' or 'abstain'")
-        object.__setattr__(self, "stages", tuple(map(float, stages)))
+        # + 0.0 turns -0.0 into 0.0, which describe() writes as 0.
+        object.__setattr__(self, "stages", tuple(float(xi) + 0.0 for xi in stages))
 
     @classmethod
     def me(cls) -> "StagePlan":
@@ -177,6 +177,8 @@ def me_outcome_probs(coeffs) -> np.ndarray:
     circulant in (j, l). The transform is one matrix-vector product per row,
     so each row's result does not depend on the rows batched with it."""
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim == 0:
+        raise ValueError(f"coeffs must be rows of coefficients, shape (..., P), not the scalar {coeffs}")
     period = coeffs.shape[-1]
     grid = np.outer(np.arange(period), np.arange(period))
     amps = np.matmul(np.exp(2j * np.pi * grid / period), coeffs[..., None])[..., 0]

@@ -332,7 +332,9 @@ def test_cli_alone_reads_and_writes_file_formats():
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
         assert "json" not in imported, name
         assert "csv" not in imported, name
-        assert not {"_is_real", "config_number", "check_keys"} & set(vars(module)), name
+        # The config readers stay in cli; the real-number test they share with StagePlan lives in channel.
+        assert not {"_config_number", "_check_keys", "config_number", "check_keys"} & set(vars(module)), name
+    assert cli._is_real is densecode.channel._is_real is densecode.discrimination._is_real
     for cls in (SchmidtState, StagePlan, EveStrategy, SimulationReport, QkdReport):
         for method in ("from_dict", "to_json", "counts_dict"):
             assert not hasattr(cls, method), f"{cls.__name__}.{method}"
@@ -997,6 +999,29 @@ def test_output_that_is_the_config_through_a_link_is_refused(command, tmp_path, 
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == f"error: output {tmp_path / 'x.csv'} would overwrite the config file {config}\n"
     assert config.read_text() == "{}" and sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "x.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, config, column",
+    [
+        ("montecarlo", {"strategy": {"kind": "sep_me", "xi": -0.0}}, "sep_me(xi=0)"),
+        (
+            "qkd",
+            {"eve": {"kind": "intercept", "strategy": {"kind": "multistage", "stages": [{"xi": -0.0}], "final": "me"}}},
+            "intercept(multistage([0], final=me), fallback=uniform)",
+        ),
+    ],
+    ids=["montecarlo", "qkd"],
+)
+def test_a_negative_zero_stage_is_written_as_zero(command, config, column, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "trials": 100}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 0
+    report = json.loads((tmp_path / "x.json").read_text())
+    assert report["strategy" if command == "montecarlo" else "eve"] == column
+    if command == "qkd":
+        header, rows = read_csv(tmp_path / "x.csv")
+        assert rows[0][header.index("eve")] == column
 
 
 @pytest.mark.parametrize(

@@ -467,3 +467,16 @@ class TestInputChecks:
             separate(row, 1.5)
         with pytest.raises(ValueError, match="distinguishability"):
             walk_stages(np.array([QUBIT, row]), (0.5, -0.1))
+
+    @pytest.mark.parametrize("scalar", [1.0, np.float64(0.5), np.array(1.0), np.nan])
+    def test_me_outcome_probs_refuses_a_scalar(self, scalar):
+        # Indexing the last axis of a 0-d array once raised IndexError: tuple index out of range.
+        with pytest.raises(ValueError, match=r"^coeffs must be rows of coefficients, .* not the scalar "):
+            me_outcome_probs(scalar)
+
+    def test_me_outcome_probs_keeps_batched_rows(self):
+        rows = np.array([[QUBIT, QUBIT[::-1]], [[1.0, 0.0], [0.0, 1.0]]])
+        batched = me_outcome_probs(rows)
+        assert batched.shape == (2, 2, 2)
+        for index in np.ndindex(2, 2):
+            assert np.array_equal(batched[index], me_outcome_probs(rows[index]))

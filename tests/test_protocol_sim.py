@@ -50,6 +50,11 @@ class TestDecodingStrategy:
         assert all(type(xi) is float for xi in plan.stages)
         assert StagePlan(np.array([1.0, 0.5])) == StagePlan([1.0, 0.5])
 
+    def test_a_negative_zero_stage_is_stored_as_zero(self):
+        for plan in (StagePlan((-0.0,)), StagePlan((np.float64(-0.0), 0.5), FINAL_ME), StagePlan.sep_me(-0.0)):
+            assert math.copysign(1.0, plan.stages[0]) == 1.0
+        assert StagePlan((-0.0,)) == StagePlan((0.0,)) and StagePlan((-0.0,)).describe() == "sep_me(xi=0)"
+
     def test_normal_forms(self):
         assert StagePlan.me() == StagePlan((), FINAL_ME)
         assert StagePlan.sep_me(0.25) == StagePlan((0.25,), FINAL_ABSTAIN)
@@ -73,6 +78,9 @@ class TestDecodingStrategy:
             ({"kind": "multistage", "stages": [{"xi": 0.3}], "final": "me"}, "multistage([0.3], final=me)"),
             ({"kind": "multistage", "final": "abstain"}, "multistage([], final=abstain)"),
             ({"kind": "multistage", "stages": [{}, {"xi": 0.5}]}, "multistage([1,0.5], final=abstain)"),
+            # A stage of -0.0 equals one of 0.0, and is written as one.
+            ({"kind": "sep_me", "xi": -0.0}, "sep_me(xi=0)"),
+            ({"kind": "multistage", "stages": [{"xi": -0.0}], "final": "me"}, "multistage([0], final=me)"),
         ],
     )
     def test_describe_reads_the_plan_shape(self, config, name):
@@ -89,7 +97,7 @@ class TestDecodingStrategy:
         with pytest.raises(TypeError):
             StagePlan(kind="me", stages=(1.0,))
         report = run_simulation(SchmidtState.from_squared(2, 2, [0.2, 0.8]), plan, 100, seed=1)
-        assert report.outcome_labels == ("s1:0", "s1:1", "inc")
+        assert report.tree.records == ("s1:0", "s1:1", "inc")
         assert plan.describe() == "sep_me(xi=1)"
         # The JSON report names the strategy that the labels come from.
         config = tmp_path / "config.json"
@@ -106,7 +114,7 @@ class TestRunSimulation:
         report = run_simulation(s, StagePlan.me(), 1000, seed=1)
         for j in range(3):
             for k in range(4):
-                for r, label in enumerate(report.outcome_labels):
+                for r, label in enumerate(report.tree.records):
                     count = report.joint_counts[j, k, r]
                     if count:
                         assert label == f"f:{j}"
@@ -119,7 +127,7 @@ class TestRunSimulation:
     def test_me_confusion_frequency(self, qubit_state):
         report = run_simulation(qubit_state, StagePlan.me(), 10000, seed=3)
         correct = sum(
-            int(report.joint_counts[j, k, report.outcome_labels.index(f"f:{j}")])
+            int(report.joint_counts[j, k, report.tree.records.index(f"f:{j}")])
             for j in range(2)
             for k in range(2)
         )
@@ -154,7 +162,7 @@ class TestRunSimulation:
         report = run_simulation(
             qutrit_state, plan, 50000, seed=6
         )
-        inc = report.joint_counts[:, :, report.outcome_labels.index("inc")].sum()
+        inc = report.joint_counts[:, :, report.tree.records.index("inc")].sum()
         expected = (1 - 0.6) * (1 - 0.5)
         assert abs(inc / 50000 - expected) <= sigma3(expected, 50000)
 
@@ -168,7 +176,7 @@ class TestRunSimulation:
         # unexecuted, as multistage_bits reports it.
         s = SchmidtState(4, 4, [1.0])
         report = run_simulation(s, StagePlan.sep_me(0.8), 20000, seed=3)
-        assert report.outcome_labels == ("inc",)
+        assert report.tree.records == ("inc",)
         assert report.stage_attempts == () and report.stage_successes == ()
         assert abs(report.empirical_mutual_info_bits - 2.0) <= 0.02
 
@@ -224,7 +232,7 @@ class TestEmpiricalMutualInfo:
         n = 100000
         counts = np.zeros_like(base.joint_counts)
         msgs = rng.integers(0, 4, size=n)
-        records = rng.integers(0, len(base.outcome_labels), size=n)
+        records = rng.integers(0, len(base.tree.records), size=n)
         np.add.at(counts, (msgs // 2, msgs % 2, records), 1)
         assert abs(counts_mutual_info(counts, n) - 1.0) <= 0.05
 

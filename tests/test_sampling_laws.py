@@ -61,7 +61,7 @@ def test_record_counts_follow_distribution(rank, kind):
     s, strat, report = _mc_run(rank, kind)
     tree = _BranchTree(s.coeffs, strat)
     labels, dist = tree.records, tree.dist
-    assert report.outcome_labels == labels
+    assert report.tree.records == labels
     assert report.joint_counts.shape == (s.D, s.d2, len(labels))
     assert int(report.joint_counts.sum()) == MC_TRIALS
     probs = np.broadcast_to(dist[:, None, :] / (s.d2 * s.D), report.joint_counts.shape)
@@ -194,7 +194,7 @@ def test_runs_of_10_to_the_12_trials_add_up():
     for i in range(1, len(attempts)):
         assert attempts[i] == attempts[i - 1] - successes[i - 1]
     assert all(0 <= suc <= att for att, suc in zip(attempts, successes))
-    finals = report.joint_counts[:, :, report.outcome_labels.index("f:0") :].sum()
+    finals = report.joint_counts[:, :, report.tree.records.index("f:0") :].sum()
     assert finals == attempts[-1] - successes[-1]
 
     eve = EveStrategy.intercept(strat, GUESS_UNIFORM)
